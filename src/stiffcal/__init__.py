@@ -20,9 +20,8 @@ from .errors import (AngleDirectionError, CalibrationError, ConvergenceError,
                      IdentifiabilityError, ModelFileError,
                      SingularConfigurationError, UsageError)
 from .robot import (ChainState, FrameSpec, JointSpec, ManipulatorModel,
-                    NodeLoading, Pose, chain_state, fk, fk_node,
-                    gravity_loading, hessian_theta, jacobian_theta,
-                    marker_jacobian, marker_positions)
+                    NodeLoading, Pose, chain_state, fk, gravity_loading,
+                    hessian_theta, marker_positions)
 from .circle_fit import (CircleFit, ConcentricFit, fit_circle_procrustes,
                          fit_concentric_arcs)
 from .geometry_id import (CompensatorGeometryEstimate, GeometryCI,

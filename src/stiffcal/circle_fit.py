@@ -39,6 +39,12 @@ class CircleFit:
     residual_rms: float
     n_points: int
 
+    def predict(self, angles_rad) -> np.ndarray:
+        """Fitted circle points at the given angles, shape (m, 2)."""
+        a = self.angle_sign * np.asarray(angles_rad, dtype=float)
+        u = np.column_stack([np.cos(a), np.sin(a)])
+        return self.radius * (u @ self.R.T) + self.center
+
 
 @dataclass(frozen=True)
 class ConcentricFit:

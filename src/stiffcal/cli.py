@@ -29,9 +29,8 @@ import numpy as np
 
 from . import __version__
 from .compensator import CompensatorGeometry, eta_curve
-from .doe import (CalibrationPlan, NoiseModel, PlanConstraints, TestPose,
-                  load_plan_csv, optimize_plan, save_plan_csv,
-                  test_pose_accuracy)
+from .doe import (NoiseModel, PlanConstraints, TestPose, load_plan_csv,
+                  optimize_plan, save_plan_csv)
 from .elasto_id import (confidence_intervals_elasto, identify_elastostatics,
                         load_deflection_csv, save_deflection_csv)
 from .errors import CalibrationError, UsageError
@@ -105,6 +104,12 @@ def write_plot_data(path: str, rows) -> None:
             w.writerow((f"{float(x):.10g}", series, f"{float(y):.10g}"))
 
 
+def _finite(vals: List[float], name: str) -> List[float]:
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"{name}: values must be finite")
+    return vals
+
+
 def _parse_float_list(text: str, name: str, n: Optional[int] = None) -> List[float]:
     try:
         vals = [float(t) for t in text.replace(";", ",").split(",") if t.strip()]
@@ -112,7 +117,7 @@ def _parse_float_list(text: str, name: str, n: Optional[int] = None) -> List[flo
         raise UsageError(f"cannot parse {name}: {exc}") from exc
     if n is not None and len(vals) != n:
         raise UsageError(f"{name} needs {n} comma-separated values, got {len(vals)}")
-    return vals
+    return _finite(vals, name)
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:
@@ -127,22 +132,24 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
             raise UsageError(f"{name}: {exc}") from exc
         if count < 2:
             raise UsageError(f"{name}: count must be >= 2")
+        _finite([start, stop], name)
         return np.linspace(start, stop, count)
     return np.array(_parse_float_list(text, name))
 
 
-def _parse_limits(text: str) -> List[tuple]:
+def _parse_ranges(text: str, name: str) -> List[tuple]:
+    """Comma-separated lo:hi pairs in degrees, returned in radians."""
     out = []
     for i, part in enumerate(text.split(",")):
         bits = part.split(":")
         if len(bits) != 2:
-            raise UsageError(f"--limits entry {i + 1}: expected lo:hi")
+            raise UsageError(f"{name} entry {i + 1}: expected lo:hi")
         try:
-            out.append((math.radians(float(bits[0])), math.radians(float(bits[1]))))
+            lo, hi = float(bits[0]), float(bits[1])
         except ValueError as exc:
-            raise UsageError(f"--limits entry {i + 1}: {exc}") from exc
-    if len(out) != 6:
-        raise UsageError(f"--limits needs six lo:hi pairs, got {len(out)}")
+            raise UsageError(f"{name} entry {i + 1}: {exc}") from exc
+        _finite([lo, hi], f"{name} entry {i + 1}")
+        out.append((math.radians(lo), math.radians(hi)))
     return out
 
 
@@ -183,9 +190,7 @@ def _cmd_geom_ident(args) -> int:
     }
     _write_json(os.path.join(out, "geometry.json"), payload)
     q2_deg = np.degrees(dataset.q2_rad)
-    mu, R, t = est.crank_fit.radius, est.crank_fit.R, est.crank_fit.center
-    ang = est.crank_fit.angle_sign * dataset.q2_rad
-    fit_pts = (mu * (R @ np.stack([np.cos(ang), np.sin(ang)])).T) + t
+    fit_pts = est.crank_fit.predict(dataset.q2_rad)
     rows = []
     for i in range(dataset.n_poses):
         rows.append((q2_deg[i], "crank_meas_x", dataset.crank[i, 0]))
@@ -252,13 +257,12 @@ def _cmd_doe(args) -> int:
     model = load_model(args.model)
     test_q = np.radians(_parse_float_list(args.test_q, "--test-q", 6))
     buckets = np.radians(_parse_grid(args.buckets, "--buckets"))
-    limits = _parse_limits(args.limits)
+    limits = _parse_ranges(args.limits, "--limits")
+    if len(limits) != 6:
+        raise UsageError(f"--limits needs six lo:hi pairs, got {len(limits)}")
     q1_windows = None
     if args.q1_windows:
-        q1_windows = tuple(
-            (math.radians(lo), math.radians(hi))
-            for lo, hi in (tuple(map(float, w.split(":")))
-                           for w in args.q1_windows.split(",")))
+        q1_windows = tuple(_parse_ranges(args.q1_windows, "--q1-windows"))
     cons = PlanConstraints(joint_limits_rad=tuple(limits),
                            load_magnitude_N=args.load,
                            q1_intervals_rad=q1_windows)

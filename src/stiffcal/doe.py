@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +34,8 @@ PLAN_CSV_HEADER = (
 @dataclass(frozen=True)
 class PlanEntry:
     """One measurement configuration: pose, applied tool wrench, repeats."""
+
+    __test__ = False  # TestPose aliases this class; keep pytest away
 
     q_rad: Tuple[float, ...]
     wrench: Tuple[float, ...]
@@ -54,6 +56,10 @@ class PlanEntry:
     @property
     def w(self) -> np.ndarray:
         return np.array(self.wrench)
+
+
+# The reference pose/load whose deflection prediction a plan should serve.
+TestPose = PlanEntry
 
 
 @dataclass
@@ -77,38 +83,9 @@ class CalibrationPlan:
     def layout(self, include_joint1: bool = False,
                bucket_tol_rad: float = math.radians(0.1)) -> ParameterLayout:
         """Joint-2 bucket layout implied by the plan configurations."""
-        buckets: List[float] = []
-        for e in self.entries:
-            q2 = e.q_rad[1]
-            if not any(abs(q2 - b) <= bucket_tol_rad for b in buckets):
-                buckets.append(q2)
-        buckets.sort(reverse=True)
-        return ParameterLayout(tuple(buckets), include_joint1=include_joint1,
-                               bucket_tol_rad=bucket_tol_rad)
-
-
-@dataclass(frozen=True)
-class TestPose:
-    """Reference pose/load whose deflection prediction the plan should serve."""
-
-    __test__ = False  # not a test case despite the name, keep pytest away
-
-    q_rad: Tuple[float, ...]
-    wrench: Tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_rad", tuple(float(v) for v in self.q_rad))
-        object.__setattr__(self, "wrench", tuple(float(v) for v in self.wrench))
-        if len(self.q_rad) != 6 or len(self.wrench) != 6:
-            raise ValueError("test pose needs 6 joint angles and a 6-wrench")
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array(self.q_rad)
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.array(self.wrench)
+        return ParameterLayout.from_q2((e.q_rad[1] for e in self.entries),
+                                       include_joint1=include_joint1,
+                                       bucket_tol_rad=bucket_tol_rad)
 
 
 @dataclass(frozen=True)
@@ -247,6 +224,15 @@ class TestPoseAccuracy:
     bucket_q2_rad: Tuple[float, ...]
 
 
+def _bucket_variance(M: np.ndarray, A0: np.ndarray) -> float:
+    """trace(A0 M^-1 A0^T) of one bucket; inf when M is singular."""
+    try:
+        X = np.linalg.solve(M, A0.T)
+    except np.linalg.LinAlgError:
+        return math.inf
+    return float(np.sum(A0 * X.T))
+
+
 def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
                          layout: ParameterLayout,
                          include_joint1: bool) -> List[np.ndarray]:
@@ -282,14 +268,13 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     Ms = _bucket_informations(model, plan, layout, include_joint1)
     per_bucket = []
     for b, M in enumerate(Ms):
-        try:
-            X = np.linalg.solve(M, A0.T)
-        except np.linalg.LinAlgError:
+        t = _bucket_variance(M, A0)
+        if t == math.inf:
             raise IdentifiabilityError(
                 f"singular information matrix for joint-2 bucket at "
                 f"{math.degrees(layout.bucket_q2_rad[b]):.2f} deg: the plan "
-                "does not excite every compliance there") from None
-        per_bucket.append(noise.sigma_mm**2 * float(np.sum(A0 * X.T)))
+                "does not excite every compliance there")
+        per_bucket.append(noise.sigma_mm**2 * t)
     rho_sq = float(sum(per_bucket))
     return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(max(rho_sq, 0.0)),
                             per_bucket_mm2=tuple(per_bucket),
@@ -302,21 +287,24 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
                          include_joint1: bool = False) -> np.ndarray:
     """Covariance of the full stage-one compliance vector under the plan.
 
-    Uses the shared-parameter regressor (one k3..k6 across all buckets).
-    With the optional axis covariance a sandwich estimate replaces the
-    plain sigma^2 (B^T B)^-1.
+    Uses the shared-parameter regressor B (one k3..k6 across all buckets),
+    accumulated per plan entry: B^T B = sum_e repeats_e B_e^T B_e.  With the
+    optional axis covariance C a sandwich estimate replaces the plain
+    sigma^2 (B^T B)^-1, its meat being sum_e repeats_e B_e^T (I (x) C) B_e.
     """
-    from .elasto_id import DeflectionRecord, build_regressor
-
     if layout is None:
         layout = plan.layout(include_joint1=include_joint1)
-    records = []
-    for e in plan.entries:
-        for m in range(len(model.markers)):
-            for r in range(e.repeats):
-                records.append(DeflectionRecord(e.q, e.w, m, np.zeros(3), r))
-    B, _ = build_regressor(model, records, layout)
-    BtB = B.T @ B
+    p = layout.n_params
+    BtB = np.zeros((p, p))
+    meat = np.zeros((p, p))
+    if noise.axis_cov is not None:
+        omega = np.kron(np.eye(len(model.markers)), noise.axis_cov)
+    for i, e in enumerate(plan.entries):
+        b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
+        Be = layout.place(sensitivity_rows(model, e.q, e.w, include_joint1=True), b)
+        BtB += e.repeats * (Be.T @ Be)
+        if noise.axis_cov is not None:
+            meat += e.repeats * (Be.T @ omega @ Be)
     U, s, Vt = np.linalg.svd(BtB)
     if s[-1] <= 1e-12 * s[0]:
         null = Vt[s <= 1e-12 * s[0]].T
@@ -329,8 +317,7 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
     inv = Vt.T @ np.diag(1.0 / s) @ U.T
     if noise.axis_cov is None:
         return noise.sigma_mm**2 * inv
-    omega = np.kron(np.eye(len(records)), noise.axis_cov)
-    return inv @ (B.T @ omega @ B) @ inv
+    return inv @ meat @ inv
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +394,16 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
         return sensitivity_rows(model, q, wrench, include_joint1=include_joint1)
 
     def bucket_term(M: np.ndarray) -> float:
-        try:
-            X = np.linalg.solve(M, A0.T)
-        except np.linalg.LinAlgError:
-            return math.inf
-        t = float(np.sum(A0 * X.T))
+        t = _bucket_variance(M, A0)
         return t if t >= 0 else math.inf
 
-    def descent(configs: List[List[np.ndarray]]) -> Tuple[float, List[List[np.ndarray]]]:
+    def descent(configs: List[List[np.ndarray]]
+                ) -> Tuple[float, float, List[List[np.ndarray]]]:
+        """(initial total, final total, configs) of one start."""
         rows = [[rows_for(qc) for qc in bucket] for bucket in configs]
         Ms = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows]
         terms = [bucket_term(M) for M in Ms]
-        total = sum(terms)
+        total = start_total = sum(terms)
         spans = []
         for j in _FREE_JOINTS:
             lo, hi = constraints.joint_limits_rad[j]
@@ -458,7 +443,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                                 terms[b] = best_term
                                 total = best_val
                                 improved = True
-        return total, configs
+        return start_total, total, configs
 
     best_total = math.inf
     best_configs: Optional[List[List[np.ndarray]]] = None
@@ -468,10 +453,8 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
         configs = [[_random_config(rng, b, constraints)
                     for _ in range(configs_per_bucket)]
                    for b in layout.bucket_q2_rad]
-        rows0 = [[rows_for(qc) for qc in bucket] for bucket in configs]
-        M0 = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows0]
-        start_values.append(sigma_sq * sum(bucket_term(M) for M in M0))
-        total, configs = descent(configs)
+        start_total, total, configs = descent(configs)
+        start_values.append(sigma_sq * start_total)
         if total < best_total:
             best_total = total
             best_configs = configs

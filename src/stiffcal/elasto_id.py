@@ -24,7 +24,7 @@ import numpy as np
 
 from .compensator import CompensatorGeometry, spring_span
 from .errors import DataLayoutError, IdentifiabilityError
-from .robot import ManipulatorModel, jacobian_theta, marker_jacobian
+from .robot import ManipulatorModel
 
 DEFLECTION_CSV_HEADER = (
     "q1_deg", "q2_deg", "q3_deg", "q4_deg", "q5_deg", "q6_deg",
@@ -124,18 +124,25 @@ class ParameterLayout:
             raise ValueError("joint-2 buckets closer than twice the matching tolerance")
 
     @classmethod
-    def from_records(cls, records: Sequence[DeflectionRecord], *,
-                     include_joint1: bool = False,
-                     bucket_tol_rad: float = math.radians(0.1)) -> "ParameterLayout":
-        """Cluster the joint-2 angles present in ``records`` into buckets."""
+    def from_q2(cls, angles, *, include_joint1: bool = False,
+                bucket_tol_rad: float = math.radians(0.1)) -> "ParameterLayout":
+        """Cluster joint-2 angles into buckets; the first angle seen is the centre."""
         buckets: List[float] = []
-        for r in records:
-            q2 = float(r.q_rad[1])
+        for q2 in angles:
+            q2 = float(q2)
             if not any(abs(q2 - b) <= bucket_tol_rad for b in buckets):
                 buckets.append(q2)
         buckets.sort(reverse=True)  # sweep order: near-upright first
         return cls(tuple(buckets), include_joint1=include_joint1,
                    bucket_tol_rad=bucket_tol_rad)
+
+    @classmethod
+    def from_records(cls, records: Sequence[DeflectionRecord], *,
+                     include_joint1: bool = False,
+                     bucket_tol_rad: float = math.radians(0.1)) -> "ParameterLayout":
+        """Cluster the joint-2 angles present in ``records`` into buckets."""
+        return cls.from_q2((r.q_rad[1] for r in records), include_joint1=include_joint1,
+                           bucket_tol_rad=bucket_tol_rad)
 
     @property
     def n_buckets(self) -> int:
@@ -175,6 +182,20 @@ class ParameterLayout:
         labels += ["k3", "k4", "k5", "k6"]
         return tuple(labels)
 
+    def place(self, A: np.ndarray, bucket: int) -> np.ndarray:
+        """Spread per-joint columns [k1..k6] over this layout's columns.
+
+        ``A`` is a :func:`stiffcal.doe.sensitivity_rows` block with joint 1
+        included; joint 2 lands in ``bucket``'s column, joint 1 is dropped
+        when the layout excludes it.
+        """
+        out = np.zeros((A.shape[0], self.n_params))
+        for j in range(1, 7):
+            col = self.column_of(j, bucket if j == 2 else None)
+            if col is not None:
+                out[:, col] = A[:, j - 1]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # stage one: linear compliance regression
@@ -192,34 +213,27 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     rotates joint j by k_j*tau_j which moves the marker along Jm[:,j].
     Returns ``(B, y)`` with ``B`` of shape (3*n_records, n_params).
     """
+    from .doe import sensitivity_rows  # doe imports this module at load time
+
     n = len(records)
     if n == 0:
         raise DataLayoutError("no deflection records to regress on")
-    p = layout.n_params
-    B = np.zeros((3 * n, p))
+    B = np.zeros((3 * n, layout.n_params))
     y = np.zeros(3 * n)
-    zeros = np.zeros(6)
-    cache = {}
+    blocks = {}
     for i, rec in enumerate(records):
-        if not 0 <= rec.marker_id < len(model.markers):
+        m = rec.marker_id
+        if not 0 <= m < len(model.markers):
             raise DataLayoutError(
-                f"record {i}: marker id {rec.marker_id} outside model range "
+                f"record {i}: marker id {m} outside model range "
                 f"0..{len(model.markers) - 1}")
         bucket = layout.bucket_of(float(rec.q_rad[1]), context=f"record {i}")
-        key = (tuple(np.round(rec.q_rad, 12)), rec.marker_id)
-        if key not in cache:
-            Jt = jacobian_theta(model, rec.q_rad, zeros, "tool")
-            Jm = marker_jacobian(model, rec.q_rad, zeros, rec.marker_id)[:3]
-            cache[key] = (Jt, Jm)
-        Jt, Jm = cache[key]
-        tau = Jt.T @ rec.wrench
-        rows = slice(3 * i, 3 * i + 3)
-        for j in range(1, 7):
-            col = layout.column_of(j, bucket if j == 2 else None)
-            if col is None:
-                continue
-            B[rows, col] = Jm[:, j - 1] * tau[j - 1]
-        y[rows] = rec.deflection_mm
+        key = (tuple(np.round(rec.q_rad, 12)), tuple(rec.wrench), bucket)
+        if key not in blocks:
+            blocks[key] = layout.place(sensitivity_rows(
+                model, rec.q_rad, rec.wrench, include_joint1=True), bucket)
+        B[3 * i:3 * i + 3] = blocks[key][3 * m:3 * m + 3]
+        y[3 * i:3 * i + 3] = rec.deflection_mm
     return B, y
 
 

@@ -16,7 +16,6 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -153,10 +152,7 @@ def identify_compensator_geometry(dataset: MarkerDataset,
 
 def _clean_tracks(dataset: MarkerDataset, est: CompensatorGeometryEstimate):
     """Model-implied noise-free marker tracks for parametric resampling."""
-    fit = est.crank_fit
-    u = np.column_stack([np.cos(fit.angle_sign * dataset.q2_rad),
-                         np.sin(fit.angle_sign * dataset.q2_rad)])
-    crank_clean = fit.radius * (u @ fit.R.T) + fit.center
+    crank_clean = est.crank_fit.predict(dataset.q2_rad)
     sats_clean = []
     p0 = est.satellite_fit.center
     for arr, Rj in zip(dataset.satellites, est.satellite_fit.radii):
@@ -178,9 +174,7 @@ def residual_noise_sigma(dataset: MarkerDataset,
     tracker data the satellite body often jitters more than the crank pin.
     """
     m = dataset.n_poses
-    u = np.column_stack([np.cos(est.crank_fit.angle_sign * dataset.q2_rad),
-                         np.sin(est.crank_fit.angle_sign * dataset.q2_rad)])
-    crank_model = est.crank_fit.radius * (u @ est.crank_fit.R.T) + est.crank_fit.center
+    crank_model = est.crank_fit.predict(dataset.q2_rad)
     F_crank = float(((dataset.crank[:, :2] - crank_model) ** 2).sum())
     sigma_crank = float(np.sqrt(F_crank / max(2 * m - 4, 1)))
     p0 = est.satellite_fit.center

@@ -25,8 +25,6 @@ import numpy as np
 
 from .transforms import rot_axis, rot_rpy
 
-_NODE_TOOL = "tool"
-
 
 def _vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -194,14 +192,6 @@ def fk(model: ManipulatorModel, q, theta=None) -> Pose:
     return Pose(st.tool_p, st.tool_R)
 
 
-def fk_node(model: ManipulatorModel, q, theta, j: int) -> Pose:
-    """Pose of virtual-joint node ``j`` (1..6): the chain through joint ``j``."""
-    if not 1 <= j <= 6:
-        raise ValueError(f"node index out of range (1..6): {j}")
-    st = chain_state(model, q, theta)
-    return Pose(st.node_p[j], st.node_R[j - 1])
-
-
 def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
     """World positions of the tool-mounted markers, shape (n_markers, 3)."""
     if theta is None:
@@ -223,36 +213,12 @@ def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.nd
     return J
 
 
-def jacobian_theta(model: ManipulatorModel, q, theta, node=_NODE_TOOL) -> np.ndarray:
-    """Jacobian of node ``node`` (1..6) or the tool w.r.t. elastic deflections.
-
-    Columns for joints beyond the node are identically zero.  Because q and
-    theta enter the chain only through their sum, this equals the Jacobian
-    w.r.t. q as well.
-    """
-    st = chain_state(model, q, theta)
-    if node == _NODE_TOOL:
-        return _point_jacobian(st, st.tool_p, 6)
-    if not 1 <= node <= 6:
-        raise ValueError(f"node index out of range (1..6): {node}")
-    return _point_jacobian(st, st.node_p[node], node)
-
-
-def marker_jacobian(model: ManipulatorModel, q, theta, marker: int) -> np.ndarray:
-    """6x6 Jacobian of marker ``marker`` (index into ``model.markers``)."""
-    st = chain_state(model, q, theta)
-    offs = model.markers[marker]
-    point = st.tool_R @ offs + st.tool_p
-    return _point_jacobian(st, point, 6)
-
-
 @dataclass
 class NodeLoading:
     """Wrenches applied at the chain nodes.
 
     ``wrenches`` has shape (7, 6): row ``j`` acts at node ``j`` (row 0 at the
-    inert joint-1 centre).  The aggregate matrix ``G`` stacks the six live
-    node wrenches, one row per virtual joint node.
+    inert joint-1 centre).
     """
 
     wrenches: np.ndarray
@@ -262,15 +228,6 @@ class NodeLoading:
         if w.shape != (7, 6):
             raise ValueError(f"wrenches must have shape (7, 6), got {w.shape}")
         self.wrenches = w
-
-    @property
-    def G(self) -> np.ndarray:
-        """Stacked wrenches at nodes 1..6 (shape (6, 6))."""
-        return self.wrenches[1:]
-
-    @property
-    def forces(self) -> np.ndarray:
-        return self.wrenches[:, :3]
 
     def total_force(self) -> np.ndarray:
         return self.wrenches[:, :3].sum(axis=0)

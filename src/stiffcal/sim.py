@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from .doe import CalibrationPlan
 from .elasto_id import DeflectionRecord
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
-from .robot import ManipulatorModel
-from .stiffness import (predict_marker_deflections, solve_equilibrium,
-                        state_marker_positions)
+from .robot import ManipulatorModel, marker_positions
+from .stiffness import predict_marker_deflections, solve_equilibrium
 
 # Tracker targets bolted to the spring cylinder, in the pivot frame whose
 # x axis points from the pivot towards the crank pin (mm).
@@ -130,8 +129,8 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
                 raise ConvergenceError(
                     f"equilibrium did not converge for plan entry {i} "
                     f"(q2={math.degrees(q[1]):.1f} deg)")
-            defl = state_marker_positions(model, st1) - \
-                state_marker_positions(model, st0)
+            defl = (marker_positions(model, q, st1.theta)
+                    - marker_positions(model, q, st0.theta))
         rng = np.random.default_rng((seed, i))
         for rep in range(entry.repeats):
             for m in range(n_mark):

@@ -25,8 +25,8 @@ import numpy as np
 
 from .compensator import CompensatorParams, equivalent_joint_stiffness
 from .errors import SingularConfigurationError
-from .robot import (ManipulatorModel, NodeLoading, Pose, chain_state, gravity_loading,
-                    hessian_theta, load_torques, marker_positions, _point_jacobian)
+from .robot import (ManipulatorModel, Pose, chain_state, gravity_loading,
+                    hessian_theta, load_torques, _point_jacobian)
 from .transforms import pose_difference, rot_from_rotvec
 
 _POSITION_TOL_MM = 1e-9
@@ -77,10 +77,6 @@ class CartesianStiffness:
     matrix: np.ndarray
     q: np.ndarray
     theta: np.ndarray
-
-
-def _tool_jacobian(st) -> np.ndarray:
-    return _point_jacobian(st, st.tool_p, 6)
 
 
 def _wrench_residual_rel(K: np.ndarray, theta: np.ndarray, tau: np.ndarray) -> float:
@@ -156,7 +152,7 @@ def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumStat
     pos_res = np.inf
     for iterations in range(1, max_iter + 1):
         st = chain_state(model, q, theta)
-        J = _tool_jacobian(st)
+        J = _point_jacobian(st, st.tool_p, 6)
         _check_jacobian(J)
         tau_G = load_torques(model, st, loading, None)
         Kin_JT = np.linalg.solve(K, J.T)
@@ -200,7 +196,7 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
             "joint stiffness minus load Hessian is singular: buckling-like "
             "instability of the elastic chain")
     st = chain_state(model, q, theta)
-    J = _tool_jacobian(st)
+    J = _point_jacobian(st, st.tool_p, 6)
     _check_jacobian(J)
     S = J @ np.linalg.solve(Keff, J.T)
     S = 0.5 * (S + S.T)  # clean roundoff; S is symmetric analytically
@@ -223,7 +219,7 @@ def predict_marker_deflections(model: ManipulatorModel,
     F = np.asarray(tool_wrench, dtype=float)
     K = joint_stiffness_matrix(model, compensator, q)
     st = chain_state(model, q, np.zeros(6))
-    J_tool = _tool_jacobian(st)
+    J_tool = _point_jacobian(st, st.tool_p, 6)
     dtheta = np.linalg.solve(K, J_tool.T @ F)
     if not model.markers:
         return np.empty((0, 3))
@@ -244,7 +240,7 @@ def predict_tool_deflection(model: ManipulatorModel,
     F = np.asarray(tool_wrench, dtype=float)
     K = joint_stiffness_matrix(model, compensator, q)
     st = chain_state(model, q, np.zeros(6))
-    J = _tool_jacobian(st)
+    J = _point_jacobian(st, st.tool_p, 6)
     return J @ np.linalg.solve(K, J.T @ F)
 
 
@@ -265,8 +261,3 @@ def compensate_target(model: ManipulatorModel, compensator: Optional[Compensator
     p = np.asarray(desired.p, dtype=float) - delta[:3]
     R = rot_from_rotvec(-delta[3:]) @ desired.R
     return Pose(p, R)
-
-
-def state_marker_positions(model: ManipulatorModel, state: EquilibriumState) -> np.ndarray:
-    """World marker positions at an equilibrium state."""
-    return marker_positions(model, state.q, state.theta)

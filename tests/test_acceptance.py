@@ -27,8 +27,7 @@ from stiffcal.errors import IdentifiabilityError
 from stiffcal.geometry_id import (confidence_intervals_geometry,
                                   identify_compensator_geometry, load_marker_csv)
 from stiffcal.robot import (chain_state, gravity_loading, hessian_theta,
-                            load_torques, marker_jacobian, marker_positions,
-                            _point_jacobian)
+                            load_torques, _point_jacobian)
 from stiffcal.sim import (GroundTruth, simulate_deflection_records,
                           simulate_geometry_dataset)
 from stiffcal.stiffness import (cartesian_stiffness, joint_stiffness_matrix,
@@ -215,7 +214,8 @@ def test_criterion_6_jacobian_hessian_vs_finite_differences(request, model):
             q = np.array([rng.uniform(lo, hi) for lo, hi in LIMITS_RAD])
             theta = 1e-3 * rng.standard_normal(6)
             # marker Jacobian, all six twist rows
-            Jan = marker_jacobian(model, q, theta, 0)
+            st = chain_state(model, q, theta)
+            Jan = _point_jacobian(st, st.tool_R @ model.markers[0] + st.tool_p, 6)
             Jfd = np.zeros((6, 6))
             for j in range(6):
                 e = np.zeros(6)

@@ -171,6 +171,39 @@ class TestUsageParsing:
         assert rc == 1
         assert "six lo:hi pairs" in capsys.readouterr().err
 
+    def test_bad_q1_windows(self, tmp_path, model_path, capsys):
+        rc = main(["doe", "--model", str(model_path),
+                   "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                   "--q1-windows=10", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "--q1-windows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["predict", "--q=0,-90,nan,0,0,0"], "--q", id="q"),
+        pytest.param(["predict", "--q=0,-90,0,0,0,0", "--wrench=0,0,inf,0,0,0"],
+                     "--wrench", id="wrench"),
+        pytest.param(["eta-curve", "--s0=inf", "--q2=-140:0:5"], "--s0", id="s0"),
+        pytest.param(["eta-curve", "--s0=458", "--q2=nan:0:5"], "--q2", id="q2-range"),
+        pytest.param(["eta-curve", "--s0=458", "--q2=-140,-inf,0"], "--q2",
+                     id="q2-list"),
+        pytest.param(["doe", "--test-q=0,-45,0,nan,0,0", "--buckets=-10,-60,-120"],
+                     "--test-q", id="test-q"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,nan,-120"],
+                     "--buckets", id="buckets"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--limits=-185:185,-140:-0.001,-120:inf,-350:350,"
+                      "-122.5:122.5,-350:350"], "--limits", id="limits"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--q1-windows=-inf:30"], "--q1-windows", id="q1-windows"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, model_path, capsys,
+                                        argv, flag):
+        rc = main(argv + ["--model", str(model_path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{flag}:" in err or f"{flag} entry" in err
+        assert not (tmp_path / "x").exists()
+
     def test_model_without_compensator(self, tmp_path, capsys):
         bare = tmp_path / "bare.yaml"
         bare.write_text(

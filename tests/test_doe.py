@@ -170,6 +170,21 @@ class TestParameterCovariance:
         c_axis = parameter_covariance(model, plan, iso)
         assert np.allclose(c_axis, c_plain, rtol=1e-9)
 
+    def test_anisotropic_axis_cov_matches_dense_sandwich(self, model, plan):
+        C = np.array([[3e-3, 4e-4, -2e-4], [4e-4, 1.5e-3, 1e-4],
+                      [-2e-4, 1e-4, 5e-3]])
+        cov = parameter_covariance(model, plan, NoiseModel(0.05, axis_cov=C))
+        # oracle: one dummy record per marker and repeat, dense block-diagonal
+        # noise covariance over all of them
+        records = [DeflectionRecord(e.q, e.w, m, np.zeros(3), r)
+                   for e in plan.entries for m in range(len(model.markers))
+                   for r in range(e.repeats)]
+        B, _ = build_regressor(model, records, plan.layout())
+        U, s, Vt = np.linalg.svd(B.T @ B)
+        inv = Vt.T @ np.diag(1.0 / s) @ U.T
+        ref = inv @ (B.T @ np.kron(np.eye(len(records)), C) @ B) @ inv
+        assert np.linalg.norm(cov - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_singular_plan_reports_unobservable(self, model):
         dead = CalibrationPlan((PlanEntry(
             tuple(np.radians([0, -70, 0, 0, 0, 0])), (0.0,) * 6),))

@@ -19,6 +19,7 @@ from stiffcal.elasto_id import (
     separation_matrix,
 )
 from stiffcal.compensator import equivalent_joint_stiffness
+from stiffcal.doe import sensitivity_rows
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.sim import GroundTruth, simulate_deflection_records
 
@@ -96,6 +97,22 @@ class TestRegressor:
             k_true[i] = 1.0 / K2
         k_true[5:] = model.compliances[2:]
         assert np.linalg.norm(y - B @ k_true) / np.linalg.norm(y) < 1e-12
+
+    @pytest.mark.parametrize("include_joint1", [False, True])
+    def test_two_wrenches_at_one_pose(self, model, plan, include_joint1):
+        """Records sharing a pose but not the wrench get their own rows."""
+        e = plan.entries[4]
+        other = np.array([300.0, -150.0, -900.0, 2e4, -1e4, 5e3])
+        recs = [DeflectionRecord(e.q, w, m, np.zeros(3))
+                for w in (e.w, other, e.w) for m in range(len(model.markers))]
+        lay = ParameterLayout.from_records(recs, include_joint1=include_joint1)
+        B, _ = build_regressor(model, recs, lay)
+        first = 0 if include_joint1 else 1   # one bucket: joint order is column order
+        for i, r in enumerate(recs):
+            A = sensitivity_rows(model, r.q_rad, r.wrench, include_joint1=True)
+            ref = A[3 * r.marker_id:3 * r.marker_id + 3, first:]
+            np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
     def test_bad_marker_id(self, model, clean_records):
         lay = ParameterLayout.from_records(clean_records)

@@ -1,7 +1,10 @@
+import pathlib
+import re
 import textwrap
 
 import numpy as np
 import pytest
+import yaml
 
 from stiffcal.errors import ModelFileError
 from stiffcal.modelfile import load_model
@@ -29,6 +32,16 @@ def test_reference_model_loads(model_path):
     assert model.compensator is not None
     assert model.compensator.geometry.L_mm == pytest.approx(185.0)
     assert len(model.markers) == 3
+
+
+def test_readme_schema_example_loads(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```yaml\n(.*?)```", readme.read_text(), re.S).group(1)
+    doc = yaml.safe_load(block)
+    doc["joints"] = doc["joints"] * 6   # the example shows one joint entry
+    model = load_model(_write(tmp_path, yaml.safe_dump(doc)))
+    assert len(model.joints) == 6
+    assert model.compensator is not None
 
 
 def test_minimal_model(tmp_path):

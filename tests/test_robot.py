@@ -4,11 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_hessian, fd_jacobian, planar_2r_force_hessian
-from stiffcal.robot import (JointSpec, ManipulatorModel, chain_state, fk,
-                            fk_node, gravity_loading, hessian_theta,
-                            jacobian_theta, load_torques, marker_jacobian,
-                            marker_positions)
+from stiffcal.robot import (JointSpec, ManipulatorModel, _point_jacobian,
+                            chain_state, fk, gravity_loading, hessian_theta,
+                            load_torques, marker_positions)
 from stiffcal.transforms import rotvec_from_matrix
+
+
+def _jacobian(model, q, theta, point=lambda cs: cs.tool_p, n_cols=6):
+    """Chain Jacobian of ``point(chain_state)``, columns beyond ``n_cols`` zero."""
+    cs = chain_state(model, q, theta)
+    return _point_jacobian(cs, point(cs), n_cols)
 
 
 def _planar_2r(l1=500.0, l2=300.0):
@@ -70,7 +75,7 @@ def random_states(model):
 
 def test_tool_jacobian_vs_fd(model, random_states):
     for q, th in random_states:
-        J = jacobian_theta(model, q, th, "tool")
+        J = _jacobian(model, q, th)
 
         def f(t):
             pose = fk(model, q, t)
@@ -84,23 +89,16 @@ def test_tool_jacobian_vs_fd(model, random_states):
 def test_node_jacobian_truncates(model):
     q = np.radians([20.0, -50.0, 30.0, 15.0, -40.0, 60.0])
     for node in (1, 2, 3, 4, 5):
-        J = jacobian_theta(model, q, np.zeros(6), node)
+        J = _jacobian(model, q, np.zeros(6), lambda cs: cs.node_p[node], node)
         assert np.allclose(J[:, node:], 0.0)
         assert np.any(J[:3, :node] != 0.0)
-
-
-def test_node_index_validation(model):
-    with pytest.raises(ValueError, match="node index"):
-        fk_node(model, np.zeros(6), np.zeros(6), 0)
-    with pytest.raises(ValueError, match="node index"):
-        jacobian_theta(model, np.zeros(6), np.zeros(6), 7)
 
 
 def test_marker_jacobian_vs_fd(model):
     q = np.radians([35.0, -70.0, 10.0, 45.0, -80.0, 20.0])
     th0 = np.full(6, 1e-3)
     for mk in range(len(model.markers)):
-        J = marker_jacobian(model, q, th0, mk)
+        J = _jacobian(model, q, th0, lambda cs: cs.tool_R @ model.markers[mk] + cs.tool_p)
         Jfd = fd_jacobian(lambda t: marker_positions(model, q, t)[mk], th0)
         assert np.linalg.norm(J[:3] - Jfd) / np.linalg.norm(Jfd) < 1e-6
 
@@ -180,7 +178,7 @@ def test_jacobian_columns_are_axis_cross_lever(model, seed):
     rng = np.random.default_rng(seed)
     q = rng.uniform(-2.0, 2.0, 6)
     st_ = chain_state(model, q, np.zeros(6))
-    J = jacobian_theta(model, q, np.zeros(6), "tool")
+    J = _jacobian(model, q, np.zeros(6))
     for j in range(6):
         w = st_.joint_axis[j]
         col = np.concatenate([np.cross(w, st_.tool_p - st_.joint_p[j]), w])

@@ -12,7 +12,6 @@ from stiffcal.stiffness import (
     predict_marker_deflections,
     predict_tool_deflection,
     solve_equilibrium,
-    state_marker_positions,
 )
 
 TEST_Q = np.radians([79.20, -0.01, -5.57, 51.00, -97.52, -91.67])
@@ -150,7 +149,8 @@ class TestDeflectionPrediction:
     def test_marker_prediction_close_to_nonlinear(self, model, comp):
         st_g = solve_equilibrium(model, comp, TEST_Q)
         st_f = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
-        d_nl = state_marker_positions(model, st_f) - state_marker_positions(model, st_g)
+        d_nl = (marker_positions(model, st_f.q, st_f.theta)
+                - marker_positions(model, st_g.q, st_g.theta))
         d_lin = predict_marker_deflections(model, comp, TEST_Q, LOAD)
         rel = np.linalg.norm(d_lin - d_nl) / np.linalg.norm(d_nl)
         assert rel < 0.02
