@@ -153,6 +153,22 @@ def _parse_ranges(text: str, name: str) -> List[tuple]:
     return out
 
 
+def _bounded(convert, ok, rule: str):
+    """argparse type: ``convert(text)``, rejected unless ``ok`` holds."""
+    def parse(text: str):
+        v = convert(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return v
+    parse.__name__ = convert.__name__  # argparse names it on a failed parse
+    return parse
+
+
+_count = _bounded(int, lambda v: v >= 1, ">= 1")
+_sigma = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+_magnitude = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+
+
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -395,9 +411,10 @@ def _cmd_eta_curve(args) -> int:
     write_plot_data(os.path.join(out, "eta_plot.csv"), rows)
     _write_manifest(out, "eta-curve", {"model": args.model},
                     ["eta.csv", "eta_plot.csv"], None, {"s0": s0_vals})
-    neg = int(np.sum(table[:, 2] <= 0))
-    print(f"wrote {len(table)} eta samples to {path}"
-          + (f" ({neg} non-positive)" if neg else ""))
+    print(f"wrote {len(table)} eta samples to {path}")
+    for s0, eta in zip(s0_vals, table[:, 2].reshape(len(s0_vals), -1)):
+        print(f"s0={s0:6.1f} mm: eta in [{eta.min():+.3f}, {eta.max():+.3f}], "
+              f"{int(np.sum(eta <= 0))} non-positive")
     return 0
 
 
@@ -446,13 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="six lo:hi joint ranges, deg")
     d.add_argument("--q1-windows", default=None,
                    help="allowed q1 windows lo:hi[,lo:hi...], deg")
-    d.add_argument("--load", type=float, default=2600.0,
+    d.add_argument("--load", type=_magnitude, default=2600.0,
                    help="test load magnitude, N (applied along -z)")
-    d.add_argument("--noise", type=float, default=0.05,
+    d.add_argument("--noise", type=_sigma, default=0.05,
                    help="marker noise sigma, mm")
-    d.add_argument("--configs-per-bucket", type=int, default=3)
-    d.add_argument("--repeats", type=int, default=3)
-    d.add_argument("--starts", type=int, default=20)
+    d.add_argument("--configs-per-bucket", type=_count, default=3)
+    d.add_argument("--repeats", type=_count, default=3)
+    d.add_argument("--starts", type=_count, default=20)
     d.add_argument("--seed", type=int, default=0)
     d.set_defaults(func=_cmd_doe)
 
@@ -463,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--q2", required=True,
                     help="sweep angles: list or start:stop:count (deg)")
     sg.add_argument("--out", required=True)
-    sg.add_argument("--noise", type=float, default=0.0)
+    sg.add_argument("--noise", type=_sigma, default=0.0)
     sg.add_argument("--angle-sign", type=int, choices=[1, -1], default=1)
     sg.add_argument("--seed", type=int, default=0)
     sg.set_defaults(func=_cmd_simulate)
@@ -472,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--model", required=True)
     sd.add_argument("--plan", required=True, help="plan CSV")
     sd.add_argument("--out", required=True)
-    sd.add_argument("--noise", type=float, default=0.0)
+    sd.add_argument("--noise", type=_sigma, default=0.0)
     sd.add_argument("--response", choices=["nonlinear", "linear"],
                     default="nonlinear")
     sd.add_argument("--seed", type=int, default=0)

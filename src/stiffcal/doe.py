@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import ParameterLayout
+from .elasto_id import ParameterLayout, csv_floats
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _point_jacobian
 
@@ -165,13 +165,13 @@ def load_plan_csv(path) -> CalibrationPlan:
             if len(row) != len(PLAN_CSV_HEADER):
                 raise DataLayoutError(
                     f"{path}:{ln}: expected {len(PLAN_CSV_HEADER)} fields")
+            where = f"{path}:{ln}"
+            vals = csv_floats(where, PLAN_CSV_HEADER[:12], row[:12])
             try:
-                q = np.radians([float(c) for c in row[:6]])
-                w = [float(c) for c in row[6:12]]
                 rep = int(row[12])
             except ValueError as exc:
-                raise DataLayoutError(f"{path}:{ln}: {exc}") from exc
-            entries.append(PlanEntry(tuple(q), tuple(w), rep))
+                raise DataLayoutError(f"{where}: {exc}") from exc
+            entries.append(PlanEntry(tuple(np.radians(vals[:6])), tuple(vals[6:]), rep))
     if not entries:
         raise DataLayoutError(f"{path}: no plan entries found")
     return CalibrationPlan(tuple(entries))
@@ -206,9 +206,7 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     cols = _joint_columns(include_joint1)
     A = np.zeros((3 * len(points), len(cols)))
     for m, pt in enumerate(points):
-        Jp = _point_jacobian(st, pt, 6)[:3]
-        for c, j in enumerate(cols):
-            A[3 * m:3 * m + 3, c] = Jp[:, j] * tau[j]
+        A[3 * m:3 * m + 3] = _point_jacobian(st, pt, 6)[:3, cols] * tau[cols]
     return A
 
 
@@ -380,6 +378,10 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     buckets = [float(b) for b in bucket_q2_rad]
     if len(buckets) < 1:
         raise ValueError("need at least one joint-2 bucket")
+    for name, count in (("configs_per_bucket", configs_per_bucket),
+                        ("repeats", repeats), ("n_starts", n_starts)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     layout = ParameterLayout(tuple(sorted(buckets, reverse=True)),
                              include_joint1=include_joint1)
     wrench = constraints.wrench()
@@ -458,7 +460,10 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
         if total < best_total:
             best_total = total
             best_configs = configs
-    assert best_configs is not None
+    if best_configs is None:
+        raise IdentifiabilityError(
+            "no random start reached a finite design metric: every plan tried "
+            "leaves some joint-2 bucket unidentifiable")
     entries = []
     for b, bucket in enumerate(best_configs):
         for qc in bucket:

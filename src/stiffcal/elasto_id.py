@@ -68,6 +68,22 @@ def save_deflection_csv(path, records: Sequence[DeflectionRecord]) -> None:
             w.writerow(row)
 
 
+def csv_floats(where: str, columns: Sequence[str], cells: Sequence[str]) -> List[float]:
+    """Finite floats of CSV ``cells``; a bad cell raises :class:`DataLayoutError`
+    naming ``where`` (``path:line``) and its column."""
+    vals = []
+    for name, cell in zip(columns, cells):
+        try:
+            v = float(cell)
+        except ValueError as exc:
+            raise DataLayoutError(f"{where}: column {name}: {exc}") from exc
+        if not math.isfinite(v):
+            raise DataLayoutError(
+                f"{where}: column {name} must be finite, got {cell.strip()!r}")
+        vals.append(v)
+    return vals
+
+
 def load_deflection_csv(path) -> List[DeflectionRecord]:
     records: List[DeflectionRecord] = []
     with open(path, newline="") as fh:
@@ -83,13 +99,14 @@ def load_deflection_csv(path) -> List[DeflectionRecord]:
             if len(row) != len(DEFLECTION_CSV_HEADER):
                 raise DataLayoutError(f"{path}:{ln}: expected "
                                       f"{len(DEFLECTION_CSV_HEADER)} fields, got {len(row)}")
+            where = f"{path}:{ln}"
+            vals = csv_floats(where, DEFLECTION_CSV_HEADER[:12], row[:12])
+            defl = csv_floats(where, DEFLECTION_CSV_HEADER[13:16], row[13:16])
             try:
-                vals = [float(c) for c in row[:12]]
                 marker = int(row[12])
-                defl = [float(c) for c in row[13:16]]
                 repeat = int(row[16])
             except ValueError as exc:
-                raise DataLayoutError(f"{path}:{ln}: {exc}") from exc
+                raise DataLayoutError(f"{where}: {exc}") from exc
             records.append(DeflectionRecord(
                 q_rad=np.radians(vals[:6]), wrench=np.array(vals[6:12]),
                 marker_id=marker, deflection_mm=np.array(defl), repeat=repeat))

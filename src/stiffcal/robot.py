@@ -204,12 +204,12 @@ def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
 
 
 def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.ndarray:
-    """6x6 Jacobian of a point rigidly attached after joint ``n_cols``."""
+    """6x6 Jacobian of a point rigidly attached after joint ``n_cols``: column
+    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]``, the rest zero."""
+    w = st.joint_axis[:n_cols]
     J = np.zeros((6, 6))
-    for i in range(n_cols):
-        w = st.joint_axis[i]
-        J[:3, i] = np.cross(w, point - st.joint_p[i])
-        J[3:, i] = w
+    J[:3, :n_cols] = np.cross(w, point - st.joint_p[:n_cols]).T
+    J[3:, :n_cols] = w.T
     return J
 
 
@@ -259,6 +259,17 @@ def gravity_loading(model: ManipulatorModel, q=None, theta=None) -> NodeLoading:
     return NodeLoading(W)
 
 
+def _loaded_points(st: ChainState, loading: Optional[NodeLoading], tool_wrench):
+    """(point, wrench, n_cols) of each loaded node (1..6) and of the tool."""
+    if loading is not None:
+        for j in range(1, 7):
+            w = loading.wrenches[j]
+            if w.any():
+                yield st.node_p[j], w, j
+    if tool_wrench is not None:
+        yield st.tool_p, np.asarray(tool_wrench, dtype=float), 6
+
+
 def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[NodeLoading],
                  tool_wrench=None) -> np.ndarray:
     """Generalized joint torques of node wrenches plus a tool wrench.
@@ -267,72 +278,31 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
     ``st``; this is the right-hand side of the static equilibrium balance.
     """
     tau = np.zeros(6)
-    if loading is not None:
-        for j in range(1, 7):
-            w = loading.wrenches[j]
-            if not w.any():
-                continue
-            f, m = w[:3], w[3:]
-            for i in range(j):
-                ax = st.joint_axis[i]
-                tau[i] += np.cross(ax, st.node_p[j] - st.joint_p[i]) @ f + ax @ m
-    if tool_wrench is not None:
-        F = np.asarray(tool_wrench, dtype=float)
-        f, m = F[:3], F[3:]
-        for i in range(6):
-            ax = st.joint_axis[i]
-            tau[i] += np.cross(ax, st.tool_p - st.joint_p[i]) @ f + ax @ m
+    for p, w, n in _loaded_points(st, loading, tool_wrench):
+        tau += _point_jacobian(st, p, n).T @ w
     return tau
-
-
-def _accumulate_point_hessian(H: np.ndarray, st: ChainState, point: np.ndarray,
-                              f: np.ndarray, n_cols: int) -> None:
-    # d2 p / dth_a dth_b = w_a x (w_b x (p - p_b))  for a <= b,
-    # dotted with the (constant) force f; exactly symmetric.
-    for b in range(n_cols):
-        wb = st.joint_axis[b]
-        r = np.cross(wb, point - st.joint_p[b])
-        for a in range(b + 1):
-            val = f @ np.cross(st.joint_axis[a], r)
-            H[a, b] += val
-            if a != b:
-                H[b, a] += val
-
-
-def _accumulate_moment_hessian(H: np.ndarray, st: ChainState, m: np.ndarray,
-                               n_cols: int) -> None:
-    # Constant spatial moments are non-conservative; we take the symmetric
-    # part of d(J_rot^T m)/dtheta, which keeps the stiffness operator
-    # symmetric (the conservative-congruence choice).
-    for b in range(n_cols):
-        for a in range(b):
-            val = 0.5 * (m @ np.cross(st.joint_axis[a], st.joint_axis[b]))
-            H[a, b] += val
-            H[b, a] += val
 
 
 def hessian_theta(model: ManipulatorModel, q, theta, loading: Optional[NodeLoading] = None,
                   tool_wrench=None) -> np.ndarray:
     """Second derivative of the load potential w.r.t. deflections (6x6).
 
-    Sums the per-node contributions of ``loading`` (nodes 1..6; node 0 is
-    analytically zero) and of the tool wrench.  Pure-force wrenches give the
-    exact Hessian of ``f . p(theta)``; moment components contribute their
-    symmetrized torque gradient (see comment in the helper).
+    Sums the loaded nodes (1..6; node 0 is inert) and the tool, each from
+    its point Jacobian with ``c_b = J[:3, b]``.  A force ``f`` gives the exact
+    Hessian of ``f . p(theta)``: ``d2p/dth_a dth_b = w_a x c_b`` for a <= b,
+    and ``f . (w_a x c_b) = w_a . (c_b x f)``.  A moment ``m`` gives
+    ``0.5 * m . (w_a x w_b)`` for a < b: constant spatial moments are
+    non-conservative, and this symmetric part of ``d(J_rot^T m)/dtheta``
+    keeps the stiffness operator symmetric (the conservative-congruence
+    choice).  Both are formed on the upper triangle and mirrored; columns
+    beyond a node's own joint are zero in its ``J``.
     """
     st = chain_state(model, q, theta)
     H = np.zeros((6, 6))
-    if loading is not None:
-        for j in range(1, 7):
-            w = loading.wrenches[j]
-            if not w.any():
-                continue
-            _accumulate_point_hessian(H, st, st.node_p[j], w[:3], j)
-            if w[3:].any():
-                _accumulate_moment_hessian(H, st, w[3:], j)
-    if tool_wrench is not None:
-        F = np.asarray(tool_wrench, dtype=float)
-        _accumulate_point_hessian(H, st, st.tool_p, F[:3], 6)
-        if F[3:].any():
-            _accumulate_moment_hessian(H, st, F[3:], 6)
+    for p, w, n in _loaded_points(st, loading, tool_wrench):
+        J = _point_jacobian(st, p, n)
+        W = J[3:].T
+        U = np.triu(W @ np.cross(J[:3].T, w[:3]).T)
+        U += 0.5 * np.triu(W @ np.cross(W, w[3:]).T, 1)
+        H += U + np.triu(U, 1).T
     return H

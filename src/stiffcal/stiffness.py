@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .compensator import CompensatorParams, equivalent_joint_stiffness
+from .doe import sensitivity_rows
 from .errors import SingularConfigurationError
 from .robot import (ManipulatorModel, Pose, chain_state, gravity_loading,
                     hessian_theta, load_torques, _point_jacobian)
@@ -210,26 +211,14 @@ def predict_marker_deflections(model: ManipulatorModel,
                                q, tool_wrench) -> np.ndarray:
     """First-order marker displacements under a tool wrench, (n_markers, 3).
 
-    Linearizes at theta = 0: joint torques come from the tool Jacobian, the
-    response at each marker through that marker's own Jacobian, scaled by the
-    per-joint compliances (joint 2 uses its compensator-equivalent value).
-    Gravity drops out of this difference model by construction.
+    Linearizes at theta = 0: the per-joint sensitivity rows of
+    :func:`stiffcal.doe.sensitivity_rows` scaled by the per-joint compliances
+    (joint 2 uses its compensator-equivalent value).  Gravity drops out of
+    this difference model by construction.
     """
-    q = np.asarray(q, dtype=float)
-    F = np.asarray(tool_wrench, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
-    st = chain_state(model, q, np.zeros(6))
-    J_tool = _point_jacobian(st, st.tool_p, 6)
-    dtheta = np.linalg.solve(K, J_tool.T @ F)
-    if not model.markers:
-        return np.empty((0, 3))
-    offs = np.stack(model.markers)
-    pts = (st.tool_R @ offs.T).T + st.tool_p
-    out = np.empty((len(pts), 3))
-    for i, pt in enumerate(pts):
-        Jm = _point_jacobian(st, pt, 6)
-        out[i] = Jm[:3] @ dtheta
-    return out
+    k = 1.0 / np.diag(joint_stiffness_matrix(model, compensator, q))
+    A = sensitivity_rows(model, q, tool_wrench, include_joint1=True)
+    return (A @ k).reshape(-1, 3)
 
 
 def predict_tool_deflection(model: ManipulatorModel,

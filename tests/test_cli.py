@@ -136,7 +136,7 @@ class TestPipelineRoundTrip:
         sag = np.array(payload["linear_tool_twist"][:3])
         assert 0.5 < np.linalg.norm(sag) < 50.0
 
-    def test_eta_curve(self, tmp_path, model_path):
+    def test_eta_curve(self, tmp_path, model_path, capsys):
         out = tmp_path / "eta"
         rc = main(["eta-curve", "--model", str(model_path),
                    "--s0", "458,600", "--q2=-140:0:15", "--out", str(out)])
@@ -149,6 +149,10 @@ class TestPipelineRoundTrip:
         assert all(float(v[2]) > 0 for v in vals)
         plot = (out / "eta_plot.csv").read_text().splitlines()
         assert plot[0] == "x,series,y"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "s0= 458.0 mm: eta in [+0.104, +0.315], 0 non-positive",
+            "s0= 600.0 mm: eta in [-0.174, +0.269], 5 non-positive"]
 
 
 class TestUsageParsing:
@@ -195,6 +199,14 @@ class TestUsageParsing:
                       "-122.5:122.5,-350:350"], "--limits", id="limits"),
         pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
                       "--q1-windows=-inf:30"], "--q1-windows", id="q1-windows"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--load=inf"], "--load", id="load"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--noise=nan"], "--noise", id="doe-noise"),
+        pytest.param(["simulate", "deflections", "--plan=plan.csv", "--noise=nan"],
+                     "--noise", id="deflections-noise"),
+        pytest.param(["simulate", "geometry", "--q2=-140:0:5", "--noise=nan"],
+                     "--noise", id="geometry-noise"),
     ])
     def test_non_finite_values_rejected(self, tmp_path, model_path, capsys,
                                         argv, flag):
@@ -202,6 +214,19 @@ class TestUsageParsing:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{flag}:" in err or f"{flag} entry" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--starts", "0"), ("--configs-per-bucket", "0"), ("--repeats", "0"),
+        ("--load", "0"), ("--noise", "-0.01"),
+    ])
+    def test_numeric_doe_flags_bounded(self, tmp_path, model_path, capsys,
+                                       flag, value):
+        rc = main(["doe", "--model", str(model_path), "--test-q=0,-45,0,0,0,0",
+                   "--buckets=-10,-60,-120", f"{flag}={value}",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"{flag}:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_model_without_compensator(self, tmp_path, capsys):

@@ -256,6 +256,20 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="at least one joint-2 bucket"):
             optimize_plan(model, test_pose, [], CONSTRAINTS, NOISE)
 
+    @pytest.mark.parametrize("count", ["configs_per_bucket", "repeats", "n_starts"])
+    def test_counts_below_one_rejected(self, model, test_pose, count):
+        with pytest.raises(ValueError, match=f"{count} must be >= 1"):
+            optimize_plan(model, test_pose, np.radians(BUCKETS_DEG),
+                          CONSTRAINTS, NOISE, **{count: 0})
+
+    def test_no_finite_start_raises(self, model, test_pose):
+        cons = PlanConstraints(joint_limits_rad=CONSTRAINTS.joint_limits_rad,
+                               load_magnitude_N=math.inf)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(IdentifiabilityError, match="no random start"):
+            optimize_plan(model, test_pose, np.radians(BUCKETS_DEG), cons, NOISE,
+                          n_starts=1, configs_per_bucket=1, n_grid=3, n_levels=1)
+
 
 class TestConstraints:
     def test_limit_validation(self):

@@ -19,7 +19,7 @@ from stiffcal.elasto_id import (
     separation_matrix,
 )
 from stiffcal.compensator import equivalent_joint_stiffness
-from stiffcal.doe import sensitivity_rows
+from stiffcal.doe import PLAN_CSV_HEADER, load_plan_csv, sensitivity_rows
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.sim import GroundTruth, simulate_deflection_records
 
@@ -279,6 +279,24 @@ class TestCsvRoundTrip:
         p.write_text(",".join(DEFLECTION_CSV_HEADER) + "\n")
         with pytest.raises(DataLayoutError, match="no deflection records"):
             load_deflection_csv(p)
+
+    @pytest.mark.parametrize("loader, header, column", [
+        (load_deflection_csv, DEFLECTION_CSV_HEADER, "q2_deg"),
+        (load_deflection_csv, DEFLECTION_CSV_HEADER, "Mz_Nmm"),
+        (load_deflection_csv, DEFLECTION_CSV_HEADER, "dy_mm"),
+        (load_plan_csv, PLAN_CSV_HEADER, "q5_deg"),
+        (load_plan_csv, PLAN_CSV_HEADER, "Fz_N"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_line_and_column(self, tmp_path, loader,
+                                                    header, column, value):
+        good = ["1"] * len(header)
+        bad = list(good)
+        bad[header.index(column)] = value
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(",".join(r) for r in (header, good, bad)) + "\n")
+        with pytest.raises(DataLayoutError, match=rf"bad\.csv:3: column {column} "):
+            loader(p)
 
 
 class TestConfidence:

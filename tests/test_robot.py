@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fd_hessian, fd_jacobian, planar_2r_force_hessian
-from stiffcal.robot import (JointSpec, ManipulatorModel, _point_jacobian,
-                            chain_state, fk, gravity_loading, hessian_theta,
-                            load_torques, marker_positions)
+from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading,
+                            _point_jacobian, chain_state, fk, gravity_loading,
+                            hessian_theta, load_torques, marker_positions)
 from stiffcal.transforms import rotvec_from_matrix
 
 
@@ -153,6 +153,24 @@ def test_hessian_vs_fd_with_gravity_and_wrench(model):
 
     Hfd = fd_hessian(U, th)
     assert np.linalg.norm(H - Hfd) / np.linalg.norm(H) < 1e-4
+
+
+@pytest.mark.parametrize("deepest", [3, 5])
+def test_hessian_of_node_forces_and_moments_vs_fd(model, deepest):
+    # gravity never loads a node with a moment; random inner-node wrenches do
+    rng = np.random.default_rng(deepest)
+    q = rng.uniform(-1.4, 1.4, 6)
+    th = rng.normal(scale=2e-3, size=6)
+    W = np.zeros((7, 6))
+    W[:deepest + 1, :3] = rng.normal(scale=500.0, size=(deepest + 1, 3))
+    W[:deepest + 1, 3:] = rng.normal(scale=3e4, size=(deepest + 1, 3))
+    load = NodeLoading(W)
+    H = hessian_theta(model, q, th, load)
+    D = fd_jacobian(lambda t: load_torques(model, chain_state(model, q, t), load), th)
+    Dsym = 0.5 * (D + D.T)
+    assert np.linalg.norm(H - Dsym) / np.linalg.norm(Dsym) < 1e-4
+    assert np.array_equal(H, H.T)
+    assert not H[deepest:, :].any() and not H[:, deepest:].any()
 
 
 def test_exactly_six_joints_required():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stiffcal.errors import SingularConfigurationError
-from stiffcal.robot import ManipulatorModel, Pose, chain_state, fk, marker_positions
+from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
+                            marker_positions)
 from stiffcal.stiffness import (
     cartesian_stiffness,
     compensate_target,
@@ -160,9 +161,26 @@ class TestDeflectionPrediction:
         d2 = predict_marker_deflections(model, comp, TEST_Q, 2.0 * LOAD)
         assert np.allclose(d2, 2.0 * d1, rtol=1e-12)
 
+    @pytest.mark.parametrize("with_comp", [False, True])
+    def test_marker_prediction_matches_dense_formula(self, model, comp, with_comp):
+        c = comp if with_comp else None
+        q = np.radians([35.0, -70.0, 10.0, 45.0, -80.0, 20.0])
+        F = np.array([300.0, -150.0, -2600.0, 2e4, -4e4, 1e4])
+        st = chain_state(model, q, np.zeros(6))
+        Jt = _point_jacobian(st, st.tool_p, 6)
+        dtheta = np.linalg.solve(joint_stiffness_matrix(model, c, q), Jt.T @ F)
+        ref = np.array([_point_jacobian(st, st.tool_R @ off + st.tool_p, 6)[:3] @ dtheta
+                        for off in model.markers])
+        d = predict_marker_deflections(model, c, q, F)
+        assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_marker_count(self, model, comp):
         d = predict_marker_deflections(model, comp, TEST_Q, LOAD)
         assert d.shape == (len(model.markers), 3)
+
+    def test_no_markers(self, model, comp):
+        bare = dataclasses.replace(model, markers=())
+        assert predict_marker_deflections(bare, comp, TEST_Q, LOAD).shape == (0, 3)
 
 
 class TestCompensateTarget:
