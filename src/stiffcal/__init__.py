@@ -26,7 +26,8 @@ from .circle_fit import (CircleFit, ConcentricFit, fit_circle_procrustes,
                          fit_concentric_arcs)
 from .geometry_id import (CompensatorGeometryEstimate, GeometryCI,
                           MarkerDataset, confidence_intervals_geometry,
-                          identify_compensator_geometry, load_marker_csv)
+                          identify_compensator_geometry, load_marker_csv,
+                          save_marker_csv)
 from .elasto_id import (CompliancesFit, DeflectionRecord, ElastoCI,
                         ElastostaticEstimate, ParameterLayout,
                         build_regressor, confidence_intervals_elasto,

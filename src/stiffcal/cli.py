@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 bad usage, 2 numerical/validation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -35,7 +34,8 @@ from .elasto_id import (confidence_intervals_elasto, identify_elastostatics,
                         load_deflection_csv, save_deflection_csv)
 from .errors import CalibrationError, UsageError
 from .geometry_id import (confidence_intervals_geometry,
-                          identify_compensator_geometry, load_marker_csv)
+                          identify_compensator_geometry, load_marker_csv,
+                          save_marker_csv)
 from .modelfile import load_model
 from .robot import fk
 from .sim import (GroundTruth, simulate_deflection_records,
@@ -43,6 +43,7 @@ from .sim import (GroundTruth, simulate_deflection_records,
 from .stiffness import (cartesian_stiffness, compensate_target,
                         predict_marker_deflections, predict_tool_deflection,
                         solve_equilibrium)
+from .tables import write_table
 
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
 
@@ -97,11 +98,8 @@ def _write_json(path: str, payload: Dict) -> None:
 
 def write_plot_data(path: str, rows) -> None:
     """Long-format plot table: one (x, series, y) triple per row."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("x", "series", "y"))
-        for x, series, y in rows:
-            w.writerow((f"{float(x):.10g}", series, f"{float(y):.10g}"))
+    write_table(path, ("x", "series", "y"),
+                ((f"{float(x):.10g}", series, f"{float(y):.10g}") for x, series, y in rows))
 
 
 def _finite(vals: List[float], name: str) -> List[float]:
@@ -247,16 +245,12 @@ def _cmd_elasto_ident(args) -> int:
         "ci_samples": ci.n_samples,
     }
     _write_json(os.path.join(out, "elasto.json"), payload)
-    from .elasto_id import separation_matrix
     K2 = est.fit.joint2_stiffnesses()
-    x = np.array([est.separation.K0_Nmm_per_rad, est.separation.Kc_N_per_mm,
-                  est.separation.Kc_N_per_mm * est.separation.s0_mm])
-    C = separation_matrix(model.compensator.geometry, lay.bucket_q2_rad,
-                          model.compensator.q2_sign)
     rows = []
     for b, q2 in enumerate(lay.bucket_q2_rad):
         rows.append((math.degrees(q2), "K2_measured", K2[b]))
-        rows.append((math.degrees(q2), "K2_separation_fit", float(C[b] @ x)))
+        rows.append((math.degrees(q2), "K2_separation_fit",
+                     est.separation.K2_fit_Nmm_per_rad[b]))
     write_plot_data(os.path.join(out, "joint2_stiffness.csv"), rows)
     _write_manifest(out, "elasto-ident",
                     {"model": args.model, "records": args.records},
@@ -324,18 +318,7 @@ def _cmd_simulate(args) -> int:
                                        angle_sign=args.angle_sign)
         out = _ensure_out(args.out)
         path = os.path.join(out, "markers.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["q2_deg", "P1_x", "P1_y"]
-            for j in range(len(ds.satellites)):
-                header += [f"P0{j + 1}_x", f"P0{j + 1}_y"]
-            w.writerow(header)
-            for i in range(ds.n_poses):
-                row = [f"{math.degrees(ds.q2_rad[i]):.10g}",
-                       f"{ds.crank[i, 0]:.6f}", f"{ds.crank[i, 1]:.6f}"]
-                for s in ds.satellites:
-                    row += [f"{s[i, 0]:.6f}", f"{s[i, 1]:.6f}"]
-                w.writerow(row)
+        save_marker_csv(path, ds)
         _write_manifest(out, "simulate-geometry", {"model": args.model},
                         ["markers.csv"], args.seed,
                         {"noise": args.noise, "angle_sign": args.angle_sign})
@@ -401,12 +384,9 @@ def _cmd_eta_curve(args) -> int:
     table = eta_curve(geom, s0_vals, q2)
     out = _ensure_out(args.out)
     path = os.path.join(out, "eta.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("q2_deg", "s0_mm", "eta"))
-        for q2_rad, s0, e in table:
-            w.writerow((f"{math.degrees(q2_rad):.10g}", f"{s0:.10g}",
-                        f"{e:.10g}"))
+    write_table(path, ("q2_deg", "s0_mm", "eta"),
+                ((f"{math.degrees(q2_rad):.10g}", f"{s0:.10g}", f"{e:.10g}")
+                 for q2_rad, s0, e in table))
     rows = [(math.degrees(r[0]), f"s0={r[1]:g}mm", r[2]) for r in table]
     write_plot_data(os.path.join(out, "eta_plot.csv"), rows)
     _write_manifest(out, "eta-curve", {"model": args.model},

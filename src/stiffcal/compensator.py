@@ -77,9 +77,6 @@ class CompensatorParams:
         if self.q2_sign not in (-1.0, 1.0, -1, 1):
             raise ValueError("q2_sign must be +1 or -1")
 
-    def effective_q2(self, q2_rad: float) -> float:
-        return self.q2_sign * q2_rad
-
 
 def _gamma(geom: CompensatorGeometry, q2_rad) -> np.ndarray:
     return geom.alpha_rad - np.asarray(q2_rad, dtype=float)
@@ -134,6 +131,19 @@ def compensator_torque(params: CompensatorParams, q2_rad):
     return params.q2_sign * m
 
 
+def eta_parts(geom: CompensatorGeometry, q2_rad):
+    """The s0-free parts ``(s, b, cos(gamma))`` of ``eta = (s0/s) * b - cos(gamma)``.
+
+    ``b = (aL/s^2) sin^2(gamma) + cos(gamma)``, so eta is affine in s0 with
+    slope ``b/s``; the compensator separation regresses on these terms.
+    """
+    a, L = geom.a_mm, geom.L_mm
+    g = _gamma(geom, q2_rad)
+    s = spring_span(geom, q2_rad)
+    cg, sg = np.cos(g), np.sin(g)
+    return s, (a * L / (s * s)) * sg * sg + cg, cg
+
+
 def eta(geom: CompensatorGeometry, s0_mm: float, q2_rad):
     """Dimensionless stiffness kernel of the linkage.
 
@@ -141,11 +151,8 @@ def eta(geom: CompensatorGeometry, s0_mm: float, q2_rad):
     gamma = alpha - q2; the compensator adds ``Kc * a * L * eta`` to the
     joint-2 stiffness.  Affine in s0 at fixed q2.
     """
-    a, L = geom.a_mm, geom.L_mm
-    g = _gamma(geom, q2_rad)
-    s = spring_span(geom, q2_rad)
-    cg, sg = np.cos(g), np.sin(g)
-    return (s0_mm / s) * ((a * L / (s * s)) * sg * sg + cg) - cg
+    s, b, cg = eta_parts(geom, q2_rad)
+    return (s0_mm / s) * b - cg
 
 
 def equivalent_joint_stiffness(params: CompensatorParams, K0_Nmm_per_rad: float, q2_rad):

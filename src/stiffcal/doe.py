@@ -13,7 +13,6 @@ a shrinking grid, restarted from several random feasible plans.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,9 +20,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import ParameterLayout, csv_floats
+from .elasto_id import ParameterLayout
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _point_jacobian
+from .tables import read_table, write_table
 
 PLAN_CSV_HEADER = (
     "q1_deg", "q2_deg", "q3_deg", "q4_deg", "q5_deg", "q6_deg",
@@ -80,12 +80,10 @@ class CalibrationPlan:
         return CalibrationPlan(tuple(
             PlanEntry(e.q_rad, e.wrench, e.repeats * factor) for e in self.entries))
 
-    def layout(self, include_joint1: bool = False,
-               bucket_tol_rad: float = math.radians(0.1)) -> ParameterLayout:
+    def layout(self, include_joint1: bool = False) -> ParameterLayout:
         """Joint-2 bucket layout implied by the plan configurations."""
         return ParameterLayout.from_q2((e.q_rad[1] for e in self.entries),
-                                       include_joint1=include_joint1,
-                                       bucket_tol_rad=bucket_tol_rad)
+                                       include_joint1=include_joint1)
 
 
 @dataclass(frozen=True)
@@ -140,38 +138,16 @@ class PlanConstraints:
 
 
 def save_plan_csv(path, plan: CalibrationPlan) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PLAN_CSV_HEADER)
-        for e in plan.entries:
-            row = [f"{math.degrees(v):.10g}" for v in e.q_rad]
-            row += [f"{v:.10g}" for v in e.wrench]
-            row.append(str(e.repeats))
-            w.writerow(row)
+    write_table(path, PLAN_CSV_HEADER, (
+        [f"{math.degrees(v):.10g}" for v in e.q_rad]
+        + [f"{v:.10g}" for v in e.wrench] + [str(e.repeats)]
+        for e in plan.entries))
 
 
 def load_plan_csv(path) -> CalibrationPlan:
-    entries: List[PlanEntry] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(PLAN_CSV_HEADER):
-            raise DataLayoutError(
-                f"{path}: expected plan header {','.join(PLAN_CSV_HEADER)}, "
-                f"got {header}")
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(PLAN_CSV_HEADER):
-                raise DataLayoutError(
-                    f"{path}:{ln}: expected {len(PLAN_CSV_HEADER)} fields")
-            where = f"{path}:{ln}"
-            vals = csv_floats(where, PLAN_CSV_HEADER[:12], row[:12])
-            try:
-                rep = int(row[12])
-            except ValueError as exc:
-                raise DataLayoutError(f"{where}: {exc}") from exc
-            entries.append(PlanEntry(tuple(np.radians(vals[:6])), tuple(vals[6:]), rep))
+    _, entries = read_table(
+        path, PLAN_CSV_HEADER, kind="plan", ints=("repeats",),
+        row=lambda v: PlanEntry(tuple(np.radians(v[:6])), tuple(v[6:12]), v[12]))
     if not entries:
         raise DataLayoutError(f"{path}: no plan entries found")
     return CalibrationPlan(tuple(entries))

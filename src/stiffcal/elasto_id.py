@@ -14,7 +14,6 @@ out of the regression and only the applied tool wrench appears.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,15 +21,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compensator import CompensatorGeometry, spring_span
+from .compensator import CompensatorGeometry, eta_parts
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel
+from .tables import read_table, write_table
 
 DEFLECTION_CSV_HEADER = (
     "q1_deg", "q2_deg", "q3_deg", "q4_deg", "q5_deg", "q6_deg",
     "Fx_N", "Fy_N", "Fz_N", "Mx_Nmm", "My_Nmm", "Mz_Nmm",
     "marker_id", "dx_mm", "dy_mm", "dz_mm", "repeat",
 )
+
+# Joint-2 angles within this of a bucket centre belong to that bucket.
+BUCKET_TOL_RAD = math.radians(0.1)
 
 
 @dataclass
@@ -56,60 +59,16 @@ class DeflectionRecord:
 
 
 def save_deflection_csv(path, records: Sequence[DeflectionRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DEFLECTION_CSV_HEADER)
-        for r in records:
-            row = [f"{v:.10g}" for v in np.degrees(r.q_rad)]
-            row += [f"{v:.10g}" for v in r.wrench]
-            row.append(str(r.marker_id))
-            row += [f"{v:.10g}" for v in r.deflection_mm]
-            row.append(str(r.repeat))
-            w.writerow(row)
-
-
-def csv_floats(where: str, columns: Sequence[str], cells: Sequence[str]) -> List[float]:
-    """Finite floats of CSV ``cells``; a bad cell raises :class:`DataLayoutError`
-    naming ``where`` (``path:line``) and its column."""
-    vals = []
-    for name, cell in zip(columns, cells):
-        try:
-            v = float(cell)
-        except ValueError as exc:
-            raise DataLayoutError(f"{where}: column {name}: {exc}") from exc
-        if not math.isfinite(v):
-            raise DataLayoutError(
-                f"{where}: column {name} must be finite, got {cell.strip()!r}")
-        vals.append(v)
-    return vals
+    write_table(path, DEFLECTION_CSV_HEADER, (
+        [f"{v:.10g}" for v in np.degrees(r.q_rad)] + [f"{v:.10g}" for v in r.wrench]
+        + [str(r.marker_id)] + [f"{v:.10g}" for v in r.deflection_mm] + [str(r.repeat)]
+        for r in records))
 
 
 def load_deflection_csv(path) -> List[DeflectionRecord]:
-    records: List[DeflectionRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(DEFLECTION_CSV_HEADER):
-            raise DataLayoutError(
-                f"{path}: expected deflection header "
-                f"{','.join(DEFLECTION_CSV_HEADER)}, got {header}")
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(DEFLECTION_CSV_HEADER):
-                raise DataLayoutError(f"{path}:{ln}: expected "
-                                      f"{len(DEFLECTION_CSV_HEADER)} fields, got {len(row)}")
-            where = f"{path}:{ln}"
-            vals = csv_floats(where, DEFLECTION_CSV_HEADER[:12], row[:12])
-            defl = csv_floats(where, DEFLECTION_CSV_HEADER[13:16], row[13:16])
-            try:
-                marker = int(row[12])
-                repeat = int(row[16])
-            except ValueError as exc:
-                raise DataLayoutError(f"{where}: {exc}") from exc
-            records.append(DeflectionRecord(
-                q_rad=np.radians(vals[:6]), wrench=np.array(vals[6:12]),
-                marker_id=marker, deflection_mm=np.array(defl), repeat=repeat))
+    _, records = read_table(
+        path, DEFLECTION_CSV_HEADER, kind="deflection", ints=("marker_id", "repeat"),
+        row=lambda v: DeflectionRecord(np.radians(v[:6]), v[6:12], v[12], v[13:16], v[16]))
     if not records:
         raise DataLayoutError(f"{path}: no deflection records found")
     return records
@@ -131,35 +90,30 @@ class ParameterLayout:
 
     bucket_q2_rad: Tuple[float, ...]
     include_joint1: bool = False
-    bucket_tol_rad: float = math.radians(0.1)
 
     def __post_init__(self):
         if len(self.bucket_q2_rad) == 0:
             raise ValueError("parameter layout needs at least one joint-2 bucket")
         vals = np.asarray(self.bucket_q2_rad, dtype=float)
-        if len(vals) > 1 and np.min(np.diff(np.sort(vals))) <= 2.0 * self.bucket_tol_rad:
+        if len(vals) > 1 and np.min(np.diff(np.sort(vals))) <= 2.0 * BUCKET_TOL_RAD:
             raise ValueError("joint-2 buckets closer than twice the matching tolerance")
 
     @classmethod
-    def from_q2(cls, angles, *, include_joint1: bool = False,
-                bucket_tol_rad: float = math.radians(0.1)) -> "ParameterLayout":
+    def from_q2(cls, angles, *, include_joint1: bool = False) -> "ParameterLayout":
         """Cluster joint-2 angles into buckets; the first angle seen is the centre."""
         buckets: List[float] = []
         for q2 in angles:
             q2 = float(q2)
-            if not any(abs(q2 - b) <= bucket_tol_rad for b in buckets):
+            if not any(abs(q2 - b) <= BUCKET_TOL_RAD for b in buckets):
                 buckets.append(q2)
         buckets.sort(reverse=True)  # sweep order: near-upright first
-        return cls(tuple(buckets), include_joint1=include_joint1,
-                   bucket_tol_rad=bucket_tol_rad)
+        return cls(tuple(buckets), include_joint1=include_joint1)
 
     @classmethod
     def from_records(cls, records: Sequence[DeflectionRecord], *,
-                     include_joint1: bool = False,
-                     bucket_tol_rad: float = math.radians(0.1)) -> "ParameterLayout":
+                     include_joint1: bool = False) -> "ParameterLayout":
         """Cluster the joint-2 angles present in ``records`` into buckets."""
-        return cls.from_q2((r.q_rad[1] for r in records), include_joint1=include_joint1,
-                           bucket_tol_rad=bucket_tol_rad)
+        return cls.from_q2((r.q_rad[1] for r in records), include_joint1=include_joint1)
 
     @property
     def n_buckets(self) -> int:
@@ -171,13 +125,13 @@ class ParameterLayout:
 
     def bucket_of(self, q2_rad: float, context: str = "record") -> int:
         for i, b in enumerate(self.bucket_q2_rad):
-            if abs(q2_rad - b) <= self.bucket_tol_rad:
+            if abs(q2_rad - b) <= BUCKET_TOL_RAD:
                 return i
         have = ", ".join(f"{math.degrees(b):.2f}" for b in self.bucket_q2_rad)
         raise DataLayoutError(
             f"{context}: joint-2 angle {math.degrees(q2_rad):.3f} deg matches no "
             f"layout bucket (have: {have} deg, tol "
-            f"{math.degrees(self.bucket_tol_rad):.2f} deg)")
+            f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
 
     def column_of(self, joint: int, bucket: Optional[int] = None) -> Optional[int]:
         """Regressor column of joint ``joint`` (1-based); None if excluded."""
@@ -265,6 +219,8 @@ class CompliancesFit:
     rank: int
     rss: float
     n_rows: int
+    fitted_mm: np.ndarray    # (n_rows,) model displacements B @ values
+    pinv: np.ndarray         # (p, n_rows) pseudo-inverse of B, for resampling
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -304,7 +260,8 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
             f"regressor rank {rank} < {p}: parameters not identifiable from this "
             f"plan (weakest: {', '.join(worst)})", null_directions=null)
     k = Vt.T @ ((U.T @ y) / s)
-    resid = y - B @ k
+    fitted = B @ k
+    resid = y - fitted
     rss = float(resid @ resid)
     dof = len(y) - p
     sigma = math.sqrt(rss / dof) if dof > 0 else 0.0
@@ -316,7 +273,8 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
                 "is non-positive; treat the fit with suspicion", RuntimeWarning,
                 stacklevel=2)
     return CompliancesFit(layout=layout, values=k, covariance=cov,
-                          sigma_hat_mm=sigma, rank=rank, rss=rss, n_rows=len(y))
+                          sigma_hat_mm=sigma, rank=rank, rss=rss, n_rows=len(y),
+                          fitted_mm=fitted, pinv=Vt.T @ np.diag(1.0 / s) @ U.T)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +290,7 @@ class CompensatorSeparation:
     s0_mm: float
     condition: float      # of the 3-column separation system
     residual_rel: float   # relative misfit of the bucket stiffnesses
+    K2_fit_Nmm_per_rad: np.ndarray  # per-bucket joint-2 stiffness of the fit
 
     @property
     def k2_rad_per_Nmm(self) -> float:
@@ -342,23 +301,14 @@ def separation_matrix(geometry: CompensatorGeometry, q2_rad: Sequence[float],
                       q2_sign: int = 1) -> np.ndarray:
     """Rows mapping [K0, Kc, Kc*s0] to the equivalent joint-2 stiffness.
 
-    Writing the stiffness contribution of the spring as
-    Kc*a*L*eta(q2; s0) and expanding eta in the two unknown spring constants
-    gives a model linear in x = [K0, Kc, Kc*s0]; the free length is
-    recovered afterwards as x3/x2.
+    The spring adds Kc*a*L*eta(q2; s0) and eta = (s0/s)*b - cos(gamma) is
+    affine in s0 (:func:`stiffcal.compensator.eta_parts`), so the stiffness
+    is linear in x = [K0, Kc, Kc*s0]; the free length is recovered
+    afterwards as x3/x2.
     """
-    a = geometry.a_mm
-    L = geometry.L_mm
-    aL = a * L
-    rows = []
-    for q2 in q2_rad:
-        q2e = q2_sign * float(q2)
-        gam = geometry.alpha_rad - q2e
-        s = float(spring_span(geometry, q2e))
-        rows.append([1.0,
-                     -aL * math.cos(gam),
-                     (aL / s) * ((aL / s**2) * math.sin(gam)**2 + math.cos(gam))])
-    return np.array(rows)
+    aL = geometry.a_mm * geometry.L_mm
+    s, b, cg = eta_parts(geometry, q2_sign * np.asarray(q2_rad, dtype=float))
+    return np.column_stack([np.ones_like(s), -aL * cg, (aL / s) * b])
 
 
 def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
@@ -389,12 +339,13 @@ def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
         warnings.warn(
             f"separated constants have non-physical signs (K0={K0:.3e}, "
             f"Kc={Kc:.3e}, s0={s0:.3e})", RuntimeWarning, stacklevel=2)
-    resid = C @ x - K2
+    fit = C @ x
     nrm = float(np.linalg.norm(K2))
     return CompensatorSeparation(
         K0_Nmm_per_rad=K0, Kc_N_per_mm=Kc, s0_mm=s0,
         condition=float(s[0] / s[-1]),
-        residual_rel=float(np.linalg.norm(resid)) / nrm if nrm > 0 else 0.0)
+        residual_rel=float(np.linalg.norm(fit - K2)) / nrm if nrm > 0 else 0.0,
+        K2_fit_Nmm_per_rad=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +431,20 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     Gaussian noise at the fitted residual scale, refits the linear stage and
     reruns the separation, so the reported spread includes the nonlinear
     s0 = x3/x2 step.  Empty residuals (noise-free data) give zero widths.
+    The resamples reuse the stage-one fit of ``estimate``; ``records`` are
+    only read to fit one when ``estimate`` is not given.
     """
     if estimate is None:
         estimate = identify_elastostatics(model, records)
     layout = estimate.fit.layout
-    B, _ = build_regressor(model, records, layout)
-    yhat = B @ estimate.fit.values
+    yhat = estimate.fit.fitted_mm
     sigma = estimate.fit.sigma_hat_mm
     labels = estimate.parameter_labels()
     values = estimate.parameter_values()
     if sigma == 0.0 or n_samples < 2:
         zero = np.zeros_like(values)
         return ElastoCI(labels, values, zero, zero, sigma, n_samples, seed)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    pinv = Vt.T @ np.diag(1.0 / s) @ U.T
+    pinv = estimate.fit.pinv
     geom = model.compensator.geometry
     q2_sign = model.compensator.q2_sign
     off = (1 if layout.include_joint1 else 0)

@@ -33,9 +33,10 @@ class ConvergenceError(CalibrationError):
     """Raised when an iterative solver fails to converge."""
 
 
-class DataLayoutError(CalibrationError):
-    """Raised when a measurement record cannot be mapped onto the parameter
-    layout (unknown marker id, joint-2 angle outside every bucket, ...)."""
+class DataLayoutError(CalibrationError, ValueError):
+    """Raised when a data file is malformed or a measurement record cannot be
+    mapped onto the parameter layout (unknown marker id, joint-2 angle
+    outside every bucket, ...)."""
 
 
 class IdentifiabilityError(CalibrationError):

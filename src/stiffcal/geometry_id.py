@@ -12,7 +12,6 @@ dropped for the crank fit per the planar linkage assumption).
 """
 from __future__ import annotations
 
-import csv
 import os
 import re
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_fit import CircleFit, ConcentricFit, fit_circle_procrustes, fit_concentric_arcs
-from .errors import DegenerateGeometryError
+from .errors import DataLayoutError, DegenerateGeometryError
+from .tables import read_table, write_table
 
 _MIN_SPAN_RAD = np.deg2rad(30.0)
 
@@ -94,22 +94,12 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     Any number of satellite groups ``P0k_*`` is accepted; angles are stored
     in radians internally.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = [[float(v) for v in row] for row in reader if row]
+    header, rows = read_table(path)
     if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
-    if table.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    cols = {name: table[:, i] for i, name in enumerate(header)}
+        raise DataLayoutError(f"{path}: no data rows")
+    cols = dict(zip(header, np.array(rows).T))
     if "q2_deg" not in cols:
-        raise ValueError(f"{path}: missing column q2_deg")
+        raise DataLayoutError(f"{path}: missing column q2_deg")
 
     def group(prefix):
         names = [f"{prefix}_x", f"{prefix}_y"]
@@ -121,12 +111,25 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
 
     crank = group("P1")
     if crank is None:
-        raise ValueError(f"{path}: missing P1_x/P1_y columns")
+        raise DataLayoutError(f"{path}: missing P1_x/P1_y columns")
     sat_names = sorted({m.group(1) for h in header
                         for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m})
     satellites = [group(n) for n in sat_names]
-    return MarkerDataset(q2_rad=np.deg2rad(cols["q2_deg"]), crank=crank,
-                         satellites=tuple(s for s in satellites if s is not None))
+    try:
+        return MarkerDataset(q2_rad=np.deg2rad(cols["q2_deg"]), crank=crank,
+                             satellites=tuple(s for s in satellites if s is not None))
+    except ValueError as exc:
+        raise DataLayoutError(f"{path}: {exc}") from exc
+
+
+def save_marker_csv(path: str | os.PathLike, dataset: MarkerDataset) -> None:
+    """Write ``dataset`` in the :func:`load_marker_csv` layout (mm, deg)."""
+    axes = "xyz"[:dataset.crank.shape[1]]
+    tracks = (dataset.crank,) + dataset.satellites
+    names = ["P1"] + [f"P0{j + 1}" for j in range(len(dataset.satellites))]
+    write_table(path, ["q2_deg"] + [f"{n}_{a}" for n in names for a in axes], (
+        [f"{np.degrees(q2):.10g}"] + [f"{v:.6f}" for t in tracks for v in t[i]]
+        for i, q2 in enumerate(dataset.q2_rad)))
 
 
 def identify_compensator_geometry(dataset: MarkerDataset,

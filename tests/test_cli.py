@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stiffcal.cli import main
+from stiffcal.doe import PLAN_CSV_HEADER
 
 pytestmark = pytest.mark.usefixtures("model_path", "table1_path")
 
@@ -32,6 +33,30 @@ class TestExitCodes:
         assert main(["geom-ident", "--markers", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, where", [
+        pytest.param("geom-ident", "0,1,0,2,0,3,0\n-60,0.5,0.9,1,1.7,1.5\n",
+                     ":3: expected 7 fields, got 6", id="marker-ragged"),
+        pytest.param("geom-ident", "0,1,oops,2,0,3,0\n",
+                     ":2: column P1_y: could not convert", id="marker-cell"),
+        pytest.param("geom-ident", "0,1,0,2,0,3,0\n-60,0.5,0.9,1,1.7,nan,2.6\n",
+                     ":3: column P02_x must be finite", id="marker-nan"),
+        pytest.param("simulate deflections", "0,-30,0,0,0,0,0,0,-2600,0,0,0,1\n"
+                     "0,-60,0,0,0,0,0,0,-2600,0,0,0,0\n",
+                     ":3: repeats must be >= 1", id="plan-repeats"),
+    ])
+    def test_bad_data_file_is_2(self, tmp_path, model_path, capsys, command,
+                                text, where):
+        header = ("q2_deg,P1_x,P1_y,P01_x,P01_y,P02_x,P02_y" if command == "geom-ident"
+                  else ",".join(PLAN_CSV_HEADER))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n" + text)
+        flag = "--markers" if command == "geom-ident" else "--plan"
+        argv = command.split() + [flag, str(bad), "--out", str(tmp_path / "o")]
+        if command != "geom-ident":
+            argv += ["--model", str(model_path)]
+        assert main(argv) == 2
+        assert f"{bad}{where}" in capsys.readouterr().err
 
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1

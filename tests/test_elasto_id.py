@@ -21,7 +21,10 @@ from stiffcal.elasto_id import (
 from stiffcal.compensator import equivalent_joint_stiffness
 from stiffcal.doe import PLAN_CSV_HEADER, load_plan_csv, sensitivity_rows
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
+from stiffcal.geometry_id import load_marker_csv
 from stiffcal.sim import GroundTruth, simulate_deflection_records
+
+MARKER_HEADER = ("q2_deg", "P1_x", "P1_y", "P01_x", "P01_y", "P02_x", "P02_y")
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +289,8 @@ class TestCsvRoundTrip:
         (load_deflection_csv, DEFLECTION_CSV_HEADER, "dy_mm"),
         (load_plan_csv, PLAN_CSV_HEADER, "q5_deg"),
         (load_plan_csv, PLAN_CSV_HEADER, "Fz_N"),
+        (load_marker_csv, MARKER_HEADER, "q2_deg"),
+        (load_marker_csv, MARKER_HEADER, "P02_y"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_field_names_line_and_column(self, tmp_path, loader,

@@ -9,6 +9,7 @@ from stiffcal.geometry_id import (
     identify_compensator_geometry,
     load_marker_csv,
     residual_noise_sigma,
+    save_marker_csv,
 )
 from stiffcal.sim import simulate_geometry_dataset
 
@@ -115,11 +116,41 @@ class TestCsv:
         with pytest.raises(ValueError, match="q2_deg"):
             load_marker_csv(p)
 
+    def test_duplicate_column_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("q2_deg,P1_x,P1_y,P1_x\n0,1,2,3\n-60,2,3,4\n-120,3,4,5\n")
+        with pytest.raises(ValueError, match="duplicate column name"):
+            load_marker_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(ValueError, match="empty file"):
             load_marker_csv(p)
+
+    def test_blank_rows_skipped(self, tmp_path, table1_path):
+        lines = table1_path.read_text().splitlines()
+        p = tmp_path / "gappy.csv"
+        p.write_text("\n".join(lines[:3] + [",,,,,,", " , ,,,,,"] + lines[3:]) + "\n")
+        ds, ref = load_marker_csv(p), load_marker_csv(table1_path)
+        assert np.array_equal(ds.q2_rad, ref.q2_rad)
+        assert np.array_equal(ds.crank, ref.crank)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_save_load_round_trip(self, tmp_path, dim):
+        ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=1)
+        if dim == 3:
+            ds = MarkerDataset(ds.q2_rad, np.column_stack([ds.crank, np.full(8, 5.0)]),
+                               tuple(np.column_stack([s, np.arange(8.0)])
+                                     for s in ds.satellites))
+        p = tmp_path / "markers.csv"
+        save_marker_csv(p, ds)
+        back = load_marker_csv(p)
+        assert np.allclose(back.q2_rad, ds.q2_rad, rtol=1e-9, atol=0.0)
+        assert np.allclose(back.crank, ds.crank, rtol=0.0, atol=5e-7)
+        assert len(back.satellites) == len(ds.satellites)
+        for a, b in zip(ds.satellites, back.satellites):
+            assert np.allclose(a, b, rtol=0.0, atol=5e-7)
 
 
 class TestConfidence:
