@@ -170,19 +170,24 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     columns follow the per-bucket parameter order [k1?, k2, k3..k6]; the
     joint-2 column is evaluated at the configuration's own angle, which is
     what couples the bucket estimate to the pose it was measured at.
+    ``q`` and ``wrench`` of shape ``(..., 6)`` give a stack of blocks
+    ``(..., rows, cols)``, each equal to its own single-configuration call.
     """
-    q = np.asarray(q, dtype=float).reshape(6)
     st = chain_state(model, q, np.zeros(6))
     Jt = _point_jacobian(st, st.tool_p, 6)
-    tau = Jt.T @ np.asarray(wrench, dtype=float).reshape(6)
+    w = np.asarray(wrench, dtype=float)
+    tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
     if tool_only:
         points = [st.tool_p]
     else:
-        points = [st.tool_R @ off + st.tool_p for off in model.markers]
+        offs = np.reshape(model.markers, (-1, 3))
+        pts = (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0]
+        points = [pts[..., m, :] + st.tool_p for m in range(len(offs))]
     cols = _joint_columns(include_joint1)
-    A = np.zeros((3 * len(points), len(cols)))
+    A = np.zeros(tau.shape[:-1] + (3 * len(points), len(cols)))
     for m, pt in enumerate(points):
-        A[3 * m:3 * m + 3] = _point_jacobian(st, pt, 6)[:3, cols] * tau[cols]
+        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt, 6)[..., :3, cols]
+                                      * tau[..., None, cols])
     return A
 
 
@@ -198,13 +203,17 @@ class TestPoseAccuracy:
     bucket_q2_rad: Tuple[float, ...]
 
 
-def _bucket_variance(M: np.ndarray, A0: np.ndarray) -> float:
-    """trace(A0 M^-1 A0^T) of one bucket; inf when M is singular."""
+def _bucket_variance(M: np.ndarray, A0: np.ndarray):
+    """trace(A0 M^-1 A0^T) of each bucket in the stack ``M`` (..., w, w); inf
+    where ``M`` is singular."""
     try:
-        X = np.linalg.solve(M, A0.T)
+        X = np.linalg.solve(M, np.broadcast_to(A0.T, M.shape[:-1] + A0.shape[:1]))
     except np.linalg.LinAlgError:
-        return math.inf
-    return float(np.sum(A0 * X.T))
+        if M.ndim == 2:
+            return math.inf
+        flat = [_bucket_variance(m, A0) for m in M.reshape((-1,) + M.shape[-2:])]
+        return np.reshape(flat, M.shape[:-2])
+    return np.sum(A0 * X.swapaxes(-1, -2), axis=(-2, -1))
 
 
 def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
@@ -212,9 +221,10 @@ def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
                          include_joint1: bool) -> List[np.ndarray]:
     w = len(_joint_columns(include_joint1))
     Ms = [np.zeros((w, w)) for _ in range(layout.n_buckets)]
-    for i, e in enumerate(plan.entries):
+    rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
+                            [e.wrench for e in plan.entries], include_joint1=include_joint1)
+    for i, (e, A) in enumerate(zip(plan.entries, rows)):
         b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
-        A = sensitivity_rows(model, e.q, e.w, include_joint1=include_joint1)
         Ms[b] += e.repeats * (A.T @ A)
     return Ms
 
@@ -242,7 +252,7 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     Ms = _bucket_informations(model, plan, layout, include_joint1)
     per_bucket = []
     for b, M in enumerate(Ms):
-        t = _bucket_variance(M, A0)
+        t = float(_bucket_variance(M, A0))
         if t == math.inf:
             raise IdentifiabilityError(
                 f"singular information matrix for joint-2 bucket at "
@@ -273,9 +283,11 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
     meat = np.zeros((p, p))
     if noise.axis_cov is not None:
         omega = np.kron(np.eye(len(model.markers)), noise.axis_cov)
-    for i, e in enumerate(plan.entries):
+    rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
+                            [e.wrench for e in plan.entries], include_joint1=True)
+    for i, (e, A) in enumerate(zip(plan.entries, rows)):
         b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
-        Be = layout.place(sensitivity_rows(model, e.q, e.w, include_joint1=True), b)
+        Be = layout.place(A, b)
         BtB += e.repeats * (Be.T @ Be)
         if noise.axis_cov is not None:
             meat += e.repeats * (Be.T @ omega @ Be)
@@ -368,19 +380,19 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
 
     def rows_for(q: np.ndarray) -> np.ndarray:
         nonlocal n_eval
-        n_eval += 1
+        n_eval += q.size // 6
         return sensitivity_rows(model, q, wrench, include_joint1=include_joint1)
 
-    def bucket_term(M: np.ndarray) -> float:
+    def bucket_term(M: np.ndarray):
         t = _bucket_variance(M, A0)
-        return t if t >= 0 else math.inf
+        return np.where(t >= 0, t, math.inf)
 
     def descent(configs: List[List[np.ndarray]]
                 ) -> Tuple[float, float, List[List[np.ndarray]]]:
         """(initial total, final total, configs) of one start."""
         rows = [[rows_for(qc) for qc in bucket] for bucket in configs]
         Ms = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows]
-        terms = [bucket_term(M) for M in Ms]
+        terms = [float(bucket_term(M)) for M in Ms]
         total = start_total = sum(terms)
         spans = []
         for j in _FREE_JOINTS:
@@ -399,26 +411,25 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                             span = spans[fj] / (2.0 * max(n_grid - 1, 1))**level
                             grid = _candidate_grid(j, q_cur[j], span,
                                                    constraints, n_grid)
+                            grid = grid[grid != q_cur[j]]
+                            if not grid.size:
+                                continue
                             base_M = Ms[b] - repeats * (rows[b][c].T @ rows[b][c])
-                            best_val, best_q, best_A, best_term = (
-                                total, None, None, terms[b])
-                            for g in grid:
-                                if g == q_cur[j]:
-                                    continue
-                                q_try = q_cur.copy()
-                                q_try[j] = g
-                                A_try = rows_for(q_try)
-                                t_try = bucket_term(
-                                    base_M + repeats * (A_try.T @ A_try))
-                                val = total - terms[b] + t_try
+                            # score the whole grid as one stack, pick in grid order
+                            q_try = np.repeat(q_cur[None], grid.size, axis=0)
+                            q_try[:, j] = grid
+                            A_try = rows_for(q_try)
+                            M_try = base_M + repeats * (A_try.swapaxes(1, 2) @ A_try)
+                            t_try = bucket_term(M_try)
+                            best_val, best = total, None
+                            for k, val in enumerate((total - terms[b] + t_try).tolist()):
                                 if val < best_val - 1e-15:
-                                    best_val, best_q, best_A, best_term = (
-                                        val, q_try, A_try, t_try)
-                            if best_q is not None:
-                                configs[b][c] = best_q
-                                rows[b][c] = best_A
-                                Ms[b] = base_M + repeats * (best_A.T @ best_A)
-                                terms[b] = best_term
+                                    best_val, best = val, k
+                            if best is not None:
+                                configs[b][c] = q_try[best]
+                                rows[b][c] = A_try[best]
+                                Ms[b] = M_try[best]
+                                terms[b] = float(t_try[best])
                                 total = best_val
                                 improved = True
         return start_total, total, configs

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .transforms import rot_axis, rot_rpy
+from .transforms import rot_rpy
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -125,6 +125,10 @@ class ManipulatorModel:
         self._link_R = np.stack([rot_rpy(r) for r in self._link_R])
         self._link_p = np.stack([j.link_translation_mm for j in self.joints])
         self._axes = np.stack([j.axis for j in self.joints])
+        # Constant Rodrigues terms of each axis k (see transforms.rot_axis).
+        self._axis_K = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+                                 for x, y, z in self._axes])
+        self._axis_kk = self._axes[:, :, None] * self._axes[:, None, :]
         self._R_base = self.base.rotation()
         self._p_base = self.base.translation_mm
         self._R_tool = self.tool.rotation()
@@ -141,11 +145,12 @@ class ManipulatorModel:
 
 @dataclass
 class ChainState:
-    """All frames of the chain at one ``(q, theta)``; shared by J/H builders.
+    """All frames of the chain at ``(q, theta)``; shared by J/H builders.
 
-    ``node_p[j]`` is the position of node ``j`` for j = 0..6 (node 0 = joint-1
-    centre).  ``joint_p[i]``/``joint_axis[i]`` give the centre and world axis
-    of joint ``i+1``.
+    ``node_p[..., j, :]`` is the position of node ``j`` for j = 0..6 (node 0 =
+    joint-1 centre).  ``joint_p[..., i, :]``/``joint_axis[..., i, :]`` give the
+    centre and world axis of joint ``i+1``.  Leading axes, if any, are the
+    batch axes of ``q`` and ``theta``; shapes below are for one pose.
     """
 
     q: np.ndarray
@@ -159,26 +164,31 @@ class ChainState:
 
 
 def chain_state(model: ManipulatorModel, q, theta) -> ChainState:
-    """Evaluate every frame of the elastic chain at ``(q, theta)``."""
+    """Evaluate every frame of the elastic chain at ``(q, theta)``, each of
+    shape (..., 6); their broadcast batch axes lead every frame."""
     q = np.asarray(q, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if q.shape != (6,) or theta.shape != (6,):
+    if q.shape[-1:] != (6,) or theta.shape[-1:] != (6,):
         raise ValueError("q and theta must be 6-vectors")
-    R = model._R_base.copy()
-    p = model._p_base.copy()
-    joint_p = np.empty((6, 3))
-    joint_axis = np.empty((6, 3))
-    node_p = np.empty((7, 3))
-    node_R = np.empty((6, 3, 3))
-    node_p[0] = p
+    # Rodrigues formula of all six joints at once, term for term as rot_axis.
+    angle = (q + theta)[..., None, None]
+    c = np.cos(angle)
+    rot = c * np.eye(3) + np.sin(angle) * model._axis_K + (1.0 - c) * model._axis_kk
+    batch = rot.shape[:-3]
+    R, p = model._R_base, model._p_base
+    joint_p = np.empty(batch + (6, 3))
+    joint_axis = np.empty(batch + (6, 3))
+    node_p = np.empty(batch + (7, 3))
+    node_R = np.empty(batch + (6, 3, 3))
+    node_p[..., 0, :] = p
     for i in range(6):
-        joint_p[i] = p
-        joint_axis[i] = R @ model._axes[i]
-        R = R @ rot_axis(model._axes[i], q[i] + theta[i])
+        joint_p[..., i, :] = p
+        joint_axis[..., i, :] = R @ model._axes[i]
+        R = R @ rot[..., i, :, :]
         p = R @ model._link_p[i] + p
         R = R @ model._link_R[i]
-        node_p[i + 1] = p
-        node_R[i] = R
+        node_p[..., i + 1, :] = p
+        node_R[..., i, :, :] = R
     tool_R = R @ model._R_tool
     tool_p = R @ model._p_tool + p
     return ChainState(q, theta, joint_p, joint_axis, node_p, node_R, tool_p, tool_R)
@@ -205,11 +215,13 @@ def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
 
 def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.ndarray:
     """6x6 Jacobian of a point rigidly attached after joint ``n_cols``: column
-    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]``, the rest zero."""
-    w = st.joint_axis[:n_cols]
-    J = np.zeros((6, 6))
-    J[:3, :n_cols] = np.cross(w, point - st.joint_p[:n_cols]).T
-    J[3:, :n_cols] = w.T
+    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]``, the rest zero.
+    Broadcasts over the leading axes of ``st`` and ``point`` (..., 3)."""
+    w = st.joint_axis[..., :n_cols, :]
+    lever = np.cross(w, point[..., None, :] - st.joint_p[..., :n_cols, :])
+    J = np.zeros(lever.shape[:-2] + (6, 6))
+    J[..., :3, :n_cols] = lever.swapaxes(-1, -2)
+    J[..., 3:, :n_cols] = w.swapaxes(-1, -2)
     return J
 
 

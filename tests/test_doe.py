@@ -15,6 +15,8 @@ from stiffcal.doe import (
     parameter_covariance,
     save_plan_csv,
     sensitivity_rows,
+    _bucket_informations,
+    _bucket_variance,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
 from stiffcal.elasto_id import DeflectionRecord, ParameterLayout, build_regressor
@@ -84,7 +86,56 @@ class TestSensitivityRows:
         assert np.allclose(A[:, 0], 0.0, atol=1e-9)
 
 
+    @pytest.mark.parametrize("tool_only", [False, True])
+    @pytest.mark.parametrize("include_joint1", [False, True])
+    def test_stack_matches_single_calls(self, model, include_joint1, tool_only):
+        """A (2, 4) stack of poses, each with its own wrench (lateral forces
+        and moments) or one shared wrench, gives each pose's rows bit for bit."""
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-np.pi, np.pi, (2, 4, 6))
+        w = np.concatenate([rng.normal(0.0, 800.0, (2, 4, 3)),
+                            rng.normal(0.0, 2e5, (2, 4, 3))], axis=-1)
+        kw = dict(include_joint1=include_joint1, tool_only=tool_only)
+        rows = 3 if tool_only else 3 * len(model.markers)
+        each = sensitivity_rows(model, q, w, **kw)
+        shared = sensitivity_rows(model, q, w[1, 2], **kw)
+        assert each.shape == shared.shape == (2, 4, rows, 6 if include_joint1 else 5)
+        for idx in np.ndindex(2, 4):
+            assert np.array_equal(each[idx], sensitivity_rows(model, q[idx], w[idx], **kw))
+            assert np.array_equal(shared[idx],
+                                  sensitivity_rows(model, q[idx], w[1, 2], **kw))
+
+
 class TestAccuracyMetric:
+    def test_bucket_variance_stack_with_singular_member(self, model, plan, test_pose):
+        """A stack scores each member as alone; a singular one scores inf."""
+        A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
+        rows = sensitivity_rows(model, np.array([e.q_rad for e in plan.entries[:6]]),
+                                test_pose.w)
+        Ms = (rows.swapaxes(1, 2) @ rows).reshape(2, 3, 5, 5)
+        single = np.array([[_bucket_variance(M, A0) for M in row] for row in Ms])
+        assert np.isfinite(single).all()
+        assert np.array_equal(_bucket_variance(Ms, A0), single)
+        Ms[1, 0] = 0.0
+        expected = single.copy()
+        expected[1, 0] = np.inf
+        assert _bucket_variance(Ms[1, 0], A0) == math.inf
+        assert np.array_equal(_bucket_variance(Ms, A0), expected)
+
+    def test_information_matches_per_entry_rows(self, model, plan):
+        """The plan-wide row stack accumulates each entry's own rows and wrench."""
+        rng = np.random.default_rng(2)
+        mixed = CalibrationPlan(tuple(
+            PlanEntry(e.q_rad, tuple(rng.normal(0.0, 1e3, 6)), e.repeats + i % 2)
+            for i, e in enumerate(plan.entries)))
+        lay = mixed.layout()
+        ref = [np.zeros((5, 5)) for _ in range(lay.n_buckets)]
+        for e in mixed.entries:
+            A = sensitivity_rows(model, e.q, e.w)
+            ref[lay.bucket_of(e.q_rad[1])] += e.repeats * (A.T @ A)
+        Ms = _bucket_informations(model, mixed, lay, include_joint1=False)
+        assert all(np.array_equal(M, R) for M, R in zip(Ms, ref))
+
     def test_replication_halves_exactly(self, model, plan, test_pose):
         acc1 = pose_accuracy(model, plan, test_pose, NOISE)
         acc2 = pose_accuracy(model, plan.replicated(2), test_pose, NOISE)
@@ -236,6 +287,32 @@ class TestOptimizer:
         qb = np.array([e.q_rad for e in b.plan.entries])
         assert np.array_equal(qa, qb)
         assert a.accuracy.rho0_sq_mm2 == b.accuracy.rho0_sq_mm2
+
+    def test_pinned_result(self, model, test_pose):
+        """q2..q6 and rho0^2 of a small search, as recorded before the line
+        search scored its grid as one stack (q1 does not move rho0 under a
+        vertical load, so its ties are not pinned)."""
+        opt = optimize_plan(model, test_pose, np.radians((-0.01, -70.0, -140.0)),
+                            CONSTRAINTS, NOISE, n_starts=1, configs_per_bucket=2,
+                            repeats=1, n_grid=5, n_levels=2, seed=3)
+        expected = [
+            [-0.00017453292519943296, -0.5945027764605684, 4.444343506773226,
+             0.35132952211905755, 1.5271630954950384],
+            [-0.00017453292519943296, 0.5048645333837298, -4.920654926942245,
+             1.6035212502697904, -4.7198866714654],
+            [-1.2217304763960306, 1.5053464798451093, 3.817907738737596,
+             0.0, 2.1421551839867674],
+            [-1.2217304763960306, -1.1944597068336191, 1.8148465007293444,
+             1.3362677085581587, -2.532393780559865],
+            [-2.443460952792061, -0.8944812416470937, 4.581489286485115,
+             -0.8017606251348952, 4.785653527045611],
+            [-2.443460952792061, -0.13224956775858554, 1.811545416368273,
+             -1.7047077090271914, 1.7649741013794311],
+        ]
+        q = np.array([e.q_rad[1:] for e in opt.plan.entries])
+        np.testing.assert_allclose(q, expected, rtol=1e-12, atol=0.0)
+        assert opt.accuracy.rho0_sq_mm2 == pytest.approx(0.0048589076105281645,
+                                                         rel=1e-12)
 
     def test_respects_limits_and_pinned_q2(self, model, test_pose):
         windows = ((math.radians(-30.0), math.radians(30.0)),)

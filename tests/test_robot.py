@@ -7,7 +7,7 @@ from oracles import fd_hessian, fd_jacobian, planar_2r_force_hessian
 from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading,
                             _point_jacobian, chain_state, fk, gravity_loading,
                             hessian_theta, load_torques, marker_positions)
-from stiffcal.transforms import rotvec_from_matrix
+from stiffcal.transforms import rot_axis, rot_rpy, rotvec_from_matrix
 
 
 def _jacobian(model, q, theta, point=lambda cs: cs.tool_p, n_cols=6):
@@ -201,3 +201,71 @@ def test_jacobian_columns_are_axis_cross_lever(model, seed):
         w = st_.joint_axis[j]
         col = np.concatenate([np.cross(w, st_.tool_p - st_.joint_p[j]), w])
         assert np.allclose(J[:, j], col, atol=1e-9)
+
+
+FRAMES = ("joint_p", "joint_axis", "node_p", "node_R", "tool_p", "tool_R")
+
+
+def _random_axes_model(rng):
+    """A chain with random unit axes, link offsets and link rotations."""
+    axes = rng.normal(size=(6, 3))
+    joints = [JointSpec(axis=a / np.linalg.norm(a),
+                        link_translation_mm=rng.uniform(-500.0, 500.0, 3),
+                        link_rotation_rpy_rad=rng.uniform(-3.0, 3.0, 3),
+                        compliance_rad_per_Nmm=1e-9) for a in axes]
+    return ManipulatorModel(joints=joints)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-20.0, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_cached_rodrigues_terms_give_rot_axis(seed, angle):
+    m = _random_axes_model(np.random.default_rng(seed))
+    c, s = np.cos(angle), np.sin(angle)
+    for i, k in enumerate(m._axes):
+        R = c * np.eye(3) + s * m._axis_K[i] + (1.0 - c) * m._axis_kk[i]
+        assert np.array_equal(R, rot_axis(k, angle))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_chain_state_is_the_rot_axis_product(seed):
+    """One pose: the frames of the product of per-joint rot_axis, bit for bit."""
+    rng = np.random.default_rng(seed)
+    m = _random_axes_model(rng)
+    q, th = rng.uniform(-4.0, 4.0, 6), rng.normal(scale=1e-3, size=6)
+    R, p = np.eye(3), np.zeros(3)
+    cs = chain_state(m, q, th)
+    for i, j in enumerate(m.joints):
+        assert np.array_equal(cs.joint_p[i], p)
+        assert np.array_equal(cs.joint_axis[i], R @ j.axis)
+        R = R @ rot_axis(j.axis, q[i] + th[i])
+        p = R @ j.link_translation_mm + p
+        R = R @ rot_rpy(j.link_rotation_rpy_rad)
+        assert np.array_equal(cs.node_R[i], R) and np.array_equal(cs.node_p[i + 1], p)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(5,), (3, 4)]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_batched_chain_state_matches_each_pose(model, seed, shape, shared_theta):
+    """A stack of poses gives each pose's frames and Jacobians bit for bit;
+    a theta of shape (6,) broadcasts over the stack."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-np.pi, np.pi, shape + (6,))
+    theta = rng.normal(scale=1e-3, size=(6,) if shared_theta else shape + (6,))
+    batch = chain_state(model, q, theta)
+    assert batch.node_R.shape == shape + (6, 3, 3)
+    J_tool = _point_jacobian(batch, batch.tool_p, 6)
+    J_node = _point_jacobian(batch, batch.node_p[..., 4, :], 4)
+    for idx in np.ndindex(*shape):
+        one = chain_state(model, q[idx], theta if shared_theta else theta[idx])
+        for name in FRAMES:
+            assert np.array_equal(getattr(batch, name)[idx], getattr(one, name)), name
+        assert np.array_equal(J_tool[idx], _point_jacobian(one, one.tool_p, 6))
+        assert np.array_equal(J_node[idx], _point_jacobian(one, one.node_p[4], 4))
+
+
+def test_chain_state_rejects_wrong_last_axis(model):
+    with pytest.raises(ValueError, match="6-vectors"):
+        chain_state(model, np.zeros((4, 5)), np.zeros(6))
+    with pytest.raises(ValueError, match="6-vectors"):
+        chain_state(model, np.zeros(6), np.zeros((6, 1)))
