@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .compensator import CompensatorGeometry, eta_curve
-from .doe import (NoiseModel, PlanConstraints, TestPose, load_plan_csv,
+from .doe import (MAX_REPEATS, NoiseModel, PlanConstraints, TestPose, load_plan_csv,
                   optimize_plan, save_plan_csv)
 from .elasto_id import (confidence_intervals_elasto, identify_elastostatics,
                         load_deflection_csv, save_deflection_csv)
@@ -163,6 +163,7 @@ def _bounded(convert, ok, rule: str):
 
 
 _count = _bounded(int, lambda v: v >= 1, ">= 1")
+_repeats = _bounded(int, lambda v: 1 <= v <= MAX_REPEATS, f"in 1..{MAX_REPEATS}")
 _sigma = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
 _magnitude = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--noise", type=_sigma, default=0.05,
                    help="marker noise sigma, mm")
     d.add_argument("--configs-per-bucket", type=_count, default=3)
-    d.add_argument("--repeats", type=_count, default=3)
+    d.add_argument("--repeats", type=_repeats, default=3)
     d.add_argument("--starts", type=_count, default=20)
     d.add_argument("--seed", type=int, default=0)
     d.set_defaults(func=_cmd_doe)

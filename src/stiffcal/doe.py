@@ -25,6 +25,9 @@ from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _point_jacobian
 from .tables import read_table, write_table
 
+# Records per plan row: ``simulate deflections`` emits one per repeat and marker.
+MAX_REPEATS = 10000
+
 PLAN_CSV_HEADER = (
     "q1_deg", "q2_deg", "q3_deg", "q4_deg", "q5_deg", "q6_deg",
     "Fx_N", "Fy_N", "Fz_N", "Mx_Nmm", "My_Nmm", "Mz_Nmm", "repeats",
@@ -48,6 +51,8 @@ class PlanEntry:
             raise ValueError("plan entry needs 6 joint angles and a 6-wrench")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.repeats > MAX_REPEATS:
+            raise ValueError(f"repeats must be <= {MAX_REPEATS}, got {self.repeats}")
 
     @property
     def q(self) -> np.ndarray:

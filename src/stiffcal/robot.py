@@ -213,12 +213,21 @@ def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
     return (st.tool_R @ offs.T).T + st.tool_p
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis, broadcasting as numpy's does: its
+    products and differences in its order, so the bits match, without its
+    per-call axis bookkeeping."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.ndarray:
     """6x6 Jacobian of a point rigidly attached after joint ``n_cols``: column
     ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]``, the rest zero.
     Broadcasts over the leading axes of ``st`` and ``point`` (..., 3)."""
     w = st.joint_axis[..., :n_cols, :]
-    lever = np.cross(w, point[..., None, :] - st.joint_p[..., :n_cols, :])
+    lever = _cross(w, point[..., None, :] - st.joint_p[..., :n_cols, :])
     J = np.zeros(lever.shape[:-2] + (6, 6))
     J[..., :3, :n_cols] = lever.swapaxes(-1, -2)
     J[..., 3:, :n_cols] = w.swapaxes(-1, -2)
@@ -271,15 +280,24 @@ def gravity_loading(model: ManipulatorModel, q=None, theta=None) -> NodeLoading:
     return NodeLoading(W)
 
 
-def _loaded_points(st: ChainState, loading: Optional[NodeLoading], tool_wrench):
-    """(point, wrench, n_cols) of each loaded node (1..6) and of the tool."""
-    if loading is not None:
-        for j in range(1, 7):
-            w = loading.wrenches[j]
-            if w.any():
-                yield st.node_p[j], w, j
+def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrench):
+    """Point Jacobians ``J`` (P, 6, 6) and wrenches ``W`` (P, 6) of each loaded
+    node (1..6) and then the tool, from one stacked ``_point_jacobian`` call
+    at the single chain state ``st``; node ``j`` keeps only its first ``j``
+    columns.  Nothing loaded gives empty stacks."""
+    nodes = [] if loading is None else [j for j in range(1, 7) if loading.wrenches[j].any()]
+    points = [st.node_p[j] for j in nodes]
+    W = [loading.wrenches[j] for j in nodes]
     if tool_wrench is not None:
-        yield st.tool_p, np.asarray(tool_wrench, dtype=float), 6
+        nodes.append(6)
+        points.append(st.tool_p)
+        W.append(np.asarray(tool_wrench, dtype=float))
+    if not nodes:
+        return np.empty((0, 6, 6)), np.empty((0, 6))
+    J = _point_jacobian(st, np.array(points), 6)
+    for k, n in enumerate(nodes):
+        J[k, :, n:] = 0.0
+    return J, np.array(W)
 
 
 def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[NodeLoading],
@@ -289,10 +307,8 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
     Computes ``sum_j J_j(theta)^T G_j + J_tool^T F`` at the chain state
     ``st``; this is the right-hand side of the static equilibrium balance.
     """
-    tau = np.zeros(6)
-    for p, w, n in _loaded_points(st, loading, tool_wrench):
-        tau += _point_jacobian(st, p, n).T @ w
-    return tau
+    J, W = _loaded_jacobians(st, loading, tool_wrench)
+    return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)
 
 
 def hessian_theta(model: ManipulatorModel, q, theta, loading: Optional[NodeLoading] = None,
@@ -311,10 +327,9 @@ def hessian_theta(model: ManipulatorModel, q, theta, loading: Optional[NodeLoadi
     """
     st = chain_state(model, q, theta)
     H = np.zeros((6, 6))
-    for p, w, n in _loaded_points(st, loading, tool_wrench):
-        J = _point_jacobian(st, p, n)
+    for J, w in zip(*_loaded_jacobians(st, loading, tool_wrench)):
         W = J[3:].T
-        U = np.triu(W @ np.cross(J[:3].T, w[:3]).T)
-        U += 0.5 * np.triu(W @ np.cross(W, w[3:]).T, 1)
+        U = np.triu(W @ _cross(J[:3].T, w[:3]).T)
+        U += 0.5 * np.triu(W @ _cross(W, w[3:]).T, 1)
         H += U + np.triu(U, 1).T
     return H

@@ -91,3 +91,41 @@ def fd_hessian(fun, x, h=3e-5):
             H[a, b] = (fun(x + ea + eb) - fun(x + ea - eb)
                        - fun(x - ea + eb) + fun(x - ea - eb)) / (4.0 * h * h)
     return H
+
+
+def point_jacobian_loop(st, point, n_cols):
+    """Lever-arm Jacobian of one point at one chain state, by ``np.cross``."""
+    w = st.joint_axis[:n_cols]
+    J = np.zeros((6, 6))
+    J[:3, :n_cols] = np.cross(w, point - st.joint_p[:n_cols]).T
+    J[3:, :n_cols] = w.T
+    return J
+
+
+def _loaded_points_loop(st, loading, tool_wrench):
+    if loading is not None:
+        for j in range(1, 7):
+            if loading.wrenches[j].any():
+                yield st.node_p[j], loading.wrenches[j], j
+    if tool_wrench is not None:
+        yield st.tool_p, np.asarray(tool_wrench, dtype=float), 6
+
+
+def load_torques_loop(st, loading, tool_wrench):
+    """``sum_p J_p^T w_p``, one point Jacobian per loaded node, then the tool."""
+    tau = np.zeros(6)
+    for p, w, n in _loaded_points_loop(st, loading, tool_wrench):
+        tau += point_jacobian_loop(st, p, n).T @ w
+    return tau
+
+
+def hessian_theta_loop(st, loading, tool_wrench):
+    """Load Hessian accumulated point by point, cross products by ``np.cross``."""
+    H = np.zeros((6, 6))
+    for p, w, n in _loaded_points_loop(st, loading, tool_wrench):
+        J = point_jacobian_loop(st, p, n)
+        W = J[3:].T
+        U = np.triu(W @ np.cross(J[:3].T, w[:3]).T)
+        U += 0.5 * np.triu(W @ np.cross(W, w[3:]).T, 1)
+        H += U + np.triu(U, 1).T
+    return H

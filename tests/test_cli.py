@@ -44,6 +44,9 @@ class TestExitCodes:
         pytest.param("simulate deflections", "0,-30,0,0,0,0,0,0,-2600,0,0,0,1\n"
                      "0,-60,0,0,0,0,0,0,-2600,0,0,0,0\n",
                      ":3: repeats must be >= 1", id="plan-repeats"),
+        pytest.param("simulate deflections", "0,-30,0,0,0,0,0,0,-2600,0,0,0,1000000000000\n",
+                     ":2: repeats must be <= 10000, got 1000000000000",
+                     id="plan-repeats-huge"),
     ])
     def test_bad_data_file_is_2(self, tmp_path, model_path, capsys, command,
                                 text, where):
@@ -243,6 +246,7 @@ class TestUsageParsing:
 
     @pytest.mark.parametrize("flag, value", [
         ("--starts", "0"), ("--configs-per-bucket", "0"), ("--repeats", "0"),
+        ("--repeats", "10001"),
         ("--load", "0"), ("--noise", "-0.01"),
     ])
     def test_numeric_doe_flags_bounded(self, tmp_path, model_path, capsys,

@@ -90,7 +90,9 @@ class TestSensitivityRows:
     @pytest.mark.parametrize("include_joint1", [False, True])
     def test_stack_matches_single_calls(self, model, include_joint1, tool_only):
         """A (2, 4) stack of poses, each with its own wrench (lateral forces
-        and moments) or one shared wrench, gives each pose's rows bit for bit."""
+        and moments) or one shared wrench, gives each pose's rows bit for bit.
+        Every block is C-contiguous: ``_bucket_variance`` reduces in memory
+        order, so another layout can move rho0^2 in its last bits."""
         rng = np.random.default_rng(5)
         q = rng.uniform(-np.pi, np.pi, (2, 4, 6))
         w = np.concatenate([rng.normal(0.0, 800.0, (2, 4, 3)),
@@ -100,8 +102,11 @@ class TestSensitivityRows:
         each = sensitivity_rows(model, q, w, **kw)
         shared = sensitivity_rows(model, q, w[1, 2], **kw)
         assert each.shape == shared.shape == (2, 4, rows, 6 if include_joint1 else 5)
+        assert each.flags.c_contiguous and shared.flags.c_contiguous
         for idx in np.ndindex(2, 4):
-            assert np.array_equal(each[idx], sensitivity_rows(model, q[idx], w[idx], **kw))
+            one = sensitivity_rows(model, q[idx], w[idx], **kw)
+            assert one.flags.c_contiguous
+            assert np.array_equal(each[idx], one)
             assert np.array_equal(shared[idx],
                                   sensitivity_rows(model, q[idx], w[1, 2], **kw))
 

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import fd_hessian, fd_jacobian, planar_2r_force_hessian
-from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading,
+from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_loop,
+                     planar_2r_force_hessian)
+from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading, _cross,
                             _point_jacobian, chain_state, fk, gravity_loading,
                             hessian_theta, load_torques, marker_positions)
 from stiffcal.transforms import rot_axis, rot_rpy, rotvec_from_matrix
@@ -171,6 +175,60 @@ def test_hessian_of_node_forces_and_moments_vs_fd(model, deepest):
     assert np.linalg.norm(H - Dsym) / np.linalg.norm(Dsym) < 1e-4
     assert np.array_equal(H, H.T)
     assert not H[deepest:, :].any() and not H[:, deepest:].any()
+
+
+@given(st.sampled_from([((3,), (3,)), ((6, 3), (3,)), ((5, 6, 3), (6, 3)),
+                        ((6, 3), (4, 1, 3))]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cross_matches_numpy_bit_for_bit(shapes, data):
+    """Signed zeros, subnormals and huge values included."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    a = data.draw(arrays(np.float64, shapes[0], elements=floats))
+    b = data.draw(arrays(np.float64, shapes[1], elements=floats))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf is nan in both
+        ref = np.cross(a, b)
+        got = _cross(a, b)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _massless_joint6(model):
+    joints = model.joints[:5] + (dataclasses.replace(model.joints[5], mass_kg=0.0),)
+    model = dataclasses.replace(model, joints=joints)
+    return model, gravity_loading(model)     # node 6 carries no weight
+
+
+def _node_wrenches(model):
+    """Forces and moments on nodes 1, 3 and 4 only."""
+    rng = np.random.default_rng(11)
+    W = np.zeros((7, 6))
+    W[[1, 3, 4]] = np.hstack([rng.normal(scale=500.0, size=(3, 3)),
+                              rng.normal(scale=3e4, size=(3, 3))])
+    return model, NodeLoading(W)
+
+
+@pytest.mark.parametrize("loads", [
+    pytest.param(lambda m: (m, gravity_loading(m)), id="gravity"),
+    pytest.param(_massless_joint6, id="gravity-massless-joint6"),
+    pytest.param(_node_wrenches, id="node-wrenches"),
+    pytest.param(lambda m: (m, None), id="no-loading"),
+])
+@pytest.mark.parametrize("tool", [np.array([150.0, -300.0, -2000.0, 4e4, -2e4, 1e4]), None],
+                         ids=["tool-wrench", "no-tool-wrench"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_terms_match_point_loop_bit_for_bit(model, loads, tool, seed):
+    """One stacked Jacobian call gives the per-point loop's torques and
+    Hessian to the last bit; nothing loaded gives zeros."""
+    model, loading = loads(model)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-np.pi, np.pi, 6)
+    th = rng.normal(scale=2e-3, size=6)
+    st_ = chain_state(model, q, th)
+    tau = load_torques(model, st_, loading, tool)
+    H = hessian_theta(model, q, th, loading, tool)
+    assert tau.tobytes() == load_torques_loop(st_, loading, tool).tobytes()
+    assert H.tobytes() == hessian_theta_loop(st_, loading, tool).tobytes()
+    if loading is None and tool is None:
+        assert tau.tobytes() == np.zeros(6).tobytes() and not H.any()
 
 
 def test_exactly_six_joints_required():
