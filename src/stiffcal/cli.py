@@ -292,6 +292,7 @@ def _cmd_doe(args) -> int:
         "bucket_q2_deg": [math.degrees(b) for b in opt.accuracy.bucket_q2_rad],
         "random_start_values_mm2": list(opt.start_values_mm2),
         "n_evaluations": opt.n_evaluations,
+        "searched_joints": list(opt.searched_joints),
     }
     _write_json(os.path.join(out, "doe.json"), payload)
     rows = [(math.degrees(b), "rho0_sq_contribution",

@@ -8,7 +8,7 @@ wrist/arm compliances), which keeps the metric cheap, additive over
 buckets, and exactly halved by plan replication.
 
 Angles are searched by cyclic coordinate descent over the free joints with
-a shrinking grid, restarted from several random feasible plans.
+a shrinking grid, from several random feasible plans searched in lockstep.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,9 +322,20 @@ class OptimizedPlan:
     accuracy: TestPoseAccuracy
     start_values_mm2: Tuple[float, ...]   # metric of each random start
     n_evaluations: int
+    searched_joints: Tuple[int, ...]      # 1-based joints that were line-searched
 
 
 _FREE_JOINTS = (0, 2, 3, 4, 5)   # q2 stays pinned to the bucket angle
+
+
+def _searched_joints(model: ManipulatorModel, wrench: np.ndarray) -> Tuple[int, ...]:
+    """``_FREE_JOINTS`` without joint 1 when the load's force and moment both
+    lie along the joint-1 axis: turning joint 1 then turns every sensitivity
+    row about that axis and leaves every bucket's information unchanged."""
+    axis = model._R_base @ model._axes[0]
+    axial = all(np.linalg.norm(v - (v @ axis) * axis) <= 1e-12 * np.linalg.norm(v)
+                for v in (wrench[:3], wrench[3:]))
+    return tuple(j for j in _FREE_JOINTS if j != 0 or not axial)
 
 
 def _random_config(rng: np.random.Generator, q2: float,
@@ -339,18 +351,19 @@ def _random_config(rng: np.random.Generator, q2: float,
     return q
 
 
-def _candidate_grid(joint: int, centre: float, span: float,
-                    constraints: PlanConstraints, n_grid: int) -> np.ndarray:
-    if joint == 0:
-        pts: List[float] = []
-        for lo, hi in constraints.q1_windows():
-            c = min(max(centre, lo), hi)
-            g = np.linspace(max(lo, c - span), min(hi, c + span), n_grid)
-            pts.extend(g.tolist())
-        return np.unique(np.array(pts))
-    lo, hi = constraints.joint_limits_rad[joint]
-    c = min(max(centre, lo), hi)
-    return np.unique(np.linspace(max(lo, c - span), min(hi, c + span), n_grid))
+def _candidate_grids(joint: int, centres: np.ndarray, span: float,
+                     constraints: PlanConstraints, n_grid: int):
+    """Line-search grid of ``joint`` around each of ``centres``, clamped to its
+    limits (the q1 windows for joint 1), sorted, without repeats and without
+    the centre itself: ``(counts, values)``, the values centre by centre."""
+    windows = (constraints.q1_windows() if joint == 0
+               else (constraints.joint_limits_rad[joint],))
+    g = np.sort(np.concatenate([
+        np.linspace(np.maximum(lo, c - span), np.minimum(hi, c + span), n_grid, axis=-1)
+        for lo, hi in windows for c in (np.clip(centres, lo, hi),)], axis=-1), axis=-1)
+    keep = g != centres[:, None]
+    keep[:, 1:] &= g[:, 1:] != g[:, :-1]
+    return keep.sum(axis=1), g[keep]
 
 
 def optimize_plan(model: ManipulatorModel, test: TestPose,
@@ -362,11 +375,13 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                   seed: int = 0) -> OptimizedPlan:
     """Search measurement configurations minimizing the test-pose variance.
 
-    Multi-start cyclic coordinate descent: every free joint of every entry
-    is line-searched on a grid that shrinks over ``n_levels`` refinement
-    levels; joint 2 is pinned to its bucket angle and the applied load is
-    the gravity-direction wrench from ``constraints``.  Deterministic for a
-    fixed seed.
+    Multi-start cyclic coordinate descent: every searched joint of every
+    entry is line-searched on a grid that shrinks over ``n_levels``
+    refinement levels; joint 2 is pinned to its bucket angle, joint 1 keeps
+    its random draw under a load along its axis, and the applied load is the
+    gravity-direction wrench from ``constraints``.  Each step (config, joint)
+    scores the grids of every bucket of every start still improving as one
+    stack; the starts do not interact.  Deterministic for a fixed seed.
     """
     buckets = [float(b) for b in bucket_q2_rad]
     if len(buckets) < 1:
@@ -380,89 +395,78 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     wrench = constraints.wrench()
     A0 = sensitivity_rows(model, test.q, test.w,
                           include_joint1=include_joint1, tool_only=True)
-    sigma_sq = noise.sigma_mm**2
+    joints = _searched_joints(model, wrench)
     n_eval = 0
 
-    def rows_for(q: np.ndarray) -> np.ndarray:
+    def gram(q: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += q.size // 6
-        return sensitivity_rows(model, q, wrench, include_joint1=include_joint1)
+        A = sensitivity_rows(model, q, wrench, include_joint1=include_joint1)
+        return repeats * (A.swapaxes(-1, -2) @ A)
 
-    def bucket_term(M: np.ndarray):
+    def bucket_term(M: np.ndarray) -> np.ndarray:
         t = _bucket_variance(M, A0)
         return np.where(t >= 0, t, math.inf)
 
-    def descent(configs: List[List[np.ndarray]]
-                ) -> Tuple[float, float, List[List[np.ndarray]]]:
-        """(initial total, final total, configs) of one start."""
-        rows = [[rows_for(qc) for qc in bucket] for bucket in configs]
-        Ms = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows]
-        terms = [float(bucket_term(M)) for M in Ms]
-        total = start_total = sum(terms)
-        spans = []
-        for j in _FREE_JOINTS:
-            lo, hi = constraints.joint_limits_rad[j]
-            spans.append(hi - lo)
-        for level in range(n_levels):
-            improved = True
-            passes = 0
-            while improved and passes < 3:
-                improved = False
-                passes += 1
-                for b in range(len(configs)):
-                    for c in range(configs_per_bucket):
-                        for fj, j in enumerate(_FREE_JOINTS):
-                            q_cur = configs[b][c]
-                            span = spans[fj] / (2.0 * max(n_grid - 1, 1))**level
-                            grid = _candidate_grid(j, q_cur[j], span,
-                                                   constraints, n_grid)
-                            grid = grid[grid != q_cur[j]]
-                            if not grid.size:
-                                continue
-                            base_M = Ms[b] - repeats * (rows[b][c].T @ rows[b][c])
-                            # score the whole grid as one stack, pick in grid order
-                            q_try = np.repeat(q_cur[None], grid.size, axis=0)
-                            q_try[:, j] = grid
-                            A_try = rows_for(q_try)
-                            M_try = base_M + repeats * (A_try.swapaxes(1, 2) @ A_try)
-                            t_try = bucket_term(M_try)
-                            best_val, best = total, None
-                            for k, val in enumerate((total - terms[b] + t_try).tolist()):
-                                if val < best_val - 1e-15:
-                                    best_val, best = val, k
-                            if best is not None:
-                                configs[b][c] = q_try[best]
-                                rows[b][c] = A_try[best]
-                                Ms[b] = M_try[best]
-                                terms[b] = float(t_try[best])
-                                total = best_val
-                                improved = True
-        return start_total, total, configs
-
-    best_total = math.inf
-    best_configs: Optional[List[List[np.ndarray]]] = None
-    start_values: List[float] = []
-    for start in range(n_starts):
-        rng = np.random.default_rng((seed, start))
-        configs = [[_random_config(rng, b, constraints)
-                    for _ in range(configs_per_bucket)]
-                   for b in layout.bucket_q2_rad]
-        start_total, total, configs = descent(configs)
-        start_values.append(sigma_sq * start_total)
-        if total < best_total:
-            best_total = total
-            best_configs = configs
-    if best_configs is None:
+    # (start, bucket, config, 6) poses, their repeats * A^T A, and each bucket's sum
+    configs = np.array([[[_random_config(rng, b, constraints)
+                          for _ in range(configs_per_bucket)]
+                         for b in layout.bucket_q2_rad]
+                        for rng in (np.random.default_rng((seed, s))
+                                    for s in range(n_starts))])
+    G = gram(configs)
+    Ms = sum(G[:, :, c] for c in range(configs_per_bucket))
+    terms = bucket_term(Ms).tolist()
+    totals = [sum(t) for t in terms]
+    start_values = tuple(noise.sigma_mm**2 * t for t in totals)
+    for level in range(n_levels):
+        scale = (2.0 * max(n_grid - 1, 1))**level
+        improved, passes = [True] * n_starts, [0] * n_starts
+        while active := [s for s in range(n_starts) if improved[s] and passes[s] < 3]:
+            for s in active:
+                improved[s] = False
+                passes[s] += 1
+            for c in range(configs_per_bucket):
+                for j in joints:
+                    lo, hi = constraints.joint_limits_rad[j]
+                    q_cur = configs[active][:, :, c].reshape(-1, 6)
+                    counts, grid = _candidate_grids(j, q_cur[:, j], (hi - lo) / scale,
+                                                    constraints, n_grid)
+                    if not grid.size:
+                        continue
+                    q_try = np.repeat(q_cur, counts, axis=0)
+                    q_try[:, j] = grid
+                    G_try = gram(q_try)
+                    base = (Ms[active] - G[active][:, :, c]).reshape((-1,) + Ms.shape[-2:])
+                    M_try = np.repeat(base, counts, axis=0) + G_try
+                    t_try = bucket_term(M_try).tolist()
+                    stop = 0
+                    for (s, b), size in zip(product(active, range(layout.n_buckets)),
+                                            counts.tolist()):
+                        k0, stop = stop, stop + size
+                        best_val, best = totals[s], None
+                        rest = totals[s] - terms[s][b]
+                        for k in range(k0, stop):
+                            val = rest + t_try[k]
+                            if val < best_val - 1e-15:
+                                best_val, best = val, k
+                        if best is not None:
+                            configs[s, b, c] = q_try[best]
+                            G[s, b, c] = G_try[best]
+                            Ms[s, b] = M_try[best]
+                            terms[s][b] = t_try[best]
+                            totals[s] = best_val
+                            improved[s] = True
+    finite = [s for s, total in enumerate(totals) if total < math.inf]
+    if not finite:
         raise IdentifiabilityError(
             "no random start reached a finite design metric: every plan tried "
             "leaves some joint-2 bucket unidentifiable")
-    entries = []
-    for b, bucket in enumerate(best_configs):
-        for qc in bucket:
-            entries.append(PlanEntry(tuple(qc), tuple(wrench), repeats))
-    plan = CalibrationPlan(tuple(entries))
+    best_start = min(finite, key=totals.__getitem__)
+    plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
+                                 for bucket in configs[best_start] for qc in bucket))
     acc = test_pose_accuracy(model, plan, test, noise, layout=layout,
                              include_joint1=include_joint1)
-    return OptimizedPlan(plan=plan, accuracy=acc,
-                         start_values_mm2=tuple(start_values),
-                         n_evaluations=n_eval)
+    return OptimizedPlan(plan=plan, accuracy=acc, start_values_mm2=start_values,
+                         n_evaluations=n_eval,
+                         searched_joints=tuple(j + 1 for j in joints))

@@ -189,9 +189,8 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     n = len(records)
     if n == 0:
         raise DataLayoutError("no deflection records to regress on")
-    B = np.zeros((3 * n, layout.n_params))
-    y = np.zeros(3 * n)
-    blocks = {}
+    first = {}       # distinct (pose, wrench, bucket) -> its first record
+    keys = []
     for i, rec in enumerate(records):
         m = rec.marker_id
         if not 0 <= m < len(model.markers):
@@ -200,12 +199,14 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
                 f"0..{len(model.markers) - 1}")
         bucket = layout.bucket_of(float(rec.q_rad[1]), context=f"record {i}")
         key = (tuple(np.round(rec.q_rad, 12)), tuple(rec.wrench), bucket)
-        if key not in blocks:
-            blocks[key] = layout.place(sensitivity_rows(
-                model, rec.q_rad, rec.wrench, include_joint1=True), bucket)
-        B[3 * i:3 * i + 3] = blocks[key][3 * m:3 * m + 3]
-        y[3 * i:3 * i + 3] = rec.deflection_mm
-    return B, y
+        first.setdefault(key, rec)
+        keys.append(key)
+    rows = sensitivity_rows(model, [r.q_rad for r in first.values()],
+                            [r.wrench for r in first.values()], include_joint1=True)
+    blocks = {key: layout.place(A, key[2]) for key, A in zip(first, rows)}
+    B = np.concatenate([blocks[key][3 * r.marker_id:3 * r.marker_id + 3]
+                        for key, r in zip(keys, records)])
+    return B, np.concatenate([r.deflection_mm for r in records])
 
 
 @dataclass

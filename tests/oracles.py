@@ -129,3 +129,95 @@ def hessian_theta_loop(st, loading, tool_wrench):
         U += 0.5 * np.triu(W @ np.cross(W, w[3:]).T, 1)
         H += U + np.triu(U, 1).T
     return H
+
+
+def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
+                             configs_per_bucket=3, repeats=3, n_starts=20,
+                             n_grid=7, n_levels=3, seed=0):
+    """The plan search one start, one bucket, one config and one joint at a
+    time, q1 included whatever the load; returns ``(plan, rho0^2,
+    start_values_mm2, n_evaluations)``."""
+    import math
+
+    from stiffcal.doe import (_FREE_JOINTS, CalibrationPlan, PlanEntry,
+                              _bucket_variance, _random_config, sensitivity_rows,
+                              test_pose_accuracy)
+    from stiffcal.elasto_id import ParameterLayout
+
+    layout = ParameterLayout(tuple(sorted(map(float, bucket_q2_rad), reverse=True)))
+    wrench = constraints.wrench()
+    A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
+    n_eval = 0
+
+    def rows_for(q):
+        nonlocal n_eval
+        n_eval += q.size // 6
+        return sensitivity_rows(model, q, wrench)
+
+    def bucket_term(M):
+        t = _bucket_variance(M, A0)
+        return np.where(t >= 0, t, math.inf)
+
+    def candidate_grid(joint, centre, span):
+        windows = (constraints.q1_windows() if joint == 0
+                   else (constraints.joint_limits_rad[joint],))
+        pts = []
+        for lo, hi in windows:
+            c = min(max(centre, lo), hi)
+            pts.extend(np.linspace(max(lo, c - span), min(hi, c + span), n_grid).tolist())
+        return np.unique(np.array(pts))
+
+    def descent(configs):
+        rows = [[rows_for(qc) for qc in bucket]
+                for bucket in configs]
+        Ms = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows]
+        terms = [float(bucket_term(M)) for M in Ms]
+        total = start_total = sum(terms)
+        spans = [constraints.joint_limits_rad[j][1] - constraints.joint_limits_rad[j][0]
+                 for j in _FREE_JOINTS]
+        for level in range(n_levels):
+            improved, passes = True, 0
+            while improved and passes < 3:
+                improved = False
+                passes += 1
+                for b in range(len(configs)):
+                    for c in range(configs_per_bucket):
+                        for fj, j in enumerate(_FREE_JOINTS):
+                            q_cur = configs[b][c]
+                            span = spans[fj] / (2.0 * max(n_grid - 1, 1))**level
+                            grid = candidate_grid(j, q_cur[j], span)
+                            grid = grid[grid != q_cur[j]]
+                            if not grid.size:
+                                continue
+                            base_M = Ms[b] - repeats * (rows[b][c].T @ rows[b][c])
+                            q_try = np.repeat(q_cur[None], grid.size, axis=0)
+                            q_try[:, j] = grid
+                            A_try = rows_for(q_try)
+                            M_try = base_M + repeats * (A_try.swapaxes(1, 2) @ A_try)
+                            t_try = bucket_term(M_try)
+                            best_val, best = total, None
+                            for k, val in enumerate((total - terms[b] + t_try).tolist()):
+                                if val < best_val - 1e-15:
+                                    best_val, best = val, k
+                            if best is not None:
+                                configs[b][c] = q_try[best]
+                                rows[b][c] = A_try[best]
+                                Ms[b] = M_try[best]
+                                terms[b] = float(t_try[best])
+                                total = best_val
+                                improved = True
+        return start_total, total, configs
+
+    best_total, best_configs, start_values = math.inf, None, []
+    for start in range(n_starts):
+        rng = np.random.default_rng((seed, start))
+        configs = [[_random_config(rng, b, constraints) for _ in range(configs_per_bucket)]
+                   for b in layout.bucket_q2_rad]
+        start_total, total, configs = descent(configs)
+        start_values.append(noise.sigma_mm**2 * start_total)
+        if total < best_total:
+            best_total, best_configs = total, configs
+    plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
+                                 for bucket in best_configs for qc in bucket))
+    acc = test_pose_accuracy(model, plan, test, noise, layout=layout)
+    return plan, acc.rho0_sq_mm2, tuple(start_values), n_eval

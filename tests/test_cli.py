@@ -130,6 +130,7 @@ class TestPipelineRoundTrip:
         acc = _load_json(doe / "doe.json")
         assert acc["rho0_mm"] > 0
         assert len(acc["per_bucket_mm2"]) == 4
+        assert acc["searched_joints"] == [3, 4, 5, 6]   # q1 idle under the -z load
 
         sim = tmp_path / "rec"
         rc = main(["simulate", "deflections", "--model", str(model_path),
@@ -149,6 +150,16 @@ class TestPipelineRoundTrip:
         assert by_name["k3"]["value"] == pytest.approx(tv["k3"], rel=0.05)
         assert by_name["Kc"]["value"] == pytest.approx(tv["Kc"], rel=0.5)
         assert len(payload["joint2_buckets_deg"]) == 4
+
+    def test_doe_output_bytes_repeat(self, tmp_path, model_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["doe", "--model", str(model_path),
+                         "--test-q=79.20,-0.01,-5.57,51.00,-97.52,-91.67",
+                         "--buckets=-0.01,-90,-140", "--out", str(out),
+                         "--starts", "3", "--configs-per-bucket", "2"]) == 0
+        for name in ("plan.csv", "doe.json", "bucket_contributions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_predict(self, tmp_path, model_path):
         out = tmp_path / "pred"

@@ -1,9 +1,13 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oracles import optimize_plan_sequential
 from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, spread_plan
+from stiffcal import doe
 from stiffcal.doe import (
     CalibrationPlan,
     NoiseModel,
@@ -17,10 +21,12 @@ from stiffcal.doe import (
     sensitivity_rows,
     _bucket_informations,
     _bucket_variance,
+    _random_config,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
 from stiffcal.elasto_id import DeflectionRecord, ParameterLayout, build_regressor
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
+from stiffcal.robot import FrameSpec
 
 CONSTRAINTS = PlanConstraints(
     joint_limits_rad=tuple((math.radians(a), math.radians(b))
@@ -318,6 +324,100 @@ class TestOptimizer:
         np.testing.assert_allclose(q, expected, rtol=1e-12, atol=0.0)
         assert opt.accuracy.rho0_sq_mm2 == pytest.approx(0.0048589076105281645,
                                                          rel=1e-12)
+
+    SMALL = dict(configs_per_bucket=2, repeats=1, n_grid=5, n_levels=2)
+    BUCKETS3 = tuple(np.radians((-0.01, -70.0, -140.0)))
+    TWO_WINDOWS = ((math.radians(-60.0), math.radians(-20.0)),
+                   (math.radians(10.0), math.radians(50.0)))
+    ROLLED = FrameSpec(rotation_rpy_rad=(math.pi / 2, 0.0, 0.0))   # joint 1 horizontal
+
+    def q1_draws(self, cons, seed):
+        """q1 of each entry of the first random start."""
+        rng = np.random.default_rng((seed, 0))
+        return [_random_config(rng, b, cons)[0] for b in sorted(self.BUCKETS3, reverse=True)
+                for _ in range(self.SMALL["configs_per_bucket"])]
+
+    @pytest.mark.parametrize("n_starts, windows, seed, tilt", [
+        (1, None, 3, False),            # the pinned problem
+        (3, TWO_WINDOWS, 11, False),
+        (3, TWO_WINDOWS, 11, True),     # q1 searched over both windows
+        (2, ((-1.0, -0.2), (-0.2, 0.6)), 5, True),   # windows sharing an end
+    ])
+    def test_lockstep_matches_sequential_search(self, model, test_pose,
+                                                n_starts, windows, seed, tilt):
+        """Stacking every start and bucket into one line search picks the
+        same q2..q6 as searching them one at a time, q1 included (and the
+        same q1 where it moves rho0).  The order of the buckets changes the
+        rounding of each start's running total, which can flip a pick whose
+        gain is a few ulps: on the pinned problem, entry 3's q4 lands one ulp
+        away."""
+        if tilt:
+            model = dataclasses.replace(model, base=self.ROLLED)
+        cons = PlanConstraints(CONSTRAINTS.joint_limits_rad, q1_intervals_rad=windows)
+        kw = dict(self.SMALL, n_starts=n_starts, seed=seed)
+        opt = optimize_plan(model, test_pose, self.BUCKETS3, cons, NOISE, **kw)
+        plan, rho_sq, start_values, n_eval = optimize_plan_sequential(
+            model, test_pose, self.BUCKETS3, cons, NOISE, **kw)
+        q = np.array([e.q_rad for e in opt.plan.entries])
+        q_seq = np.array([e.q_rad for e in plan.entries])
+        first = 0 if tilt else 1
+        np.testing.assert_allclose(q[:, first:], q_seq[:, first:], rtol=1e-12, atol=0.0)
+        assert opt.accuracy.rho0_sq_mm2 == pytest.approx(rho_sq, rel=1e-12)
+        assert opt.start_values_mm2 == start_values
+        if tilt:   # the same grids, whose sizes the counts add up
+            assert opt.n_evaluations == n_eval
+
+    def test_starts_do_not_interact(self, model, test_pose):
+        kw = dict(self.SMALL, seed=4)
+        two = optimize_plan(model, test_pose, self.BUCKETS3, CONSTRAINTS, NOISE,
+                            n_starts=2, **kw)
+        four = optimize_plan(model, test_pose, self.BUCKETS3, CONSTRAINTS, NOISE,
+                             n_starts=4, **kw)
+        assert len(four.start_values_mm2) == 4
+        assert four.start_values_mm2[:2] == two.start_values_mm2
+        assert four.accuracy.rho0_sq_mm2 <= two.accuracy.rho0_sq_mm2 * (1.0 + 1e-12)
+
+    def test_q1_keeps_its_draw_under_axial_load(self, model, test_pose, tmp_path,
+                                                monkeypatch):
+        """Under the vertical load q1 cannot move rho0: plan.csv holds the
+        random draw, and no evaluated pose has a q1 off the draws."""
+        seen = []
+        rows = doe.sensitivity_rows
+
+        def recording(model, q, wrench, **kw):
+            if not kw.get("tool_only"):
+                seen.append(np.reshape(q, (-1, 6)))
+            return rows(model, q, wrench, **kw)
+
+        monkeypatch.setattr(doe, "sensitivity_rows", recording)
+        cons = PlanConstraints(CONSTRAINTS.joint_limits_rad,
+                               q1_intervals_rad=self.TWO_WINDOWS)
+        opt = optimize_plan(model, test_pose, self.BUCKETS3, cons, NOISE,
+                            n_starts=1, seed=2, **self.SMALL)
+        assert opt.searched_joints == (3, 4, 5, 6)
+        draws = self.q1_draws(cons, seed=2)
+        save_plan_csv(tmp_path / "plan.csv", opt.plan)
+        with open(tmp_path / "plan.csv", newline="") as fh:
+            q1_deg = [row["q1_deg"] for row in csv.DictReader(fh)]
+        assert q1_deg == [f"{math.degrees(v):.10g}" for v in draws]
+        # the last recorded call scores the final plan; the rest are the search's
+        evaluated = np.concatenate(seen[:-1])
+        assert len(evaluated) == opt.n_evaluations
+        assert set(evaluated[:, 0].tolist()) == set(draws)
+
+    def test_q1_searched_when_its_axis_is_horizontal(self, model, test_pose):
+        """A base rolled by 90 deg lays joint 1 horizontal: the vertical load
+        then has a lever about it, so q1 is searched, inside its windows."""
+        tilted = dataclasses.replace(model, base=self.ROLLED)
+        cons = PlanConstraints(CONSTRAINTS.joint_limits_rad,
+                               q1_intervals_rad=self.TWO_WINDOWS)
+        opt = optimize_plan(tilted, test_pose, self.BUCKETS3, cons, NOISE,
+                            n_starts=1, seed=2, **self.SMALL)
+        assert opt.searched_joints == (1, 3, 4, 5, 6)
+        draws = self.q1_draws(cons, seed=2)
+        q1 = [e.q_rad[0] for e in opt.plan.entries]
+        assert q1 != draws
+        assert all(any(lo <= v <= hi for lo, hi in self.TWO_WINDOWS) for v in q1)
 
     def test_respects_limits_and_pinned_q2(self, model, test_pose):
         windows = ((math.radians(-30.0), math.radians(30.0)),)
