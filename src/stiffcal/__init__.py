@@ -37,7 +37,8 @@ from .elasto_id import (CompliancesFit, DeflectionRecord, ElastoCI,
 from .stiffness import (CartesianStiffness, EquilibriumState,
                         cartesian_stiffness, compensate_target,
                         joint_stiffness_matrix, predict_marker_deflections,
-                        predict_tool_deflection, solve_equilibrium)
+                        predict_tool_deflection, solve_equilibria,
+                        solve_equilibrium)
 from .doe import (CalibrationPlan, NoiseModel, OptimizedPlan, PlanConstraints,
                   PlanEntry, TestPose, load_plan_csv, optimize_plan,
                   parameter_covariance, save_plan_csv, test_pose_accuracy)

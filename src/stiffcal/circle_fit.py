@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AngleDirectionError, DegenerateGeometryError
+from .transforms import dot_rows
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,57 @@ class ConcentricFit:
 
 
 def _procrustes_once(p: np.ndarray, u: np.ndarray):
-    """Best similarity (scale mu > 0, proper rotation R, shift t) of u onto p."""
-    pbar = p.mean(axis=0)
+    """Best similarity (scale mu > 0, proper rotation R, shift t) of u (m, 2)
+    onto p (..., m, 2), for each leading index of ``p``: ``(mu, R, t, F, ok)``
+    with F the residual sum of squares and ``ok`` False where the angle
+    embedding is rank deficient (the other outputs are then meaningless)."""
+    pbar = p.mean(axis=-2)
     ubar = u.mean(axis=0)
-    ph = p - pbar
+    ph = p - pbar[..., None, :]
     uh = u - ubar
     D = uh.T @ ph  # sum of outer products u_i p_i^T
     U, sv, Vt = np.linalg.svd(D)
-    if sv[0] <= 0.0 or sv[1] / sv[0] < 1e-12:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((sv[..., 0] <= 0.0) | (sv[..., 1] / sv[..., 0] < 1e-12))
+    V = Vt.swapaxes(-1, -2)
+    d = np.sign(np.linalg.det(V @ U.swapaxes(-1, -2)))
+    flip = np.zeros(d.shape + (2, 2))
+    flip[..., 0, 0] = 1.0
+    flip[..., 1, 1] = d
+    R = V @ flip @ U.swapaxes(-1, -2)
+    denom = float((uh * uh).sum())
+    RD = R @ D
+    mu = (RD[..., 0, 0] + RD[..., 1, 1]) / denom
+    resid = ph - mu[..., None, None] * (uh @ R.swapaxes(-1, -2))
+    F = (resid * resid).reshape(resid.shape[:-2] + (-1,)).sum(axis=-1)
+    t = pbar - mu[..., None] * (R @ ubar)
+    return mu, R, t, F, ok
+
+
+def _embed(a: np.ndarray, sign: int) -> np.ndarray:
+    return np.column_stack([np.cos(sign * a), np.sin(sign * a)])
+
+
+def _fit_signed(p: np.ndarray, a: np.ndarray, sign: int):
+    """Procrustes fit with a fixed angle sign of each point set in ``p``
+    (..., m, 2): ``(mu, R, t, F)``.  Raises if any set is degenerate, fits
+    the mirrored convention far better (a sign mismatch, not noise) or gets
+    a non-positive radius."""
+    mu, R, t, F, ok = _procrustes_once(p, _embed(a, sign))
+    if not ok.all():
         raise DegenerateGeometryError(
             "angle embedding is rank deficient (angles span a degenerate arc)")
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    R = V @ np.diag([1.0, d]) @ U.T
-    denom = float((uh * uh).sum())
-    mu = float(np.trace(R @ D)) / denom
-    resid = ph - mu * (uh @ R.T)
-    F = float((resid * resid).sum())
-    t = pbar - mu * (R @ ubar)
+    # Diagnose an angle-direction mismatch: the mirrored convention
+    # fitting far better than the requested one is not noise.
+    *_, F_mirror, ok_mirror = _procrustes_once(p, _embed(a, -sign))
+    F_mirror = np.where(ok_mirror, F_mirror, np.inf)
+    scale = np.maximum(1.0, np.abs(mu))
+    if np.any((F > 4.0 * F_mirror) & (np.sqrt(F / a.shape[0]) > 1e-9 * scale)):
+        raise AngleDirectionError(
+            "angles rotate opposite to the data; refit with the sign of the "
+            f"angles flipped (angle_sign={-sign})")
+    if np.any(mu <= 0.0):
+        raise DegenerateGeometryError("non-positive fitted radius: degenerate data")
     return mu, R, t, F
 
 
@@ -110,39 +144,24 @@ def fit_circle_procrustes(points, angles_rad, angle_sign="auto") -> CircleFit:
     if np.ptp(a) < 1e-12:
         raise DegenerateGeometryError("all angles equal: circle fit is rank deficient")
 
-    def embed(sign):
-        return np.column_stack([np.cos(sign * a), np.sin(sign * a)])
-
     if angle_sign == "auto":
         fits = {}
         for sign in (1, -1):
-            try:
-                fits[sign] = _procrustes_once(p, embed(sign))
-            except DegenerateGeometryError:
-                pass
+            mu, R, t, F, ok = _procrustes_once(p, _embed(a, sign))
+            if ok:
+                fits[sign] = (float(mu), R, t, float(F))
         if not fits:
             raise DegenerateGeometryError("circle fit degenerate for either angle direction")
         sign = min(fits, key=lambda s: (fits[s][3], -s))
         mu, R, t, F = fits[sign]
+        if mu <= 0.0:
+            raise DegenerateGeometryError("non-positive fitted radius: degenerate data")
     else:
         sign = int(angle_sign)
         if sign not in (1, -1):
             raise ValueError("angle_sign must be +1, -1 or 'auto'")
-        mu, R, t, F = _procrustes_once(p, embed(sign))
-        # Diagnose an angle-direction mismatch: the mirrored convention
-        # fitting far better than the requested one is not noise.
-        try:
-            F_mirror = _procrustes_once(p, embed(-sign))[3]
-        except DegenerateGeometryError:
-            F_mirror = np.inf
-        scale = max(1.0, abs(mu))
-        if F > 4.0 * F_mirror and np.sqrt(F / m) > 1e-9 * scale:
-            raise AngleDirectionError(
-                "angles rotate opposite to the data; refit with the sign of the "
-                f"angles flipped (angle_sign={-sign})")
-    if mu <= 0.0:
-        raise DegenerateGeometryError("non-positive fitted radius: degenerate data")
-    return CircleFit(center=t, radius=mu, R=R, angle_sign=sign,
+        mu, R, t, F = _fit_signed(p, a, sign)
+    return CircleFit(center=t, radius=float(mu), R=R, angle_sign=sign,
                      residual_rms=float(np.sqrt(F / m)), n_points=m)
 
 
@@ -165,6 +184,43 @@ def _validate_sets(point_sets: Sequence) -> list[np.ndarray]:
     return sets
 
 
+def _arc_centre(sets):
+    """Shared centre (..., d) and, in 3-D, rotation axis of concentric arcs,
+    each set of shape (..., m_j, d) with the same leading axes.  Raises if
+    the arcs of any leading index are degenerate."""
+    dim = sets[0].shape[-1]
+    M = np.zeros(sets[0].shape[:-2] + (dim, dim))
+    b = np.zeros(sets[0].shape[:-2] + (dim,))
+    for arr in sets:
+        ph = arr - arr.mean(axis=-2)[..., None, :]
+        sq = (arr * arr).sum(axis=-1)
+        sh = sq - sq.mean(axis=-1)[..., None]
+        phT = ph.swapaxes(-1, -2)
+        M += phT @ ph
+        b += 0.5 * (phT @ sh[..., None])[..., 0]
+    lam, vec = np.linalg.eigh(M)  # ascending eigenvalues
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dim == 2:
+            if np.any((lam[..., 1] <= 0.0) | (lam[..., 0] / lam[..., 1] < 1e-12)):
+                raise DegenerateGeometryError(
+                    "degenerate geometry: arc points are collinear or coincident")
+        elif np.any((lam[..., 2] <= 0.0) | (lam[..., 1] / lam[..., 2] < 1e-10)):
+            raise DegenerateGeometryError(
+                "rotation axis is ambiguous: arc data spans less than a plane")
+    if dim == 2:
+        return np.linalg.solve(M, b[..., None])[..., 0], None
+    axis = vec[..., :, 0]
+    big = np.take_along_axis(axis, np.argmax(np.abs(axis), axis=-1)[..., None], -1)
+    axis = np.where(big < 0.0, -axis, axis)
+    # Solve within the row space (the in-plane components), then fix the
+    # along-axis component from the overall centroid.
+    v1, v2 = vec[..., :, 1], vec[..., :, 2]
+    p_c = (dot_rows(v1, b) / lam[..., 1])[..., None] * v1 \
+        + (dot_rows(v2, b) / lam[..., 2])[..., None] * v2
+    xi = dot_rows(axis, np.concatenate(sets, axis=-2).mean(axis=-2) - p_c)
+    return p_c + xi[..., None] * axis, axis
+
+
 def fit_concentric_arcs(point_sets: Sequence) -> ConcentricFit:
     """Fit concentric circles with a shared centre to several point sets.
 
@@ -176,35 +232,7 @@ def fit_concentric_arcs(point_sets: Sequence) -> ConcentricFit:
     arcs.  Per-set radii are root-mean-square distances to the centre.
     """
     sets = _validate_sets(point_sets)
-    dim = sets[0].shape[1]
-    M = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    allpts = np.vstack(sets)
-    for arr in sets:
-        ph = arr - arr.mean(axis=0)
-        sq = (arr * arr).sum(axis=1)
-        sh = sq - sq.mean()
-        M += ph.T @ ph
-        b += 0.5 * (ph.T @ sh)
-    lam, vec = np.linalg.eigh(M)  # ascending eigenvalues
-    if dim == 2:
-        if lam[1] <= 0.0 or lam[0] / lam[1] < 1e-12:
-            raise DegenerateGeometryError(
-                "degenerate geometry: arc points are collinear or coincident")
-        p0 = np.linalg.solve(M, b)
-        axis = None
-    else:
-        if lam[2] <= 0.0 or lam[1] / lam[2] < 1e-10:
-            raise DegenerateGeometryError(
-                "rotation axis is ambiguous: arc data spans less than a plane")
-        axis = vec[:, 0]
-        if axis[np.argmax(np.abs(axis))] < 0.0:
-            axis = -axis
-        # Solve within the row space (the in-plane components), then fix the
-        # along-axis component from the overall centroid.
-        p_c = (vec[:, 1] @ b / lam[1]) * vec[:, 1] + (vec[:, 2] @ b / lam[2]) * vec[:, 2]
-        xi = float(axis @ (allpts.mean(axis=0) - p_c))
-        p0 = p_c + xi * axis
+    p0, axis = _arc_centre(sets)
     radii = []
     ssq = 0.0
     n = 0

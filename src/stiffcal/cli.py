@@ -244,6 +244,7 @@ def _cmd_elasto_ident(args) -> int:
         "separation": {"condition": est.separation.condition,
                        "residual_rel": est.separation.residual_rel},
         "ci_samples": ci.n_samples,
+        "ci_failed": ci.n_failed,
     }
     _write_json(os.path.join(out, "elasto.json"), payload)
     K2 = est.fit.joint2_stiffnesses()

@@ -32,6 +32,9 @@ class CompensatorGeometry:
     ay_mm: float
 
     def __post_init__(self):
+        # derived once: every stiffness evaluation reads them
+        object.__setattr__(self, "_a", float(np.hypot(self.ax_mm, self.ay_mm)))
+        object.__setattr__(self, "_alpha", float(np.arctan2(self.ay_mm, self.ax_mm)))
         if not self.L_mm > 0.0:
             raise ValueError("L_mm must be > 0")
         if not self.a_mm > self.L_mm:
@@ -40,11 +43,11 @@ class CompensatorGeometry:
 
     @property
     def a_mm(self) -> float:
-        return float(np.hypot(self.ax_mm, self.ay_mm))
+        return self._a
 
     @property
     def alpha_rad(self) -> float:
-        return float(np.arctan2(self.ay_mm, self.ax_mm))
+        return self._alpha
 
 
 @dataclass(frozen=True)

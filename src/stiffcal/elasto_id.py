@@ -312,13 +312,10 @@ def separation_matrix(geometry: CompensatorGeometry, q2_rad: Sequence[float],
     return np.column_stack([np.ones_like(s), -aL * cg, (aL / s) * b])
 
 
-def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
-                         geometry: CompensatorGeometry,
-                         q2_sign: int = 1) -> CompensatorSeparation:
-    """Split per-bucket joint-2 stiffnesses into K0, Kc and s0."""
-    K2 = np.asarray(K2_Nmm_per_rad, dtype=float).reshape(-1)
-    if K2.shape[0] != layout.n_buckets:
-        raise ValueError("one joint-2 stiffness per bucket required")
+def _separation_factors(layout: ParameterLayout, geometry: CompensatorGeometry,
+                        q2_sign: int):
+    """Separation matrix of the layout's buckets and its SVD ``(C, U, s, Vt)``;
+    raises when the buckets cannot separate the compensator."""
     if layout.n_buckets < 3:
         raise IdentifiabilityError(
             f"need at least 3 distinct joint-2 angles to separate the "
@@ -329,8 +326,28 @@ def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
         raise IdentifiabilityError(
             "joint-2 angle buckets do not vary the spring geometry enough to "
             "separate the compensator constants", null_directions=Vt[-1:].T)
-    x = Vt.T @ ((U.T @ K2) / s)
-    if abs(x[1]) < 1e-12 * max(abs(x[0]), 1.0):
+    return C, U, s, Vt
+
+
+def _separate(factors, K2: np.ndarray):
+    """Least-squares ``x = [K0, Kc, Kc*s0]`` (..., 3) of bucket stiffnesses
+    ``K2`` (..., n_buckets), and whether each spring rate is distinguishable
+    from zero.  A stack applies the same products to each of its rows."""
+    _, U, s, Vt = factors
+    x = (Vt.T @ ((U.T @ K2[..., None])[..., 0] / s)[..., None])[..., 0]
+    return x, ~(np.abs(x[..., 1]) < 1e-12 * np.maximum(np.abs(x[..., 0]), 1.0))
+
+
+def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
+                         geometry: CompensatorGeometry,
+                         q2_sign: int = 1) -> CompensatorSeparation:
+    """Split per-bucket joint-2 stiffnesses into K0, Kc and s0."""
+    K2 = np.asarray(K2_Nmm_per_rad, dtype=float).reshape(-1)
+    if K2.shape[0] != layout.n_buckets:
+        raise ValueError("one joint-2 stiffness per bucket required")
+    factors = _separation_factors(layout, geometry, q2_sign)
+    x, ok = _separate(factors, K2)
+    if not ok:
         raise IdentifiabilityError(
             "compensator spring rate indistinguishable from zero; free length "
             "is undefined")
@@ -340,6 +357,7 @@ def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
         warnings.warn(
             f"separated constants have non-physical signs (K0={K0:.3e}, "
             f"Kc={Kc:.3e}, s0={s0:.3e})", RuntimeWarning, stacklevel=2)
+    C, _, s, _ = factors
     fit = C @ x
     nrm = float(np.linalg.norm(K2))
     return CompensatorSeparation(
@@ -419,6 +437,7 @@ class ElastoCI:
     sigma_hat_mm: float
     n_samples: int
     seed: int
+    n_failed: int = 0        # resamples left out of the spread (see below)
 
 
 def confidence_intervals_elasto(model: ManipulatorModel,
@@ -433,7 +452,11 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     reruns the separation, so the reported spread includes the nonlinear
     s0 = x3/x2 step.  Empty residuals (noise-free data) give zero widths.
     The resamples reuse the stage-one fit of ``estimate``; ``records`` are
-    only read to fit one when ``estimate`` is not given.
+    only read to fit one when ``estimate`` is not given.  Each sample draws
+    from its own seeded generator; the separation, whose factorization does
+    not depend on the sample, then runs on all samples at once.  A resample
+    fails when a joint-2 compliance is not positive or the spring rate is
+    indistinguishable from zero; more than half failing raises.
     """
     if estimate is None:
         estimate = identify_elastostatics(model, records)
@@ -446,37 +469,32 @@ def confidence_intervals_elasto(model: ManipulatorModel,
         zero = np.zeros_like(values)
         return ElastoCI(labels, values, zero, zero, sigma, n_samples, seed)
     pinv = estimate.fit.pinv
-    geom = model.compensator.geometry
-    q2_sign = model.compensator.q2_sign
     off = (1 if layout.include_joint1 else 0)
-    samples = []
-    failed = 0
+    nb = layout.n_buckets
+    k_star = np.empty((n_samples, pinv.shape[0]))
     for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        k_star = pinv @ (yhat + sigma * rng.standard_normal(yhat.shape))
-        k2 = k_star[off:off + layout.n_buckets]
-        try:
-            if np.any(k2 <= 0):
-                raise IdentifiabilityError("non-positive resampled compliance")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sep = separate_compensator(layout, 1.0 / k2, geom, q2_sign)
-        except IdentifiabilityError:
-            failed += 1
-            continue
-        row: List[float] = []
-        if layout.include_joint1:
-            row.append(k_star[0])
-        row.append(sep.k2_rad_per_Nmm)
-        row.extend(k_star[off + layout.n_buckets:off + layout.n_buckets + 4])
-        row += [sep.Kc_N_per_mm, sep.s0_mm]
-        samples.append(row)
+        noise = np.random.default_rng((seed, i)).standard_normal(yhat.shape)
+        k_star[i] = pinv @ (yhat + sigma * noise)
+    k2 = k_star[:, off:off + nb]
+    ok = ~np.any(k2 <= 0, axis=1)
+    x = np.empty((n_samples, 3))
+    try:
+        factors = _separation_factors(layout, model.compensator.geometry,
+                                      model.compensator.q2_sign)
+    except IdentifiabilityError:
+        ok[:] = False
+    else:
+        x[ok], separated = _separate(factors, 1.0 / k2[ok])
+        ok[ok] = separated
+    failed = int(n_samples - ok.sum())
     if failed > n_samples // 2:
         raise IdentifiabilityError(
             f"{failed}/{n_samples} resamples failed to separate the compensator; "
             "noise level too high for a meaningful interval")
-    arr = np.array(samples)
+    K0, Kc, s0 = x[ok, 0], x[ok, 1], x[ok, 2] / x[ok, 1]
+    cols = ([k_star[ok, 0]] if layout.include_joint1 else []) + [1.0 / K0]
+    arr = np.column_stack(cols + [k_star[ok, off + nb:off + nb + 4], Kc, s0])
     half = 3.0 * np.std(arr, axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.where(values != 0, 100.0 * half / np.abs(values), np.inf)
-    return ElastoCI(labels, values, half, pct, sigma, n_samples, seed)
+    return ElastoCI(labels, values, half, pct, sigma, n_samples, seed, failed)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_fit import CircleFit, ConcentricFit, fit_circle_procrustes, fit_concentric_arcs
+from .circle_fit import (CircleFit, ConcentricFit, _arc_centre, _fit_signed,
+                         fit_circle_procrustes, fit_concentric_arcs)
 from .errors import DataLayoutError, DegenerateGeometryError
 from .tables import read_table, write_table
 
@@ -200,22 +201,24 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     Noise-free tracks implied by the point estimate are re-noised with the
     pooled residual sigma and refit ``n_samples`` times; each sample draws
     from its own seeded generator so runs are reproducible and order
-    independent.  Zero residuals yield zero-width intervals.
+    independent, and all samples are refit as one stack.  Zero residuals
+    yield zero-width intervals.
     """
     s_crank, s_sat = residual_noise_sigma(dataset, estimate)
     if (s_crank == 0.0 and s_sat == 0.0) or n_samples < 2:
         return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples, seed)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
-    sign = estimate.crank_fit.angle_sign
-    out = np.empty((n_samples, 3))
+    crank = np.empty((n_samples,) + crank_clean.shape)
+    sats = [np.empty((n_samples,) + s.shape) for s in sats_clean]
     for i in range(n_samples):
         rng = np.random.default_rng((seed, i))
-        crank_i = crank_clean + rng.normal(0.0, s_crank, crank_clean.shape)
-        sats_i = [s + rng.normal(0.0, s_sat, s.shape) for s in sats_clean]
-        cf = fit_circle_procrustes(crank_i, dataset.q2_rad, angle_sign=sign)
-        sf = fit_concentric_arcs(sats_i)
-        a_vec = cf.center - sf.center[:2]
-        out[i] = (cf.radius, a_vec[0], a_vec[1])
-    sd = out.std(axis=0, ddof=1)
+        crank[i] = crank_clean + rng.normal(0.0, s_crank, crank_clean.shape)
+        for stack, s in zip(sats, sats_clean):
+            stack[i] = s + rng.normal(0.0, s_sat, s.shape)
+    # every sample's refit as one stack; the fixed crank sign keeps the
+    # mirror diagnostic, and any sample failing a check raises
+    radius, _, centre, _ = _fit_signed(crank, dataset.q2_rad, estimate.crank_fit.angle_sign)
+    a_vec = centre - _arc_centre(sats)[0][:, :2]
+    sd = np.column_stack([radius, a_vec]).std(axis=0, ddof=1)
     return GeometryCI(float(3.0 * sd[0]), float(3.0 * sd[1]), float(3.0 * sd[2]),
                       s_crank, s_sat, n_samples, seed)

@@ -106,10 +106,13 @@ def load_model(path: str | os.PathLike) -> ManipulatorModel:
 
     Raises :class:`ModelFileError` naming the offending field on schema or
     invariant violations; YAML syntax errors keep the parser's line/column.
+    Parses with libyaml when PyYAML was built with it; both safe loaders
+    share one constructor, so the document is the same.
     """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

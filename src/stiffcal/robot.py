@@ -133,6 +133,8 @@ class ManipulatorModel:
         self._p_base = self.base.translation_mm
         self._R_tool = self.tool.rotation()
         self._p_tool = self.tool.translation_mm
+        # configuration independent (see gravity_loading), so built once
+        self._gravity_loading = gravity_loading(self)
 
     @property
     def compliances(self) -> np.ndarray:
@@ -163,6 +165,9 @@ class ChainState:
     tool_R: np.ndarray
 
 
+_EYE3 = np.eye(3)
+
+
 def chain_state(model: ManipulatorModel, q, theta) -> ChainState:
     """Evaluate every frame of the elastic chain at ``(q, theta)``, each of
     shape (..., 6); their broadcast batch axes lead every frame."""
@@ -173,25 +178,25 @@ def chain_state(model: ManipulatorModel, q, theta) -> ChainState:
     # Rodrigues formula of all six joints at once, term for term as rot_axis.
     angle = (q + theta)[..., None, None]
     c = np.cos(angle)
-    rot = c * np.eye(3) + np.sin(angle) * model._axis_K + (1.0 - c) * model._axis_kk
+    rot = c * _EYE3 + np.sin(angle) * model._axis_K + (1.0 - c) * model._axis_kk
     batch = rot.shape[:-3]
     R, p = model._R_base, model._p_base
-    joint_p = np.empty(batch + (6, 3))
-    joint_axis = np.empty(batch + (6, 3))
     node_p = np.empty(batch + (7, 3))
-    node_R = np.empty(batch + (6, 3, 3))
+    # frame before each joint's rotation: the base, then nodes 1..5
+    frames = np.empty(batch + (7, 3, 3))
     node_p[..., 0, :] = p
+    frames[..., 0, :, :] = R
     for i in range(6):
-        joint_p[..., i, :] = p
-        joint_axis[..., i, :] = R @ model._axes[i]
         R = R @ rot[..., i, :, :]
         p = R @ model._link_p[i] + p
         R = R @ model._link_R[i]
         node_p[..., i + 1, :] = p
-        node_R[..., i, :, :] = R
+        frames[..., i + 1, :, :] = R
+    joint_axis = (frames[..., :6, :, :] @ model._axes[:, :, None])[..., 0]
     tool_R = R @ model._R_tool
     tool_p = R @ model._p_tool + p
-    return ChainState(q, theta, joint_p, joint_axis, node_p, node_R, tool_p, tool_R)
+    return ChainState(q, theta, node_p[..., :6, :], joint_axis, node_p,
+                      frames[..., 1:, :, :], tool_p, tool_R)
 
 
 def fk(model: ManipulatorModel, q, theta=None) -> Pose:
@@ -203,14 +208,15 @@ def fk(model: ManipulatorModel, q, theta=None) -> Pose:
 
 
 def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
-    """World positions of the tool-mounted markers, shape (n_markers, 3)."""
+    """World positions of the tool-mounted markers, shape (..., n_markers, 3)
+    for ``q`` and ``theta`` of shape (..., 6)."""
     if theta is None:
         theta = np.zeros(6)
     st = chain_state(model, q, theta)
     if not model.markers:
-        return np.empty((0, 3))
+        return np.empty(st.tool_p.shape[:-1] + (0, 3))
     offs = np.stack(model.markers)
-    return (st.tool_R @ offs.T).T + st.tool_p
+    return (st.tool_R @ offs.T).swapaxes(-1, -2) + st.tool_p[..., None, :]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,12 +249,14 @@ class NodeLoading:
     """
 
     wrenches: np.ndarray
+    loaded_nodes: tuple = field(init=False, repr=False, compare=False)  # 1..6, nonzero
 
     def __post_init__(self):
         w = np.asarray(self.wrenches, dtype=float)
         if w.shape != (7, 6):
             raise ValueError(f"wrenches must have shape (7, 6), got {w.shape}")
         self.wrenches = w
+        self.loaded_nodes = tuple(j for j in range(1, 7) if w[j].any())
 
     def total_force(self) -> np.ndarray:
         return self.wrenches[:, :3].sum(axis=0)
@@ -281,23 +289,28 @@ def gravity_loading(model: ManipulatorModel, q=None, theta=None) -> NodeLoading:
 
 
 def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrench):
-    """Point Jacobians ``J`` (P, 6, 6) and wrenches ``W`` (P, 6) of each loaded
-    node (1..6) and then the tool, from one stacked ``_point_jacobian`` call
-    at the single chain state ``st``; node ``j`` keeps only its first ``j``
-    columns.  Nothing loaded gives empty stacks."""
-    nodes = [] if loading is None else [j for j in range(1, 7) if loading.wrenches[j].any()]
-    points = [st.node_p[j] for j in nodes]
-    W = [loading.wrenches[j] for j in nodes]
+    """Point Jacobians ``J`` (P, ..., 6, 6) and wrenches ``W`` (P, ..., 6) of
+    each loaded node (1..6) and then the tool, from one stacked
+    ``_point_jacobian`` call at the chain state ``st``, whose batch axes
+    ``...`` the tool wrench (..., 6) may share; node ``j`` keeps only its
+    first ``j`` columns.  The loaded nodes do not depend on the pose, since
+    the node wrenches do not (:func:`gravity_loading`).  Nothing loaded gives
+    empty stacks."""
+    batch = st.tool_p.shape[:-1]
+    loaded = [] if loading is None else [(j, st.node_p[..., j, :], loading.wrenches[j])
+                                         for j in loading.loaded_nodes]
     if tool_wrench is not None:
-        nodes.append(6)
-        points.append(st.tool_p)
-        W.append(np.asarray(tool_wrench, dtype=float))
-    if not nodes:
-        return np.empty((0, 6, 6)), np.empty((0, 6))
-    J = _point_jacobian(st, np.array(points), 6)
-    for k, n in enumerate(nodes):
-        J[k, :, n:] = 0.0
-    return J, np.array(W)
+        loaded.append((6, st.tool_p, tool_wrench))
+    points = np.empty((len(loaded),) + batch + (3,))
+    W = np.empty((len(loaded),) + batch + (6,))
+    if not loaded:
+        return np.empty((0,) + batch + (6, 6)), W
+    for i, (_, p, w) in enumerate(loaded):
+        points[i], W[i] = p, w
+    J = _point_jacobian(st, points, 6)
+    for i, (n, _, _) in enumerate(loaded):
+        J[i, ..., n:] = 0.0
+    return J, W
 
 
 def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[NodeLoading],
@@ -306,6 +319,8 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
 
     Computes ``sum_j J_j(theta)^T G_j + J_tool^T F`` at the chain state
     ``st``; this is the right-hand side of the static equilibrium balance.
+    A stacked ``st`` takes a tool wrench per pose (..., 6) or one for all,
+    and gives torques (..., 6).
     """
     J, W = _loaded_jacobians(st, loading, tool_wrench)
     return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)

@@ -22,7 +22,7 @@ from .elasto_id import DeflectionRecord
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
 from .robot import ManipulatorModel, marker_positions
-from .stiffness import predict_marker_deflections, solve_equilibrium
+from .stiffness import predict_marker_deflections, solve_equilibria
 
 # Tracker targets bolted to the spring cylinder, in the pivot frame whose
 # x axis points from the pivot towards the crank pin (mm).
@@ -110,35 +110,39 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
     """
     if response not in ("nonlinear", "linear"):
         raise ValueError(f"unknown response model: {response!r}")
-    comp = model.compensator
-    records: List[DeflectionRecord] = []
     n_mark = len(model.markers)
     if n_mark == 0:
         raise ValueError("model defines no markers to measure")
-    for i, entry in enumerate(plan.entries):
-        q = entry.q
-        w = entry.w
-        if response == "linear":
-            defl = predict_marker_deflections(model, comp, q, w)
-        else:
-            st0 = solve_equilibrium(model, comp, q,
-                                    include_gravity=include_gravity)
-            st1 = solve_equilibrium(model, comp, q, tool_wrench=w,
-                                    include_gravity=include_gravity)
-            if not (st0.converged and st1.converged):
-                raise ConvergenceError(
-                    f"equilibrium did not converge for plan entry {i} "
-                    f"(q2={math.degrees(q[1]):.1f} deg)")
-            defl = (marker_positions(model, q, st1.theta)
-                    - marker_positions(model, q, st0.theta))
-        rng = np.random.default_rng((seed, i))
+    comp = model.compensator
+    entries = plan.entries
+    q = np.array([e.q for e in entries])
+    w = np.array([e.w for e in entries])
+    if response == "linear":
+        defl = predict_marker_deflections(model, comp, q, w)
+    else:
+        # the unloaded equilibria of every entry, then the loaded ones
+        q_both = np.concatenate([q, q])
+        st = solve_equilibria(model, comp, q_both, np.concatenate([np.zeros_like(w), w]),
+                              include_gravity=include_gravity)
+        n = len(entries)
+        bad = np.flatnonzero(~(st.converged[:n] & st.converged[n:]))
+        if bad.size:
+            i = int(bad[0])
+            raise ConvergenceError(
+                f"equilibrium did not converge for plan entry {i} "
+                f"(q2={math.degrees(q[i, 1]):.1f} deg)")
+        pos = marker_positions(model, q_both, st.theta)
+        defl = pos[n:] - pos[:n]
+    records: List[DeflectionRecord] = []
+    for i, entry in enumerate(entries):
+        d = defl[i][None].repeat(entry.repeats, axis=0)
+        if noise_mm > 0.0:
+            # two 3-axis draws per record, in record order, as one call
+            e = np.random.default_rng((seed, i)).standard_normal((entry.repeats, n_mark, 2, 3))
+            d = d + noise_mm * (e[:, :, 0] - e[:, :, 1])
         for rep in range(entry.repeats):
             for m in range(n_mark):
-                d = defl[m]
-                if noise_mm > 0.0:
-                    d = d + noise_mm * (rng.standard_normal(3)
-                                        - rng.standard_normal(3))
                 records.append(DeflectionRecord(
-                    q_rad=q, wrench=w, marker_id=m,
-                    deflection_mm=d, repeat=rep))
+                    q_rad=q[i], wrench=w[i], marker_id=m,
+                    deflection_mm=d[rep, m], repeat=rep))
     return records

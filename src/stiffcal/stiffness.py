@@ -8,7 +8,8 @@ with ``K_th`` the diagonal joint stiffness matrix (joint 2 gets its
 compensator-equivalent value), ``G_j`` the lumped gravity wrenches and ``F``
 the external tool wrench.  Two solver modes:
 
-* primal -- F is known, iterate the damped fixed point for theta;
+* primal -- F is known, iterate the damped fixed point for theta, for a
+  stack of poses at once (:func:`solve_equilibria`);
 * dual -- the loaded tool pose is prescribed and the wrench F sustaining it
   is the unknown, solved by the alternating update that also yields theta.
 
@@ -26,9 +27,9 @@ import numpy as np
 from .compensator import CompensatorParams, equivalent_joint_stiffness
 from .doe import sensitivity_rows
 from .errors import SingularConfigurationError
-from .robot import (ManipulatorModel, Pose, chain_state, gravity_loading,
-                    hessian_theta, load_torques, _point_jacobian)
-from .transforms import pose_difference, rot_from_rotvec
+from .robot import (ManipulatorModel, Pose, chain_state, hessian_theta, load_torques,
+                    _point_jacobian)
+from .transforms import dot_rows, pose_difference, rot_from_rotvec
 
 _POSITION_TOL_MM = 1e-9
 _THETA_TOL_RAD = 1e-12
@@ -42,7 +43,7 @@ def joint_stiffness_matrix(model: ManipulatorModel,
     Only the joint-2 entry depends on the configuration: with a compensator
     attached it becomes the equivalent stiffness of spring-plus-linkage at
     q2.  Zero compliances cannot be represented ("infinite stiffness
-    unsupported in inverse form").
+    unsupported in inverse form").  ``q`` of shape (..., 6) gives (..., 6, 6).
     """
     q = np.asarray(q, dtype=float)
     k = model.compliances
@@ -51,15 +52,22 @@ def joint_stiffness_matrix(model: ManipulatorModel,
         raise SingularConfigurationError(
             f"zero compliance at joint(s) {bad}: infinite stiffness unsupported "
             "in inverse form")
-    K = np.diag(1.0 / k)
+    K = np.zeros(q.shape[:-1] + (36,))
+    K[..., ::7] = 1.0 / k
+    K = K.reshape(q.shape[:-1] + (6, 6))
     if compensator is not None:
-        K[1, 1] = equivalent_joint_stiffness(compensator, 1.0 / k[1], q[1])
+        K[..., 1, 1] = equivalent_joint_stiffness(compensator, 1.0 / k[1], q[..., 1])
     return K
 
 
 @dataclass
 class EquilibriumState:
-    """Solver output: deflections, sustaining wrench, loaded pose."""
+    """Solver output: deflections, sustaining wrench, loaded pose.
+
+    :func:`solve_equilibria` fills every field with a stack, one entry per
+    pose (``converged``, ``iterations`` and the residuals as arrays (N,));
+    :func:`solve_equilibrium` gives one pose with scalar fields.
+    """
 
     q: np.ndarray
     theta: np.ndarray
@@ -80,9 +88,14 @@ class CartesianStiffness:
     theta: np.ndarray
 
 
-def _wrench_residual_rel(K: np.ndarray, theta: np.ndarray, tau: np.ndarray) -> float:
-    r = K @ theta - tau
-    return float(np.linalg.norm(r) / max(1.0, np.linalg.norm(tau)))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``x`` (..., n)."""
+    return np.sqrt(dot_rows(x, x))
+
+
+def _wrench_residual_rel(K: np.ndarray, theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    r = (K @ theta[..., None])[..., 0] - tau
+    return _norms(r) / np.maximum(1.0, _norms(tau))
 
 
 def _check_jacobian(J: np.ndarray) -> None:
@@ -103,46 +116,96 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     mode: find the wrench that holds the tool at that pose).  Convergence:
     deflection update below 1e-12 rad or position residual below 1e-9 mm,
     capped at ``max_iter`` iterations (the state is then flagged, not
-    raised).
+    raised).  The primal mode is the stacked solver of
+    :func:`solve_equilibria` on a stack of one.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffness_matrix(model, compensator, q)
-    loading = gravity_loading(model) if include_gravity else None
+    loading = model._gravity_loading if include_gravity else None
     if target is not None and tool_wrench is not None:
         raise ValueError("pass either tool_wrench (primal) or target (dual), not both")
     if target is not None:
         return _solve_dual(model, q, K, loading, target, max_iter)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
+    st = _solve_primal(model, q[None], K[None], loading, F[None], max_iter)
+    return EquilibriumState(q=q, theta=st.theta[0], tool_wrench=F,
+                            pose=Pose(st.pose.p[0], st.pose.R[0]),
+                            converged=bool(st.converged[0]),
+                            iterations=int(st.iterations[0]), residual_position_mm=0.0,
+                            residual_wrench_rel=float(st.residual_wrench_rel[0]))
+
+
+def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorParams],
+                     q, tool_wrench, include_gravity: bool = True,
+                     max_iter: int = _MAX_ITER) -> EquilibriumState:
+    """Primal equilibria of a stack of poses ``q`` (N, 6) under tool wrenches
+    (N, 6), all in one damped fixed point.
+
+    Each pose keeps its own step damping, convergence test and iteration
+    count, and leaves the stack once it has converged, so its result is the
+    one it gets solved alone.  Returns a stacked :class:`EquilibriumState`.
+    """
+    q = np.asarray(q, dtype=float)
+    K = joint_stiffness_matrix(model, compensator, q)
+    loading = model._gravity_loading if include_gravity else None
+    F = np.asarray(tool_wrench, dtype=float)
     return _solve_primal(model, q, K, loading, F, max_iter)
 
 
 def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
-    theta = np.zeros(6)
+    n = q.shape[0]
+    theta = np.zeros((n, 6))
     st = chain_state(model, q, theta)
     tau = load_torques(model, st, loading, F)
     res = _wrench_residual_rel(K, theta, tau)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        theta_star = np.linalg.solve(K, tau)
-        lam = 1.0
-        while True:
-            cand = theta + lam * (theta_star - theta)
-            st_c = chain_state(model, q, cand)
-            tau_c = load_torques(model, st_c, loading, F)
-            res_c = _wrench_residual_rel(K, cand, tau_c)
-            if res_c <= res or lam < 1.0 / 1024.0:
+    tool_p, tool_R = st.tool_p, st.tool_R
+    iterations = np.full(n, max_iter)
+    converged = np.zeros(n, dtype=bool)
+    # the working stack holds the poses still iterating; ``live`` maps its
+    # rows to the stack's
+    live = np.arange(n)
+    th, tu, rs, p_c, R_c, q_l, K_l, F_l = theta, tau, res, tool_p, tool_R, q, K, F
+    for it in range(1, max_iter + 1):
+        theta_star = np.linalg.solve(K_l, tu[..., None])[..., 0]
+        cand = th + (theta_star - th)   # the full step, lam = 1
+        st_c = chain_state(model, q_l, cand)
+        p_c, R_c = st_c.tool_p, st_c.tool_R
+        tau_c = load_torques(model, st_c, loading, F_l)
+        res_c = _wrench_residual_rel(K_l, cand, tau_c)
+        # a pose whose balance residual grows halves its step until the
+        # residual does not grow or lam < 1/1024
+        grew = ~(res_c <= rs)
+        if np.count_nonzero(grew):
+            damp, lam = np.flatnonzero(grew), np.ones(live.size)
+            while damp.size:
+                lam[damp] *= 0.5
+                t0 = th[damp]
+                cand[damp] = t0 + lam[damp, None] * (theta_star[damp] - t0)
+                st_d = chain_state(model, q_l[damp], cand[damp])
+                p_c[damp], R_c[damp] = st_d.tool_p, st_d.tool_R
+                tau_c[damp] = load_torques(model, st_d, loading, F_l[damp])
+                res_c[damp] = _wrench_residual_rel(K_l[damp], cand[damp], tau_c[damp])
+                damp = damp[~(res_c[damp] <= rs[damp]) & ~(lam[damp] < 1.0 / 1024.0)]
+        step = _norms(cand - th)
+        th, tu, rs = cand, tau_c, res_c
+        done = (step < _THETA_TOL_RAD) | (res_c < 1e-12)
+        if np.count_nonzero(done):
+            out = live[done]
+            theta[out], res[out] = th[done], rs[done]
+            tool_p[out], tool_R[out] = p_c[done], R_c[done]
+            iterations[out] = it
+            converged[out] = True
+            keep = ~done
+            live = live[keep]
+            if not live.size:
                 break
-            lam *= 0.5  # damp the step when the balance residual grows
-        step = float(np.linalg.norm(cand - theta))
-        theta, st, tau, res = cand, st_c, tau_c, res_c
-        if step < _THETA_TOL_RAD or res < 1e-12:
-            converged = True
-            break
-    pose = Pose(st.tool_p, st.tool_R)
-    return EquilibriumState(q=q, theta=theta, tool_wrench=np.asarray(F, dtype=float),
-                            pose=pose, converged=converged, iterations=iterations,
-                            residual_position_mm=0.0, residual_wrench_rel=res)
+            th, tu, rs, p_c, R_c = th[keep], tu[keep], rs[keep], p_c[keep], R_c[keep]
+            q_l, K_l, F_l = q_l[keep], K_l[keep], F_l[keep]
+    else:   # the poses left at the cap keep their last iterate
+        theta[live], res[live], tool_p[live], tool_R[live] = th, rs, p_c, R_c
+    return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(tool_p, tool_R),
+                            converged=converged, iterations=iterations,
+                            residual_position_mm=np.zeros(n), residual_wrench_rel=res)
 
 
 def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumState:
@@ -170,7 +233,7 @@ def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumStat
             converged = True
             break
     tau = load_torques(model, st, loading, F)
-    res = _wrench_residual_rel(K, theta, tau)
+    res = float(_wrench_residual_rel(K, theta, tau))
     pose = Pose(st.tool_p, st.tool_R)
     return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=pose,
                             converged=converged, iterations=iterations,
@@ -188,7 +251,7 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     """
     q, theta = state.q, state.theta
     K = joint_stiffness_matrix(model, compensator, q)
-    loading = gravity_loading(model) if include_gravity else None
+    loading = model._gravity_loading if include_gravity else None
     H = hessian_theta(model, q, theta, loading, state.tool_wrench)
     Keff = K - H
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
@@ -214,11 +277,14 @@ def predict_marker_deflections(model: ManipulatorModel,
     Linearizes at theta = 0: the per-joint sensitivity rows of
     :func:`stiffcal.doe.sensitivity_rows` scaled by the per-joint compliances
     (joint 2 uses its compensator-equivalent value).  Gravity drops out of
-    this difference model by construction.
+    this difference model by construction.  ``q`` and ``tool_wrench`` of
+    shape (..., 6) give (..., n_markers, 3) from one stacked row call.
     """
-    k = 1.0 / np.diag(joint_stiffness_matrix(model, compensator, q))
+    q = np.asarray(q, dtype=float)
+    K = joint_stiffness_matrix(model, compensator, q)
+    k = 1.0 / np.diagonal(K, axis1=-2, axis2=-1)
     A = sensitivity_rows(model, q, tool_wrench, include_joint1=True)
-    return (A @ k).reshape(-1, 3)
+    return (A @ k[..., None])[..., 0].reshape(q.shape[:-1] + (-1, 3))
 
 
 def predict_tool_deflection(model: ManipulatorModel,
@@ -241,12 +307,14 @@ def compensate_target(model: ManipulatorModel, compensator: Optional[Compensator
     The deflection is the pose change between the gravity-only equilibrium
     and the loaded equilibrium at ``q``; commanding the returned pose instead
     of ``desired`` cancels the deflection to first order.  With a zero wrench
-    the desired pose is returned unchanged.
+    the desired pose is returned unchanged.  Both equilibria are one stack.
     """
-    st_g = solve_equilibrium(model, compensator, q, include_gravity=include_gravity)
-    st_f = solve_equilibrium(model, compensator, q, tool_wrench=tool_wrench,
-                             include_gravity=include_gravity)
-    delta = pose_difference(st_f.pose.p, st_f.pose.R, st_g.pose.p, st_g.pose.R)
+    q = np.asarray(q, dtype=float)
+    F = np.stack([np.zeros(6), np.asarray(tool_wrench, dtype=float)])
+    st = solve_equilibria(model, compensator, np.stack([q, q]), F,
+                          include_gravity=include_gravity)
+    (p_g, p_f), (R_g, R_f) = st.pose.p, st.pose.R
+    delta = pose_difference(p_f, R_f, p_g, R_g)
     p = np.asarray(desired.p, dtype=float) - delta[:3]
     R = rot_from_rotvec(-delta[3:]) @ desired.R
     return Pose(p, R)

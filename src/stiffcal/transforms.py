@@ -9,6 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of ``x`` and ``y`` (..., n), each bit
+    for bit the ``x_i @ y_i`` of its own pair of rows (so ``sqrt`` of
+    ``dot_rows(x, x)`` is ``np.linalg.norm`` of each row)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def rot_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix about a unit ``axis`` by ``angle`` (Rodrigues formula)."""
     k = np.asarray(axis, dtype=float)

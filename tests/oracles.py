@@ -221,3 +221,135 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                                  for bucket in best_configs for qc in bucket))
     acc = test_pose_accuracy(model, plan, test, noise, layout=layout)
     return plan, acc.rho0_sq_mm2, tuple(start_values), n_eval
+
+
+def solve_primal_loop(model, compensator, q, tool_wrench=None, include_gravity=True,
+                      max_iter=100):
+    """One pose's damped fixed point, as the solver ran before it took stacks:
+    ``(theta, iterations, converged, residual_wrench_rel, lam_halvings)``."""
+    from stiffcal.robot import chain_state, gravity_loading, load_torques
+    from stiffcal.stiffness import joint_stiffness_matrix
+
+    def residual(K, theta, tau):
+        r = K @ theta - tau
+        return float(np.linalg.norm(r) / max(1.0, np.linalg.norm(tau)))
+
+    q = np.asarray(q, dtype=float)
+    K = joint_stiffness_matrix(model, compensator, q)
+    loading = gravity_loading(model) if include_gravity else None
+    F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
+    theta = np.zeros(6)
+    tau = load_torques(model, chain_state(model, q, theta), loading, F)
+    res = residual(K, theta, tau)
+    converged, iterations, halvings = False, 0, 0
+    for iterations in range(1, max_iter + 1):
+        theta_star = np.linalg.solve(K, tau)
+        lam = 1.0
+        while True:
+            cand = theta + lam * (theta_star - theta)
+            tau_c = load_torques(model, chain_state(model, q, cand), loading, F)
+            res_c = residual(K, cand, tau_c)
+            if res_c <= res or lam < 1.0 / 1024.0:
+                break
+            lam *= 0.5
+            halvings += 1
+        step = float(np.linalg.norm(cand - theta))
+        theta, tau, res = cand, tau_c, res_c
+        if step < 1e-12 or res < 1e-12:
+            converged = True
+            break
+    return theta, iterations, converged, res, halvings
+
+
+def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
+                                     response="nonlinear", include_gravity=True):
+    """Deflection records one plan entry, one equilibrium, one marker and one
+    repeat at a time; returns ``(q, wrench, marker_id, deflection, repeat)``
+    tuples, or raises ``ConvergenceError`` naming the first failed entry."""
+    import math
+
+    from stiffcal.errors import ConvergenceError
+    from stiffcal.robot import marker_positions
+    from stiffcal.stiffness import predict_marker_deflections
+
+    comp = model.compensator
+    out = []
+    for i, entry in enumerate(plan.entries):
+        q, w = entry.q, entry.w
+        if response == "linear":
+            defl = predict_marker_deflections(model, comp, q, w)
+        else:
+            th0, _, ok0, _, _ = solve_primal_loop(model, comp, q, None, include_gravity)
+            th1, _, ok1, _, _ = solve_primal_loop(model, comp, q, w, include_gravity)
+            if not (ok0 and ok1):
+                raise ConvergenceError(
+                    f"equilibrium did not converge for plan entry {i} "
+                    f"(q2={math.degrees(q[1]):.1f} deg)")
+            defl = marker_positions(model, q, th1) - marker_positions(model, q, th0)
+        rng = np.random.default_rng((seed, i))
+        for rep in range(entry.repeats):
+            for m in range(len(model.markers)):
+                d = defl[m]
+                if noise_mm > 0.0:
+                    d = d + noise_mm * (rng.standard_normal(3) - rng.standard_normal(3))
+                out.append((q, w, m, d, rep))
+    return out
+
+
+def confidence_intervals_geometry_loop(dataset, estimate, n_samples=200, seed=0):
+    """The geometry resampler one sample and one pair of fits at a time:
+    ``(L, ax, ay)`` 3-sigma half-widths."""
+    from stiffcal.circle_fit import fit_circle_procrustes, fit_concentric_arcs
+    from stiffcal.geometry_id import _clean_tracks, residual_noise_sigma
+
+    s_crank, s_sat = residual_noise_sigma(dataset, estimate)
+    crank_clean, sats_clean = _clean_tracks(dataset, estimate)
+    sign = estimate.crank_fit.angle_sign
+    out = np.empty((n_samples, 3))
+    for i in range(n_samples):
+        rng = np.random.default_rng((seed, i))
+        crank_i = crank_clean + rng.normal(0.0, s_crank, crank_clean.shape)
+        sats_i = [s + rng.normal(0.0, s_sat, s.shape) for s in sats_clean]
+        cf = fit_circle_procrustes(crank_i, dataset.q2_rad, angle_sign=sign)
+        sf = fit_concentric_arcs(sats_i)
+        a_vec = cf.center - sf.center[:2]
+        out[i] = (cf.radius, a_vec[0], a_vec[1])
+    return 3.0 * out.std(axis=0, ddof=1)
+
+
+def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
+    """The elastostatic resampler one sample and one separation at a time:
+    ``(halfwidth3, n_failed)``; raises as the library does when more than
+    half of the resamples fail."""
+    import warnings
+
+    from stiffcal.elasto_id import separate_compensator
+    from stiffcal.errors import IdentifiabilityError
+
+    layout = estimate.fit.layout
+    yhat, sigma, pinv = estimate.fit.fitted_mm, estimate.fit.sigma_hat_mm, estimate.fit.pinv
+    comp = model.compensator
+    off = 1 if layout.include_joint1 else 0
+    nb = layout.n_buckets
+    samples, failed = [], 0
+    for i in range(n_samples):
+        rng = np.random.default_rng((seed, i))
+        k_star = pinv @ (yhat + sigma * rng.standard_normal(yhat.shape))
+        k2 = k_star[off:off + nb]
+        try:
+            if np.any(k2 <= 0):
+                raise IdentifiabilityError("non-positive resampled compliance")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sep = separate_compensator(layout, 1.0 / k2, comp.geometry, comp.q2_sign)
+        except IdentifiabilityError:
+            failed += 1
+            continue
+        row = [k_star[0]] if layout.include_joint1 else []
+        row.append(sep.k2_rad_per_Nmm)
+        row.extend(k_star[off + nb:off + nb + 4])
+        row += [sep.Kc_N_per_mm, sep.s0_mm]
+        samples.append(row)
+    if failed > n_samples // 2:
+        raise IdentifiabilityError(f"{failed}/{n_samples} resamples failed")
+    return 3.0 * np.std(np.array(samples), axis=0, ddof=1), failed

@@ -150,6 +150,8 @@ class TestPipelineRoundTrip:
         assert by_name["k3"]["value"] == pytest.approx(tv["k3"], rel=0.05)
         assert by_name["Kc"]["value"] == pytest.approx(tv["Kc"], rel=0.5)
         assert len(payload["joint2_buckets_deg"]) == 4
+        assert payload["ci_samples"] == 32
+        assert 0 <= payload["ci_failed"] <= 16
 
     def test_doe_output_bytes_repeat(self, tmp_path, model_path):
         outs = [tmp_path / "a", tmp_path / "b"]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from plans import spread_plan
 from stiffcal.elasto_id import (
     DEFLECTION_CSV_HEADER,
@@ -335,3 +336,79 @@ class TestConfidence:
         widest = max(pct, key=pct.get)
         assert tightest in ("k2", "k3")
         assert widest in ("Kc", "s0")
+
+
+class TestStackedResampler:
+    """One product per sample, then one separation for all samples, checked
+    against one separation per sample."""
+
+    @pytest.mark.parametrize("noise_mm, repeats, seed", [(0.05, 3, 5), (0.5, 1, 2)])
+    def test_halfwidths_match_per_sample_loop(self, model, noise_mm, repeats, seed):
+        records = simulate_deflection_records(model, spread_plan(repeats=repeats),
+                                              noise_mm=noise_mm, seed=seed,
+                                              response="linear")
+        est = identify_elastostatics(model, records)
+        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
+        assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
+        assert ci.n_failed == failed
+
+    def test_failed_resamples_counted(self, model):
+        # noisy enough that some resamples lose a positive joint-2 compliance
+        # or the spring rate, but fewer than half
+        records = simulate_deflection_records(model, spread_plan(), noise_mm=1.5,
+                                              seed=2, response="linear")
+        est = identify_elastostatics(model, records)
+        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
+        assert 0 < failed <= 100
+        assert ci.n_failed == failed
+        assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
+
+    def test_separation_failures_counted(self, model, monkeypatch):
+        from stiffcal import elasto_id
+        records = simulate_deflection_records(model, spread_plan(), noise_mm=1.5,
+                                              seed=2, response="linear")
+        est = identify_elastostatics(model, records)
+        base = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        real = elasto_id._separate
+
+        def every_fourth_unseparable(factors, K2):
+            x, ok = real(factors, K2)
+            ok[::4] = False
+            return x, ok
+
+        monkeypatch.setattr(elasto_id, "_separate", every_fourth_unseparable)
+        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        reached = 200 - base.n_failed          # resamples with positive k2
+        assert ci.n_failed == base.n_failed + len(range(0, reached, 4))
+
+    def test_stacked_separation_flags_zero_spring_rate(self, model):
+        from stiffcal.elasto_id import _separate, _separation_factors
+        comp = model.compensator
+        lay = ParameterLayout(tuple(np.radians([-1.0, -40.0, -80.0, -120.0])))
+        C = separation_matrix(comp.geometry, lay.bucket_q2_rad, comp.q2_sign)
+        K2 = np.stack([C @ [3.3e9, 6000.0, 6000.0 * 458.0], C @ [3.3e9, 0.0, 0.0],
+                       C @ [3.0e9, 5000.0, 5000.0 * 400.0]])
+        x, ok = _separate(_separation_factors(lay, comp.geometry, comp.q2_sign), K2)
+        assert ok.tolist() == [True, False, True]
+        with pytest.raises(IdentifiabilityError, match="indistinguishable from zero"):
+            separate_compensator(lay, K2[1], comp.geometry, comp.q2_sign)
+        for i in (0, 2):
+            sep = separate_compensator(lay, K2[i], comp.geometry, comp.q2_sign)
+            assert [sep.K0_Nmm_per_rad, sep.Kc_N_per_mm] == x[i, :2].tolist()
+            assert sep.s0_mm == x[i, 2] / x[i, 1]
+
+    def test_refuses_when_most_resamples_fail(self, model):
+        records = simulate_deflection_records(model, spread_plan(repeats=1),
+                                              noise_mm=8.0, seed=1, response="linear")
+        with warnings.catch_warnings():     # the point fit itself is non-physical
+            warnings.simplefilter("ignore", RuntimeWarning)
+            est = identify_elastostatics(model, records)
+        with pytest.raises(IdentifiabilityError, match=r"1\d\d/200 resamples failed"):
+            oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
+        with pytest.raises(IdentifiabilityError, match=r"1\d\d/200 resamples failed"):
+            confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+
+    def test_noise_free_reports_no_failures(self, model, clean_records):
+        assert confidence_intervals_elasto(model, clean_records, n_samples=8).n_failed == 0

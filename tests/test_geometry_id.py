@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
+from stiffcal.circle_fit import (_arc_centre, _fit_signed, fit_circle_procrustes,
+                                 fit_concentric_arcs)
 from stiffcal.compensator import CompensatorGeometry
-from stiffcal.errors import DegenerateGeometryError
+from stiffcal.errors import AngleDirectionError, DegenerateGeometryError
 from stiffcal.geometry_id import (
     MarkerDataset,
     confidence_intervals_geometry,
@@ -195,6 +198,66 @@ class TestConfidence:
                   and abs(est.ay_mm - 695.0) <= ci.halfwidth3_ay_mm)
             hits += ok
         assert hits >= trials - 2
+
+
+class TestStackedResampler:
+    """All resamples refit as one stack, checked against one fit per sample."""
+
+    @staticmethod
+    def _datasets(table1_path):
+        yield load_marker_csv(table1_path)
+        for n, noise, sign in ((16, 0.05, 1), (8, 0.5, -1), (30, 0.01, 1)):
+            yield simulate_geometry_dataset(GEOM, np.radians(np.linspace(-140, 0, n)),
+                                            noise_mm=noise, seed=3, angle_sign=sign)
+        ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=1)
+        rng = np.random.default_rng(0)
+        lift = [np.column_stack([t, 10.0 + rng.normal(0.0, 0.05, len(t))])
+                for t in (ds.crank,) + ds.satellites]
+        yield MarkerDataset(ds.q2_rad, lift[0], tuple(lift[1:]))    # 3-D tracks
+
+    def test_halfwidths_equal_per_sample_loop(self, table1_path):
+        for ds in self._datasets(table1_path):
+            est = identify_compensator_geometry(ds)
+            ci = confidence_intervals_geometry(ds, est, n_samples=64, seed=2)
+            ref = oracles.confidence_intervals_geometry_loop(ds, est, n_samples=64, seed=2)
+            got = [ci.halfwidth3_L_mm, ci.halfwidth3_ax_mm, ci.halfwidth3_ay_mm]
+            assert got == ref.tolist()
+
+    def test_mirror_diagnostic_kept_for_resamples(self):
+        # three crank points of pure noise: the point fit picks its better
+        # sign, and some resamples fit the mirrored sign far better
+        ds = simulate_geometry_dataset(GEOM, np.radians([-60.0, -30.0, 0.0]),
+                                       noise_mm=0.05, seed=0)
+        crank = np.random.default_rng(0).normal(0.0, 0.05, (3, 2))
+        ds = MarkerDataset(ds.q2_rad, crank, ds.satellites)
+        est = identify_compensator_geometry(ds)
+        with pytest.raises(AngleDirectionError):
+            oracles.confidence_intervals_geometry_loop(ds, est, n_samples=200)
+        with pytest.raises(AngleDirectionError):
+            confidence_intervals_geometry(ds, est, n_samples=200)
+
+    def test_one_bad_sample_fails_the_stack(self):
+        ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=5)
+        a = ds.q2_rad
+        mirrored = ds.crank.copy()
+        mirrored[:, 1] *= -1.0                  # angles rotate the other way
+        line = np.column_stack([np.linspace(0.0, 100.0, a.size), np.zeros(a.size)])
+        for bad, error in ((mirrored, AngleDirectionError), (line, DegenerateGeometryError)):
+            with pytest.raises(error):
+                fit_circle_procrustes(bad, a, angle_sign=1)
+            with pytest.raises(error):
+                _fit_signed(np.stack([ds.crank, bad, ds.crank]), a, 1)
+        mu, _, t, _ = _fit_signed(np.stack([ds.crank, ds.crank]), a, 1)
+        single = fit_circle_procrustes(ds.crank, a, angle_sign=1)
+        assert mu.tolist() == [single.radius] * 2 and t[1].tolist() == single.center.tolist()
+        sats = [np.stack([s, s]) for s in ds.satellites]
+        for k, s in enumerate(sats):             # sample 1: arcs along one line
+            s[1] = line + 7.0 * k
+            s[1][:, 1] = 0.0
+        with pytest.raises(DegenerateGeometryError):
+            fit_concentric_arcs([s[1] for s in sats])
+        with pytest.raises(DegenerateGeometryError):
+            _arc_centre(sats)
 
 
 def test_reference_table_regression(table1_path):

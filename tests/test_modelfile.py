@@ -107,6 +107,44 @@ def test_yaml_syntax_error_wrapped(tmp_path):
         load_model(_write(tmp_path, "joints: [\n"))
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_parses_with_libyaml_when_available(model_path, monkeypatch):
+    used = []
+
+    class Spy(yaml.CSafeLoader):
+        def __init__(self, stream):
+            used.append(True)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+    load_model(model_path)
+    assert used
+
+
+def test_pure_python_loader_gives_the_same_model(model_path, monkeypatch):
+    fast = load_model(model_path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    slow = load_model(model_path)
+    for a, b in zip(fast.joints, slow.joints):
+        for f in ("axis", "link_translation_mm", "link_rotation_rpy_rad", "com_mm"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert (a.compliance_rad_per_Nmm, a.mass_kg) == (b.compliance_rad_per_Nmm, b.mass_kg)
+    assert np.array_equal(np.stack(fast.markers), np.stack(slow.markers))
+    assert np.array_equal(fast.gravity, slow.gravity)
+    assert np.array_equal(fast.tool.translation_mm, slow.tool.translation_mm)
+    assert fast.compensator == slow.compensator
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_yaml_syntax_error_keeps_line_number(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    bad = _write(tmp_path, MINIMAL + "markers: [[1, 2, 3]\n")
+    with pytest.raises(ModelFileError,
+                       match=r"(?s)YAML parse error in .*m\.yaml.*line 8, column"):
+        load_model(bad)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ModelFileError, match="cannot read model file"):
         load_model(tmp_path / "nope.yaml")

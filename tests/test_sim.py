@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from plans import spread_plan
 from stiffcal.compensator import CompensatorGeometry
 from stiffcal.doe import CalibrationPlan, PlanEntry
@@ -137,11 +138,38 @@ class TestDeflectionRecords:
             simulate_deflection_records(bare, plan)
 
     def test_nonconvergence_names_entry(self, model):
-        plan = CalibrationPlan((PlanEntry(
-            tuple(np.radians([0.0, -45.0, 0.0, 0.0, 0.0, 0.0])),
-            (0.0, 0.0, -1e9, 0.0, 0.0, 0.0)),))
+        good = PlanEntry(tuple(np.radians([10.0, -90.0, -20.0, 30.0, -40.0, 50.0])),
+                         (0.0, 0.0, -2600.0, 0.0, 0.0, 0.0))
+        diverging = PlanEntry(tuple(np.radians([0.0, -45.0, 0.0, 0.0, 0.0, 0.0])),
+                              (0.0, 0.0, -1e9, 0.0, 0.0, 0.0))
         with pytest.raises(ConvergenceError, match=r"plan entry 0 \(q2=-45\.0 deg\)"):
-            simulate_deflection_records(model, plan, response="nonlinear")
+            simulate_deflection_records(model, CalibrationPlan((diverging,)))
+        # inside a stack, the diverging pose is named by its own index ...
+        with pytest.raises(ConvergenceError, match=r"plan entry 1 \(q2=-45\.0 deg\)"):
+            simulate_deflection_records(model, CalibrationPlan((good, diverging)))
+        with pytest.raises(ConvergenceError, match=r"plan entry 1 \(q2=-45\.0 deg\)"):
+            simulate_deflection_records(model, CalibrationPlan((good, diverging, diverging)))
+        # ... and the stack without it gives the records of one entry at a time
+        alone = CalibrationPlan((good,))
+        recs = simulate_deflection_records(model, alone, noise_mm=0.01, seed=2)
+        ref = oracles.simulate_deflection_records_loop(model, alone, noise_mm=0.01, seed=2)
+        assert [r.deflection_mm.tolist() for r in recs] == [r[3].tolist() for r in ref]
+
+    @pytest.mark.parametrize("response", ["nonlinear", "linear"])
+    @pytest.mark.parametrize("noise_mm", [0.0, 0.02])
+    def test_records_match_per_entry_loop(self, model, response, noise_mm):
+        """One stacked solve (or row call) for the whole plan gives each
+        entry's records as solving the entries one by one does."""
+        plan = spread_plan()
+        recs = simulate_deflection_records(model, plan, noise_mm=noise_mm, seed=4,
+                                           response=response)
+        ref = oracles.simulate_deflection_records_loop(model, plan, noise_mm=noise_mm,
+                                                       seed=4, response=response)
+        assert len(recs) == len(ref) == 15 * 3 * 3
+        for r, (q, w, m, d, rep) in zip(recs, ref):
+            assert (r.marker_id, r.repeat) == (m, rep)
+            assert np.array_equal(r.q_rad, q) and np.array_equal(r.wrench, w)
+            assert np.abs(r.deflection_mm - d).max() <= 1e-15
 
 
 class TestGroundTruth:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from stiffcal.errors import SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
                             marker_positions)
@@ -12,6 +13,7 @@ from stiffcal.stiffness import (
     joint_stiffness_matrix,
     predict_marker_deflections,
     predict_tool_deflection,
+    solve_equilibria,
     solve_equilibrium,
 )
 
@@ -209,3 +211,69 @@ def test_marker_positions_follow_theta(model):
     offs = np.stack(model.markers)
     expect = (via_state.tool_R @ offs.T).T + via_state.tool_p
     assert np.allclose(direct, expect, atol=1e-12)
+
+
+class TestStackedPrimal:
+    # poses (deg) and downward tool loads (N): converging after 6, 10 and 22
+    # iterations, the last one halving its step 12 times on the way, and one
+    # left unconverged at the 100-iteration cap
+    POSES = np.radians([[55, 35, -49, 34, 45, -48],
+                        [-24, 135, -81, 45, -48, 85],
+                        [109, 94, -43, 90, 20, -7],
+                        [-17, 38, -102, 113, -74, -33]])
+    LOADS_N = (10086.0, 48802.0, 857418.0, 641773.0)
+
+    def _stack(self):
+        q = np.vstack([self.POSES, TEST_Q])
+        w = np.zeros((5, 6))
+        w[:4, 2] = [-f for f in self.LOADS_N]
+        return q, w
+
+    def test_each_pose_as_if_solved_alone(self, model, comp):
+        q, w = self._stack()
+        st = solve_equilibria(model, comp, q, w)
+        refs = [oracles.solve_primal_loop(model, comp, qi, wi) for qi, wi in zip(q, w)]
+        assert [r[1] for r in refs][:3] == [6, 10, 22]
+        assert refs[2][4] > 0 and refs[3][2] is False     # halved; capped
+        assert len({r[1] for r in refs}) == 5
+        for i, (theta, iterations, converged, res, _) in enumerate(refs):
+            assert np.array_equal(st.theta[i], theta), i
+            assert st.iterations[i] == iterations and st.converged[i] == converged
+            assert st.residual_wrench_rel[i] == res
+        # the loaded pose of every entry is its chain state at its theta
+        assert np.array_equal(st.pose.p, chain_state(model, q, st.theta).tool_p)
+
+    def test_order_of_the_stack_does_not_matter(self, model, comp):
+        q, w = self._stack()
+        st = solve_equilibria(model, comp, q, w)
+        flip = solve_equilibria(model, comp, q[::-1], w[::-1])
+        assert np.array_equal(flip.theta[::-1], st.theta)
+        assert np.array_equal(flip.iterations[::-1], st.iterations)
+
+    def test_one_pose_is_a_stack_of_one(self, model, comp):
+        q, w = self._stack()
+        st = solve_equilibria(model, comp, q, w)
+        for i in (0, 2, 3):
+            one = solve_equilibrium(model, comp, q[i], tool_wrench=w[i])
+            assert np.array_equal(one.theta, st.theta[i])
+            assert type(one.iterations) is int and one.iterations == st.iterations[i]
+            assert type(one.converged) is bool and one.converged == st.converged[i]
+            assert isinstance(one.residual_wrench_rel, float)
+            assert one.pose.p.shape == (3,) and one.pose.R.shape == (3, 3)
+
+    def test_compensation_solves_both_loads_as_one_stack(self, model, comp):
+        from stiffcal.transforms import pose_difference, rot_from_rotvec
+        desired = fk(model, TEST_Q)
+        g = solve_equilibrium(model, comp, TEST_Q)
+        f = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
+        delta = pose_difference(f.pose.p, f.pose.R, g.pose.p, g.pose.R)
+        out = compensate_target(model, comp, TEST_Q, LOAD, desired)
+        assert np.array_equal(out.p, desired.p - delta[:3])
+        assert np.array_equal(out.R, rot_from_rotvec(-delta[3:]) @ desired.R)
+
+    def test_stacked_linear_deflections(self, model, comp):
+        q, w = self._stack()
+        d = predict_marker_deflections(model, comp, q, w)
+        assert d.shape == (5, len(model.markers), 3)
+        for i in range(5):
+            assert np.array_equal(d[i], predict_marker_deflections(model, comp, q[i], w[i]))
