@@ -36,7 +36,7 @@ from .elasto_id import (CompliancesFit, DeflectionRecord, ElastoCI,
                         separate_compensator)
 from .stiffness import (CartesianStiffness, EquilibriumState,
                         cartesian_stiffness, compensate_target,
-                        joint_stiffness_matrix, predict_marker_deflections,
+                        joint_stiffnesses, predict_marker_deflections,
                         predict_tool_deflection, solve_equilibria,
                         solve_equilibrium)
 from .doe import (CalibrationPlan, NoiseModel, OptimizedPlan, PlanConstraints,

@@ -46,6 +46,8 @@ from .stiffness import (cartesian_stiffness, compensate_target,
 from .tables import write_table
 
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
+# Largest --ci-samples and start:stop:count count: each is one refit or one pose.
+MAX_COUNT = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,8 +130,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}") from exc
-        if count < 2:
-            raise UsageError(f"{name}: count must be >= 2")
+        if not 2 <= count <= MAX_COUNT:
+            raise UsageError(f"{name}: count must be in 2..{MAX_COUNT}, got {count}")
         _finite([start, stop], name)
         return np.linspace(start, stop, count)
     return np.array(_parse_float_list(text, name))
@@ -164,6 +166,8 @@ def _bounded(convert, ok, rule: str):
 
 _count = _bounded(int, lambda v: v >= 1, ">= 1")
 _repeats = _bounded(int, lambda v: 1 <= v <= MAX_REPEATS, f"in 1..{MAX_REPEATS}")
+_seed = _bounded(int, lambda v: v >= 0, ">= 0")
+_ci_samples = _bounded(int, lambda v: 0 <= v <= MAX_COUNT, f"in 0..{MAX_COUNT}")
 _sigma = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
 _magnitude = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
@@ -420,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--angle-sign", choices=["auto", "+1", "-1"],
                    default="auto", help="crank rotation direction vs q2")
-    g.add_argument("--ci-samples", type=int, default=200)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--ci-samples", type=_ci_samples, default=200)
+    g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=_cmd_geom_ident)
 
     e = sub.add_parser("elasto-ident",
@@ -430,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True, help="robot model YAML")
     e.add_argument("--records", required=True, help="deflection record CSV")
     e.add_argument("--out", required=True)
-    e.add_argument("--ci-samples", type=int, default=200)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--ci-samples", type=_ci_samples, default=200)
+    e.add_argument("--seed", type=_seed, default=0)
     e.set_defaults(func=_cmd_elasto_ident)
 
     d = sub.add_parser("doe", help="optimize a measurement plan for a "
@@ -453,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--configs-per-bucket", type=_count, default=3)
     d.add_argument("--repeats", type=_repeats, default=3)
     d.add_argument("--starts", type=_count, default=20)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.set_defaults(func=_cmd_doe)
 
     s = sub.add_parser("simulate", help="generate synthetic datasets")
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--out", required=True)
     sg.add_argument("--noise", type=_sigma, default=0.0)
     sg.add_argument("--angle-sign", type=int, choices=[1, -1], default=1)
-    sg.add_argument("--seed", type=int, default=0)
+    sg.add_argument("--seed", type=_seed, default=0)
     sg.set_defaults(func=_cmd_simulate)
     sd = ssub.add_parser("deflections",
                          help="deflection records for a measurement plan")
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--noise", type=_sigma, default=0.0)
     sd.add_argument("--response", choices=["nonlinear", "linear"],
                     default="nonlinear")
-    sd.add_argument("--seed", type=int, default=0)
+    sd.add_argument("--seed", type=_seed, default=0)
     sd.set_defaults(func=_cmd_simulate)
 
     pr = sub.add_parser("predict", help="predict deflections under a load")
@@ -506,6 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("no subcommand given (see --help)")
         if args.command == "simulate" and getattr(args, "sim_kind", None) is None:
             raise UsageError("simulate needs a KIND: geometry or deflections")
+        bad = [name for name, value in vars(args).items() if isinstance(value, list)]
+        if bad:     # argparse before Python 3.12 reads --flag=-- as an empty list
+            raise UsageError(f"--{bad[0].replace('_', '-')}: expected a value, got --")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,8 @@ DEFLECTION_CSV_HEADER = (
 
 # Joint-2 angles within this of a bucket centre belong to that bucket.
 BUCKET_TOL_RAD = math.radians(0.1)
+# Singular values below this fraction of the largest count as rank deficient.
+RANK_TOL = 1e-10
 
 
 @dataclass
@@ -235,7 +237,8 @@ class CompliancesFit:
         """Equivalent joint-2 stiffness per bucket, N*mm/rad."""
         k2 = self.joint2_compliances()
         if np.any(k2 <= 0):
-            bad = [self.labels[i] for i in np.flatnonzero(self.values <= 0)]
+            labels = self.labels[1 if self.layout.include_joint1 else 0:]
+            bad = [lab for lab, v in zip(labels, k2) if v <= 0]
             raise IdentifiabilityError(
                 f"non-positive joint-2 compliance estimate ({', '.join(bad)}); "
                 "data too noisy or wrong model")
@@ -243,14 +246,13 @@ class CompliancesFit:
 
 
 def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRecord],
-                         layout: Optional[ParameterLayout] = None,
-                         rank_tol: float = 1e-10) -> CompliancesFit:
+                         layout: Optional[ParameterLayout] = None) -> CompliancesFit:
     """Solve the stage-one regression; raises if a direction is unobservable."""
     if layout is None:
         layout = ParameterLayout.from_records(records)
     B, y = build_regressor(model, records, layout)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
     p = layout.n_params
     if rank < p:
         null = Vt[rank:].T

@@ -326,9 +326,9 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
     return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)
 
 
-def hessian_theta(model: ManipulatorModel, q, theta, loading: Optional[NodeLoading] = None,
-                  tool_wrench=None) -> np.ndarray:
-    """Second derivative of the load potential w.r.t. deflections (6x6).
+def hessian_theta(model: ManipulatorModel, st: ChainState,
+                  loading: Optional[NodeLoading] = None, tool_wrench=None) -> np.ndarray:
+    """Load-potential Hessian w.r.t. deflections (6x6) at one chain state ``st``.
 
     Sums the loaded nodes (1..6; node 0 is inert) and the tool, each from
     its point Jacobian with ``c_b = J[:3, b]``.  A force ``f`` gives the exact
@@ -340,7 +340,6 @@ def hessian_theta(model: ManipulatorModel, q, theta, loading: Optional[NodeLoadi
     choice).  Both are formed on the upper triangle and mirrored; columns
     beyond a node's own joint are zero in its ``J``.
     """
-    st = chain_state(model, q, theta)
     H = np.zeros((6, 6))
     for J, w in zip(*_loaded_jacobians(st, loading, tool_wrench)):
         W = J[3:].T

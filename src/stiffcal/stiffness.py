@@ -4,12 +4,12 @@ The static balance of the lumped-elasticity chain reads
 
     K_th(q) * theta = sum_j J_j(theta)^T G_j + J_tool(theta)^T F
 
-with ``K_th`` the diagonal joint stiffness matrix (joint 2 gets its
-compensator-equivalent value), ``G_j`` the lumped gravity wrenches and ``F``
-the external tool wrench.  Two solver modes:
+with ``K_th`` the diagonal joint stiffness matrix, held as the vector of its
+diagonal (joint 2 gets its compensator-equivalent value), ``G_j`` the lumped
+gravity wrenches and ``F`` the external tool wrench.  Two solver modes:
 
-* primal -- F is known, iterate the damped fixed point for theta, for a
-  stack of poses at once (:func:`solve_equilibria`);
+* primal -- F is known, iterate the damped fixed point for theta, every pose
+  of a stack stepping together (:func:`solve_equilibria`);
 * dual -- the loaded tool pose is prescribed and the wrench F sustaining it
   is the unknown, solved by the alternating update that also yields theta.
 
@@ -36,14 +36,15 @@ _THETA_TOL_RAD = 1e-12
 _MAX_ITER = 100
 
 
-def joint_stiffness_matrix(model: ManipulatorModel,
-                           compensator: Optional[CompensatorParams], q) -> np.ndarray:
-    """Diagonal joint stiffness (N*mm/rad) at commanded angles ``q``.
+def joint_stiffnesses(model: ManipulatorModel,
+                      compensator: Optional[CompensatorParams], q) -> np.ndarray:
+    """Joint stiffnesses (N*mm/rad) at commanded angles ``q``: the diagonal
+    of the joint stiffness matrix, (..., 6) for ``q`` of shape (..., 6).
 
     Only the joint-2 entry depends on the configuration: with a compensator
     attached it becomes the equivalent stiffness of spring-plus-linkage at
     q2.  Zero compliances cannot be represented ("infinite stiffness
-    unsupported in inverse form").  ``q`` of shape (..., 6) gives (..., 6, 6).
+    unsupported in inverse form").
     """
     q = np.asarray(q, dtype=float)
     k = model.compliances
@@ -52,11 +53,9 @@ def joint_stiffness_matrix(model: ManipulatorModel,
         raise SingularConfigurationError(
             f"zero compliance at joint(s) {bad}: infinite stiffness unsupported "
             "in inverse form")
-    K = np.zeros(q.shape[:-1] + (36,))
-    K[..., ::7] = 1.0 / k
-    K = K.reshape(q.shape[:-1] + (6, 6))
+    K = np.broadcast_to(1.0 / k, q.shape).copy()
     if compensator is not None:
-        K[..., 1, 1] = equivalent_joint_stiffness(compensator, 1.0 / k[1], q[..., 1])
+        K[..., 1] = equivalent_joint_stiffness(compensator, 1.0 / k[1], q[..., 1])
     return K
 
 
@@ -94,7 +93,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _wrench_residual_rel(K: np.ndarray, theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    r = (K @ theta[..., None])[..., 0] - tau
+    r = K * theta - tau
     return _norms(r) / np.maximum(1.0, _norms(tau))
 
 
@@ -120,7 +119,7 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     :func:`solve_equilibria` on a stack of one.
     """
     q = np.asarray(q, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
+    K = joint_stiffnesses(model, compensator, q)
     loading = model._gravity_loading if include_gravity else None
     if target is not None and tool_wrench is not None:
         raise ValueError("pass either tool_wrench (primal) or target (dual), not both")
@@ -141,12 +140,12 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
     """Primal equilibria of a stack of poses ``q`` (N, 6) under tool wrenches
     (N, 6), all in one damped fixed point.
 
-    Each pose keeps its own step damping, convergence test and iteration
-    count, and leaves the stack once it has converged, so its result is the
-    one it gets solved alone.  Returns a stacked :class:`EquilibriumState`.
+    Every pose steps at every iteration with its own step damping,
+    convergence test and iteration count; a converged pose steps by zero, so
+    each result in the stacked state is the one its pose gets solved alone.
     """
     q = np.asarray(q, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
+    K = joint_stiffnesses(model, compensator, q)
     loading = model._gravity_loading if include_gravity else None
     F = np.asarray(tool_wrench, dtype=float)
     return _solve_primal(model, q, K, loading, F, max_iter)
@@ -158,54 +157,38 @@ def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
     st = chain_state(model, q, theta)
     tau = load_torques(model, st, loading, F)
     res = _wrench_residual_rel(K, theta, tau)
-    tool_p, tool_R = st.tool_p, st.tool_R
     iterations = np.full(n, max_iter)
-    converged = np.zeros(n, dtype=bool)
-    # the working stack holds the poses still iterating; ``live`` maps its
-    # rows to the stack's
-    live = np.arange(n)
-    th, tu, rs, p_c, R_c, q_l, K_l, F_l = theta, tau, res, tool_p, tool_R, q, K, F
+    live = np.ones(n, dtype=bool)
     for it in range(1, max_iter + 1):
-        theta_star = np.linalg.solve(K_l, tu[..., None])[..., 0]
-        cand = th + (theta_star - th)   # the full step, lam = 1
-        st_c = chain_state(model, q_l, cand)
-        p_c, R_c = st_c.tool_p, st_c.tool_R
-        tau_c = load_torques(model, st_c, loading, F_l)
-        res_c = _wrench_residual_rel(K_l, cand, tau_c)
+        # a converged pose takes lam = 0: its state recomputes bit for bit
+        lam = live.astype(float)
+        theta_star = tau / K
+        cand = theta + lam[:, None] * (theta_star - theta)
+        st = chain_state(model, q, cand)
+        tau_c = load_torques(model, st, loading, F)
+        res_c = _wrench_residual_rel(K, cand, tau_c)
         # a pose whose balance residual grows halves its step until the
         # residual does not grow or lam < 1/1024
-        grew = ~(res_c <= rs)
-        if np.count_nonzero(grew):
-            damp, lam = np.flatnonzero(grew), np.ones(live.size)
-            while damp.size:
-                lam[damp] *= 0.5
-                t0 = th[damp]
-                cand[damp] = t0 + lam[damp, None] * (theta_star[damp] - t0)
-                st_d = chain_state(model, q_l[damp], cand[damp])
-                p_c[damp], R_c[damp] = st_d.tool_p, st_d.tool_R
-                tau_c[damp] = load_torques(model, st_d, loading, F_l[damp])
-                res_c[damp] = _wrench_residual_rel(K_l[damp], cand[damp], tau_c[damp])
-                damp = damp[~(res_c[damp] <= rs[damp]) & ~(lam[damp] < 1.0 / 1024.0)]
-        step = _norms(cand - th)
-        th, tu, rs = cand, tau_c, res_c
-        done = (step < _THETA_TOL_RAD) | (res_c < 1e-12)
-        if np.count_nonzero(done):
-            out = live[done]
-            theta[out], res[out] = th[done], rs[done]
-            tool_p[out], tool_R[out] = p_c[done], R_c[done]
-            iterations[out] = it
-            converged[out] = True
-            keep = ~done
-            live = live[keep]
-            if not live.size:
-                break
-            th, tu, rs, p_c, R_c = th[keep], tu[keep], rs[keep], p_c[keep], R_c[keep]
-            q_l, K_l, F_l = q_l[keep], K_l[keep], F_l[keep]
-    else:   # the poses left at the cap keep their last iterate
-        theta[live], res[live], tool_p[live], tool_R[live] = th, rs, p_c, R_c
-    return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(tool_p, tool_R),
-                            converged=converged, iterations=iterations,
-                            residual_position_mm=np.zeros(n), residual_wrench_rel=res)
+        damp = np.flatnonzero(~(res_c <= res))
+        while damp.size:
+            lam[damp] *= 0.5
+            t0 = theta[damp]
+            cand[damp] = t0 + lam[damp, None] * (theta_star[damp] - t0)
+            st_d = chain_state(model, q[damp], cand[damp])
+            st.tool_p[damp], st.tool_R[damp] = st_d.tool_p, st_d.tool_R
+            tau_c[damp] = load_torques(model, st_d, loading, F[damp])
+            res_c[damp] = _wrench_residual_rel(K[damp], cand[damp], tau_c[damp])
+            damp = damp[~(res_c[damp] <= res[damp]) & ~(lam[damp] < 1.0 / 1024.0)]
+        done = live & ((_norms(cand - theta) < _THETA_TOL_RAD) | (res_c < 1e-12))
+        theta, tau, res = cand, tau_c, res_c
+        iterations[done] = it
+        live &= ~done
+        if not live.any():
+            break
+    return EquilibriumState(q=q, theta=theta, tool_wrench=F,
+                            pose=Pose(st.tool_p, st.tool_R), converged=~live,
+                            iterations=iterations, residual_position_mm=np.zeros(n),
+                            residual_wrench_rel=res)
 
 
 def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumState:
@@ -214,17 +197,17 @@ def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumStat
     converged = False
     iterations = 0
     pos_res = np.inf
+    st = chain_state(model, q, theta)
     for iterations in range(1, max_iter + 1):
-        st = chain_state(model, q, theta)
         J = _point_jacobian(st, st.tool_p, 6)
         _check_jacobian(J)
         tau_G = load_torques(model, st, loading, None)
-        Kin_JT = np.linalg.solve(K, J.T)
-        A = J @ Kin_JT
+        # J^T scaled by 1/K: the bits of OpenBLAS's solve against np.diag(K)
+        A = J @ (J.T * (1.0 / K)[:, None])
         twist = pose_difference(target.p, target.R, st.tool_p, st.tool_R)
-        rhs = twist + J @ theta - J @ np.linalg.solve(K, tau_G)
+        rhs = twist + J @ theta - J @ (tau_G / K)
         F = np.linalg.solve(A, rhs)
-        theta_next = np.linalg.solve(K, tau_G + J.T @ F)
+        theta_next = (tau_G + J.T @ F) / K
         step = float(np.linalg.norm(theta_next - theta))
         theta = theta_next
         st = chain_state(model, q, theta)
@@ -234,8 +217,7 @@ def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumStat
             break
     tau = load_torques(model, st, loading, F)
     res = float(_wrench_residual_rel(K, theta, tau))
-    pose = Pose(st.tool_p, st.tool_R)
-    return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=pose,
+    return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
                             converged=converged, iterations=iterations,
                             residual_position_mm=pos_res, residual_wrench_rel=res)
 
@@ -250,16 +232,16 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     sustaining wrench w.r.t. prescribed tool pose.
     """
     q, theta = state.q, state.theta
-    K = joint_stiffness_matrix(model, compensator, q)
+    K = joint_stiffnesses(model, compensator, q)
     loading = model._gravity_loading if include_gravity else None
-    H = hessian_theta(model, q, theta, loading, state.tool_wrench)
-    Keff = K - H
+    st = chain_state(model, q, theta)
+    H = hessian_theta(model, st, loading, state.tool_wrench)
+    Keff = np.diag(K) - H
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
     if np.min(np.abs(w)) < 1e-12 * np.max(np.abs(w)):
         raise SingularConfigurationError(
             "joint stiffness minus load Hessian is singular: buckling-like "
             "instability of the elastic chain")
-    st = chain_state(model, q, theta)
     J = _point_jacobian(st, st.tool_p, 6)
     _check_jacobian(J)
     S = J @ np.linalg.solve(Keff, J.T)
@@ -280,23 +262,19 @@ def predict_marker_deflections(model: ManipulatorModel,
     this difference model by construction.  ``q`` and ``tool_wrench`` of
     shape (..., 6) give (..., n_markers, 3) from one stacked row call.
     """
-    q = np.asarray(q, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
-    k = 1.0 / np.diagonal(K, axis1=-2, axis2=-1)
+    k = 1.0 / joint_stiffnesses(model, compensator, q)
     A = sensitivity_rows(model, q, tool_wrench, include_joint1=True)
-    return (A @ k[..., None])[..., 0].reshape(q.shape[:-1] + (-1, 3))
+    return (A @ k[..., None])[..., 0].reshape(k.shape[:-1] + (-1, 3))
 
 
 def predict_tool_deflection(model: ManipulatorModel,
                             compensator: Optional[CompensatorParams],
                             q, tool_wrench) -> np.ndarray:
     """First-order tool twist (3 mm rows, 3 rad rows) under a tool wrench."""
-    q = np.asarray(q, dtype=float)
-    F = np.asarray(tool_wrench, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
+    K = joint_stiffnesses(model, compensator, q)
     st = chain_state(model, q, np.zeros(6))
     J = _point_jacobian(st, st.tool_p, 6)
-    return J @ np.linalg.solve(K, J.T @ F)
+    return J @ ((J.T @ np.asarray(tool_wrench, dtype=float)) / K)
 
 
 def compensate_target(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -309,7 +287,6 @@ def compensate_target(model: ManipulatorModel, compensator: Optional[Compensator
     of ``desired`` cancels the deflection to first order.  With a zero wrench
     the desired pose is returned unchanged.  Both equilibria are one stack.
     """
-    q = np.asarray(q, dtype=float)
     F = np.stack([np.zeros(6), np.asarray(tool_wrench, dtype=float)])
     st = solve_equilibria(model, compensator, np.stack([q, q]), F,
                           include_gravity=include_gravity)

@@ -228,14 +228,14 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None, include_gravity=T
     """One pose's damped fixed point, as the solver ran before it took stacks:
     ``(theta, iterations, converged, residual_wrench_rel, lam_halvings)``."""
     from stiffcal.robot import chain_state, gravity_loading, load_torques
-    from stiffcal.stiffness import joint_stiffness_matrix
+    from stiffcal.stiffness import joint_stiffnesses
 
     def residual(K, theta, tau):
         r = K @ theta - tau
         return float(np.linalg.norm(r) / max(1.0, np.linalg.norm(tau)))
 
     q = np.asarray(q, dtype=float)
-    K = joint_stiffness_matrix(model, compensator, q)
+    K = np.diag(joint_stiffnesses(model, compensator, q))
     loading = gravity_loading(model) if include_gravity else None
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
     theta = np.zeros(6)

@@ -30,7 +30,7 @@ from stiffcal.robot import (chain_state, gravity_loading, hessian_theta,
                             load_torques, _point_jacobian)
 from stiffcal.sim import (GroundTruth, simulate_deflection_records,
                           simulate_geometry_dataset)
-from stiffcal.stiffness import (cartesian_stiffness, joint_stiffness_matrix,
+from stiffcal.stiffness import (cartesian_stiffness, joint_stiffnesses,
                                 solve_equilibrium)
 from stiffcal.robot import Pose
 from stiffcal.transforms import pose_difference, rot_from_rotvec
@@ -165,10 +165,9 @@ def test_criterion_5_cartesian_stiffness_exactness(request, model):
         # symmetry of the compliance form before any cleanup
         st = solve_equilibrium(model, comp, q,
                                tool_wrench=(0, 0, -2600.0, 0, 0, 0))
-        K = joint_stiffness_matrix(model, comp, q)
-        H = hessian_theta(model, q, st.theta, gravity_loading(model),
-                          st.tool_wrench)
+        K = np.diag(joint_stiffnesses(model, comp, q))
         cs = chain_state(model, q, st.theta)
+        H = hessian_theta(model, cs, gravity_loading(model), st.tool_wrench)
         J = _point_jacobian(cs, cs.tool_p, 6)
         S = J @ np.linalg.solve(K - H, J.T)
         assert np.max(np.abs(S - S.T)) <= 1e-9 * np.max(np.abs(S))
@@ -231,7 +230,7 @@ def test_criterion_6_jacobian_hessian_vs_finite_differences(request, model):
             loading = gravity_loading(model)
             F = np.concatenate([rng.normal(0.0, 2600.0, 3),
                                 rng.normal(0.0, 1e5, 3)])
-            Han = hessian_theta(model, q, theta, loading, F)
+            Han = hessian_theta(model, st, loading, F)
 
             def tau(th):
                 return load_torques(model, chain_state(model, q, th), loading, F)

@@ -1,7 +1,13 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffcal.cli import main
 from stiffcal.doe import PLAN_CSV_HEADER
@@ -271,6 +277,49 @@ class TestUsageParsing:
         assert f"{flag}:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["geom-ident", "--seed=-1"], "--seed", id="geom-ident-seed"),
+        pytest.param(["elasto-ident", "--records=r.csv", "--seed=-1"], "--seed",
+                     id="elasto-ident-seed"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--seed=-1"], "--seed", id="doe-seed"),
+        pytest.param(["simulate", "geometry", "--q2=-140:0:5", "--seed=-1"], "--seed",
+                     id="geometry-seed"),
+        pytest.param(["simulate", "deflections", "--plan=plan.csv", "--seed=-1"],
+                     "--seed", id="deflections-seed"),
+        pytest.param(["geom-ident", "--ci-samples=-3"], "--ci-samples",
+                     id="geom-ident-ci-negative"),
+        pytest.param(["elasto-ident", "--records=r.csv", "--ci-samples=-1"],
+                     "--ci-samples", id="elasto-ident-ci-negative"),
+        pytest.param(["geom-ident", "--ci-samples=10001"], "--ci-samples",
+                     id="ci-over-cap"),
+        pytest.param(["simulate", "geometry", "--q2=0:1:10001"], "--q2",
+                     id="geometry-grid-over-cap"),
+        pytest.param(["eta-curve", "--s0=458", "--q2=0:1:10001"], "--q2",
+                     id="eta-grid-over-cap"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10:-120:10001"],
+                     "--buckets", id="buckets-over-cap"),
+        # argparse before Python 3.12 reads these as empty lists
+        pytest.param(["eta-curve", "--s0=458", "--q2=--"], "--q2", id="q2-dashes"),
+        pytest.param(["geom-ident", "--seed=--"], "--seed", id="seed-dashes"),
+    ])
+    def test_seed_and_count_flags_bounded(self, tmp_path, model_path, table1_path,
+                                          capsys, argv, flag):
+        extra = ["--markers", str(table1_path)] if argv[0] == "geom-ident" else \
+            ["--model", str(model_path)]
+        rc = main(argv + extra + ["--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{flag}:" in err and "non-negative integer" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_count_bounds_are_inclusive(self, tmp_path, model_path, table1_path):
+        assert main(["geom-ident", "--markers", str(table1_path), "--seed=0",
+                     "--ci-samples=0", "--out", str(tmp_path / "g")]) == 0
+        assert _load_json(tmp_path / "g" / "geometry.json")["ci_samples"] == 0
+        assert main(["eta-curve", "--model", str(model_path), "--s0=458",
+                     "--q2=-140:0:10000", "--out", str(tmp_path / "e")]) == 0
+
     def test_model_without_compensator(self, tmp_path, capsys):
         bare = tmp_path / "bare.yaml"
         bare.write_text(
@@ -287,3 +336,47 @@ class TestUsageParsing:
             main(["--version"])
         assert exc.value.code == 0
         assert "stiffcal" in capsys.readouterr().out
+
+
+
+NUMS = ["0", "1", "-45", "2.5", "-0", "1e3", "1e308", "-1e400", "nan", "inf"]
+COUNTS = ["-3", "0", "1", "2", "7", "10001", "99999999999", "2.5", "x", ""]
+TOKENS = NUMS + [",", ";", ":", " ", "e", "-", ".", "x", "="]
+number = st.one_of(st.sampled_from(NUMS), st.floats(-360.0, 360.0).map(repr))
+
+
+def numbers(lo, hi):
+    return st.lists(number, min_size=lo, max_size=hi).map(",".join)
+
+
+# each flag gets free text or text shaped like its own valid values
+junk = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+FLAG_TEXT = {
+    "--q": numbers(5, 7), "--wrench": numbers(5, 7), "--s0": numbers(0, 3),
+    "--q2": st.one_of(numbers(0, 8), st.tuples(number, number, st.sampled_from(COUNTS))
+                      .map(":".join)),
+    "--seed": st.one_of(st.integers(-5, 2**70).map(str), st.sampled_from(COUNTS)),
+    "--noise": number,
+}
+FUZZED_FLAGS = {"predict": ("--q", "--wrench"), "eta-curve": ("--s0", "--q2"),
+                "simulate geometry": ("--seed", "--noise", "--q2")}
+
+
+@given(command=st.sampled_from(sorted(FUZZED_FLAGS)), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_flag_parsers_fuzzed(model_path, command, data):
+    """Any flag text ends in exit 0, 1 or 2 without a traceback, and a usage
+    error (exit 1) names a flag it was given."""
+    flags = FUZZED_FLAGS[command]
+    values = [f"{flag}={data.draw(st.one_of(junk, FLAG_TEXT[flag]), label=flag)}"
+              for flag in flags]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        rc = main(command.split() + ["--model", str(model_path), "--out", f"{tmp}/o"]
+                  + values)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert any(re.search(rf"{flag}(?![\w-])", err.getvalue()) for flag in flags), \
+            err.getvalue()

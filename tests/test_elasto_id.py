@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -169,6 +170,21 @@ class TestStageOne:
             fit = identify_compliances(model, flipped)
         with pytest.raises(IdentifiabilityError, match="non-positive joint-2"):
             fit.joint2_stiffnesses()
+
+    @pytest.mark.parametrize("include_joint1", [False, True])
+    def test_joint2_stiffnesses_guard_names_only_buckets(self, model, clean_records,
+                                                          include_joint1):
+        fit = identify_compliances(model, clean_records)
+        if include_joint1:     # joint 1 is idle under these loads: a made-up k1
+            lay = ParameterLayout.from_records(clean_records, include_joint1=True)
+            fit = dataclasses.replace(fit, layout=lay, values=np.r_[1e-9, fit.values])
+        values = fit.values.copy()
+        bucket = 1 + include_joint1     # the second joint-2 bucket
+        values[[bucket, fit.labels.index("k3")]] = -1e-9
+        with pytest.raises(IdentifiabilityError) as err:
+            dataclasses.replace(fit, values=values).joint2_stiffnesses()
+        assert fit.labels[bucket].startswith("k2[")
+        assert f"estimate ({fit.labels[bucket]});" in str(err.value)
 
 
 class TestSeparation:

@@ -61,7 +61,7 @@ def test_hessian_planar_2r_closed_form():
     F = np.array([fx, fy, 0.0, 0.0, 0.0, 0.0])
     t1, t2 = 0.7, -0.9
     q = np.array([t1, t2, 0.0, 0.0, 0.0, 0.0])
-    H = hessian_theta(m, q, np.zeros(6), loading=None, tool_wrench=F)
+    H = hessian_theta(m, chain_state(m, q, np.zeros(6)), loading=None, tool_wrench=F)
     Href = planar_2r_force_hessian(l1, l2, t1, t2, fx, fy)
     assert np.allclose(H[:2, :2], Href, atol=1e-9)
     # joints stacked at the tip contribute nothing
@@ -144,7 +144,7 @@ def test_hessian_vs_fd_with_gravity_and_wrench(model):
     th = rng.normal(scale=2e-3, size=6)
     load = gravity_loading(model)
     F = np.array([150.0, -300.0, -2000.0, 4e4, -2e4, 1e4])
-    H = hessian_theta(model, q, th, load, F)
+    H = hessian_theta(model, chain_state(model, q, th), load, F)
     assert np.allclose(H, H.T, atol=1e-9 * np.abs(H).max())
 
     def U(t):
@@ -169,7 +169,7 @@ def test_hessian_of_node_forces_and_moments_vs_fd(model, deepest):
     W[:deepest + 1, :3] = rng.normal(scale=500.0, size=(deepest + 1, 3))
     W[:deepest + 1, 3:] = rng.normal(scale=3e4, size=(deepest + 1, 3))
     load = NodeLoading(W)
-    H = hessian_theta(model, q, th, load)
+    H = hessian_theta(model, chain_state(model, q, th), load)
     D = fd_jacobian(lambda t: load_torques(model, chain_state(model, q, t), load), th)
     Dsym = 0.5 * (D + D.T)
     assert np.linalg.norm(H - Dsym) / np.linalg.norm(Dsym) < 1e-4
@@ -224,7 +224,7 @@ def test_load_terms_match_point_loop_bit_for_bit(model, loads, tool, seed):
     th = rng.normal(scale=2e-3, size=6)
     st_ = chain_state(model, q, th)
     tau = load_torques(model, st_, loading, tool)
-    H = hessian_theta(model, q, th, loading, tool)
+    H = hessian_theta(model, st_, loading, tool)
     assert tau.tobytes() == load_torques_loop(st_, loading, tool).tobytes()
     assert H.tobytes() == hessian_theta_loop(st_, loading, tool).tobytes()
     if loading is None and tool is None:
