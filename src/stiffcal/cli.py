@@ -115,6 +115,8 @@ def _parse_float_list(text: str, name: str, n: Optional[int] = None) -> List[flo
         vals = [float(t) for t in text.replace(";", ",").split(",") if t.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse {name}: {exc}") from exc
+    if not vals:
+        raise UsageError(f"{name}: expected at least one value")
     if n is not None and len(vals) != n:
         raise UsageError(f"{name} needs {n} comma-separated values, got {len(vals)}")
     return _finite(vals, name)

@@ -86,25 +86,20 @@ class CalibrationPlan:
         return CalibrationPlan(tuple(
             PlanEntry(e.q_rad, e.wrench, e.repeats * factor) for e in self.entries))
 
-    def layout(self, include_joint1: bool = False) -> ParameterLayout:
+    def layout(self) -> ParameterLayout:
         """Joint-2 bucket layout implied by the plan configurations."""
-        return ParameterLayout.from_q2((e.q_rad[1] for e in self.entries),
-                                       include_joint1=include_joint1)
+        return ParameterLayout.from_q2(e.q_rad[1] for e in self.entries)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Marker position noise: iid per axis, optional 3x3 covariance override."""
+    """Marker position noise: iid Gaussian on every axis."""
 
     sigma_mm: float = 0.05
-    axis_cov: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.sigma_mm < 0:
             raise ValueError("noise sigma must be non-negative")
-        if self.axis_cov is not None:
-            c = np.asarray(self.axis_cov, dtype=float).reshape(3, 3)
-            object.__setattr__(self, "axis_cov", 0.5 * (c + c.T))
 
 
 @dataclass(frozen=True)
@@ -163,17 +158,13 @@ def load_plan_csv(path) -> CalibrationPlan:
 # sensitivity rows and the accuracy metric
 
 
-def _joint_columns(include_joint1: bool) -> List[int]:
-    return ([0] if include_joint1 else []) + [1, 2, 3, 4, 5]
-
-
 def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
                      include_joint1: bool = False,
                      tool_only: bool = False) -> np.ndarray:
     """Reduced-parameter deflection sensitivities at one configuration.
 
     Rows are marker position axes (or the tool point when ``tool_only``),
-    columns follow the per-bucket parameter order [k1?, k2, k3..k6]; the
+    columns are joints [k2..k6], or [k1..k6] with ``include_joint1``; the
     joint-2 column is evaluated at the configuration's own angle, which is
     what couples the bucket estimate to the pose it was measured at.
     ``q`` and ``wrench`` of shape ``(..., 6)`` give a stack of blocks
@@ -189,11 +180,11 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
         offs = np.reshape(model.markers, (-1, 3))
         pts = (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0]
         points = [pts[..., m, :] + st.tool_p for m in range(len(offs))]
-    cols = _joint_columns(include_joint1)
-    A = np.zeros(tau.shape[:-1] + (3 * len(points), len(cols)))
+    first = 0 if include_joint1 else 1
+    A = np.zeros(tau.shape[:-1] + (3 * len(points), 6 - first))
     for m, pt in enumerate(points):
-        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt, 6)[..., :3, cols]
-                                      * tau[..., None, cols])
+        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt, 6)[..., :3, first:]
+                                      * tau[..., None, first:])
     return A
 
 
@@ -223,12 +214,10 @@ def _bucket_variance(M: np.ndarray, A0: np.ndarray):
 
 
 def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
-                         layout: ParameterLayout,
-                         include_joint1: bool) -> List[np.ndarray]:
-    w = len(_joint_columns(include_joint1))
-    Ms = [np.zeros((w, w)) for _ in range(layout.n_buckets)]
+                         layout: ParameterLayout) -> List[np.ndarray]:
+    Ms = [np.zeros((5, 5)) for _ in range(layout.n_buckets)]
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
-                            [e.wrench for e in plan.entries], include_joint1=include_joint1)
+                            [e.wrench for e in plan.entries])
     for i, (e, A) in enumerate(zip(plan.entries, rows)):
         b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
         Ms[b] += e.repeats * (A.T @ A)
@@ -237,8 +226,7 @@ def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
 
 def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
                        test: TestPose, noise: NoiseModel,
-                       layout: Optional[ParameterLayout] = None,
-                       include_joint1: bool = False) -> TestPoseAccuracy:
+                       layout: Optional[ParameterLayout] = None) -> TestPoseAccuracy:
     """Predicted-deflection variance at ``test`` implied by the plan.
 
     rho0^2 = sigma^2 * sum_j trace(A0 M_j^-1 A0^T) over joint-2 buckets,
@@ -247,15 +235,14 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     test pose.  Duplicating the plan doubles every M_j and halves rho0^2.
     """
     if layout is None:
-        layout = plan.layout(include_joint1=include_joint1)
+        layout = plan.layout()
     if layout.n_buckets < 3:
         warnings.warn(
             f"plan covers only {layout.n_buckets} joint-2 angle(s); at least 3 "
             "are needed to separate the compensator afterwards", RuntimeWarning,
             stacklevel=2)
-    A0 = sensitivity_rows(model, test.q, test.w,
-                          include_joint1=include_joint1, tool_only=True)
-    Ms = _bucket_informations(model, plan, layout, include_joint1)
+    A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
+    Ms = _bucket_informations(model, plan, layout)
     per_bucket = []
     for b, M in enumerate(Ms):
         t = float(_bucket_variance(M, A0))
@@ -273,30 +260,22 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
 
 def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
                          noise: NoiseModel,
-                         layout: Optional[ParameterLayout] = None,
-                         include_joint1: bool = False) -> np.ndarray:
-    """Covariance of the full stage-one compliance vector under the plan.
+                         layout: Optional[ParameterLayout] = None) -> np.ndarray:
+    """Covariance sigma^2 (B^T B)^-1 of the full stage-one compliance vector.
 
     Uses the shared-parameter regressor B (one k3..k6 across all buckets),
-    accumulated per plan entry: B^T B = sum_e repeats_e B_e^T B_e.  With the
-    optional axis covariance C a sandwich estimate replaces the plain
-    sigma^2 (B^T B)^-1, its meat being sum_e repeats_e B_e^T (I (x) C) B_e.
+    accumulated per plan entry: B^T B = sum_e repeats_e B_e^T B_e.
     """
     if layout is None:
-        layout = plan.layout(include_joint1=include_joint1)
+        layout = plan.layout()
     p = layout.n_params
     BtB = np.zeros((p, p))
-    meat = np.zeros((p, p))
-    if noise.axis_cov is not None:
-        omega = np.kron(np.eye(len(model.markers)), noise.axis_cov)
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
-                            [e.wrench for e in plan.entries], include_joint1=True)
+                            [e.wrench for e in plan.entries])
     for i, (e, A) in enumerate(zip(plan.entries, rows)):
         b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
         Be = layout.place(A, b)
         BtB += e.repeats * (Be.T @ Be)
-        if noise.axis_cov is not None:
-            meat += e.repeats * (Be.T @ omega @ Be)
     U, s, Vt = np.linalg.svd(BtB)
     if s[-1] <= 1e-12 * s[0]:
         null = Vt[s <= 1e-12 * s[0]].T
@@ -306,10 +285,7 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
         raise IdentifiabilityError(
             f"plan information matrix is singular; unobservable parameters "
             f"include {', '.join(worst)}", null_directions=null)
-    inv = Vt.T @ np.diag(1.0 / s) @ U.T
-    if noise.axis_cov is None:
-        return noise.sigma_mm**2 * inv
-    return inv @ meat @ inv
+    return noise.sigma_mm**2 * (Vt.T @ np.diag(1.0 / s) @ U.T)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +347,6 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                   noise: NoiseModel, *,
                   configs_per_bucket: int = 3, repeats: int = 3,
                   n_starts: int = 20, n_grid: int = 7, n_levels: int = 3,
-                  include_joint1: bool = False,
                   seed: int = 0) -> OptimizedPlan:
     """Search measurement configurations minimizing the test-pose variance.
 
@@ -390,18 +365,16 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                         ("repeats", repeats), ("n_starts", n_starts)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    layout = ParameterLayout(tuple(sorted(buckets, reverse=True)),
-                             include_joint1=include_joint1)
+    layout = ParameterLayout(tuple(sorted(buckets, reverse=True)))
     wrench = constraints.wrench()
-    A0 = sensitivity_rows(model, test.q, test.w,
-                          include_joint1=include_joint1, tool_only=True)
+    A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
     joints = _searched_joints(model, wrench)
     n_eval = 0
 
     def gram(q: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += q.size // 6
-        A = sensitivity_rows(model, q, wrench, include_joint1=include_joint1)
+        A = sensitivity_rows(model, q, wrench)
         return repeats * (A.swapaxes(-1, -2) @ A)
 
     def bucket_term(M: np.ndarray) -> np.ndarray:
@@ -465,8 +438,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     best_start = min(finite, key=totals.__getitem__)
     plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
                                  for bucket in configs[best_start] for qc in bucket))
-    acc = test_pose_accuracy(model, plan, test, noise, layout=layout,
-                             include_joint1=include_joint1)
+    acc = test_pose_accuracy(model, plan, test, noise, layout=layout)
     return OptimizedPlan(plan=plan, accuracy=acc, start_values_mm2=start_values,
                          n_evaluations=n_eval,
                          searched_joints=tuple(j + 1 for j in joints))

@@ -36,6 +36,8 @@ DEFLECTION_CSV_HEADER = (
 BUCKET_TOL_RAD = math.radians(0.1)
 # Singular values below this fraction of the largest count as rank deficient.
 RANK_TOL = 1e-10
+# Physical parameters of the two-stage estimate, in report order.
+PARAMETER_LABELS = ("k2", "k3", "k4", "k5", "k6", "Kc", "s0")
 
 
 @dataclass
@@ -82,16 +84,14 @@ def load_deflection_csv(path) -> List[DeflectionRecord]:
 
 @dataclass(frozen=True)
 class ParameterLayout:
-    """Maps joints (and joint-2 angle buckets) onto regressor columns.
+    """Maps joints 2..6 (joint 2 per joint-2 angle bucket) onto regressor columns.
 
-    Column order: optional k1, then one joint-2 compliance per bucket, then
-    k3..k6.  Joint 1 is excluded by default: with purely vertical test loads
-    the force lever about the vertical base axis vanishes, so its column is
-    structurally zero and would only poison the normal equations.
+    Column order: one joint-2 compliance per bucket, then k3..k6.  Joint 1
+    has no column: a gravity-direction test load has no lever about the
+    vertical base axis, so its column would be structurally zero.
     """
 
     bucket_q2_rad: Tuple[float, ...]
-    include_joint1: bool = False
 
     def __post_init__(self):
         if len(self.bucket_q2_rad) == 0:
@@ -101,7 +101,7 @@ class ParameterLayout:
             raise ValueError("joint-2 buckets closer than twice the matching tolerance")
 
     @classmethod
-    def from_q2(cls, angles, *, include_joint1: bool = False) -> "ParameterLayout":
+    def from_q2(cls, angles) -> "ParameterLayout":
         """Cluster joint-2 angles into buckets; the first angle seen is the centre."""
         buckets: List[float] = []
         for q2 in angles:
@@ -109,13 +109,12 @@ class ParameterLayout:
             if not any(abs(q2 - b) <= BUCKET_TOL_RAD for b in buckets):
                 buckets.append(q2)
         buckets.sort(reverse=True)  # sweep order: near-upright first
-        return cls(tuple(buckets), include_joint1=include_joint1)
+        return cls(tuple(buckets))
 
     @classmethod
-    def from_records(cls, records: Sequence[DeflectionRecord], *,
-                     include_joint1: bool = False) -> "ParameterLayout":
+    def from_records(cls, records: Sequence[DeflectionRecord]) -> "ParameterLayout":
         """Cluster the joint-2 angles present in ``records`` into buckets."""
-        return cls.from_q2((r.q_rad[1] for r in records), include_joint1=include_joint1)
+        return cls.from_q2(r.q_rad[1] for r in records)
 
     @property
     def n_buckets(self) -> int:
@@ -123,7 +122,7 @@ class ParameterLayout:
 
     @property
     def n_params(self) -> int:
-        return (1 if self.include_joint1 else 0) + self.n_buckets + 4
+        return self.n_buckets + 4
 
     def bucket_of(self, q2_rad: float, context: str = "record") -> int:
         for i, b in enumerate(self.bucket_q2_rad):
@@ -135,38 +134,17 @@ class ParameterLayout:
             f"layout bucket (have: {have} deg, tol "
             f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
 
-    def column_of(self, joint: int, bucket: Optional[int] = None) -> Optional[int]:
-        """Regressor column of joint ``joint`` (1-based); None if excluded."""
-        off = 1 if self.include_joint1 else 0
-        if joint == 1:
-            return 0 if self.include_joint1 else None
-        if joint == 2:
-            if bucket is None:
-                raise ValueError("joint 2 requires a bucket index")
-            return off + bucket
-        return off + self.n_buckets + (joint - 3)
-
     def column_labels(self) -> Tuple[str, ...]:
-        labels: List[str] = []
-        if self.include_joint1:
-            labels.append("k1")
-        for b in self.bucket_q2_rad:
-            labels.append(f"k2[{math.degrees(b):.2f}deg]")
-        labels += ["k3", "k4", "k5", "k6"]
-        return tuple(labels)
+        return (tuple(f"k2[{math.degrees(b):.2f}deg]" for b in self.bucket_q2_rad)
+                + PARAMETER_LABELS[1:5])
 
     def place(self, A: np.ndarray, bucket: int) -> np.ndarray:
-        """Spread per-joint columns [k1..k6] over this layout's columns.
-
-        ``A`` is a :func:`stiffcal.doe.sensitivity_rows` block with joint 1
-        included; joint 2 lands in ``bucket``'s column, joint 1 is dropped
-        when the layout excludes it.
-        """
+        """Spread a :func:`stiffcal.doe.sensitivity_rows` block ``A`` with
+        columns [k2..k6] over this layout: k2 lands in ``bucket``'s column,
+        k3..k6 in the last four."""
         out = np.zeros((A.shape[0], self.n_params))
-        for j in range(1, 7):
-            col = self.column_of(j, bucket if j == 2 else None)
-            if col is not None:
-                out[:, col] = A[:, j - 1]
+        out[:, bucket] = A[:, 0]
+        out[:, -4:] = A[:, 1:]
         return out
 
 
@@ -204,7 +182,7 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
         first.setdefault(key, rec)
         keys.append(key)
     rows = sensitivity_rows(model, [r.q_rad for r in first.values()],
-                            [r.wrench for r in first.values()], include_joint1=True)
+                            [r.wrench for r in first.values()])
     blocks = {key: layout.place(A, key[2]) for key, A in zip(first, rows)}
     B = np.concatenate([blocks[key][3 * r.marker_id:3 * r.marker_id + 3]
                         for key, r in zip(keys, records)])
@@ -230,15 +208,13 @@ class CompliancesFit:
         return self.layout.column_labels()
 
     def joint2_compliances(self) -> np.ndarray:
-        off = 1 if self.layout.include_joint1 else 0
-        return self.values[off:off + self.layout.n_buckets]
+        return self.values[:self.layout.n_buckets]
 
     def joint2_stiffnesses(self) -> np.ndarray:
         """Equivalent joint-2 stiffness per bucket, N*mm/rad."""
         k2 = self.joint2_compliances()
         if np.any(k2 <= 0):
-            labels = self.labels[1 if self.layout.include_joint1 else 0:]
-            bad = [lab for lab, v in zip(labels, k2) if v <= 0]
+            bad = [lab for lab, v in zip(self.labels, k2) if v <= 0]
             raise IdentifiabilityError(
                 f"non-positive joint-2 compliance estimate ({', '.join(bad)}); "
                 "data too noisy or wrong model")
@@ -382,33 +358,19 @@ class ElastostaticEstimate:
     def joint_compliances(self) -> np.ndarray:
         """(6,) compliances rad/(N*mm); joint 2 is the bare spring 1/K0.
 
-        Joints excluded from the layout come back as NaN.
+        Joint 1 has no layout column and comes back as NaN.
         """
-        out = np.full(6, np.nan)
-        lay = self.fit.layout
-        if lay.include_joint1:
-            out[0] = self.fit.values[0]
-        out[1] = self.separation.k2_rad_per_Nmm
-        off = (1 if lay.include_joint1 else 0) + lay.n_buckets
-        out[2:6] = self.fit.values[off:off + 4]
-        return out
+        nb = self.fit.layout.n_buckets
+        return np.concatenate([[np.nan, self.separation.k2_rad_per_Nmm],
+                               self.fit.values[nb:]])
 
     def parameter_labels(self) -> Tuple[str, ...]:
-        labels: List[str] = []
-        if self.fit.layout.include_joint1:
-            labels.append("k1")
-        labels += ["k2", "k3", "k4", "k5", "k6", "Kc", "s0"]
-        return tuple(labels)
+        return PARAMETER_LABELS
 
     def parameter_values(self) -> np.ndarray:
         """Physical parameter vector matching :meth:`parameter_labels`."""
-        kk = self.joint_compliances
-        vals: List[float] = []
-        if self.fit.layout.include_joint1:
-            vals.append(kk[0])
-        vals += [kk[1], kk[2], kk[3], kk[4], kk[5],
-                 self.separation.Kc_N_per_mm, self.separation.s0_mm]
-        return np.array(vals)
+        return np.append(self.joint_compliances[1:],
+                         [self.separation.Kc_N_per_mm, self.separation.s0_mm])
 
 
 def identify_elastostatics(model: ManipulatorModel,
@@ -471,13 +433,12 @@ def confidence_intervals_elasto(model: ManipulatorModel,
         zero = np.zeros_like(values)
         return ElastoCI(labels, values, zero, zero, sigma, n_samples, seed)
     pinv = estimate.fit.pinv
-    off = (1 if layout.include_joint1 else 0)
     nb = layout.n_buckets
     k_star = np.empty((n_samples, pinv.shape[0]))
     for i in range(n_samples):
         noise = np.random.default_rng((seed, i)).standard_normal(yhat.shape)
         k_star[i] = pinv @ (yhat + sigma * noise)
-    k2 = k_star[:, off:off + nb]
+    k2 = k_star[:, :nb]
     ok = ~np.any(k2 <= 0, axis=1)
     x = np.empty((n_samples, 3))
     try:
@@ -494,8 +455,7 @@ def confidence_intervals_elasto(model: ManipulatorModel,
             f"{failed}/{n_samples} resamples failed to separate the compensator; "
             "noise level too high for a meaningful interval")
     K0, Kc, s0 = x[ok, 0], x[ok, 1], x[ok, 2] / x[ok, 1]
-    cols = ([k_star[ok, 0]] if layout.include_joint1 else []) + [1.0 / K0]
-    arr = np.column_stack(cols + [k_star[ok, off + nb:off + nb + 4], Kc, s0])
+    arr = np.column_stack([1.0 / K0, k_star[ok, nb:], Kc, s0])
     half = 3.0 * np.std(arr, axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.where(values != 0, 100.0 * half / np.abs(values), np.inf)

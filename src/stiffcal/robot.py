@@ -262,7 +262,7 @@ class NodeLoading:
         return self.wrenches[:, :3].sum(axis=0)
 
 
-def gravity_loading(model: ManipulatorModel, q=None, theta=None) -> NodeLoading:
+def gravity_loading(model: ManipulatorModel) -> NodeLoading:
     """Link weights lumped to the node set by the lever rule about each COM.
 
     Each link's weight ``m_i * g`` splits between its two end nodes according
@@ -270,9 +270,8 @@ def gravity_loading(model: ManipulatorModel, q=None, theta=None) -> NodeLoading:
     and the moment about either end is preserved up to the COM's off-axis
     offset (inherent to end-node lumping).  The resulting wrench *values* are
     configuration independent -- split fractions are fixed in the link frames
-    and gravity is constant in the base frame -- which is why ``q``/``theta``
-    are accepted but unused; the application points do move, and that is
-    captured by the node Jacobians.
+    and gravity is constant in the base frame -- so no pose is taken; the
+    application points do move, and that is captured by the node Jacobians.
     """
     W = np.zeros((7, 6))
     g = model.gravity

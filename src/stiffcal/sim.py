@@ -18,7 +18,7 @@ import numpy as np
 
 from .compensator import CompensatorGeometry
 from .doe import CalibrationPlan
-from .elasto_id import DeflectionRecord
+from .elasto_id import PARAMETER_LABELS, DeflectionRecord
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
 from .robot import ManipulatorModel, marker_positions
@@ -37,20 +37,12 @@ class GroundTruth:
     values: np.ndarray
 
     @classmethod
-    def from_model(cls, model: ManipulatorModel,
-                   include_joint1: bool = False) -> "GroundTruth":
+    def from_model(cls, model: ManipulatorModel) -> "GroundTruth":
         if model.compensator is None:
             raise ValueError("model has no compensator; ground truth undefined")
-        labels: List[str] = []
-        vals: List[float] = []
-        start = 0 if include_joint1 else 1
-        for j in range(start, 6):
-            labels.append(f"k{j + 1}")
-            vals.append(float(model.compliances[j]))
-        labels += ["Kc", "s0"]
-        vals += [model.compensator.elastics.Kc_N_per_mm,
-                 model.compensator.elastics.s0_mm]
-        return cls(tuple(labels), np.array(vals))
+        el = model.compensator.elastics
+        return cls(PARAMETER_LABELS, np.append(model.compliances[1:],
+                                               [el.Kc_N_per_mm, el.s0_mm]))
 
 
 def simulate_geometry_dataset(geometry: CompensatorGeometry,

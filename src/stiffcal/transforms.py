@@ -71,11 +71,6 @@ def rotvec_from_matrix(R: np.ndarray) -> np.ndarray:
     return w * (angle / (2.0 * s))
 
 
-def compose(Ra, pa, Rb, pb):
-    """Compose two transforms: (Ra,pa) then (Rb,pb) applied to child coords."""
-    return Ra @ Rb, Ra @ pb + pa
-
-
 def pose_difference(p_to, R_to, p_from, R_from) -> np.ndarray:
     """6-vector twist taking pose ``from`` to pose ``to``.
 

@@ -329,13 +329,12 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     layout = estimate.fit.layout
     yhat, sigma, pinv = estimate.fit.fitted_mm, estimate.fit.sigma_hat_mm, estimate.fit.pinv
     comp = model.compensator
-    off = 1 if layout.include_joint1 else 0
     nb = layout.n_buckets
     samples, failed = [], 0
     for i in range(n_samples):
         rng = np.random.default_rng((seed, i))
         k_star = pinv @ (yhat + sigma * rng.standard_normal(yhat.shape))
-        k2 = k_star[off:off + nb]
+        k2 = k_star[:nb]
         try:
             if np.any(k2 <= 0):
                 raise IdentifiabilityError("non-positive resampled compliance")
@@ -345,11 +344,7 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
         except IdentifiabilityError:
             failed += 1
             continue
-        row = [k_star[0]] if layout.include_joint1 else []
-        row.append(sep.k2_rad_per_Nmm)
-        row.extend(k_star[off + nb:off + nb + 4])
-        row += [sep.Kc_N_per_mm, sep.s0_mm]
-        samples.append(row)
+        samples.append([sep.k2_rad_per_Nmm, *k_star[nb:], sep.Kc_N_per_mm, sep.s0_mm])
     if failed > n_samples // 2:
         raise IdentifiabilityError(f"{failed}/{n_samples} resamples failed")
     return 3.0 * np.std(np.array(samples), axis=0, ddof=1), failed

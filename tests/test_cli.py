@@ -302,6 +302,11 @@ class TestUsageParsing:
         # argparse before Python 3.12 reads these as empty lists
         pytest.param(["eta-curve", "--s0=458", "--q2=--"], "--q2", id="q2-dashes"),
         pytest.param(["geom-ident", "--seed=--"], "--seed", id="seed-dashes"),
+        pytest.param(["eta-curve", "--s0=", "--q2=-140:0:5"], "--s0", id="s0-empty"),
+        pytest.param(["eta-curve", "--s0=458", "--q2="], "--q2", id="eta-q2-empty"),
+        pytest.param(["simulate", "geometry", "--q2="], "--q2", id="geometry-q2-empty"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets="], "--buckets",
+                     id="buckets-empty"),
     ])
     def test_seed_and_count_flags_bounded(self, tmp_path, model_path, table1_path,
                                           capsys, argv, flag):

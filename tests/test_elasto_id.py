@@ -46,27 +46,16 @@ class TestLayout:
         assert list(lay.bucket_q2_rad) == sorted(lay.bucket_q2_rad, reverse=True)
         assert lay.n_params == 9
 
-    def test_include_joint1_adds_column(self, clean_records):
-        lay = ParameterLayout.from_records(clean_records, include_joint1=True)
-        assert lay.n_params == 10
-        assert lay.column_labels()[0] == "k1"
-        assert lay.column_of(1) == 0
-
     def test_column_map_roundtrip(self):
         lay = ParameterLayout(tuple(np.radians([-10.0, -50.0, -90.0])))
-        assert lay.column_of(1) is None
-        assert lay.column_of(2, 0) == 0
-        assert lay.column_of(2, 2) == 2
-        assert lay.column_of(3) == 3
-        assert lay.column_of(6) == 6
         assert lay.column_labels() == (
             "k2[-10.00deg]", "k2[-50.00deg]", "k2[-90.00deg]",
             "k3", "k4", "k5", "k6")
-
-    def test_joint2_needs_bucket(self):
-        lay = ParameterLayout((0.0,))
-        with pytest.raises(ValueError, match="bucket index"):
-            lay.column_of(2)
+        A = np.array([[1.0, 2.0, 3.0, 4.0, 5.0],
+                      [6.0, 7.0, 8.0, 9.0, 10.0]])      # columns k2..k6
+        assert np.array_equal(lay.place(A, 1), [
+            [0.0, 1.0, 0.0, 2.0, 3.0, 4.0, 5.0],
+            [0.0, 6.0, 0.0, 7.0, 8.0, 9.0, 10.0]])
 
     def test_unmatched_angle_names_record(self):
         lay = ParameterLayout(tuple(np.radians([-10.0, -90.0])))
@@ -103,19 +92,17 @@ class TestRegressor:
         k_true[5:] = model.compliances[2:]
         assert np.linalg.norm(y - B @ k_true) / np.linalg.norm(y) < 1e-12
 
-    @pytest.mark.parametrize("include_joint1", [False, True])
-    def test_two_wrenches_at_one_pose(self, model, plan, include_joint1):
+    def test_two_wrenches_at_one_pose(self, model, plan):
         """Records sharing a pose but not the wrench get their own rows."""
         e = plan.entries[4]
         other = np.array([300.0, -150.0, -900.0, 2e4, -1e4, 5e3])
         recs = [DeflectionRecord(e.q, w, m, np.zeros(3))
                 for w in (e.w, other, e.w) for m in range(len(model.markers))]
-        lay = ParameterLayout.from_records(recs, include_joint1=include_joint1)
+        lay = ParameterLayout.from_records(recs)
         B, _ = build_regressor(model, recs, lay)
-        first = 0 if include_joint1 else 1   # one bucket: joint order is column order
-        for i, r in enumerate(recs):
-            A = sensitivity_rows(model, r.q_rad, r.wrench, include_joint1=True)
-            ref = A[3 * r.marker_id:3 * r.marker_id + 3, first:]
+        for i, r in enumerate(recs):   # one bucket: joint order is column order
+            A = sensitivity_rows(model, r.q_rad, r.wrench)
+            ref = A[3 * r.marker_id:3 * r.marker_id + 3]
             np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
@@ -171,15 +158,10 @@ class TestStageOne:
         with pytest.raises(IdentifiabilityError, match="non-positive joint-2"):
             fit.joint2_stiffnesses()
 
-    @pytest.mark.parametrize("include_joint1", [False, True])
-    def test_joint2_stiffnesses_guard_names_only_buckets(self, model, clean_records,
-                                                          include_joint1):
+    def test_joint2_stiffnesses_guard_names_only_buckets(self, model, clean_records):
         fit = identify_compliances(model, clean_records)
-        if include_joint1:     # joint 1 is idle under these loads: a made-up k1
-            lay = ParameterLayout.from_records(clean_records, include_joint1=True)
-            fit = dataclasses.replace(fit, layout=lay, values=np.r_[1e-9, fit.values])
         values = fit.values.copy()
-        bucket = 1 + include_joint1     # the second joint-2 bucket
+        bucket = 1     # the second joint-2 bucket
         values[[bucket, fit.labels.index("k3")]] = -1e-9
         with pytest.raises(IdentifiabilityError) as err:
             dataclasses.replace(fit, values=values).joint2_stiffnesses()

@@ -179,11 +179,6 @@ class TestGroundTruth:
         assert truth.values[0] == pytest.approx(3.02e-10)
         assert truth.values[-2:] == pytest.approx([6000.0, 458.0])
 
-    def test_include_joint1(self, model):
-        truth = GroundTruth.from_model(model, include_joint1=True)
-        assert truth.labels[0] == "k1"
-        assert truth.values[0] == pytest.approx(2.5e-10)
-
     def test_needs_compensator(self, model):
         from stiffcal.robot import ManipulatorModel
         bare = ManipulatorModel(joints=model.joints, base=model.base,

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffcal.transforms import (compose, pose_difference, rot_axis,
-                                 rot_from_rotvec, rot_rpy, rotvec_from_matrix)
+from stiffcal.transforms import (pose_difference, rot_axis, rot_from_rotvec,
+                                 rot_rpy, rotvec_from_matrix)
 
 finite_angle = st.floats(-3.1, 3.1, allow_nan=False)
 unit_axis = st.sampled_from([
@@ -55,16 +55,6 @@ def test_rpy_order():
         rot_axis(np.array([0.0, 1.0, 0.0]), p) @ \
         rot_axis(np.array([1.0, 0.0, 0.0]), r)
     assert np.allclose(R, Rref, atol=1e-14)
-
-
-def test_compose_against_matrix_product():
-    rng = np.random.default_rng(1)
-    Ra = rot_from_rotvec(rng.normal(size=3))
-    Rb = rot_from_rotvec(rng.normal(size=3))
-    pa, pb = rng.normal(size=3), rng.normal(size=3)
-    R, p = compose(Ra, pa, Rb, pb)
-    x = rng.normal(size=3)
-    assert np.allclose(R @ x + p, Ra @ (Rb @ x + pb) + pa, atol=1e-12)
 
 
 @given(angle=st.floats(-2.0, 2.0), axis=unit_axis)
