@@ -91,6 +91,15 @@ class TestSensitivityRows:
         # vertical load through the vertical base axis: zero lever
         assert np.allclose(A[:, 0], 0.0, atol=1e-9)
 
+    def test_joint1_column_idle_across_plan(self, model, plan):
+        """No plan load has a lever about joint 1, which is why the stage-one
+        layout has no k1 column; the other columns are the default block."""
+        q = np.array([e.q_rad for e in plan.entries])
+        w = np.array([e.wrench for e in plan.entries])
+        wide = sensitivity_rows(model, q, w, include_joint1=True)
+        assert np.abs(wide[..., 0]).max() <= 1e-9 * np.abs(wide).max()
+        assert np.array_equal(wide[..., 1:], sensitivity_rows(model, q, w))
+
 
     @pytest.mark.parametrize("tool_only", [False, True])
     @pytest.mark.parametrize("include_joint1", [False, True])
@@ -223,7 +232,16 @@ class TestParameterCovariance:
     def test_duplicating_plan_halves_covariance(self, model, plan):
         c1 = parameter_covariance(model, plan, NOISE)
         c2 = parameter_covariance(model, plan.replicated(2), NOISE)
-        assert np.allclose(c2, c1 / 2.0, rtol=1e-9)
+        assert np.allclose(c2, c1 / 2.0, rtol=1e-9, atol=0.0)
+
+    def test_scales_with_sigma_squared(self, model, plan):
+        c1 = parameter_covariance(model, plan, NoiseModel(0.05))
+        c2 = parameter_covariance(model, plan, NoiseModel(0.10))
+        assert np.allclose(c2, 4.0 * c1, rtol=1e-12, atol=0.0)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseModel(sigma_mm=-0.01)
 
     def test_matches_dense_regressor(self, model, plan):
         cov = parameter_covariance(model, plan, NOISE)

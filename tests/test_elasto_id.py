@@ -106,6 +106,18 @@ class TestRegressor:
             np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
+    def test_rows_land_in_their_bucket(self, model, clean_records):
+        """Each record's k2 sensitivity fills its own bucket's column only."""
+        lay = ParameterLayout.from_records(clean_records)
+        assert lay.n_buckets > 1
+        B, _ = build_regressor(model, clean_records, lay)
+        for i, r in enumerate(clean_records):
+            A = sensitivity_rows(model, r.q_rad, r.wrench)
+            A = A[3 * r.marker_id:3 * r.marker_id + 3]
+            ref = lay.place(A, lay.bucket_of(r.q_rad[1]))
+            np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
     def test_bad_marker_id(self, model, clean_records):
         lay = ParameterLayout.from_records(clean_records)
         bad = DeflectionRecord(q_rad=clean_records[0].q_rad,
