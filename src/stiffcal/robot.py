@@ -166,6 +166,7 @@ class ChainState:
 
 
 _EYE3 = np.eye(3)
+_TRIU, _TRIU_STRICT = (np.triu(np.ones((6, 6), dtype=bool), k) for k in (0, 1))
 
 
 def chain_state(model: ManipulatorModel, q, theta) -> ChainState:
@@ -230,12 +231,15 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.ndarray:
     """6x6 Jacobian of a point rigidly attached after joint ``n_cols``: column
-    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]``, the rest zero.
-    Broadcasts over the leading axes of ``st`` and ``point`` (..., 3)."""
+    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]`` (by :func:`_cross`'s
+    products), the rest zero; ``st``'s and ``point``'s (..., 3) batch axes lead it (..., 6, 6)."""
     w = st.joint_axis[..., :n_cols, :]
-    lever = _cross(w, point[..., None, :] - st.joint_p[..., :n_cols, :])
-    J = np.zeros(lever.shape[:-2] + (6, 6))
-    J[..., :3, :n_cols] = lever.swapaxes(-1, -2)
+    d = point[..., None, :] - st.joint_p[..., :n_cols, :]
+    w0, w1, w2, d0, d1, d2 = w[..., 0], w[..., 1], w[..., 2], d[..., 0], d[..., 1], d[..., 2]
+    J = np.zeros(d.shape[:-2] + (6, 6))
+    J[..., 0, :n_cols] = w1 * d2 - w2 * d1
+    J[..., 1, :n_cols] = w2 * d0 - w0 * d2
+    J[..., 2, :n_cols] = w0 * d1 - w1 * d0
     J[..., 3:, :n_cols] = w.swapaxes(-1, -2)
     return J
 
@@ -327,7 +331,7 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
 
 def hessian_theta(model: ManipulatorModel, st: ChainState,
                   loading: Optional[NodeLoading] = None, tool_wrench=None) -> np.ndarray:
-    """Load-potential Hessian w.r.t. deflections (6x6) at one chain state ``st``.
+    """Load-potential Hessian w.r.t. deflections at the chain state ``st``.
 
     Sums the loaded nodes (1..6; node 0 is inert) and the tool, each from
     its point Jacobian with ``c_b = J[:3, b]``.  A force ``f`` gives the exact
@@ -337,12 +341,12 @@ def hessian_theta(model: ManipulatorModel, st: ChainState,
     non-conservative, and this symmetric part of ``d(J_rot^T m)/dtheta``
     keeps the stiffness operator symmetric (the conservative-congruence
     choice).  Both are formed on the upper triangle and mirrored; columns
-    beyond a node's own joint are zero in its ``J``.
+    beyond a node's own joint are zero in its ``J``.  One stacked pass over all
+    points; the batch axes of ``st`` and the tool wrench lead the result (..., 6, 6).
     """
-    H = np.zeros((6, 6))
-    for J, w in zip(*_loaded_jacobians(st, loading, tool_wrench)):
-        W = J[3:].T
-        U = np.triu(W @ _cross(J[:3].T, w[:3]).T)
-        U += 0.5 * np.triu(W @ _cross(W, w[3:]).T, 1)
-        H += U + np.triu(U, 1).T
-    return H
+    J, F = _loaded_jacobians(st, loading, tool_wrench)
+    Jt = J.swapaxes(-1, -2)
+    W = Jt[..., 3:]
+    U = np.where(_TRIU, W @ _cross(Jt[..., :3], F[..., None, :3]).swapaxes(-1, -2), 0.0)
+    U += 0.5 * np.where(_TRIU_STRICT, W @ _cross(W, F[..., None, 3:]).swapaxes(-1, -2), 0.0)
+    return (U + np.where(_TRIU_STRICT, U, 0.0).swapaxes(-1, -2)).sum(axis=0)

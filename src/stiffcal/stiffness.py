@@ -65,7 +65,8 @@ class EquilibriumState:
 
     :func:`solve_equilibria` fills every field with a stack, one entry per
     pose (``converged``, ``iterations`` and the residuals as arrays (N,));
-    :func:`solve_equilibrium` gives one pose with scalar fields.
+    :func:`solve_equilibrium` gives one pose with scalar fields.  Primal mode
+    has no target pose, so its ``residual_position_mm`` is nan.
     """
 
     q: np.ndarray
@@ -130,7 +131,7 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     return EquilibriumState(q=q, theta=st.theta[0], tool_wrench=F,
                             pose=Pose(st.pose.p[0], st.pose.R[0]),
                             converged=bool(st.converged[0]),
-                            iterations=int(st.iterations[0]), residual_position_mm=0.0,
+                            iterations=int(st.iterations[0]), residual_position_mm=np.nan,
                             residual_wrench_rel=float(st.residual_wrench_rel[0]))
 
 
@@ -187,7 +188,7 @@ def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
             break
     return EquilibriumState(q=q, theta=theta, tool_wrench=F,
                             pose=Pose(st.tool_p, st.tool_R), converged=~live,
-                            iterations=iterations, residual_position_mm=np.zeros(n),
+                            iterations=iterations, residual_position_mm=np.full(n, np.nan),
                             residual_wrench_rel=res)
 
 

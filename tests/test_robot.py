@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_loop,
-                     planar_2r_force_hessian)
+                     planar_2r_force_hessian, point_jacobian_loop)
 from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading, _cross,
                             _point_jacobian, chain_state, fk, gravity_loading,
                             hessian_theta, load_torques, marker_positions)
@@ -226,6 +226,50 @@ def test_load_terms_match_point_loop_bit_for_bit(model, loads, tool, seed):
     assert H.tobytes() == hessian_theta_loop(st_, loading, tool).tobytes()
     if loading is None and tool is None:
         assert tau.tobytes() == np.zeros(6).tobytes() and not H.any()
+
+
+@pytest.mark.parametrize("loads", [
+    pytest.param(lambda m: (m, gravity_loading(m)), id="gravity"),
+    pytest.param(_node_wrenches, id="node-wrenches"),
+    pytest.param(lambda m: (m, None), id="no-loading"),
+])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)], ids=["5", "3x4"])
+def test_stacked_hessian_matches_each_pose_bit_for_bit(model, loads, shape):
+    """A stack of chain states, each pose with its own tool wrench, gives
+    every pose its own single-state Hessian and the point loop's, to the
+    last bit; nothing loaded gives zeros with the stack's batch axes."""
+    model, loading = loads(model)
+    rng = np.random.default_rng(len(shape))
+    q = rng.uniform(-np.pi, np.pi, shape + (6,))
+    th = rng.normal(scale=2e-3, size=shape + (6,))
+    tool = np.concatenate([rng.normal(scale=1500.0, size=shape + (3,)),
+                           rng.normal(scale=1e5, size=shape + (3,))], axis=-1)
+    batch = chain_state(model, q, th)
+    H = hessian_theta(model, batch, loading, tool)
+    assert H.shape == shape + (6, 6)
+    for idx in np.ndindex(*shape):
+        one = chain_state(model, q[idx], th[idx])
+        assert H[idx].tobytes() == hessian_theta(model, one, loading, tool[idx]).tobytes()
+        assert H[idx].tobytes() == hessian_theta_loop(one, loading, tool[idx]).tobytes()
+    assert hessian_theta(model, batch).tobytes() == np.zeros(shape + (6, 6)).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([(), (4,), (2, 3)]),
+       st.sampled_from([(), (3,)]))
+@settings(max_examples=60, deadline=None)
+def test_point_jacobian_matches_cross_loop_bit_for_bit(model, seed, n_cols, shape, stacked):
+    """Lever rows by component give ``np.cross``'s bits, at one chain state
+    or a stack, for one point per state or a stack of points (P, ..., 3)."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-np.pi, np.pi, shape + (6,))
+    th = rng.normal(scale=2e-3, size=shape + (6,))
+    points = rng.normal(scale=1e3, size=stacked + shape + (3,))
+    J = _point_jacobian(chain_state(model, q, th), points, n_cols)
+    assert J.shape == stacked + shape + (6, 6)
+    for idx in np.ndindex(*stacked + shape):
+        pose = idx[len(stacked):]
+        ref = point_jacobian_loop(chain_state(model, q[pose], th[pose]), points[idx], n_cols)
+        assert J[idx].tobytes() == ref.tobytes(), idx
 
 
 def test_exactly_six_joints_required():

@@ -97,6 +97,17 @@ class TestEquilibrium:
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
         assert st.residual_wrench_rel < 1e-10
 
+    def test_primal_mode_reports_no_position_residual(self, model, comp):
+        """Primal mode has no target to measure against: nan, as a float for
+        one pose and one per pose for a stack; dual mode measures its own."""
+        one = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
+        assert type(one.residual_position_mm) is float and np.isnan(one.residual_position_mm)
+        stack = solve_equilibria(model, comp, np.stack([TEST_Q] * 3), np.stack([LOAD] * 3))
+        assert stack.residual_position_mm.shape == (3,)
+        assert np.isnan(stack.residual_position_mm).all()
+        dual = solve_equilibrium(model, comp, TEST_Q, target=one.pose)
+        assert 0.0 <= dual.residual_position_mm < 1e-6
+
 
 class TestCartesianStiffness:
     def test_symmetric(self, model, comp):
