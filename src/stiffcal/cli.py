@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 bad usage, 2 numerical/validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -504,10 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process; ``parse_args`` keeps no
+    state on the parser, so every call parses as a fresh one would."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code (0, 1 or 2).
+
+    The parser is built once per process, so ``main`` may be called
+    repeatedly in-process (a benchmark or a notebook running one command
+    after another) without rebuilding it; each call leaves no other state.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("no subcommand given (see --help)")
         if args.command == "simulate" and getattr(args, "sim_kind", None) is None:

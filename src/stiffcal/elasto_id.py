@@ -63,19 +63,32 @@ class DeflectionRecord:
 
 
 def save_deflection_csv(path, records: Sequence[DeflectionRecord]) -> None:
+    q = np.degrees([r.q_rad for r in records]).tolist()
+    w = np.array([r.wrench for r in records]).tolist()
+    d = np.array([r.deflection_mm for r in records]).tolist()
     write_table(path, DEFLECTION_CSV_HEADER, (
-        [f"{v:.10g}" for v in np.degrees(r.q_rad)] + [f"{v:.10g}" for v in r.wrench]
-        + [str(r.marker_id)] + [f"{v:.10g}" for v in r.deflection_mm] + [str(r.repeat)]
-        for r in records))
+        [f"{v:.10g}" for v in qi + wi] + [str(r.marker_id)]
+        + [f"{v:.10g}" for v in di] + [str(r.repeat)]
+        for qi, wi, di, r in zip(q, w, d, records)))
 
 
 def load_deflection_csv(path) -> List[DeflectionRecord]:
-    _, records = read_table(
-        path, DEFLECTION_CSV_HEADER, kind="deflection", ints=("marker_id", "repeat"),
-        row=lambda v: DeflectionRecord(np.radians(v[:6]), v[6:12], v[12], v[13:16], v[16]))
-    if not records:
+    """Records of a deflection CSV; a negative ``marker_id`` or ``repeat``
+    is rejected with its ``path:line``."""
+    def checked(v: list) -> list:
+        for i, name in ((12, "marker_id"), (16, "repeat")):
+            if v[i] < 0:
+                raise ValueError(f"column {name} must be >= 0, got {v[i]}")
+        return v
+
+    _, rows = read_table(path, DEFLECTION_CSV_HEADER, kind="deflection",
+                         ints=("marker_id", "repeat"), row=checked)
+    if not rows:
         raise DataLayoutError(f"{path}: no deflection records found")
-    return records
+    a = np.array([v[:12] + v[13:16] for v in rows])   # q, wrench, deflection
+    q = np.radians(a[:, :6])
+    return [DeflectionRecord(q[i], a[i, 6:12], v[12], a[i, 12:], v[16])
+            for i, v in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +151,15 @@ class ParameterLayout:
         return (tuple(f"k2[{math.degrees(b):.2f}deg]" for b in self.bucket_q2_rad)
                 + PARAMETER_LABELS[1:5])
 
-    def place(self, A: np.ndarray, bucket: int) -> np.ndarray:
+    def place(self, A: np.ndarray, bucket) -> np.ndarray:
         """Spread a :func:`stiffcal.doe.sensitivity_rows` block ``A`` with
         columns [k2..k6] over this layout: k2 lands in ``bucket``'s column,
-        k3..k6 in the last four."""
-        out = np.zeros((A.shape[0], self.n_params))
-        out[:, bucket] = A[:, 0]
-        out[:, -4:] = A[:, 1:]
+        k3..k6 in the last four.  A stack of blocks ``(..., rows, 5)`` takes
+        one bucket per block, ``bucket`` of shape ``(...)``."""
+        out = np.zeros(A.shape[:-1] + (self.n_params,))
+        np.copyto(out[..., :self.n_buckets], A[..., :1],
+                  where=np.arange(self.n_buckets) == np.asarray(bucket)[..., None, None])
+        out[..., -4:] = A[..., 1:]
         return out
 
 
@@ -169,23 +184,29 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     n = len(records)
     if n == 0:
         raise DataLayoutError("no deflection records to regress on")
-    first = {}       # distinct (pose, wrench, bucket) -> its first record
-    keys = []
-    for i, rec in enumerate(records):
-        m = rec.marker_id
-        if not 0 <= m < len(model.markers):
+    q = np.array([r.q_rad for r in records])
+    wrench = np.array([r.wrench for r in records])
+    marker = np.array([r.marker_id for r in records])
+    n_markers = len(model.markers)
+    marker_ok = (marker >= 0) & (marker < n_markers)
+    near = np.abs(q[:, 1:2] - np.array(layout.bucket_q2_rad)) <= BUCKET_TOL_RAD
+    bad = np.flatnonzero(~(marker_ok & near.any(axis=1)))
+    if bad.size:     # the first bad record, marker before bucket
+        i = int(bad[0])
+        if not marker_ok[i]:
             raise DataLayoutError(
-                f"record {i}: marker id {m} outside model range "
-                f"0..{len(model.markers) - 1}")
-        bucket = layout.bucket_of(float(rec.q_rad[1]), context=f"record {i}")
-        key = (tuple(np.round(rec.q_rad, 12)), tuple(rec.wrench), bucket)
-        first.setdefault(key, rec)
-        keys.append(key)
-    rows = sensitivity_rows(model, [r.q_rad for r in first.values()],
-                            [r.wrench for r in first.values()])
-    blocks = {key: layout.place(A, key[2]) for key, A in zip(first, rows)}
-    B = np.concatenate([blocks[key][3 * r.marker_id:3 * r.marker_id + 3]
-                        for key, r in zip(keys, records)])
+                f"record {i}: marker id {records[i].marker_id} outside model range "
+                f"0..{n_markers - 1}")
+        layout.bucket_of(float(q[i, 1]), context=f"record {i}")   # raises
+    bucket = near.argmax(axis=1)      # the first matching bucket
+    # one sensitivity block per distinct (pose, wrench, bucket), taken at its
+    # first record; + 0.0 makes -0.0 and 0.0 one key
+    key = np.column_stack([np.round(q, 12), wrench, bucket]) + 0.0
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    A = sensitivity_rows(model, q[first], wrench[first])
+    # the inverse's shape differs across numpy 2.0.x releases
+    A = A.reshape(len(first), n_markers, 3, -1)[group.reshape(-1), marker]
+    B = layout.place(A, bucket).reshape(3 * n, layout.n_params)
     return B, np.concatenate([r.deflection_mm for r in records])
 
 

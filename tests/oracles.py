@@ -131,6 +131,35 @@ def hessian_theta_loop(st, loading, tool_wrench):
     return H
 
 
+def build_regressor_loop(model, records, layout):
+    """The stage-one regressor one record at a time: marker and bucket checks
+    in record order, one sensitivity block per distinct (q rounded to 1e-12,
+    wrench, bucket) keyed in a dict, B assembled block by block."""
+    from stiffcal.doe import sensitivity_rows
+    from stiffcal.errors import DataLayoutError
+
+    if not records:
+        raise DataLayoutError("no deflection records to regress on")
+    first = {}       # distinct (pose, wrench, bucket) -> its first record
+    keys = []
+    for i, rec in enumerate(records):
+        m = rec.marker_id
+        if not 0 <= m < len(model.markers):
+            raise DataLayoutError(
+                f"record {i}: marker id {m} outside model range "
+                f"0..{len(model.markers) - 1}")
+        bucket = layout.bucket_of(float(rec.q_rad[1]), context=f"record {i}")
+        key = (tuple(np.round(rec.q_rad, 12)), tuple(rec.wrench), bucket)
+        first.setdefault(key, rec)
+        keys.append(key)
+    rows = sensitivity_rows(model, [r.q_rad for r in first.values()],
+                            [r.wrench for r in first.values()])
+    blocks = {key: layout.place(A, key[2]) for key, A in zip(first, rows)}
+    B = np.concatenate([blocks[key][3 * r.marker_id:3 * r.marker_id + 3]
+                        for key, r in zip(keys, records)])
+    return B, np.concatenate([r.deflection_mm for r in records])
+
+
 def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                              configs_per_bucket=3, repeats=3, n_starts=20,
                              n_grid=7, n_levels=3, seed=0):

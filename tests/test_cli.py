@@ -1,6 +1,9 @@
 import io
 import json
+import pathlib
 import re
+import shlex
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,10 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffcal.cli import main
+from stiffcal import cli
+from stiffcal.cli import build_parser, main
 from stiffcal.doe import PLAN_CSV_HEADER
 
 pytestmark = pytest.mark.usefixtures("model_path", "table1_path")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """argv of each ``stiffcal`` command in the README's command-line block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert commands and all(c[0] == "stiffcal" for c in commands)
+    return [c[1:] for c in commands]
 
 
 def _load_json(path):
@@ -337,11 +353,57 @@ class TestUsageParsing:
         assert "no compensator" in capsys.readouterr().err
 
     def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        assert "stiffcal" in capsys.readouterr().out
+        for _ in range(2):      # the cached parser exits the same way again
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("stiffcal ")
 
+
+class TestInProcessReuse:
+    """``main`` run again and again in one process on the one cached parser."""
+
+    @staticmethod
+    def _readme_outputs(root, monkeypatch, cold):
+        for name in ("configs", "data"):
+            shutil.copytree(ROOT / name, root / name)
+        monkeypatch.chdir(root)
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            for argv in _readme_commands():
+                if cold:
+                    cli._shared_parser.cache_clear()
+                assert main(argv) == 0, argv
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted((root / "out").rglob("*"))
+                 if p.is_file() and p.name != "manifest.json"}
+        return files, stdout.getvalue()
+
+    def test_readme_block_cold_and_warm_parser_agree(self, tmp_path, monkeypatch):
+        cold = self._readme_outputs(tmp_path / "cold", monkeypatch, cold=True)
+        warm = self._readme_outputs(tmp_path / "warm", monkeypatch, cold=False)
+        assert "out/meas/records.csv" in cold[0] and len(cold[0]) == 15
+        assert warm == cold
+
+    def test_warm_parser_gives_fresh_namespaces(self):
+        commands = _readme_commands()
+        for argv in commands:
+            cli._shared_parser().parse_args(argv)
+        for argv in commands:
+            assert vars(cli._shared_parser().parse_args(argv)) == \
+                vars(build_parser().parse_args(argv))
+
+    def test_usage_error_then_valid_command(self, tmp_path, model_path, capsys):
+        valid = ["eta-curve", "--model", str(model_path), "--s0=458",
+                 "--q2=-140:0:5", "--out", str(tmp_path / "eta")]
+        assert main(valid + ["--bogus"]) == 1
+        assert main(valid) == 0
+        assert main(["doe", "--model", str(model_path), "--test-q=0,0,0,0,0,0",
+                     "--buckets=-10,-50,-90", "--repeats=0",
+                     "--out", str(tmp_path / "plan")]) == 1
+        assert main(valid) == 0
+        err = capsys.readouterr().err
+        assert "--bogus" in err and "--repeats" in err
 
 
 NUMS = ["0", "1", "-45", "2.5", "-0", "1e3", "1e308", "-1e400", "nan", "inf"]

@@ -56,6 +56,9 @@ class TestLayout:
         assert np.array_equal(lay.place(A, 1), [
             [0.0, 1.0, 0.0, 2.0, 3.0, 4.0, 5.0],
             [0.0, 6.0, 0.0, 7.0, 8.0, 9.0, 10.0]])
+        stacked = lay.place(np.stack([A, -A, 2 * A]), np.array([1, 0, 2]))
+        assert stacked.tobytes() == np.stack(
+            [lay.place(A, 1), lay.place(-A, 0), lay.place(2 * A, 2)]).tobytes()
 
     def test_unmatched_angle_names_record(self):
         lay = ParameterLayout(tuple(np.radians([-10.0, -90.0])))
@@ -130,6 +133,72 @@ class TestRegressor:
         lay = ParameterLayout((0.0,))
         with pytest.raises(DataLayoutError, match="no deflection records"):
             build_regressor(model, [], lay)
+
+
+class TestRegressorMatchesLoop:
+    """``build_regressor`` against the per-record loop of
+    ``oracles.build_regressor_loop``, bit for bit."""
+
+    @staticmethod
+    def _same(model, records):
+        lay = ParameterLayout.from_records(records)
+        B, y = build_regressor(model, records, lay)
+        B0, y0 = oracles.build_regressor_loop(model, records, lay)
+        assert B.shape == B0.shape and B.tobytes() == B0.tobytes()
+        assert y.shape == y0.shape and y.tobytes() == y0.tobytes()
+        return B
+
+    def test_fixture_records(self, model, clean_records):
+        self._same(model, clean_records)
+
+    def test_shuffled_records(self, model, clean_records):
+        order = np.random.default_rng(3).permutation(len(clean_records))
+        self._same(model, [clean_records[i] for i in order])
+
+    def test_two_wrenches_at_one_pose(self, model, plan):
+        e = plan.entries[4]
+        other = np.array([300.0, -150.0, -900.0, 2e4, -1e4, 5e3])
+        self._same(model, [DeflectionRecord(e.q, w, m, np.full(3, m + 0.5))
+                           for w in (e.w, other, e.w) for m in range(len(model.markers))])
+
+    def test_repeated_records(self, model, clean_records):
+        self._same(model, clean_records[:9] * 3)
+
+    def test_single_record(self, model, clean_records):
+        self._same(model, clean_records[7:8])
+
+    def test_signed_zero_of_rounded_q_is_one_pose(self, model, plan):
+        """q1 = +1e-14 and -1e-14 both round to zero: one pose, whose
+        sensitivity block is taken at the record seen first."""
+        e = plan.entries[0]
+        n = len(model.markers)
+        recs = [DeflectionRecord(np.r_[q1, e.q[1:]], e.w, m, np.zeros(3))
+                for q1 in (1e-14, -1e-14) for m in range(n)]
+        B = self._same(model, recs)
+        assert B[:3 * n].tobytes() == B[3 * n:].tobytes()
+
+    def test_first_bad_record_named_marker_before_bucket(self, model, clean_records):
+        lay = ParameterLayout.from_records(clean_records)
+        good = clean_records[0]
+        off_bucket = dataclasses.replace(
+            good, q_rad=np.r_[good.q_rad[0], np.radians(-40.0), good.q_rad[2:]])
+        cases = [
+            ([good, off_bucket, dataclasses.replace(good, marker_id=9)],
+             "record 1: joint-2 angle -40.000 deg matches no layout bucket"),
+            ([good, dataclasses.replace(good, marker_id=9), off_bucket],
+             "record 1: marker id 9 outside model range 0..2"),
+            ([good, good, dataclasses.replace(off_bucket, marker_id=-1), off_bucket],
+             "record 2: marker id -1 outside model range"),
+            ([good, dataclasses.replace(good, marker_id=10**30)],
+             f"record 1: marker id {10**30} outside model range"),
+        ]
+        for recs, message in cases:
+            with pytest.raises(DataLayoutError) as got:
+                build_regressor(model, recs, lay)
+            with pytest.raises(DataLayoutError) as want:
+                oracles.build_regressor_loop(model, recs, lay)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(message)
 
 
 class TestStageOne:
@@ -267,6 +336,44 @@ class TestCsvRoundTrip:
             assert a.marker_id == b.marker_id
             assert np.allclose(a.deflection_mm, b.deflection_mm, atol=1e-9)
             assert a.repeat == b.repeat
+
+    def test_golden_bytes(self, tmp_path):
+        """Ten significant digits, signed zeros kept, ``\\r\\n`` line ends."""
+        recs = [
+            DeflectionRecord([-0.0, 0, 0, 0, 0, 0], [0, 0, -2600, -0.0, 0, 0], 0,
+                             [-0.0, 0.0, 1.5], 0),
+            DeflectionRecord(np.radians([10, -90, 45, 0, 0, 180]), np.zeros(6), 1,
+                             [1e-300, -2.5e-7, 0.0], 1),
+            DeflectionRecord(np.zeros(6), [0, 0, 0, 1e5, 0, -123456789.123], 2,
+                             [123456789.123, 0.1, -3.0], 12),
+        ]
+        p = tmp_path / "records.csv"
+        save_deflection_csv(p, recs)
+        assert p.read_bytes() == (
+            ",".join(DEFLECTION_CSV_HEADER) + "\r\n"
+            "-0,0,0,0,0,0,0,0,-2600,-0,0,0,0,-0,0,1.5,0\r\n"
+            "10,-90,45,0,0,180,0,0,0,0,0,0,1,1e-300,-2.5e-07,0,1\r\n"
+            "0,0,0,0,0,0,0,0,0,100000,0,-123456789.1,2,123456789.1,0.1,-3,12\r\n"
+        ).encode()
+
+    def test_load_save_round_trip_bytes(self, tmp_path, model):
+        recs = simulate_deflection_records(model, spread_plan(repeats=2),
+                                           noise_mm=0.02, seed=4)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_deflection_csv(first, recs)
+        save_deflection_csv(second, load_deflection_csv(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("column, value", [("marker_id", "-1"), ("repeat", "-5")])
+    def test_negative_count_column_names_line(self, tmp_path, column, value):
+        good = ["0"] * len(DEFLECTION_CSV_HEADER)
+        bad = list(good)
+        bad[DEFLECTION_CSV_HEADER.index(column)] = value
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(",".join(r) for r in (DEFLECTION_CSV_HEADER, good, bad)))
+        with pytest.raises(DataLayoutError,
+                           match=rf"bad\.csv:3: column {column} must be >= 0, got {value}$"):
+            load_deflection_csv(p)
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
