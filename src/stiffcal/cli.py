@@ -88,9 +88,7 @@ def _write_manifest(out_dir: str, subcommand: str, inputs: Dict[str, str],
         "overrides": overrides,
         "out_dir": os.path.abspath(out_dir),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_json(path: str, payload: Dict) -> None:

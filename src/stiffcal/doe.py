@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import ParameterLayout
+from .elasto_id import ParameterLayout, factor_regressor
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _point_jacobian
 from .tables import read_table, write_table
@@ -242,17 +242,15 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
             "are needed to separate the compensator afterwards", RuntimeWarning,
             stacklevel=2)
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
-    Ms = _bucket_informations(model, plan, layout)
-    per_bucket = []
-    for b, M in enumerate(Ms):
-        t = float(_bucket_variance(M, A0))
-        if t == math.inf:
-            raise IdentifiabilityError(
-                f"singular information matrix for joint-2 bucket at "
-                f"{math.degrees(layout.bucket_q2_rad[b]):.2f} deg: the plan "
-                "does not excite every compliance there")
-        per_bucket.append(noise.sigma_mm**2 * t)
-    rho_sq = float(sum(per_bucket))
+    t = _bucket_variance(np.array(_bucket_informations(model, plan, layout)), A0)
+    singular = np.flatnonzero(t == math.inf)
+    if singular.size:
+        raise IdentifiabilityError(
+            f"singular information matrix for joint-2 bucket at "
+            f"{math.degrees(layout.bucket_q2_rad[singular[0]]):.2f} deg: the plan "
+            "does not excite every compliance there")
+    per_bucket = (noise.sigma_mm**2 * t).tolist()
+    rho_sq = sum(per_bucket)
     return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(max(rho_sq, 0.0)),
                             per_bucket_mm2=tuple(per_bucket),
                             bucket_q2_rad=layout.bucket_q2_rad)
@@ -263,29 +261,20 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
                          layout: Optional[ParameterLayout] = None) -> np.ndarray:
     """Covariance sigma^2 (B^T B)^-1 of the full stage-one compliance vector.
 
-    Uses the shared-parameter regressor B (one k3..k6 across all buckets),
-    accumulated per plan entry: B^T B = sum_e repeats_e B_e^T B_e.
+    B is the shared-parameter regressor (one k3..k6 across all buckets), each
+    entry's rows weighted by sqrt(repeats).  It is factored and rank-checked
+    by :func:`stiffcal.elasto_id.factor_regressor`, as in the identification.
     """
     if layout is None:
         layout = plan.layout()
-    p = layout.n_params
-    BtB = np.zeros((p, p))
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
                             [e.wrench for e in plan.entries])
-    for i, (e, A) in enumerate(zip(plan.entries, rows)):
-        b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
-        Be = layout.place(A, b)
-        BtB += e.repeats * (Be.T @ Be)
-    U, s, Vt = np.linalg.svd(BtB)
-    if s[-1] <= 1e-12 * s[0]:
-        null = Vt[s <= 1e-12 * s[0]].T
-        labels = layout.column_labels()
-        worst = sorted({labels[int(np.argmax(np.abs(null[:, c])))]
-                        for c in range(null.shape[1])})
-        raise IdentifiabilityError(
-            f"plan information matrix is singular; unobservable parameters "
-            f"include {', '.join(worst)}", null_directions=null)
-    return noise.sigma_mm**2 * (Vt.T @ np.diag(1.0 / s) @ U.T)
+    bucket = [layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
+              for i, e in enumerate(plan.entries)]
+    weight = np.sqrt([e.repeats for e in plan.entries])[:, None, None]
+    B = layout.place(weight * rows, bucket).reshape(-1, layout.n_params)
+    _, s, Vt = factor_regressor(B, layout)
+    return noise.sigma_mm**2 * ((Vt.T / s**2) @ Vt)
 
 
 # ---------------------------------------------------------------------------

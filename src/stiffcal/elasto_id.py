@@ -210,19 +210,35 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     return B, np.concatenate([r.deflection_mm for r in records])
 
 
+def factor_regressor(B: np.ndarray, layout: ParameterLayout):
+    """Thin SVD ``(U, s, Vt)`` of the stage-one regressor ``B`` (columns as in
+    ``layout``); raises naming the unobservable columns unless every singular
+    value is above ``RANK_TOL`` of the largest.  ``B`` itself is factored:
+    the same cut on ``B^T B`` would sit at 1e-20, below double rounding."""
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    p = layout.n_params
+    if rank < p:
+        null = np.linalg.svd(B)[2][rank:].T   # all of V: B may have < p rows
+        labels = layout.column_labels()
+        worst = sorted({labels[int(np.argmax(np.abs(null[:, c])))]
+                        for c in range(null.shape[1])})
+        raise IdentifiabilityError(
+            f"regressor rank {rank} < {p}: parameters not identifiable from this "
+            f"plan (unobservable: {', '.join(worst)})", null_directions=null)
+    return U, s, Vt
+
+
 @dataclass
 class CompliancesFit:
     """Least-squares result of the stage-one compliance regression."""
 
     layout: ParameterLayout
     values: np.ndarray       # (p,) compliances, rad/(N*mm)
-    covariance: np.ndarray   # (p, p)
     sigma_hat_mm: float      # residual noise scale per displacement axis
     rank: int
-    rss: float
-    n_rows: int
-    fitted_mm: np.ndarray    # (n_rows,) model displacements B @ values
-    pinv: np.ndarray         # (p, n_rows) pseudo-inverse of B, for resampling
+    fitted_mm: np.ndarray    # (rows,) model displacements B @ values
+    pinv: np.ndarray         # (p, rows) pseudo-inverse of B, for resampling
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -248,32 +264,19 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
     if layout is None:
         layout = ParameterLayout.from_records(records)
     B, y = build_regressor(model, records, layout)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    p = layout.n_params
-    if rank < p:
-        null = Vt[rank:].T
-        labels = layout.column_labels()
-        worst = sorted({labels[int(np.argmax(np.abs(null[:, c])))]
-                        for c in range(null.shape[1])})
-        raise IdentifiabilityError(
-            f"regressor rank {rank} < {p}: parameters not identifiable from this "
-            f"plan (weakest: {', '.join(worst)})", null_directions=null)
+    U, s, Vt = factor_regressor(B, layout)
     k = Vt.T @ ((U.T @ y) / s)
     fitted = B @ k
     resid = y - fitted
-    rss = float(resid @ resid)
-    dof = len(y) - p
-    sigma = math.sqrt(rss / dof) if dof > 0 else 0.0
-    cov = (Vt.T / s**2) @ Vt * sigma**2
+    dof = len(y) - layout.n_params
+    sigma = math.sqrt(float(resid @ resid) / dof) if dof > 0 else 0.0
     for i, v in enumerate(k):
         if v <= 0:
             warnings.warn(
                 f"estimated compliance {layout.column_labels()[i]} = {v:.3e} "
                 "is non-positive; treat the fit with suspicion", RuntimeWarning,
                 stacklevel=2)
-    return CompliancesFit(layout=layout, values=k, covariance=cov,
-                          sigma_hat_mm=sigma, rank=rank, rss=rss, n_rows=len(y),
+    return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma, rank=len(s),
                           fitted_mm=fitted, pinv=Vt.T @ np.diag(1.0 / s) @ U.T)
 
 

@@ -45,6 +45,15 @@ class GroundTruth:
                                                [el.Kc_N_per_mm, el.s0_mm]))
 
 
+def _noisy(clean: np.ndarray, noise_mm: float, draws: np.ndarray) -> np.ndarray:
+    """``clean + noise_mm * draws``; ``ValueError`` when that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = clean + noise_mm * draws
+    if not np.isfinite(out).all():
+        raise ValueError(f"noise sigma {noise_mm:g} mm makes the simulated data non-finite")
+    return out
+
+
 def simulate_geometry_dataset(geometry: CompensatorGeometry,
                               q2_rad: Sequence[float], *,
                               p2_xy: Sequence[float] = (0.0, 0.0),
@@ -80,8 +89,8 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
         sats.append(p0 + np.stack([cb * ox - sb * oy, sb * ox + cb * oy], axis=1))
     if noise_mm > 0.0:
         rng = np.random.default_rng(seed)
-        crank = crank + noise_mm * rng.standard_normal(crank.shape)
-        sats = [s + noise_mm * rng.standard_normal(s.shape) for s in sats]
+        crank = _noisy(crank, noise_mm, rng.standard_normal(crank.shape))
+        sats = [_noisy(s, noise_mm, rng.standard_normal(s.shape)) for s in sats]
     return MarkerDataset(q2_rad=q2, crank=crank, satellites=tuple(sats))
 
 
@@ -131,7 +140,7 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
         if noise_mm > 0.0:
             # two 3-axis draws per record, in record order, as one call
             e = np.random.default_rng((seed, i)).standard_normal((entry.repeats, n_mark, 2, 3))
-            d = d + noise_mm * (e[:, :, 0] - e[:, :, 1])
+            d = _noisy(d, noise_mm, e[:, :, 0] - e[:, :, 1])
         for rep in range(entry.repeats):
             for m in range(n_mark):
                 records.append(DeflectionRecord(

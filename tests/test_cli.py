@@ -5,6 +5,7 @@ import re
 import shlex
 import shutil
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestExitCodes:
             argv += ["--model", str(model_path)]
         assert main(argv) == 2
         assert f"{bad}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "geometry", "--q2=-140:0:5"], id="geometry"),
+        pytest.param(["simulate", "deflections", "--plan=plan.csv"], id="deflections"),
+    ])
+    def test_overflowing_noise_is_2(self, tmp_path, model_path, capsys, argv):
+        """A noise level that overflows the simulated data fails at the input:
+        no numpy warning, no file with inf in it."""
+        plan = tmp_path / "plan.csv"
+        plan.write_text(",".join(PLAN_CSV_HEADER)
+                        + "\n0,-30,0,0,0,0,0,0,-2600,0,0,0,1\n")
+        argv = [a.replace("plan.csv", str(plan)) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--noise=1e308", "--model", str(model_path),
+                              "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "noise sigma 1e+308 mm" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1

@@ -24,9 +24,11 @@ from stiffcal.doe import (
     _random_config,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
-from stiffcal.elasto_id import DeflectionRecord, ParameterLayout, build_regressor
+from stiffcal.elasto_id import (DeflectionRecord, ParameterLayout, build_regressor,
+                                identify_compliances)
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.robot import FrameSpec
+from stiffcal.sim import simulate_deflection_records
 
 CONSTRAINTS = PlanConstraints(
     joint_limits_rad=tuple((math.radians(a), math.radians(b))
@@ -259,6 +261,52 @@ class TestParameterCovariance:
             tuple(np.radians([0, -70, 0, 0, 0, 0])), (0.0,) * 6),))
         with pytest.raises(IdentifiabilityError, match="unobservable"):
             parameter_covariance(model, dead, NOISE)
+
+    def test_matches_fit_pseudo_inverse(self, model, plan):
+        ref = _fit_covariance(model, plan)
+        cov = parameter_covariance(model, plan, NOISE)
+        assert np.linalg.norm(cov - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def _fit_covariance(model, plan: CalibrationPlan) -> np.ndarray:
+    """sigma^2 pinv pinv^T of the stage-one fit to the plan's noise-free
+    linear records."""
+    fit = identify_compliances(
+        model, simulate_deflection_records(model, plan, response="linear"))
+    return NOISE.sigma_mm**2 * fit.pinv @ fit.pinv.T
+
+
+def _weak_bucket_plan(scale: float) -> CalibrationPlan:
+    """``spread_plan()`` plus entry 0's pose in a new -70 deg bucket under
+    ``scale`` times its wrench: the regressor's smallest singular value,
+    relative to its largest, falls to about 2.6e-1 * scale."""
+    base = spread_plan()
+    e0 = base.entries[0]
+    q = (e0.q_rad[0], math.radians(-70.0)) + e0.q_rad[2:]
+    weak = PlanEntry(q, tuple(scale * w for w in e0.wrench), e0.repeats)
+    return CalibrationPlan(base.entries + (weak,))
+
+
+class TestOneRankRule:
+    """The plan covariance and the identification accept and reject the
+    same plans: both factor the stage-one regressor under ``RANK_TOL``."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-7])
+    def test_weak_bucket_accepted_by_both(self, model, scale):
+        plan = _weak_bucket_plan(scale)
+        ref = _fit_covariance(model, plan)
+        cov = parameter_covariance(model, plan, NOISE)
+        assert np.linalg.norm(cov - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_rank_deficient_bucket_rejected_by_both(self, model):
+        plan = _weak_bucket_plan(1e-11)
+        records = simulate_deflection_records(model, plan, response="linear")
+        with pytest.raises(IdentifiabilityError, match="unobservable") as design:
+            parameter_covariance(model, plan, NOISE)
+        with pytest.raises(IdentifiabilityError, match="unobservable") as fit:
+            identify_compliances(model, records)
+        assert (design.value.null_directions.shape
+                == fit.value.null_directions.shape == (plan.layout().n_params, 1))
 
 
 class TestPlanCsv:

@@ -219,7 +219,8 @@ class TestStageOne:
         with pytest.raises(IdentifiabilityError) as err:
             identify_compliances(model, few)
         assert err.value.null_directions is not None
-        assert err.value.null_directions.shape[0] == lay.n_params
+        # the whole null space, though B has fewer rows than columns
+        assert err.value.null_directions.shape == (lay.n_params, lay.n_params - 3)
         assert "not identifiable" in str(err.value)
 
     def test_nonpositive_estimate_warns(self, model, clean_records):
