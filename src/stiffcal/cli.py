@@ -244,6 +244,7 @@ def _cmd_elasto_ident(args) -> int:
         "joint2_buckets_deg": [math.degrees(b) for b in lay.bucket_q2_rad],
         "joint2_stiffness_Nmm_per_rad": list(est.fit.joint2_stiffnesses()),
         "stage1_sigma_mm": est.fit.sigma_hat_mm,
+        "stage1_condition": est.fit.condition,
         "stage1_labels": list(est.fit.labels),
         "stage1_compliances": list(est.fit.values),
         "separation": {"condition": est.separation.condition,

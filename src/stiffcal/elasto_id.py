@@ -36,6 +36,8 @@ DEFLECTION_CSV_HEADER = (
 BUCKET_TOL_RAD = math.radians(0.1)
 # Singular values below this fraction of the largest count as rank deficient.
 RANK_TOL = 1e-10
+# Resampling noise is drawn this many values at a time (128 KiB of float64).
+_NOISE_BLOCK = 1 << 14
 # Physical parameters of the two-stage estimate, in report order.
 PARAMETER_LABELS = ("k2", "k3", "k4", "k5", "k6", "Kc", "s0")
 
@@ -236,7 +238,7 @@ class CompliancesFit:
     layout: ParameterLayout
     values: np.ndarray       # (p,) compliances, rad/(N*mm)
     sigma_hat_mm: float      # residual noise scale per displacement axis
-    rank: int
+    condition: float         # sigma_max / sigma_min of the regressor B
     fitted_mm: np.ndarray    # (rows,) model displacements B @ values
     pinv: np.ndarray         # (p, rows) pseudo-inverse of B, for resampling
 
@@ -276,8 +278,9 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
                 f"estimated compliance {layout.column_labels()[i]} = {v:.3e} "
                 "is non-positive; treat the fit with suspicion", RuntimeWarning,
                 stacklevel=2)
-    return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma, rank=len(s),
-                          fitted_mm=fitted, pinv=Vt.T @ np.diag(1.0 / s) @ U.T)
+    return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma,
+                          condition=float(s[0] / s[-1]), fitted_mm=fitted,
+                          pinv=Vt.T @ np.diag(1.0 / s) @ U.T)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +443,15 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     reruns the separation, so the reported spread includes the nonlinear
     s0 = x3/x2 step.  Empty residuals (noise-free data) give zero widths.
     The resamples reuse the stage-one fit of ``estimate``; ``records`` are
-    only read to fit one when ``estimate`` is not given.  Each sample draws
-    from its own seeded generator; the separation, whose factorization does
-    not depend on the sample, then runs on all samples at once.  A resample
-    fails when a joint-2 compliance is not positive or the spring rate is
-    indistinguishable from zero; more than half failing raises.
+    only read to fit one when ``estimate`` is not given.  Sample ``i``'s
+    noise, one value per regressor row, is row ``i`` of
+    ``default_rng(seed).standard_normal((n_samples, rows))``; the rows are
+    drawn from that one generator in blocks of at most ``_NOISE_BLOCK``
+    values (at least one row), which gives the same rows as one draw.  The
+    separation, whose factorization does not depend on the sample, then
+    runs on all samples at once.  A resample fails when a joint-2
+    compliance is not positive or the spring rate is indistinguishable
+    from zero; more than half failing raises.
     """
     if estimate is None:
         estimate = identify_elastostatics(model, records)
@@ -459,9 +466,15 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     pinv = estimate.fit.pinv
     nb = layout.n_buckets
     k_star = np.empty((n_samples, pinv.shape[0]))
-    for i in range(n_samples):
-        noise = np.random.default_rng((seed, i)).standard_normal(yhat.shape)
-        k_star[i] = pinv @ (yhat + sigma * noise)
+    rng = np.random.default_rng(seed)
+    buf = np.empty((min(n_samples, max(1, _NOISE_BLOCK // yhat.size)), yhat.size))
+    for lo in range(0, n_samples, len(buf)):
+        y = buf[:n_samples - lo]
+        rng.standard_normal(out=y)
+        y *= sigma
+        y += yhat
+        # a stack of mat-vecs, bit-identical to pinv @ y[j]; y @ pinv.T is not
+        k_star[lo:lo + len(y)] = (pinv @ y[:, :, None])[:, :, 0]
     k2 = k_star[:, :nb]
     ok = ~np.any(k2 <= 0, axis=1)
     x = np.empty((n_samples, 3))

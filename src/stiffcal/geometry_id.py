@@ -12,6 +12,7 @@ dropped for the crank fit per the planar linkage assumption).
 """
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -133,6 +134,24 @@ def save_marker_csv(path: str | os.PathLike, dataset: MarkerDataset) -> None:
         for i, q2 in enumerate(dataset.q2_rad)))
 
 
+def _overflow_names_the_data(fn):
+    """Make ``fn(dataset, ...)`` raise :class:`DegenerateGeometryError`
+    naming the marker data when the data's scale overflows a fit, in place
+    of numpy's overflow warnings and a failed SVD further on."""
+    @functools.wraps(fn)
+    def guarded(dataset: MarkerDataset, *args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(dataset, *args, **kwargs)
+        except FloatingPointError as exc:
+            big = max(float(np.abs(t).max()) for t in (dataset.crank, *dataset.satellites))
+            raise DegenerateGeometryError(
+                f"marker data out of range: coordinates up to {big:.3g} mm overflow "
+                f"the fits ({exc})") from exc
+    return guarded
+
+
+@_overflow_names_the_data
 def identify_compensator_geometry(dataset: MarkerDataset,
                                   angle_sign="auto") -> CompensatorGeometryEstimate:
     """Two-stage linkage geometry identification.
@@ -193,28 +212,31 @@ def residual_noise_sigma(dataset: MarkerDataset,
     return sigma_crank, float(np.sqrt(F_rad / dof_rad))
 
 
+@_overflow_names_the_data
 def confidence_intervals_geometry(dataset: MarkerDataset,
                                   estimate: CompensatorGeometryEstimate,
                                   n_samples: int = 200, seed: int = 0) -> GeometryCI:
     """Parametric residual-resampling +-3 sigma intervals for (L, ax, ay).
 
     Noise-free tracks implied by the point estimate are re-noised with the
-    pooled residual sigma and refit ``n_samples`` times; each sample draws
-    from its own seeded generator so runs are reproducible and order
-    independent, and all samples are refit as one stack.  Zero residuals
-    yield zero-width intervals.
+    per-group residual sigma and refit ``n_samples`` times, all samples as
+    one stack.  Sample ``i``'s noise is row ``i`` of one
+    ``default_rng(seed).standard_normal((n_samples, m))`` draw: its ``m``
+    values are the crank track's then each satellite track's, in row-major
+    order, scaled by ``sigma_crank`` and ``sigma_satellite``.  Zero
+    residuals yield zero-width intervals.
     """
     s_crank, s_sat = residual_noise_sigma(dataset, estimate)
     if (s_crank == 0.0 and s_sat == 0.0) or n_samples < 2:
         return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples, seed)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
-    crank = np.empty((n_samples,) + crank_clean.shape)
-    sats = [np.empty((n_samples,) + s.shape) for s in sats_clean]
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        crank[i] = crank_clean + rng.normal(0.0, s_crank, crank_clean.shape)
-        for stack, s in zip(sats, sats_clean):
-            stack[i] = s + rng.normal(0.0, s_sat, s.shape)
+    n_crank = crank_clean.size
+    z = np.random.default_rng(seed).standard_normal(
+        (n_samples, n_crank + sum(s.size for s in sats_clean)))
+    crank = crank_clean + s_crank * z[:, :n_crank].reshape((n_samples,) + crank_clean.shape)
+    # every satellite track has the dataset's track shape
+    sat_noise = z[:, n_crank:].reshape((n_samples, len(sats_clean)) + sats_clean[0].shape)
+    sats = [s + s_sat * sat_noise[:, j] for j, s in enumerate(sats_clean)]
     # every sample's refit as one stack; the fixed crank sign keeps the
     # mirror diagnostic, and any sample failing a check raises
     radius, _, centre, _ = _fit_signed(crank, dataset.q2_rad, estimate.crank_fit.angle_sign)

@@ -9,6 +9,7 @@ cells the same way, naming ``path:line`` and the column.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,8 +72,18 @@ def read_table(path, header: Optional[Sequence[str]] = None, *, kind: str = "",
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write ``header`` then the pre-formatted ``rows`` (``\\r\\n`` line ends)."""
+    """Write ``header`` then the pre-formatted ``rows`` (``\\r\\n`` line ends).
+
+    Cells are written unquoted, so a cell holding ``,``, ``"``, CR or LF
+    raises ``ValueError`` before the file is opened.
+    """
+    lines = []
+    for cells in itertools.chain([header], rows):
+        line = ",".join(cells)
+        if (line.count(",") > max(len(cells) - 1, 0)
+                or '"' in line or "\r" in line or "\n" in line):
+            raise ValueError(f"{path}: a cell would need CSV quoting "
+                             f"(it holds ',', '\"', CR or LF): {list(cells)}")
+        lines.append(line)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from stiffcal import load_model
@@ -20,6 +21,19 @@ def model(model_path):
 @pytest.fixture(scope="session")
 def table1_path():
     return ROOT / "data" / "table1.csv"
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """The arguments of each ``np.random.default_rng`` call made from here on."""
+    calls, real = [], np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -327,7 +327,8 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
 
 def confidence_intervals_geometry_loop(dataset, estimate, n_samples=200, seed=0):
     """The geometry resampler one sample and one pair of fits at a time:
-    ``(L, ax, ay)`` 3-sigma half-widths."""
+    ``(L, ax, ay)`` 3-sigma half-widths.  One generator serves all samples,
+    each taking its crank then satellite noise in turn."""
     from stiffcal.circle_fit import fit_circle_procrustes, fit_concentric_arcs
     from stiffcal.geometry_id import _clean_tracks, residual_noise_sigma
 
@@ -335,10 +336,10 @@ def confidence_intervals_geometry_loop(dataset, estimate, n_samples=200, seed=0)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
     sign = estimate.crank_fit.angle_sign
     out = np.empty((n_samples, 3))
+    rng = np.random.default_rng(seed)
     for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        crank_i = crank_clean + rng.normal(0.0, s_crank, crank_clean.shape)
-        sats_i = [s + rng.normal(0.0, s_sat, s.shape) for s in sats_clean]
+        crank_i = crank_clean + s_crank * rng.standard_normal(crank_clean.shape)
+        sats_i = [s + s_sat * rng.standard_normal(s.shape) for s in sats_clean]
         cf = fit_circle_procrustes(crank_i, dataset.q2_rad, angle_sign=sign)
         sf = fit_concentric_arcs(sats_i)
         a_vec = cf.center - sf.center[:2]
@@ -349,7 +350,8 @@ def confidence_intervals_geometry_loop(dataset, estimate, n_samples=200, seed=0)
 def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     """The elastostatic resampler one sample and one separation at a time:
     ``(halfwidth3, n_failed)``; raises as the library does when more than
-    half of the resamples fail."""
+    half of the resamples fail.  One generator serves all samples, each
+    taking one noise value per regressor row in turn."""
     import warnings
 
     from stiffcal.elasto_id import separate_compensator
@@ -360,8 +362,8 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     comp = model.compensator
     nb = layout.n_buckets
     samples, failed = [], 0
+    rng = np.random.default_rng(seed)
     for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
         k_star = pinv @ (yhat + sigma * rng.standard_normal(yhat.shape))
         k2 = k_star[:nb]
         try:

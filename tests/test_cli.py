@@ -103,6 +103,23 @@ class TestExitCodes:
         assert "noise sigma 1e+308 mm" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_overflow_scale_markers_are_2(self, tmp_path, model_path, capsys):
+        """Finite markers too large for the circle fits fail naming the
+        marker data, with no numpy warning on the way."""
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", "geometry", "--q2=-140:0:15", "--noise=1e300",
+                     "--seed=1", "--model", str(model_path), "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["geom-ident", "--markers", str(sweep / "markers.csv"),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "marker data out of range" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1
         assert "KIND" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import oracles
 from plans import spread_plan
 from stiffcal.elasto_id import (
     DEFLECTION_CSV_HEADER,
+    RANK_TOL,
     DeflectionRecord,
     ParameterLayout,
     build_regressor,
@@ -209,7 +210,9 @@ class TestStageOne:
             K2 = equivalent_joint_stiffness(comp, 1.0 / model.compliances[1], b)
             assert fit.values[i] == pytest.approx(1.0 / K2, rel=1e-9)
         assert np.allclose(fit.values[5:], model.compliances[2:], rtol=1e-9)
-        assert fit.rank == 9
+        B, _ = build_regressor(model, clean_records, fit.layout)
+        assert fit.condition == pytest.approx(np.linalg.cond(B), rel=1e-9)
+        assert fit.condition < 1.0 / RANK_TOL
         assert fit.sigma_hat_mm < 1e-12
 
     def test_rank_deficiency_reported(self, model, clean_records):
@@ -470,6 +473,30 @@ class TestStackedResampler:
         ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
         assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
         assert ci.n_failed == failed
+
+    def test_noise_blocks_continue_one_stream(self, model, monkeypatch):
+        from stiffcal import elasto_id
+        records = simulate_deflection_records(model, spread_plan(repeats=3),
+                                              noise_mm=0.05, seed=5, response="linear")
+        est = identify_elastostatics(model, records)
+        rows = est.fit.fitted_mm.size
+        assert 200 > elasto_id._NOISE_BLOCK // rows       # at least two blocks
+        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=4)
+        ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 4)
+        assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
+        assert ci.n_failed == failed
+        # blocks of 7 samples, the last one short: the same stream, the same bits
+        monkeypatch.setattr(elasto_id, "_NOISE_BLOCK", 7 * rows)
+        small = confidence_intervals_elasto(model, records, est, n_samples=200, seed=4)
+        assert small.halfwidth3.tolist() == ci.halfwidth3.tolist()
+
+    def test_one_generator_per_call(self, model, rng_calls):
+        records = simulate_deflection_records(model, spread_plan(), noise_mm=0.05,
+                                              seed=5, response="linear")
+        est = identify_elastostatics(model, records)
+        rng_calls.clear()
+        confidence_intervals_elasto(model, records, est, n_samples=200, seed=3)
+        assert rng_calls == [(3,)]
 
     def test_failed_resamples_counted(self, model):
         # noisy enough that some resamples lose a positive joint-2 compliance

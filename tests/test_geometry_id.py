@@ -223,6 +223,13 @@ class TestStackedResampler:
             got = [ci.halfwidth3_L_mm, ci.halfwidth3_ax_mm, ci.halfwidth3_ay_mm]
             assert got == ref.tolist()
 
+    def test_one_generator_per_call(self, rng_calls):
+        ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=1)
+        est = identify_compensator_geometry(ds)
+        rng_calls.clear()
+        confidence_intervals_geometry(ds, est, n_samples=200, seed=2)
+        assert rng_calls == [(2,)]
+
     def test_mirror_diagnostic_kept_for_resamples(self):
         # three crank points of pure noise: the point fit picks its better
         # sign, and some resamples fit the mirrored sign far better
