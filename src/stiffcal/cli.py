@@ -527,7 +527,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bad = [name for name, value in vars(args).items() if isinstance(value, list)]
         if bad:     # argparse before Python 3.12 reads --flag=-- as an empty list
             raise UsageError(f"--{bad[0].replace('_', '-')}: expected a value, got --")
-        return args.func(args)
+        with np.errstate(over="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -535,6 +536,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # bad data rather than bad flags: validation guards raise ValueError,
         # unreadable inputs raise OSError, the numerics raise CalibrationError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        # finite inputs too large for the numerics, e.g. --wrench=1e308,...
+        print(f"error: input values out of range: {exc}", file=sys.stderr)
         return 2
 
 

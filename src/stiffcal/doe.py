@@ -410,7 +410,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                         rest = totals[s] - terms[s][b]
                         for k in range(k0, stop):
                             val = rest + t_try[k]
-                            if val < best_val - 1e-15:
+                            if val < best_val * (1.0 - 1e-15):
                                 best_val, best = val, k
                         if best is not None:
                             configs[s, b, c] = q_try[best]

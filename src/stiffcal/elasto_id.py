@@ -36,8 +36,6 @@ DEFLECTION_CSV_HEADER = (
 BUCKET_TOL_RAD = math.radians(0.1)
 # Singular values below this fraction of the largest count as rank deficient.
 RANK_TOL = 1e-10
-# Resampling noise is drawn this many values at a time (128 KiB of float64).
-_NOISE_BLOCK = 1 << 14
 # Physical parameters of the two-stage estimate, in report order.
 PARAMETER_LABELS = ("k2", "k3", "k4", "k5", "k6", "Kc", "s0")
 
@@ -239,8 +237,7 @@ class CompliancesFit:
     values: np.ndarray       # (p,) compliances, rad/(N*mm)
     sigma_hat_mm: float      # residual noise scale per displacement axis
     condition: float         # sigma_max / sigma_min of the regressor B
-    fitted_mm: np.ndarray    # (rows,) model displacements B @ values
-    pinv: np.ndarray         # (p, rows) pseudo-inverse of B, for resampling
+    root: np.ndarray         # (p, p) V / s: the covariance is sigma^2 root root^T
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -268,8 +265,7 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
     B, y = build_regressor(model, records, layout)
     U, s, Vt = factor_regressor(B, layout)
     k = Vt.T @ ((U.T @ y) / s)
-    fitted = B @ k
-    resid = y - fitted
+    resid = y - B @ k
     dof = len(y) - layout.n_params
     sigma = math.sqrt(float(resid @ resid) / dof) if dof > 0 else 0.0
     for i, v in enumerate(k):
@@ -279,8 +275,7 @@ def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRe
                 "is non-positive; treat the fit with suspicion", RuntimeWarning,
                 stacklevel=2)
     return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma,
-                          condition=float(s[0] / s[-1]), fitted_mm=fitted,
-                          pinv=Vt.T @ np.diag(1.0 / s) @ U.T)
+                          condition=float(s[0] / s[-1]), root=Vt.T / s)
 
 
 # ---------------------------------------------------------------------------
@@ -438,43 +433,33 @@ def confidence_intervals_elasto(model: ManipulatorModel,
                                 seed: int = 0) -> ElastoCI:
     """Parametric residual resampling through the full two-stage pipeline.
 
-    Clean responses are the fitted model predictions; each resample adds iid
-    Gaussian noise at the fitted residual scale, refits the linear stage and
-    reruns the separation, so the reported spread includes the nonlinear
-    s0 = x3/x2 step.  Empty residuals (noise-free data) give zero widths.
-    The resamples reuse the stage-one fit of ``estimate``; ``records`` are
-    only read to fit one when ``estimate`` is not given.  Sample ``i``'s
-    noise, one value per regressor row, is row ``i`` of
-    ``default_rng(seed).standard_normal((n_samples, rows))``; the rows are
-    drawn from that one generator in blocks of at most ``_NOISE_BLOCK``
-    values (at least one row), which gives the same rows as one draw.  The
-    separation, whose factorization does not depend on the sample, then
-    runs on all samples at once.  A resample fails when a joint-2
-    compliance is not positive or the spring rate is indistinguishable
-    from zero; more than half failing raises.
+    Each resample adds iid Gaussian noise at the fitted residual scale to
+    the fitted model predictions, refits the linear stage and reruns the
+    separation, so the reported spread includes the nonlinear s0 = x3/x2
+    step.  The refit is linear and the regressor has full column rank, so
+    a refit compliance vector has the law of ``k + sigma * root @ w`` with
+    ``w`` standard normal in parameter space: sample ``i`` takes row ``i``
+    of ``default_rng(seed).standard_normal((n_samples, p))``.  Empty
+    residuals (noise-free data) give zero widths.  The resamples reuse the
+    stage-one fit of ``estimate``; ``records`` are only read to fit one
+    when ``estimate`` is not given.  The separation, whose factorization
+    does not depend on the sample, runs on all samples at once.  A
+    resample fails when a joint-2 compliance is not positive or the spring
+    rate is indistinguishable from zero; more than half failing raises.
     """
     if estimate is None:
         estimate = identify_elastostatics(model, records)
-    layout = estimate.fit.layout
-    yhat = estimate.fit.fitted_mm
-    sigma = estimate.fit.sigma_hat_mm
+    fit = estimate.fit
+    layout = fit.layout
+    sigma = fit.sigma_hat_mm
     labels = estimate.parameter_labels()
     values = estimate.parameter_values()
     if sigma == 0.0 or n_samples < 2:
         zero = np.zeros_like(values)
         return ElastoCI(labels, values, zero, zero, sigma, n_samples, seed)
-    pinv = estimate.fit.pinv
     nb = layout.n_buckets
-    k_star = np.empty((n_samples, pinv.shape[0]))
-    rng = np.random.default_rng(seed)
-    buf = np.empty((min(n_samples, max(1, _NOISE_BLOCK // yhat.size)), yhat.size))
-    for lo in range(0, n_samples, len(buf)):
-        y = buf[:n_samples - lo]
-        rng.standard_normal(out=y)
-        y *= sigma
-        y += yhat
-        # a stack of mat-vecs, bit-identical to pinv @ y[j]; y @ pinv.T is not
-        k_star[lo:lo + len(y)] = (pinv @ y[:, :, None])[:, :, 0]
+    w = np.random.default_rng(seed).standard_normal((n_samples, layout.n_params))
+    k_star = fit.values + sigma * (w @ fit.root.T)
     k2 = k_star[:, :nb]
     ok = ~np.any(k2 <= 0, axis=1)
     x = np.empty((n_samples, 3))

@@ -185,9 +185,9 @@ def _clean_tracks(dataset: MarkerDataset, est: CompensatorGeometryEstimate):
     return crank_clean, sats_clean
 
 
-def residual_noise_sigma(dataset: MarkerDataset,
-                         est: CompensatorGeometryEstimate) -> tuple[float, float]:
-    """Per-coordinate noise levels implied by the two fits.
+def residual_noise_sigma(est: CompensatorGeometryEstimate) -> tuple[float, float]:
+    """Per-coordinate noise levels implied by the two fits, from each fit's
+    residual rms and point count.
 
     Returned as ``(sigma_crank, sigma_satellite)``.  Crank residuals are full
     planar vectors (2m values, 4 fitted parameters); satellite residuals are
@@ -196,20 +196,10 @@ def residual_noise_sigma(dataset: MarkerDataset,
     but the two marker groups are allowed different noise levels -- on real
     tracker data the satellite body often jitters more than the crank pin.
     """
-    m = dataset.n_poses
-    crank_model = est.crank_fit.predict(dataset.q2_rad)
-    F_crank = float(((dataset.crank[:, :2] - crank_model) ** 2).sum())
-    sigma_crank = float(np.sqrt(F_crank / max(2 * m - 4, 1)))
-    p0 = est.satellite_fit.center
-    dim = dataset.satellites[0].shape[1]
-    F_rad = 0.0
-    n_rad = 0
-    for arr, Rj in zip(dataset.satellites, est.satellite_fit.radii):
-        d = np.linalg.norm(arr - p0, axis=1)
-        F_rad += float(((d - Rj) ** 2).sum())
-        n_rad += arr.shape[0]
-    dof_rad = max(n_rad - dim - len(dataset.satellites), 1)
-    return sigma_crank, float(np.sqrt(F_rad / dof_rad))
+    cf, sf = est.crank_fit, est.satellite_fit
+    sigma_crank = cf.residual_rms * np.sqrt(cf.n_points / max(2 * cf.n_points - 4, 1))
+    dof_rad = max(sf.n_points - sf.center.size - sf.radii.size, 1)
+    return float(sigma_crank), float(sf.residual_rms * np.sqrt(sf.n_points / dof_rad))
 
 
 @_overflow_names_the_data
@@ -226,7 +216,7 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     order, scaled by ``sigma_crank`` and ``sigma_satellite``.  Zero
     residuals yield zero-width intervals.
     """
-    s_crank, s_sat = residual_noise_sigma(dataset, estimate)
+    s_crank, s_sat = residual_noise_sigma(estimate)
     if (s_crank == 0.0 and s_sat == 0.0) or n_samples < 2:
         return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples, seed)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)

@@ -226,7 +226,7 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                             t_try = bucket_term(M_try)
                             best_val, best = total, None
                             for k, val in enumerate((total - terms[b] + t_try).tolist()):
-                                if val < best_val - 1e-15:
+                                if val < best_val * (1.0 - 1e-15):
                                     best_val, best = val, k
                             if best is not None:
                                 configs[b][c] = q_try[best]
@@ -332,7 +332,7 @@ def confidence_intervals_geometry_loop(dataset, estimate, n_samples=200, seed=0)
     from stiffcal.circle_fit import fit_circle_procrustes, fit_concentric_arcs
     from stiffcal.geometry_id import _clean_tracks, residual_noise_sigma
 
-    s_crank, s_sat = residual_noise_sigma(dataset, estimate)
+    s_crank, s_sat = residual_noise_sigma(estimate)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
     sign = estimate.crank_fit.angle_sign
     out = np.empty((n_samples, 3))
@@ -351,20 +351,22 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     """The elastostatic resampler one sample and one separation at a time:
     ``(halfwidth3, n_failed)``; raises as the library does when more than
     half of the resamples fail.  One generator serves all samples, each
-    taking one noise value per regressor row in turn."""
+    taking one standard normal per stage-one parameter in turn and mapping
+    it through the fit's covariance root."""
     import warnings
 
     from stiffcal.elasto_id import separate_compensator
     from stiffcal.errors import IdentifiabilityError
 
-    layout = estimate.fit.layout
-    yhat, sigma, pinv = estimate.fit.fitted_mm, estimate.fit.sigma_hat_mm, estimate.fit.pinv
+    fit = estimate.fit
+    layout = fit.layout
     comp = model.compensator
     nb = layout.n_buckets
     samples, failed = [], 0
     rng = np.random.default_rng(seed)
     for i in range(n_samples):
-        k_star = pinv @ (yhat + sigma * rng.standard_normal(yhat.shape))
+        w = rng.standard_normal(layout.n_params)
+        k_star = fit.values + fit.sigma_hat_mm * (fit.root @ w)
         k2 = k_star[:nb]
         try:
             if np.any(k2 <= 0):

@@ -120,6 +120,21 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["predict", "--q=0,-10,0,0,0,0", "--wrench=0,0,1e308,0,0,0"],
+                     id="predict-wrench"),
+        pytest.param(["eta-curve", "--s0=458", "--q2=-1e308:1e308:3"], id="eta-grid"),
+        pytest.param(["simulate", "geometry", "--q2=1e308,0,-40"], id="sweep-angles"),
+    ])
+    def test_overflowing_flag_values_are_2(self, tmp_path, model_path, capsys, argv):
+        """Finite flag values that overflow the numerics exit 2 naming the
+        overflow, with no numpy warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--model", str(model_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: input values out of range: overflow" in capsys.readouterr().err
+
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1
         assert "KIND" in capsys.readouterr().err

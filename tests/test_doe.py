@@ -269,11 +269,12 @@ class TestParameterCovariance:
 
 
 def _fit_covariance(model, plan: CalibrationPlan) -> np.ndarray:
-    """sigma^2 pinv pinv^T of the stage-one fit to the plan's noise-free
-    linear records."""
-    fit = identify_compliances(
-        model, simulate_deflection_records(model, plan, response="linear"))
-    return NOISE.sigma_mm**2 * fit.pinv @ fit.pinv.T
+    """sigma^2 P P^T, with P numpy's pseudo-inverse of the stage-one
+    regressor of the plan's noise-free linear records."""
+    P = np.linalg.pinv(build_regressor(
+        model, simulate_deflection_records(model, plan, response="linear"),
+        plan.layout())[0])
+    return NOISE.sigma_mm**2 * P @ P.T
 
 
 def _weak_bucket_plan(scale: float) -> CalibrationPlan:
@@ -402,10 +403,7 @@ class TestOptimizer:
                                                 n_starts, windows, seed, tilt):
         """Stacking every start and bucket into one line search picks the
         same q2..q6 as searching them one at a time, q1 included (and the
-        same q1 where it moves rho0).  The order of the buckets changes the
-        rounding of each start's running total, which can flip a pick whose
-        gain is a few ulps: on the pinned problem, entry 3's q4 lands one ulp
-        away."""
+        same q1 where it moves rho0)."""
         if tilt:
             model = dataclasses.replace(model, base=self.ROLLED)
         cons = PlanConstraints(CONSTRAINTS.joint_limits_rad, q1_intervals_rad=windows)
@@ -416,7 +414,7 @@ class TestOptimizer:
         q = np.array([e.q_rad for e in opt.plan.entries])
         q_seq = np.array([e.q_rad for e in plan.entries])
         first = 0 if tilt else 1
-        np.testing.assert_allclose(q[:, first:], q_seq[:, first:], rtol=1e-12, atol=0.0)
+        assert np.array_equal(q[:, first:], q_seq[:, first:])
         assert opt.accuracy.rho0_sq_mm2 == pytest.approx(rho_sq, rel=1e-12)
         assert opt.start_values_mm2 == start_values
         if tilt:   # the same grids, whose sizes the counts add up

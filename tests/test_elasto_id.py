@@ -474,21 +474,28 @@ class TestStackedResampler:
         assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
         assert ci.n_failed == failed
 
-    def test_noise_blocks_continue_one_stream(self, model, monkeypatch):
-        from stiffcal import elasto_id
+    def test_parameter_space_draw_matches_record_space_refits(self, model):
+        """Drawing in parameter space through the fit's root gives the
+        widths of refitting noisy records through the pseudo-inverse of B."""
         records = simulate_deflection_records(model, spread_plan(repeats=3),
                                               noise_mm=0.05, seed=5, response="linear")
         est = identify_elastostatics(model, records)
-        rows = est.fit.fitted_mm.size
-        assert 200 > elasto_id._NOISE_BLOCK // rows       # at least two blocks
-        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=4)
-        ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 4)
-        assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
-        assert ci.n_failed == failed
-        # blocks of 7 samples, the last one short: the same stream, the same bits
-        monkeypatch.setattr(elasto_id, "_NOISE_BLOCK", 7 * rows)
-        small = confidence_intervals_elasto(model, records, est, n_samples=200, seed=4)
-        assert small.halfwidth3.tolist() == ci.halfwidth3.tolist()
+        ci = confidence_intervals_elasto(model, records, est, n_samples=20000, seed=6)
+        fit = est.fit
+        B, _ = build_regressor(model, records, fit.layout)
+        P = np.linalg.pinv(B)
+        rng = np.random.default_rng(7)
+        y = (B @ fit.values)[:, None]
+        z = (rng.standard_normal((len(B), 1000)) for _ in range(20))  # 1,000 at a time
+        k_star = np.vstack([(P @ (y + fit.sigma_hat_mm * zi)).T for zi in z])
+        nb = fit.layout.n_buckets
+        comp = model.compensator
+        C = separation_matrix(comp.geometry, fit.layout.bucket_q2_rad, comp.q2_sign)
+        x = np.linalg.lstsq(C, 1.0 / k_star[:, :nb].T, rcond=None)[0].T
+        arr = np.column_stack([1.0 / x[:, 0], k_star[:, nb:], x[:, 1], x[:, 2] / x[:, 1]])
+        ref = 3.0 * arr.std(axis=0, ddof=1)
+        assert ci.n_failed == 0 and np.all(k_star[:, :nb] > 0)
+        np.testing.assert_allclose(ci.halfwidth3, ref, rtol=0.03, atol=0.0)
 
     def test_one_generator_per_call(self, model, rng_calls):
         records = simulate_deflection_records(model, spread_plan(), noise_mm=0.05,

@@ -169,9 +169,30 @@ class TestConfidence:
         ds = simulate_geometry_dataset(GEOM, np.radians(np.linspace(-140, 0, 40)),
                                        noise_mm=0.05, seed=2)
         est = identify_compensator_geometry(ds)
-        s_crank, s_sat = residual_noise_sigma(ds, est)
+        s_crank, s_sat = residual_noise_sigma(est)
         assert 0.02 < s_crank < 0.09
         assert 0.02 < s_sat < 0.09
+
+    @pytest.mark.parametrize("source", ["table1", 0, 1, 2, 3, 4])
+    def test_sigma_estimates_match_direct_residuals(self, table1_path, source):
+        """The noise levels read off the fits equal those of residuals
+        recomputed from the data and the fitted models."""
+        if source == "table1":
+            ds = load_marker_csv(table1_path)
+        else:
+            sweep = np.radians(np.linspace(-140, 0, 8 + source))
+            ds = simulate_geometry_dataset(GEOM, sweep, noise_mm=0.01 * (source + 1),
+                                           seed=source)
+        est = identify_compensator_geometry(ds)
+        m = ds.n_poses
+        crank = ds.crank[:, :2] - est.crank_fit.predict(ds.q2_rad)
+        radial = np.concatenate([np.linalg.norm(s - est.p0, axis=1) - R
+                                 for s, R in zip(ds.satellites, est.satellite_fit.radii)])
+        dof = radial.size - ds.satellites[0].shape[1] - len(ds.satellites)
+        direct = (np.sqrt((crank**2).sum() / (2 * m - 4)),
+                  np.sqrt((radial**2).sum() / dof))
+        np.testing.assert_allclose(residual_noise_sigma(est), direct, rtol=1e-12,
+                                   atol=0.0)
 
     def test_reproducible_and_order_free(self):
         ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=4)
