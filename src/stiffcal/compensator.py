@@ -98,26 +98,6 @@ def spring_length(params: CompensatorParams, q2_rad):
     return spring_span(params.geometry, params.q2_sign * np.asarray(q2_rad, dtype=float))
 
 
-def spring_angle(params: CompensatorParams, q2_rad):
-    """Angle between the spring line and the anchor-crank base line.
-
-    sin(phi) = (a/s) sin(alpha - q2); the argument is always within [-1, 1]
-    because s^2 - a^2 sin^2(gamma) = (a cos(gamma) + L)^2 >= 0.
-    """
-    geom = params.geometry
-    q2 = params.q2_sign * np.asarray(q2_rad, dtype=float)
-    s = spring_span(geom, q2)
-    arg = geom.a_mm * np.sin(_gamma(geom, q2)) / s
-    return np.arcsin(np.clip(arg, -1.0, 1.0))
-
-
-def spring_energy(params: CompensatorParams, q2_rad):
-    """Elastic energy 0.5 * Kc * (s - s0)^2 stored in the spring (N*mm)."""
-    el = params.elastics
-    s = spring_length(params, q2_rad)
-    return 0.5 * el.Kc_N_per_mm * (s - el.s0_mm) ** 2
-
-
 def compensator_torque(params: CompensatorParams, q2_rad):
     """Torque (N*mm) the compensator applies about the joint-2 axis.
 

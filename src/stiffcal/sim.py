@@ -129,9 +129,10 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
         bad = np.flatnonzero(~(st.converged[:n] & st.converged[n:]))
         if bad.size:
             i = int(bad[0])
+            stop = i if not st.converged[i] else n + i
             raise ConvergenceError(
                 f"equilibrium did not converge for plan entry {i} "
-                f"(q2={math.degrees(q[i, 1]):.1f} deg)")
+                f"(q2={math.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
         pos = marker_positions(model, q_both, st.theta)
         defl = pos[n:] - pos[:n]
     records: List[DeflectionRecord] = []

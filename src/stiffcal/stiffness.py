@@ -8,8 +8,9 @@ with ``K_th`` the diagonal joint stiffness matrix, held as the vector of its
 diagonal (joint 2 gets its compensator-equivalent value), ``G_j`` the lumped
 gravity wrenches and ``F`` the external tool wrench.  Two solver modes:
 
-* primal -- F is known, iterate the damped fixed point for theta, every pose
-  of a stack stepping together (:func:`solve_equilibria`);
+* primal -- F is known, step theta through the inverse of each pose's own
+  ``K_th - H`` at theta = 0, every pose of a stack stepping together
+  (:func:`solve_equilibria`);
 * dual -- the loaded tool pose is prescribed and the wrench F sustaining it
   is the unknown, solved by the alternating update that also yields theta.
 
@@ -114,10 +115,11 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     Exactly one of the two load descriptions applies: pass ``tool_wrench``
     (primal mode; omit or None means gravity sag only) or ``target`` (dual
     mode: find the wrench that holds the tool at that pose).  Convergence:
-    deflection update below 1e-12 rad or position residual below 1e-9 mm,
-    capped at ``max_iter`` iterations (the state is then flagged, not
-    raised).  The primal mode is the stacked solver of
-    :func:`solve_equilibria` on a stack of one.
+    deflection update below 1e-12 rad, or relative balance residual below
+    1e-12 (primal) or position residual below 1e-9 mm (dual), capped at
+    ``max_iter`` iterations (the state is then flagged, not raised).  The
+    primal mode is the stacked solver of :func:`solve_equilibria` on a stack
+    of one.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
@@ -139,11 +141,14 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
                      q, tool_wrench, include_gravity: bool = True,
                      max_iter: int = _MAX_ITER) -> EquilibriumState:
     """Primal equilibria of a stack of poses ``q`` (N, 6) under tool wrenches
-    (N, 6), all in one damped fixed point.
+    (N, 6), all in one loop.
 
-    Every pose steps at every iteration with its own step damping,
-    convergence test and iteration count; a converged pose steps by zero, so
-    each result in the stacked state is the one its pose gets solved alone.
+    Every pose steps by ``(K_th - H_0)^-1 (tau - K_th theta)``, with its own
+    ``K_th - H`` formed once at theta = 0, and keeps its own convergence test
+    and iteration count.  A pose whose balance residual does not fall stops
+    at once, flagged unconverged at that iteration.  A pose that has stopped
+    keeps its bits, so each result in the stacked state is the one its pose
+    gets solved alone.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
@@ -152,42 +157,42 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
     return _solve_primal(model, q, K, loading, F, max_iter)
 
 
+def _tangent(model, st, K, loading, F) -> np.ndarray:
+    """``K_th - H`` at the chain state ``st``, (..., 6, 6): the derivative of
+    the balance residual ``K_th theta - tau`` w.r.t. the deflections."""
+    return K[..., None] * np.eye(6) - hessian_theta(model, st, loading, F)
+
+
 def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
     n = q.shape[0]
     theta = np.zeros((n, 6))
     st = chain_state(model, q, theta)
+    # K - H stays at theta = 0: rebuilding it at every iteration (full Newton)
+    # saves iterations but costs more time than they do
+    T = np.linalg.inv(_tangent(model, st, K, loading, F))
     tau = load_torques(model, st, loading, F)
     res = _wrench_residual_rel(K, theta, tau)
     iterations = np.full(n, max_iter)
     live = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
     for it in range(1, max_iter + 1):
-        # a converged pose takes lam = 0: its state recomputes bit for bit
-        lam = live.astype(float)
-        theta_star = tau / K
-        cand = theta + lam[:, None] * (theta_star - theta)
+        # a pose that has stopped keeps its theta: its state recomputes bit for bit
+        step = (T @ (tau - K * theta)[..., None])[..., 0]
+        cand = np.where(live[:, None], theta + step, theta)
         st = chain_state(model, q, cand)
         tau_c = load_torques(model, st, loading, F)
         res_c = _wrench_residual_rel(K, cand, tau_c)
-        # a pose whose balance residual grows halves its step until the
-        # residual does not grow or lam < 1/1024
-        damp = np.flatnonzero(~(res_c <= res))
-        while damp.size:
-            lam[damp] *= 0.5
-            t0 = theta[damp]
-            cand[damp] = t0 + lam[damp, None] * (theta_star[damp] - t0)
-            st_d = chain_state(model, q[damp], cand[damp])
-            st.tool_p[damp], st.tool_R[damp] = st_d.tool_p, st_d.tool_R
-            tau_c[damp] = load_torques(model, st_d, loading, F[damp])
-            res_c[damp] = _wrench_residual_rel(K[damp], cand[damp], tau_c[damp])
-            damp = damp[~(res_c[damp] <= res[damp]) & ~(lam[damp] < 1.0 / 1024.0)]
         done = live & ((_norms(cand - theta) < _THETA_TOL_RAD) | (res_c < 1e-12))
+        # a live pose whose balance residual does not fall has diverged
+        stop = done | (live & ~(res_c < res))
         theta, tau, res = cand, tau_c, res_c
-        iterations[done] = it
-        live &= ~done
+        converged |= done
+        iterations[stop] = it
+        live &= ~stop
         if not live.any():
             break
     return EquilibriumState(q=q, theta=theta, tool_wrench=F,
-                            pose=Pose(st.tool_p, st.tool_R), converged=~live,
+                            pose=Pose(st.tool_p, st.tool_R), converged=converged,
                             iterations=iterations, residual_position_mm=np.full(n, np.nan),
                             residual_wrench_rel=res)
 
@@ -236,8 +241,7 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     K = joint_stiffnesses(model, compensator, q)
     loading = model._gravity_loading if include_gravity else None
     st = chain_state(model, q, theta)
-    H = hessian_theta(model, st, loading, state.tool_wrench)
-    Keff = np.diag(K) - H
+    Keff = _tangent(model, st, K, loading, state.tool_wrench)
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
     if np.min(np.abs(w)) < 1e-12 * np.max(np.abs(w)):
         raise SingularConfigurationError(

@@ -93,6 +93,16 @@ def fd_hessian(fun, x, h=3e-5):
     return H
 
 
+def spring_energy(params, q2_rad):
+    """Elastic energy 0.5 * Kc * (s - s0)^2 stored in the compensator spring
+    (N*mm); minus its q2-gradient is the compensator torque."""
+    from stiffcal.compensator import spring_length
+
+    el = params.elastics
+    s = spring_length(params, q2_rad)
+    return 0.5 * el.Kc_N_per_mm * (s - el.s0_mm) ** 2
+
+
 def point_jacobian_loop(st, point, n_cols):
     """Lever-arm Jacobian of one point at one chain state, by ``np.cross``."""
     w = st.joint_axis[:n_cols]
@@ -294,12 +304,14 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
                                      response="nonlinear", include_gravity=True):
     """Deflection records one plan entry, one equilibrium, one marker and one
     repeat at a time; returns ``(q, wrench, marker_id, deflection, repeat)``
-    tuples, or raises ``ConvergenceError`` naming the first failed entry."""
+    tuples, or raises ``ConvergenceError`` naming the first failed entry.
+    Each equilibrium is :func:`stiffcal.stiffness.solve_equilibrium`, a stack
+    of one, so agreement checks that stacking the entries changes no bit."""
     import math
 
     from stiffcal.errors import ConvergenceError
     from stiffcal.robot import marker_positions
-    from stiffcal.stiffness import predict_marker_deflections
+    from stiffcal.stiffness import predict_marker_deflections, solve_equilibrium
 
     comp = model.compensator
     out = []
@@ -308,13 +320,15 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
         if response == "linear":
             defl = predict_marker_deflections(model, comp, q, w)
         else:
-            th0, _, ok0, _, _ = solve_primal_loop(model, comp, q, None, include_gravity)
-            th1, _, ok1, _, _ = solve_primal_loop(model, comp, q, w, include_gravity)
-            if not (ok0 and ok1):
+            st0 = solve_equilibrium(model, comp, q, None, include_gravity=include_gravity)
+            st1 = solve_equilibrium(model, comp, q, w, include_gravity=include_gravity)
+            if not (st0.converged and st1.converged):
+                stop = st0 if not st0.converged else st1
                 raise ConvergenceError(
                     f"equilibrium did not converge for plan entry {i} "
-                    f"(q2={math.degrees(q[1]):.1f} deg)")
-            defl = marker_positions(model, q, th1) - marker_positions(model, q, th0)
+                    f"(q2={math.degrees(q[1]):.1f} deg) after {stop.iterations} iterations")
+            defl = (marker_positions(model, q, st1.theta)
+                    - marker_positions(model, q, st0.theta))
         rng = np.random.default_rng((seed, i))
         for rep in range(entry.repeats):
             for m in range(len(model.markers)):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import spring_energy
 from stiffcal.compensator import (CompensatorElastics, CompensatorGeometry,
                                   CompensatorParams, compensator_torque,
                                   equivalent_joint_stiffness, eta, eta_curve,
-                                  spring_angle, spring_energy, spring_length,
                                   spring_span)
 
 GEOM = CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0)
@@ -42,17 +42,6 @@ def test_span_bounds():
     s = spring_span(GEOM, q2)
     assert np.all(s >= GEOM.a_mm - GEOM.L_mm - 1e-9)
     assert np.all(s <= GEOM.a_mm + GEOM.L_mm + 1e-9)
-
-
-@given(q2=q2_range)
-@settings(max_examples=60)
-def test_spring_angle_argument_in_range(q2):
-    # s^2 - a^2 sin^2(gamma) = (a cos(gamma) + L)^2 keeps arcsin alive
-    phi = spring_angle(PARAMS, q2)
-    assert np.isfinite(phi)
-    s = spring_length(PARAMS, q2)
-    g = GEOM.alpha_rad - q2
-    assert GEOM.a_mm * abs(np.sin(g)) <= s + 1e-9
 
 
 @given(q2=q2_range)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from plans import LIMITS_DEG
 from stiffcal.errors import SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
                             marker_positions)
@@ -230,9 +231,10 @@ def test_marker_positions_follow_theta(model):
 
 
 class TestStackedPrimal:
-    # poses (deg) and downward tool loads (N): converging after 6, 10 and 22
-    # iterations, the last one halving its step 12 times on the way, and one
-    # left unconverged at the 100-iteration cap
+    # poses (deg) and downward tool loads (N): the damped fixed point of
+    # oracles.solve_primal_loop converges after 6, 10 and 22 iterations (the
+    # last one halving its step on the way) and leaves the fourth unconverged
+    # at the 100-iteration cap
     POSES = np.radians([[55, 35, -49, 34, 45, -48],
                         [-24, 135, -81, 45, -48, 85],
                         [109, 94, -43, 90, 20, -7],
@@ -249,15 +251,42 @@ class TestStackedPrimal:
         q, w = self._stack()
         st = solve_equilibria(model, comp, q, w)
         refs = [oracles.solve_primal_loop(model, comp, qi, wi) for qi, wi in zip(q, w)]
-        assert [r[1] for r in refs][:3] == [6, 10, 22]
-        assert refs[2][4] > 0 and refs[3][2] is False     # halved; capped
-        assert len({r[1] for r in refs}) == 5
-        for i, (theta, iterations, converged, res, _) in enumerate(refs):
-            assert np.array_equal(st.theta[i], theta), i
-            assert st.iterations[i] == iterations and st.converged[i] == converged
-            assert st.residual_wrench_rel[i] == res
+        assert [r[1] for r in refs] == [6, 10, 22, 100, 4]
+        assert [r[2] for r in refs] == [True, True, True, False, True]
+        assert refs[2][4] > 0
+        # stepping through K - H reaches the same equilibria in fewer steps;
+        # the 641,773 N pose stops unconverged as soon as its residual grows
+        assert st.iterations.tolist() == [4, 6, 45, 2, 3]
+        assert st.converged.tolist() == [True, True, True, False, True]
+        for i in (0, 1, 2, 4):
+            assert np.abs(st.theta[i] - refs[i][0]).max() <= 1e-11, i
         # the loaded pose of every entry is its chain state at its theta
         assert np.array_equal(st.pose.p, chain_state(model, q, st.theta).tool_p)
+
+    def test_divergence_stops_at_once(self, model, comp):
+        # a 1e9 N load and the 641,773 N pose above: the fixed point runs both
+        # to the 100-iteration cap, the solver stops them when the residual grows
+        q = np.vstack([np.radians([0.0, -45.0, 0.0, 0.0, 0.0, 0.0]), self.POSES[3]])
+        w = np.zeros((2, 6))
+        w[:, 2] = [-1e9, -self.LOADS_N[3]]
+        st = solve_equilibria(model, comp, q, w)
+        assert st.converged.tolist() == [False, False]
+        assert st.iterations.max() <= 3
+
+    def test_random_poses_match_the_fixed_point(self, model, comp):
+        # 200 poses within the plan limits, |F| <= 5e4 N and |M| <= 5e6 N*mm
+        rng = np.random.default_rng(7)
+        n = 200
+        lim = np.radians(np.array(LIMITS_DEG, dtype=float))
+        q = rng.uniform(lim[:, 0], lim[:, 1], (n, 6))
+        u = rng.standard_normal((n, 2, 3))
+        r = np.array([[5e4], [5e6]]) * rng.uniform(0.0, 1.0, (n, 2, 1))
+        w = (r * u / np.linalg.norm(u, axis=2, keepdims=True)).reshape(n, 6)
+        st = solve_equilibria(model, comp, q, w)
+        assert st.converged.all()
+        for i in range(n):
+            theta, _, converged, _, _ = oracles.solve_primal_loop(model, comp, q[i], w[i])
+            assert converged and np.abs(st.theta[i] - theta).max() <= 1e-11, i
 
     def test_order_of_the_stack_does_not_matter(self, model, comp):
         q, w = self._stack()
