@@ -28,7 +28,7 @@ from .geometry_id import (CompensatorGeometryEstimate, GeometryCI,
                           MarkerDataset, confidence_intervals_geometry,
                           identify_compensator_geometry, load_marker_csv,
                           save_marker_csv)
-from .elasto_id import (CompliancesFit, DeflectionRecord, ElastoCI,
+from .elasto_id import (CompliancesFit, DeflectionRecords, ElastoCI,
                         ElastostaticEstimate, ParameterLayout,
                         build_regressor, confidence_intervals_elasto,
                         identify_compliances, identify_elastostatics,

@@ -229,10 +229,9 @@ def _cmd_geom_ident(args) -> int:
 
 def _cmd_elasto_ident(args) -> int:
     model = load_model(args.model)
-    records = load_deflection_csv(args.records)
-    est = identify_elastostatics(model, records)
-    ci = confidence_intervals_elasto(model, records, est,
-                                     n_samples=args.ci_samples, seed=args.seed)
+    est = identify_elastostatics(model, load_deflection_csv(args.records))
+    ci = confidence_intervals_elasto(model, est, n_samples=args.ci_samples,
+                                     seed=args.seed)
     out = _ensure_out(args.out)
     params = []
     for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent):

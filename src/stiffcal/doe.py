@@ -225,8 +225,7 @@ def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
 
 
 def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
-                       test: TestPose, noise: NoiseModel,
-                       layout: Optional[ParameterLayout] = None) -> TestPoseAccuracy:
+                       test: TestPose, noise: NoiseModel) -> TestPoseAccuracy:
     """Predicted-deflection variance at ``test`` implied by the plan.
 
     rho0^2 = sigma^2 * sum_j trace(A0 M_j^-1 A0^T) over joint-2 buckets,
@@ -234,8 +233,7 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     parameter vector and A0 maps that vector to the tool deflection at the
     test pose.  Duplicating the plan doubles every M_j and halves rho0^2.
     """
-    if layout is None:
-        layout = plan.layout()
+    layout = plan.layout()
     if layout.n_buckets < 3:
         warnings.warn(
             f"plan covers only {layout.n_buckets} joint-2 angle(s); at least 3 "
@@ -257,16 +255,14 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
 
 
 def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
-                         noise: NoiseModel,
-                         layout: Optional[ParameterLayout] = None) -> np.ndarray:
+                         noise: NoiseModel) -> np.ndarray:
     """Covariance sigma^2 (B^T B)^-1 of the full stage-one compliance vector.
 
     B is the shared-parameter regressor (one k3..k6 across all buckets), each
     entry's rows weighted by sqrt(repeats).  It is factored and rank-checked
     by :func:`stiffcal.elasto_id.factor_regressor`, as in the identification.
     """
-    if layout is None:
-        layout = plan.layout()
+    layout = plan.layout()
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
                             [e.wrench for e in plan.entries])
     bucket = [layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
@@ -427,7 +423,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     best_start = min(finite, key=totals.__getitem__)
     plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
                                  for bucket in configs[best_start] for qc in bucket))
-    acc = test_pose_accuracy(model, plan, test, noise, layout=layout)
+    acc = test_pose_accuracy(model, plan, test, noise)
     return OptimizedPlan(plan=plan, accuracy=acc, start_values_mm2=start_values,
                          n_evaluations=n_eval,
                          searched_joints=tuple(j + 1 for j in joints))

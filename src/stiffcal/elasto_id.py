@@ -8,8 +8,9 @@ compensator modulates it with posture.  Stage two separates the bucketed
 joint-2 stiffnesses into the bare joint spring, the compensator spring rate
 and its free length using the slider-crank kinematics.
 
-Records are loaded-minus-unloaded displacement vectors, so gravity drops
-out of the regression and only the applied tool wrench appears.
+The records, the rows of one :class:`DeflectionRecords` table, are
+loaded-minus-unloaded displacement vectors, so gravity drops out of the
+regression and only the applied tool wrench appears.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,47 +39,55 @@ BUCKET_TOL_RAD = math.radians(0.1)
 RANK_TOL = 1e-10
 # Physical parameters of the two-stage estimate, in report order.
 PARAMETER_LABELS = ("k2", "k3", "k4", "k5", "k6", "Kc", "s0")
+# Largest marker_id or repeat a deflection CSV may hold: the table stores int64.
+INT64_MAX = 2**63 - 1
 
 
-@dataclass
-class DeflectionRecord:
-    """One marker displacement measured under one tool wrench.
+@dataclass(frozen=True, eq=False)
+class DeflectionRecords:
+    """Marker displacements measured under tool wrenches, one row per record.
 
-    ``deflection_mm`` is the marker position under load minus the position
-    of the same marker in the same commanded configuration without load.
+    Row ``i`` observes marker ``marker_id[i]`` at the commanded joint angles
+    ``q_rad[i]`` under the tool wrench ``wrench[i]`` (forces in N, moments
+    in N*mm).  ``deflection_mm[i]`` is that marker's position under load
+    minus its position in the same commanded configuration without load.
     """
 
-    q_rad: np.ndarray          # (6,) commanded joint angles
-    wrench: np.ndarray         # (6,) tool wrench, forces in N, moments in N*mm
-    marker_id: int
-    deflection_mm: np.ndarray  # (3,)
-    repeat: int = 0
+    q_rad: np.ndarray          # (n, 6)
+    wrench: np.ndarray         # (n, 6)
+    marker_id: np.ndarray      # (n,) int
+    repeat: np.ndarray         # (n,) int
+    deflection_mm: np.ndarray  # (n, 3)
 
     def __post_init__(self):
-        self.q_rad = np.asarray(self.q_rad, dtype=float).reshape(6)
-        self.wrench = np.asarray(self.wrench, dtype=float).reshape(6)
-        self.deflection_mm = np.asarray(self.deflection_mm, dtype=float).reshape(3)
-        self.marker_id = int(self.marker_id)
-        self.repeat = int(self.repeat)
+        n = len(self.q_rad)
+        if any(len(c) != n for c in (self.wrench, self.marker_id, self.repeat,
+                                     self.deflection_mm)):
+            raise ValueError("deflection record columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.q_rad)
 
 
-def save_deflection_csv(path, records: Sequence[DeflectionRecord]) -> None:
-    q = np.degrees([r.q_rad for r in records]).tolist()
-    w = np.array([r.wrench for r in records]).tolist()
-    d = np.array([r.deflection_mm for r in records]).tolist()
+def save_deflection_csv(path, records: DeflectionRecords) -> None:
     write_table(path, DEFLECTION_CSV_HEADER, (
-        [f"{v:.10g}" for v in qi + wi] + [str(r.marker_id)]
-        + [f"{v:.10g}" for v in di] + [str(r.repeat)]
-        for qi, wi, di, r in zip(q, w, d, records)))
+        [f"{v:.10g}" for v in qi + wi] + [str(m)]
+        + [f"{v:.10g}" for v in di] + [str(r)]
+        for qi, wi, m, di, r in zip(
+            np.degrees(records.q_rad).tolist(), records.wrench.tolist(),
+            records.marker_id.tolist(), records.deflection_mm.tolist(),
+            records.repeat.tolist())))
 
 
-def load_deflection_csv(path) -> List[DeflectionRecord]:
-    """Records of a deflection CSV; a negative ``marker_id`` or ``repeat``
-    is rejected with its ``path:line``."""
+def load_deflection_csv(path) -> DeflectionRecords:
+    """The records of a deflection CSV; a ``marker_id`` or ``repeat`` below
+    0 or above the int64 range is rejected with its ``path:line``."""
     def checked(v: list) -> list:
         for i, name in ((12, "marker_id"), (16, "repeat")):
             if v[i] < 0:
                 raise ValueError(f"column {name} must be >= 0, got {v[i]}")
+            if v[i] > INT64_MAX:
+                raise ValueError(f"column {name} must be <= {INT64_MAX}, got {v[i]}")
         return v
 
     _, rows = read_table(path, DEFLECTION_CSV_HEADER, kind="deflection",
@@ -86,9 +95,9 @@ def load_deflection_csv(path) -> List[DeflectionRecord]:
     if not rows:
         raise DataLayoutError(f"{path}: no deflection records found")
     a = np.array([v[:12] + v[13:16] for v in rows])   # q, wrench, deflection
-    q = np.radians(a[:, :6])
-    return [DeflectionRecord(q[i], a[i, 6:12], v[12], a[i, 12:], v[16])
-            for i, v in enumerate(rows)]
+    ids = np.array([(v[12], v[16]) for v in rows])      # marker_id, repeat
+    return DeflectionRecords(np.radians(a[:, :6]), a[:, 6:12], ids[:, 0], ids[:, 1],
+                             a[:, 12:])
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +132,6 @@ class ParameterLayout:
                 buckets.append(q2)
         buckets.sort(reverse=True)  # sweep order: near-upright first
         return cls(tuple(buckets))
-
-    @classmethod
-    def from_records(cls, records: Sequence[DeflectionRecord]) -> "ParameterLayout":
-        """Cluster the joint-2 angles present in ``records`` into buckets."""
-        return cls.from_q2(r.q_rad[1] for r in records)
 
     @property
     def n_buckets(self) -> int:
@@ -167,7 +171,7 @@ class ParameterLayout:
 # stage one: linear compliance regression
 
 
-def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord],
+def build_regressor(model: ManipulatorModel, records: DeflectionRecords,
                     layout: ParameterLayout) -> Tuple[np.ndarray, np.ndarray]:
     """Stack the linearized observation rows for all records.
 
@@ -184,9 +188,7 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     n = len(records)
     if n == 0:
         raise DataLayoutError("no deflection records to regress on")
-    q = np.array([r.q_rad for r in records])
-    wrench = np.array([r.wrench for r in records])
-    marker = np.array([r.marker_id for r in records])
+    q, wrench, marker = records.q_rad, records.wrench, records.marker_id
     n_markers = len(model.markers)
     marker_ok = (marker >= 0) & (marker < n_markers)
     near = np.abs(q[:, 1:2] - np.array(layout.bucket_q2_rad)) <= BUCKET_TOL_RAD
@@ -195,7 +197,7 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
         i = int(bad[0])
         if not marker_ok[i]:
             raise DataLayoutError(
-                f"record {i}: marker id {records[i].marker_id} outside model range "
+                f"record {i}: marker id {marker[i]} outside model range "
                 f"0..{n_markers - 1}")
         layout.bucket_of(float(q[i, 1]), context=f"record {i}")   # raises
     bucket = near.argmax(axis=1)      # the first matching bucket
@@ -207,7 +209,7 @@ def build_regressor(model: ManipulatorModel, records: Sequence[DeflectionRecord]
     # the inverse's shape differs across numpy 2.0.x releases
     A = A.reshape(len(first), n_markers, 3, -1)[group.reshape(-1), marker]
     B = layout.place(A, bucket).reshape(3 * n, layout.n_params)
-    return B, np.concatenate([r.deflection_mm for r in records])
+    return B, records.deflection_mm.reshape(-1)
 
 
 def factor_regressor(B: np.ndarray, layout: ParameterLayout):
@@ -257,11 +259,11 @@ class CompliancesFit:
         return 1.0 / k2
 
 
-def identify_compliances(model: ManipulatorModel, records: Sequence[DeflectionRecord],
-                         layout: Optional[ParameterLayout] = None) -> CompliancesFit:
-    """Solve the stage-one regression; raises if a direction is unobservable."""
-    if layout is None:
-        layout = ParameterLayout.from_records(records)
+def identify_compliances(model: ManipulatorModel,
+                         records: DeflectionRecords) -> CompliancesFit:
+    """Solve the stage-one regression over the joint-2 buckets of ``records``;
+    raises if a direction is unobservable."""
+    layout = ParameterLayout.from_q2(records.q_rad[:, 1])
     B, y = build_regressor(model, records, layout)
     U, s, Vt = factor_regressor(B, layout)
     k = Vt.T @ ((U.T @ y) / s)
@@ -396,17 +398,13 @@ class ElastostaticEstimate:
 
 
 def identify_elastostatics(model: ManipulatorModel,
-                           records: Sequence[DeflectionRecord],
-                           layout: Optional[ParameterLayout] = None
-                           ) -> ElastostaticEstimate:
+                           records: DeflectionRecords) -> ElastostaticEstimate:
     """Full two-stage identification using the model's compensator geometry."""
     if model.compensator is None:
         raise ValueError("model has no compensator section; cannot separate the "
                          "joint-2 stiffness into spring constants")
-    if layout is None:
-        layout = ParameterLayout.from_records(records)
-    fit = identify_compliances(model, records, layout)
-    sep = separate_compensator(layout, fit.joint2_stiffnesses(),
+    fit = identify_compliances(model, records)
+    sep = separate_compensator(fit.layout, fit.joint2_stiffnesses(),
                                model.compensator.geometry,
                                model.compensator.q2_sign)
     return ElastostaticEstimate(fit=fit, separation=sep)
@@ -427,8 +425,7 @@ class ElastoCI:
 
 
 def confidence_intervals_elasto(model: ManipulatorModel,
-                                records: Sequence[DeflectionRecord],
-                                estimate: Optional[ElastostaticEstimate] = None,
+                                estimate: ElastostaticEstimate,
                                 n_samples: int = 200,
                                 seed: int = 0) -> ElastoCI:
     """Parametric residual resampling through the full two-stage pipeline.
@@ -441,14 +438,11 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     ``w`` standard normal in parameter space: sample ``i`` takes row ``i``
     of ``default_rng(seed).standard_normal((n_samples, p))``.  Empty
     residuals (noise-free data) give zero widths.  The resamples reuse the
-    stage-one fit of ``estimate``; ``records`` are only read to fit one
-    when ``estimate`` is not given.  The separation, whose factorization
+    stage-one fit of ``estimate``.  The separation, whose factorization
     does not depend on the sample, runs on all samples at once.  A
     resample fails when a joint-2 compliance is not positive or the spring
     rate is indistinguishable from zero; more than half failing raises.
     """
-    if estimate is None:
-        estimate = identify_elastostatics(model, records)
     fit = estimate.fit
     layout = fit.layout
     sigma = fit.sigma_hat_mm

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .compensator import CompensatorGeometry
 from .doe import CalibrationPlan
-from .elasto_id import PARAMETER_LABELS, DeflectionRecord
+from .elasto_id import PARAMETER_LABELS, DeflectionRecords
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
 from .robot import ManipulatorModel, marker_positions
@@ -98,8 +98,9 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
                                 *, noise_mm: float = 0.0, seed: int = 0,
                                 response: str = "nonlinear",
                                 include_gravity: bool = True
-                                ) -> List[DeflectionRecord]:
-    """Marker deflection records for every plan entry, marker and repeat.
+                                ) -> DeflectionRecords:
+    """Marker deflection records for every plan entry, repeat and marker,
+    in that order.
 
     ``response="nonlinear"`` measures marker positions at the full elastic
     equilibrium before and after applying the wrench, so the records carry
@@ -135,16 +136,16 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
                 f"(q2={math.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
         pos = marker_positions(model, q_both, st.theta)
         defl = pos[n:] - pos[:n]
-    records: List[DeflectionRecord] = []
-    for i, entry in enumerate(entries):
-        d = defl[i][None].repeat(entry.repeats, axis=0)
-        if noise_mm > 0.0:
-            # two 3-axis draws per record, in record order, as one call
-            e = np.random.default_rng((seed, i)).standard_normal((entry.repeats, n_mark, 2, 3))
-            d = _noisy(d, noise_mm, e[:, :, 0] - e[:, :, 1])
-        for rep in range(entry.repeats):
-            for m in range(n_mark):
-                records.append(DeflectionRecord(
-                    q_rad=q[i], wrench=w[i], marker_id=m,
-                    deflection_mm=d[rep, m], repeat=rep))
-    return records
+    reps = np.array([e.repeats for e in entries])
+    d = np.repeat(defl, reps, axis=0)     # (entry repeats, marker, 3)
+    if noise_mm > 0.0:
+        # two 3-axis draws per record, in record order, one call per entry
+        e = np.concatenate([np.random.default_rng((seed, i)).standard_normal(
+            (r, n_mark, 2, 3)) for i, r in enumerate(reps)])
+        d = _noisy(d, noise_mm, e[:, :, 0] - e[:, :, 1])
+    return DeflectionRecords(
+        q_rad=np.repeat(q, reps * n_mark, axis=0),
+        wrench=np.repeat(w, reps * n_mark, axis=0),
+        marker_id=np.tile(np.arange(n_mark), len(d)),
+        repeat=np.repeat(np.concatenate([np.arange(r) for r in reps]), n_mark),
+        deflection_mm=d.reshape(-1, 3))

@@ -148,26 +148,25 @@ def build_regressor_loop(model, records, layout):
     from stiffcal.doe import sensitivity_rows
     from stiffcal.errors import DataLayoutError
 
-    if not records:
+    if not len(records):
         raise DataLayoutError("no deflection records to regress on")
-    first = {}       # distinct (pose, wrench, bucket) -> its first record
+    first = {}       # distinct (pose, wrench, bucket) -> its first (q, wrench)
     keys = []
-    for i, rec in enumerate(records):
-        m = rec.marker_id
+    markers = records.marker_id.tolist()
+    for i, (q, w, m) in enumerate(zip(records.q_rad, records.wrench, markers)):
         if not 0 <= m < len(model.markers):
             raise DataLayoutError(
                 f"record {i}: marker id {m} outside model range "
                 f"0..{len(model.markers) - 1}")
-        bucket = layout.bucket_of(float(rec.q_rad[1]), context=f"record {i}")
-        key = (tuple(np.round(rec.q_rad, 12)), tuple(rec.wrench), bucket)
-        first.setdefault(key, rec)
+        bucket = layout.bucket_of(float(q[1]), context=f"record {i}")
+        key = (tuple(np.round(q, 12)), tuple(w), bucket)
+        first.setdefault(key, (q, w))
         keys.append(key)
-    rows = sensitivity_rows(model, [r.q_rad for r in first.values()],
-                            [r.wrench for r in first.values()])
+    rows = sensitivity_rows(model, [q for q, _ in first.values()],
+                            [w for _, w in first.values()])
     blocks = {key: layout.place(A, key[2]) for key, A in zip(first, rows)}
-    B = np.concatenate([blocks[key][3 * r.marker_id:3 * r.marker_id + 3]
-                        for key, r in zip(keys, records)])
-    return B, np.concatenate([r.deflection_mm for r in records])
+    B = np.concatenate([blocks[key][3 * m:3 * m + 3] for key, m in zip(keys, markers)])
+    return B, np.concatenate(list(records.deflection_mm))
 
 
 def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
@@ -258,7 +257,7 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
             best_total, best_configs = total, configs
     plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
                                  for bucket in best_configs for qc in bucket))
-    acc = test_pose_accuracy(model, plan, test, noise, layout=layout)
+    acc = test_pose_accuracy(model, plan, test, noise)
     return plan, acc.rho0_sq_mm2, tuple(start_values), n_eval
 
 

@@ -114,8 +114,7 @@ def test_criterion_3_elasto_round_trip_coverage_ordering(request, model):
             recs = simulate_deflection_records(model, plan, noise_mm=0.05,
                                                seed=5000 + t, response="linear")
             e = identify_elastostatics(model, recs)
-            ci = confidence_intervals_elasto(model, recs, e, n_samples=150,
-                                             seed=6000 + t)
+            ci = confidence_intervals_elasto(model, e, n_samples=150, seed=6000 + t)
             hits += bool(np.all(np.abs(ci.values - truth.values)
                                 <= ci.halfwidth3))
             pct_sum = ci.percent if pct_sum is None else pct_sum + ci.percent
@@ -302,7 +301,8 @@ def test_criterion_8_regressor_shape_from_reference_plan(request, model):
         plan = spread_plan()  # 5 buckets x 3 configurations, 3 repeats
         records = simulate_deflection_records(model, plan, response="linear")
         assert len(records) == 5 * 3 * 3 * 3  # buckets x configs x repeats x markers
-        B, y = build_regressor(model, records, ParameterLayout.from_records(records))
+        B, y = build_regressor(model, records,
+                               ParameterLayout.from_q2(records.q_rad[:, 1]))
         assert B.shape == (405, 9)  # 135 records x 3 axes; 5 + 4 parameters
         assert y.shape == (405,)
         assert np.linalg.matrix_rank(B) == 9

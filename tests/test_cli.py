@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from stiffcal import cli
 from stiffcal.cli import build_parser, main
 from stiffcal.doe import PLAN_CSV_HEADER
+from stiffcal.elasto_id import DEFLECTION_CSV_HEADER, load_deflection_csv
 
 pytestmark = pytest.mark.usefixtures("model_path", "table1_path")
 
@@ -134,6 +135,29 @@ class TestExitCodes:
             rc = main(argv + ["--model", str(model_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error: input values out of range: overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["marker_id", "repeat"])
+    def test_huge_count_cell_is_2(self, tmp_path, model_path, capsys, column):
+        """A ``marker_id`` or ``repeat`` beyond int64 fails naming its line and
+        column, with no traceback; the int64 maximum itself reads exactly."""
+        path = tmp_path / "records.csv"
+
+        def write(value):
+            cells = ["0"] * len(DEFLECTION_CSV_HEADER)
+            cells[DEFLECTION_CSV_HEADER.index(column)] = str(value)
+            path.write_text(",".join(DEFLECTION_CSV_HEADER) + "\n" + ",".join(cells) + "\n")
+
+        write(2**63 - 1)
+        assert getattr(load_deflection_csv(path), column).tolist() == [2**63 - 1]
+        write(10**30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["elasto-ident", "--model", str(model_path), "--records", str(path),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:2: column {column} must be <= {2**63 - 1}, got {10**30}\n" in err
+        assert "Traceback" not in err
 
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import optimize_plan_sequential
 from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, spread_plan
+from record_tables import table
 from stiffcal import doe
 from stiffcal.doe import (
     CalibrationPlan,
@@ -24,8 +25,7 @@ from stiffcal.doe import (
     _random_config,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
-from stiffcal.elasto_id import (DeflectionRecord, ParameterLayout, build_regressor,
-                                identify_compliances)
+from stiffcal.elasto_id import ParameterLayout, build_regressor, identify_compliances
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.robot import FrameSpec
 from stiffcal.sim import simulate_deflection_records
@@ -75,8 +75,7 @@ class TestSensitivityRows:
         """Per-config sensitivities are the same rows the estimator stacks."""
         e = plan.entries[4]
         lay = ParameterLayout((e.q_rad[1],))
-        recs = [DeflectionRecord(e.q, e.w, m, np.zeros(3))
-                for m in range(len(model.markers))]
+        recs = table((e.q, e.w, m, np.zeros(3)) for m in range(len(model.markers)))
         B, _ = build_regressor(model, recs, lay)
         A = sensitivity_rows(model, e.q, e.w)
         assert A.shape == B.shape
@@ -249,9 +248,9 @@ class TestParameterCovariance:
         cov = parameter_covariance(model, plan, NOISE)
         # oracle: sigma^2 (B^T B)^-1 of the dense regressor of one dummy
         # record per marker and repeat
-        records = [DeflectionRecord(e.q, e.w, m, np.zeros(3), r)
-                   for e in plan.entries for m in range(len(model.markers))
-                   for r in range(e.repeats)]
+        records = table((e.q, e.w, m, np.zeros(3), r)
+                        for e in plan.entries for m in range(len(model.markers))
+                        for r in range(e.repeats))
         B, _ = build_regressor(model, records, plan.layout())
         ref = NOISE.sigma_mm**2 * np.linalg.inv(B.T @ B)
         assert np.linalg.norm(cov - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from plans import spread_plan
+from record_tables import rows, table, take
 from stiffcal.elasto_id import (
     DEFLECTION_CSV_HEADER,
     RANK_TOL,
-    DeflectionRecord,
     ParameterLayout,
     build_regressor,
     confidence_intervals_elasto,
@@ -40,9 +40,21 @@ def clean_records(model, plan):
     return simulate_deflection_records(model, plan, response="linear")
 
 
+def layout_of(records):
+    return ParameterLayout.from_q2(records.q_rad[:, 1])
+
+
+class TestRecordsTable:
+    def test_columns_of_unequal_length_rejected(self, clean_records):
+        for f in dataclasses.fields(clean_records):
+            with pytest.raises(ValueError, match="columns differ in length"):
+                dataclasses.replace(clean_records,
+                                    **{f.name: getattr(clean_records, f.name)[:-1]})
+
+
 class TestLayout:
-    def test_from_records_clusters_and_sorts(self, clean_records):
-        lay = ParameterLayout.from_records(clean_records)
+    def test_from_q2_clusters_and_sorts(self, clean_records):
+        lay = layout_of(clean_records)
         assert lay.n_buckets == 5
         assert list(lay.bucket_q2_rad) == sorted(lay.bucket_q2_rad, reverse=True)
         assert lay.n_params == 9
@@ -78,7 +90,7 @@ class TestLayout:
 class TestRegressor:
     def test_row_count(self, model, plan, clean_records):
         # configs x repeats x markers, 3 displacement rows each
-        lay = ParameterLayout.from_records(clean_records)
+        lay = layout_of(clean_records)
         B, y = build_regressor(model, clean_records, lay)
         n_expected = plan.n_entries * 3 * len(model.markers)
         assert len(clean_records) == n_expected == 135
@@ -86,7 +98,7 @@ class TestRegressor:
         assert y.shape == (405,)
 
     def test_truth_solves_exactly(self, model, clean_records):
-        lay = ParameterLayout.from_records(clean_records)
+        lay = layout_of(clean_records)
         B, y = build_regressor(model, clean_records, lay)
         comp = model.compensator
         k_true = np.empty(9)
@@ -100,40 +112,38 @@ class TestRegressor:
         """Records sharing a pose but not the wrench get their own rows."""
         e = plan.entries[4]
         other = np.array([300.0, -150.0, -900.0, 2e4, -1e4, 5e3])
-        recs = [DeflectionRecord(e.q, w, m, np.zeros(3))
-                for w in (e.w, other, e.w) for m in range(len(model.markers))]
-        lay = ParameterLayout.from_records(recs)
-        B, _ = build_regressor(model, recs, lay)
-        for i, r in enumerate(recs):   # one bucket: joint order is column order
-            A = sensitivity_rows(model, r.q_rad, r.wrench)
-            ref = A[3 * r.marker_id:3 * r.marker_id + 3]
+        recs = table((e.q, w, m, np.zeros(3))
+                     for w in (e.w, other, e.w) for m in range(len(model.markers)))
+        B, _ = build_regressor(model, recs, layout_of(recs))
+        # one bucket: joint order is column order
+        for i, (q, w, m, _, _) in enumerate(rows(recs)):
+            A = sensitivity_rows(model, q, w)
+            ref = A[3 * m:3 * m + 3]
             np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
     def test_rows_land_in_their_bucket(self, model, clean_records):
         """Each record's k2 sensitivity fills its own bucket's column only."""
-        lay = ParameterLayout.from_records(clean_records)
+        lay = layout_of(clean_records)
         assert lay.n_buckets > 1
         B, _ = build_regressor(model, clean_records, lay)
-        for i, r in enumerate(clean_records):
-            A = sensitivity_rows(model, r.q_rad, r.wrench)
-            A = A[3 * r.marker_id:3 * r.marker_id + 3]
-            ref = lay.place(A, lay.bucket_of(r.q_rad[1]))
+        for i, (q, w, m, _, _) in enumerate(rows(clean_records)):
+            A = sensitivity_rows(model, q, w)
+            A = A[3 * m:3 * m + 3]
+            ref = lay.place(A, lay.bucket_of(q[1]))
             np.testing.assert_allclose(B[3 * i:3 * i + 3], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
 
     def test_bad_marker_id(self, model, clean_records):
-        lay = ParameterLayout.from_records(clean_records)
-        bad = DeflectionRecord(q_rad=clean_records[0].q_rad,
-                               wrench=clean_records[0].wrench,
-                               marker_id=17, deflection_mm=np.zeros(3))
+        lay = layout_of(clean_records)
+        bad = dataclasses.replace(take(clean_records, [0]), marker_id=np.array([17]))
         with pytest.raises(DataLayoutError, match="marker id 17 outside model range"):
-            build_regressor(model, [bad], lay)
+            build_regressor(model, bad, lay)
 
-    def test_empty_records(self, model):
+    def test_empty_records(self, model, clean_records):
         lay = ParameterLayout((0.0,))
         with pytest.raises(DataLayoutError, match="no deflection records"):
-            build_regressor(model, [], lay)
+            build_regressor(model, take(clean_records, slice(0, 0)), lay)
 
 
 class TestRegressorMatchesLoop:
@@ -142,7 +152,7 @@ class TestRegressorMatchesLoop:
 
     @staticmethod
     def _same(model, records):
-        lay = ParameterLayout.from_records(records)
+        lay = layout_of(records)
         B, y = build_regressor(model, records, lay)
         B0, y0 = oracles.build_regressor_loop(model, records, lay)
         assert B.shape == B0.shape and B.tobytes() == B0.tobytes()
@@ -154,44 +164,42 @@ class TestRegressorMatchesLoop:
 
     def test_shuffled_records(self, model, clean_records):
         order = np.random.default_rng(3).permutation(len(clean_records))
-        self._same(model, [clean_records[i] for i in order])
+        self._same(model, take(clean_records, order))
 
     def test_two_wrenches_at_one_pose(self, model, plan):
         e = plan.entries[4]
         other = np.array([300.0, -150.0, -900.0, 2e4, -1e4, 5e3])
-        self._same(model, [DeflectionRecord(e.q, w, m, np.full(3, m + 0.5))
-                           for w in (e.w, other, e.w) for m in range(len(model.markers))])
+        self._same(model, table((e.q, w, m, np.full(3, m + 0.5)) for w in (e.w, other, e.w)
+                                for m in range(len(model.markers))))
 
     def test_repeated_records(self, model, clean_records):
-        self._same(model, clean_records[:9] * 3)
+        self._same(model, take(clean_records, np.tile(np.arange(9), 3)))
 
     def test_single_record(self, model, clean_records):
-        self._same(model, clean_records[7:8])
+        self._same(model, take(clean_records, slice(7, 8)))
 
     def test_signed_zero_of_rounded_q_is_one_pose(self, model, plan):
         """q1 = +1e-14 and -1e-14 both round to zero: one pose, whose
         sensitivity block is taken at the record seen first."""
         e = plan.entries[0]
         n = len(model.markers)
-        recs = [DeflectionRecord(np.r_[q1, e.q[1:]], e.w, m, np.zeros(3))
-                for q1 in (1e-14, -1e-14) for m in range(n)]
+        recs = table((np.r_[q1, e.q[1:]], e.w, m, np.zeros(3))
+                     for q1 in (1e-14, -1e-14) for m in range(n))
         B = self._same(model, recs)
         assert B[:3 * n].tobytes() == B[3 * n:].tobytes()
 
     def test_first_bad_record_named_marker_before_bucket(self, model, clean_records):
-        lay = ParameterLayout.from_records(clean_records)
-        good = clean_records[0]
-        off_bucket = dataclasses.replace(
-            good, q_rad=np.r_[good.q_rad[0], np.radians(-40.0), good.q_rad[2:]])
+        lay = layout_of(clean_records)
+        q, w, _, d, _ = rows(clean_records)[0]
+        good = (q, w, 0, d)
+        off_bucket = (np.r_[q[0], np.radians(-40.0), q[2:]], w, 0, d)
         cases = [
-            ([good, off_bucket, dataclasses.replace(good, marker_id=9)],
+            (table([good, off_bucket, (q, w, 9, d)]),
              "record 1: joint-2 angle -40.000 deg matches no layout bucket"),
-            ([good, dataclasses.replace(good, marker_id=9), off_bucket],
+            (table([good, (q, w, 9, d), off_bucket]),
              "record 1: marker id 9 outside model range 0..2"),
-            ([good, good, dataclasses.replace(off_bucket, marker_id=-1), off_bucket],
+            (table([good, good, (off_bucket[0], w, -1, d), off_bucket]),
              "record 2: marker id -1 outside model range"),
-            ([good, dataclasses.replace(good, marker_id=10**30)],
-             f"record 1: marker id {10**30} outside model range"),
         ]
         for recs, message in cases:
             with pytest.raises(DataLayoutError) as got:
@@ -217,8 +225,8 @@ class TestStageOne:
 
     def test_rank_deficiency_reported(self, model, clean_records):
         # one config, one marker: 3 rows cannot pin down 5 parameters
-        few = [clean_records[0]]
-        lay = ParameterLayout.from_records(few)
+        few = take(clean_records, slice(0, 1))
+        lay = layout_of(few)
         with pytest.raises(IdentifiabilityError) as err:
             identify_compliances(model, few)
         assert err.value.null_directions is not None
@@ -227,16 +235,14 @@ class TestStageOne:
         assert "not identifiable" in str(err.value)
 
     def test_nonpositive_estimate_warns(self, model, clean_records):
-        flipped = [DeflectionRecord(r.q_rad, r.wrench, r.marker_id,
-                                    -r.deflection_mm, r.repeat)
-                   for r in clean_records]
+        flipped = dataclasses.replace(clean_records,
+                                      deflection_mm=-clean_records.deflection_mm)
         with pytest.warns(RuntimeWarning, match="non-positive"):
             identify_compliances(model, flipped)
 
     def test_joint2_stiffnesses_guard(self, model, clean_records):
-        flipped = [DeflectionRecord(r.q_rad, r.wrench, r.marker_id,
-                                    -r.deflection_mm, r.repeat)
-                   for r in clean_records]
+        flipped = dataclasses.replace(clean_records,
+                                      deflection_mm=-clean_records.deflection_mm)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fit = identify_compliances(model, flipped)
@@ -331,26 +337,26 @@ class TestFullPipeline:
 class TestCsvRoundTrip:
     def test_save_load_identity(self, tmp_path, clean_records):
         p = tmp_path / "records.csv"
-        save_deflection_csv(p, clean_records[:10])
+        first = take(clean_records, slice(0, 10))
+        save_deflection_csv(p, first)
         back = load_deflection_csv(p)
         assert len(back) == 10
-        for a, b in zip(clean_records[:10], back):
-            assert np.allclose(a.q_rad, b.q_rad, atol=1e-12)
-            assert np.allclose(a.wrench, b.wrench, atol=1e-9)
-            assert a.marker_id == b.marker_id
-            assert np.allclose(a.deflection_mm, b.deflection_mm, atol=1e-9)
-            assert a.repeat == b.repeat
+        assert np.allclose(first.q_rad, back.q_rad, atol=1e-12)
+        assert np.allclose(first.wrench, back.wrench, atol=1e-9)
+        assert np.array_equal(first.marker_id, back.marker_id)
+        assert np.allclose(first.deflection_mm, back.deflection_mm, atol=1e-9)
+        assert np.array_equal(first.repeat, back.repeat)
+        assert back.marker_id.dtype.kind == back.repeat.dtype.kind == "i"
 
     def test_golden_bytes(self, tmp_path):
         """Ten significant digits, signed zeros kept, ``\\r\\n`` line ends."""
-        recs = [
-            DeflectionRecord([-0.0, 0, 0, 0, 0, 0], [0, 0, -2600, -0.0, 0, 0], 0,
-                             [-0.0, 0.0, 1.5], 0),
-            DeflectionRecord(np.radians([10, -90, 45, 0, 0, 180]), np.zeros(6), 1,
-                             [1e-300, -2.5e-7, 0.0], 1),
-            DeflectionRecord(np.zeros(6), [0, 0, 0, 1e5, 0, -123456789.123], 2,
-                             [123456789.123, 0.1, -3.0], 12),
-        ]
+        recs = table([
+            ([-0.0, 0, 0, 0, 0, 0], [0, 0, -2600, -0.0, 0, 0], 0, [-0.0, 0.0, 1.5], 0),
+            (np.radians([10, -90, 45, 0, 0, 180]), np.zeros(6), 1,
+             [1e-300, -2.5e-7, 0.0], 1),
+            (np.zeros(6), [0, 0, 0, 1e5, 0, -123456789.123], 2,
+             [123456789.123, 0.1, -3.0], 12),
+        ])
         p = tmp_path / "records.csv"
         save_deflection_csv(p, recs)
         assert p.read_bytes() == (
@@ -428,22 +434,23 @@ class TestCsvRoundTrip:
 
 class TestConfidence:
     def test_zero_noise_vanishing_widths(self, model, clean_records):
-        ci = confidence_intervals_elasto(model, clean_records, n_samples=8)
+        est = identify_elastostatics(model, clean_records)
+        ci = confidence_intervals_elasto(model, est, n_samples=8)
         assert np.all(ci.halfwidth3 <= 1e-9 * np.abs(ci.values))
 
     def test_reproducible(self, model, plan):
         records = simulate_deflection_records(model, plan, noise_mm=0.05,
                                               seed=5, response="linear")
-        a = confidence_intervals_elasto(model, records, n_samples=32, seed=1)
-        b = confidence_intervals_elasto(model, records, n_samples=32, seed=1)
+        est = identify_elastostatics(model, records)
+        a = confidence_intervals_elasto(model, est, n_samples=32, seed=1)
+        b = confidence_intervals_elasto(model, est, n_samples=32, seed=1)
         assert np.array_equal(a.halfwidth3, b.halfwidth3)
 
     def test_widths_bracket_truth(self, model, plan):
         records = simulate_deflection_records(model, plan, noise_mm=0.05,
                                               seed=9, response="linear")
         est = identify_elastostatics(model, records)
-        ci = confidence_intervals_elasto(model, records, est, n_samples=100,
-                                         seed=10)
+        ci = confidence_intervals_elasto(model, est, n_samples=100, seed=10)
         truth = GroundTruth.from_model(model)
         inside = np.abs(ci.values - truth.values) <= ci.halfwidth3
         assert inside.sum() >= len(inside) - 1  # 3-sigma misses are rare
@@ -451,7 +458,8 @@ class TestConfidence:
     def test_ordering_joints_tight_compensator_wide(self, model, plan):
         records = simulate_deflection_records(model, plan, noise_mm=0.05,
                                               seed=12, response="linear")
-        ci = confidence_intervals_elasto(model, records, n_samples=100, seed=13)
+        est = identify_elastostatics(model, records)
+        ci = confidence_intervals_elasto(model, est, n_samples=100, seed=13)
         pct = dict(zip(ci.labels, ci.percent))
         tightest = min(pct, key=pct.get)
         widest = max(pct, key=pct.get)
@@ -469,7 +477,7 @@ class TestStackedResampler:
                                               noise_mm=noise_mm, seed=seed,
                                               response="linear")
         est = identify_elastostatics(model, records)
-        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        ci = confidence_intervals_elasto(model, est, n_samples=200, seed=0)
         ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
         assert np.allclose(ci.halfwidth3, ref, rtol=1e-12, atol=0.0)
         assert ci.n_failed == failed
@@ -480,7 +488,7 @@ class TestStackedResampler:
         records = simulate_deflection_records(model, spread_plan(repeats=3),
                                               noise_mm=0.05, seed=5, response="linear")
         est = identify_elastostatics(model, records)
-        ci = confidence_intervals_elasto(model, records, est, n_samples=20000, seed=6)
+        ci = confidence_intervals_elasto(model, est, n_samples=20000, seed=6)
         fit = est.fit
         B, _ = build_regressor(model, records, fit.layout)
         P = np.linalg.pinv(B)
@@ -502,7 +510,7 @@ class TestStackedResampler:
                                               seed=5, response="linear")
         est = identify_elastostatics(model, records)
         rng_calls.clear()
-        confidence_intervals_elasto(model, records, est, n_samples=200, seed=3)
+        confidence_intervals_elasto(model, est, n_samples=200, seed=3)
         assert rng_calls == [(3,)]
 
     def test_failed_resamples_counted(self, model):
@@ -511,7 +519,7 @@ class TestStackedResampler:
         records = simulate_deflection_records(model, spread_plan(), noise_mm=1.5,
                                               seed=2, response="linear")
         est = identify_elastostatics(model, records)
-        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        ci = confidence_intervals_elasto(model, est, n_samples=200, seed=0)
         ref, failed = oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
         assert 0 < failed <= 100
         assert ci.n_failed == failed
@@ -522,7 +530,7 @@ class TestStackedResampler:
         records = simulate_deflection_records(model, spread_plan(), noise_mm=1.5,
                                               seed=2, response="linear")
         est = identify_elastostatics(model, records)
-        base = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        base = confidence_intervals_elasto(model, est, n_samples=200, seed=0)
         real = elasto_id._separate
 
         def every_fourth_unseparable(factors, K2):
@@ -531,7 +539,7 @@ class TestStackedResampler:
             return x, ok
 
         monkeypatch.setattr(elasto_id, "_separate", every_fourth_unseparable)
-        ci = confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+        ci = confidence_intervals_elasto(model, est, n_samples=200, seed=0)
         reached = 200 - base.n_failed          # resamples with positive k2
         assert ci.n_failed == base.n_failed + len(range(0, reached, 4))
 
@@ -560,7 +568,8 @@ class TestStackedResampler:
         with pytest.raises(IdentifiabilityError, match=r"1\d\d/200 resamples failed"):
             oracles.confidence_intervals_elasto_loop(model, est, 200, 0)
         with pytest.raises(IdentifiabilityError, match=r"1\d\d/200 resamples failed"):
-            confidence_intervals_elasto(model, records, est, n_samples=200, seed=0)
+            confidence_intervals_elasto(model, est, n_samples=200, seed=0)
 
     def test_noise_free_reports_no_failures(self, model, clean_records):
-        assert confidence_intervals_elasto(model, clean_records, n_samples=8).n_failed == 0
+        est = identify_elastostatics(model, clean_records)
+        assert confidence_intervals_elasto(model, est, n_samples=8).n_failed == 0

@@ -69,10 +69,8 @@ class TestDeflectionRecords:
         plan = spread_plan(configs_per_bucket=1, repeats=2)
         recs = simulate_deflection_records(model, plan, response="linear")
         assert len(recs) == plan.n_entries * 2 * len(model.markers)
-        reps = {r.repeat for r in recs}
-        marks = {r.marker_id for r in recs}
-        assert reps == {0, 1}
-        assert marks == {0, 1, 2}
+        assert set(recs.repeat.tolist()) == {0, 1}
+        assert set(recs.marker_id.tolist()) == {0, 1, 2}
 
     def test_linear_matches_prediction_exactly(self, model):
         from stiffcal.stiffness import predict_marker_deflections
@@ -80,18 +78,16 @@ class TestDeflectionRecords:
         recs = simulate_deflection_records(model, plan, response="linear")
         e = plan.entries[0]
         pred = predict_marker_deflections(model, model.compensator, e.q, e.w)
-        for r in recs:
-            assert np.allclose(r.deflection_mm, pred[r.marker_id], atol=1e-15)
+        assert np.allclose(recs.deflection_mm, pred[recs.marker_id], atol=1e-15)
 
     def test_nonlinear_close_to_linear_but_not_identical(self, model):
         plan = spread_plan(buckets_deg=(-45.0,), configs_per_bucket=2, repeats=1)
         lin = simulate_deflection_records(model, plan, response="linear")
         non = simulate_deflection_records(model, plan, response="nonlinear")
-        for a, b in zip(lin, non):
-            gap = np.linalg.norm(a.deflection_mm - b.deflection_mm)
-            scale = np.linalg.norm(a.deflection_mm)
-            assert gap > 0.0
-            assert gap < 0.1 * scale
+        gap = np.linalg.norm(lin.deflection_mm - non.deflection_mm, axis=1)
+        scale = np.linalg.norm(lin.deflection_mm, axis=1)
+        assert np.all(gap > 0.0)
+        assert np.all(gap < 0.1 * scale)
 
     def test_noise_variance_doubles(self, model):
         """Differencing loaded minus unloaded doubles the position variance."""
@@ -101,9 +97,8 @@ class TestDeflectionRecords:
         recs = simulate_deflection_records(model, plan, noise_mm=0.05,
                                            seed=8, response="linear")
         clean = simulate_deflection_records(model, plan.replicated(1),
-                                            response="linear")[0]
-        resid = np.array([r.deflection_mm - clean.deflection_mm
-                          for r in recs if r.marker_id == 0])
+                                            response="linear").deflection_mm[0]
+        resid = recs.deflection_mm[recs.marker_id == 0] - clean
         var = resid.var()
         assert var == pytest.approx(2.0 * 0.05**2, rel=0.1)
 
@@ -120,8 +115,7 @@ class TestDeflectionRecords:
         # same plan, same seed must reproduce instead
         again = simulate_deflection_records(model, plan, noise_mm=0.05, seed=5,
                                             response="linear")
-        for a, b in zip(full, again):
-            assert np.array_equal(a.deflection_mm, b.deflection_mm)
+        assert np.array_equal(full.deflection_mm, again.deflection_mm)
         assert len(part) == len(full) // 2
 
     def test_unknown_response_rejected(self, model):
@@ -155,7 +149,7 @@ class TestDeflectionRecords:
         alone = CalibrationPlan((good,))
         recs = simulate_deflection_records(model, alone, noise_mm=0.01, seed=2)
         ref = oracles.simulate_deflection_records_loop(model, alone, noise_mm=0.01, seed=2)
-        assert [r.deflection_mm.tolist() for r in recs] == [r[3].tolist() for r in ref]
+        assert recs.deflection_mm.tolist() == [r[3].tolist() for r in ref]
 
     @pytest.mark.parametrize("response", ["nonlinear", "linear"])
     @pytest.mark.parametrize("noise_mm", [0.0, 0.02])
@@ -168,10 +162,28 @@ class TestDeflectionRecords:
         ref = oracles.simulate_deflection_records_loop(model, plan, noise_mm=noise_mm,
                                                        seed=4, response=response)
         assert len(recs) == len(ref) == 15 * 3 * 3
-        for r, (q, w, m, d, rep) in zip(recs, ref):
-            assert (r.marker_id, r.repeat) == (m, rep)
-            assert np.array_equal(r.q_rad, q) and np.array_equal(r.wrench, w)
-            assert np.abs(r.deflection_mm - d).max() <= 1e-15
+        _same_records(recs, ref)
+
+    def test_mixed_repeats_match_per_entry_loop(self, model):
+        """Entries with 1, 2 and 3 repeats keep the entry -> repeat -> marker
+        order and each entry's own noise stream."""
+        plan = CalibrationPlan(tuple(PlanEntry(e.q_rad, e.wrench, 1 + i % 3)
+                                     for i, e in enumerate(spread_plan().entries)))
+        recs = simulate_deflection_records(model, plan, noise_mm=0.02, seed=4,
+                                           response="linear")
+        ref = oracles.simulate_deflection_records_loop(model, plan, noise_mm=0.02,
+                                                       seed=4, response="linear")
+        assert len(recs) == len(ref) == (5 * 1 + 5 * 2 + 5 * 3) * 3
+        _same_records(recs, ref)
+
+
+def _same_records(recs, ref):
+    """The table ``recs`` holds the oracle's ``(q, wrench, marker_id,
+    deflection, repeat)`` rows ``ref``, deflections within 1e-15 mm."""
+    q, w, m, d, rep = (np.array(c) for c in zip(*ref))
+    assert np.array_equal(recs.marker_id, m) and np.array_equal(recs.repeat, rep)
+    assert np.array_equal(recs.q_rad, q) and np.array_equal(recs.wrench, w)
+    assert np.abs(recs.deflection_mm - d).max() <= 1e-15
 
 
 class TestGroundTruth:
