@@ -99,8 +99,7 @@ def _write_json(path: str, payload: Dict) -> None:
 
 def write_plot_data(path: str, rows) -> None:
     """Long-format plot table: one (x, series, y) triple per row."""
-    write_table(path, ("x", "series", "y"),
-                ((f"{float(x):.10g}", series, f"{float(y):.10g}") for x, series, y in rows))
+    write_table(path, ("x", "series", "y"), (".10g", "s", ".10g"), rows)
 
 
 def _finite(vals: List[float], name: str) -> List[float]:
@@ -392,9 +391,8 @@ def _cmd_eta_curve(args) -> int:
     table = eta_curve(geom, s0_vals, q2)
     out = _ensure_out(args.out)
     path = os.path.join(out, "eta.csv")
-    write_table(path, ("q2_deg", "s0_mm", "eta"),
-                ((f"{math.degrees(q2_rad):.10g}", f"{s0:.10g}", f"{e:.10g}")
-                 for q2_rad, s0, e in table))
+    write_table(path, ("q2_deg", "s0_mm", "eta"), (".10g",) * 3,
+                ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table))
     rows = [(math.degrees(r[0]), f"s0={r[1]:g}mm", r[2]) for r in table]
     write_plot_data(os.path.join(out, "eta_plot.csv"), rows)
     _write_manifest(out, "eta-curve", {"model": args.model},

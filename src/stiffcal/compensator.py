@@ -17,10 +17,17 @@ consistent: K_eq - K0 = -dM/dq2 = d^2 E/dq2^2.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require_finite(block, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(block, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class CompensatorGeometry:
     ay_mm: float
 
     def __post_init__(self):
+        _require_finite(self, "L_mm", "ax_mm", "ay_mm")
         # derived once: every stiffness evaluation reads them
         object.__setattr__(self, "_a", float(np.hypot(self.ax_mm, self.ay_mm)))
         object.__setattr__(self, "_alpha", float(np.arctan2(self.ay_mm, self.ax_mm)))
@@ -58,6 +66,7 @@ class CompensatorElastics:
     s0_mm: float
 
     def __post_init__(self):
+        _require_finite(self, "Kc_N_per_mm", "s0_mm")
         if not self.Kc_N_per_mm > 0.0:
             raise ValueError("Kc_N_per_mm must be > 0")
         if self.s0_mm < 0.0:

@@ -139,9 +139,8 @@ class PlanConstraints:
 
 
 def save_plan_csv(path, plan: CalibrationPlan) -> None:
-    write_table(path, PLAN_CSV_HEADER, (
-        [f"{math.degrees(v):.10g}" for v in e.q_rad]
-        + [f"{v:.10g}" for v in e.wrench] + [str(e.repeats)]
+    write_table(path, PLAN_CSV_HEADER, (".10g",) * 12 + ("d",), (
+        [math.degrees(v) for v in e.q_rad] + [*e.wrench, e.repeats]
         for e in plan.entries))
 
 

@@ -32,6 +32,7 @@ DEFLECTION_CSV_HEADER = (
     "Fx_N", "Fy_N", "Fz_N", "Mx_Nmm", "My_Nmm", "Mz_Nmm",
     "marker_id", "dx_mm", "dy_mm", "dz_mm", "repeat",
 )
+DEFLECTION_CSV_FORMATS = (".10g",) * 12 + ("d",) + (".10g",) * 3 + ("d",)
 
 # Joint-2 angles within this of a bucket centre belong to that bucket.
 BUCKET_TOL_RAD = math.radians(0.1)
@@ -70,9 +71,8 @@ class DeflectionRecords:
 
 
 def save_deflection_csv(path, records: DeflectionRecords) -> None:
-    write_table(path, DEFLECTION_CSV_HEADER, (
-        [f"{v:.10g}" for v in qi + wi] + [str(m)]
-        + [f"{v:.10g}" for v in di] + [str(r)]
+    write_table(path, DEFLECTION_CSV_HEADER, DEFLECTION_CSV_FORMATS, (
+        qi + wi + [m] + di + [r]
         for qi, wi, m, di, r in zip(
             np.degrees(records.q_rad).tolist(), records.wrench.tolist(),
             records.marker_id.tolist(), records.deflection_mm.tolist(),
@@ -94,10 +94,10 @@ def load_deflection_csv(path) -> DeflectionRecords:
                          ints=("marker_id", "repeat"), row=checked)
     if not rows:
         raise DataLayoutError(f"{path}: no deflection records found")
-    a = np.array([v[:12] + v[13:16] for v in rows])   # q, wrench, deflection
-    ids = np.array([(v[12], v[16]) for v in rows])      # marker_id, repeat
+    a = np.array(rows)                               # float columns
+    ids = np.array([(v[12], v[16]) for v in rows])   # marker_id, repeat, exact
     return DeflectionRecords(np.radians(a[:, :6]), a[:, 6:12], ids[:, 0], ids[:, 1],
-                             a[:, 12:])
+                             a[:, 13:16])
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def save_marker_csv(path: str | os.PathLike, dataset: MarkerDataset) -> None:
     axes = "xyz"[:dataset.crank.shape[1]]
     tracks = (dataset.crank,) + dataset.satellites
     names = ["P1"] + [f"P0{j + 1}" for j in range(len(dataset.satellites))]
-    write_table(path, ["q2_deg"] + [f"{n}_{a}" for n in names for a in axes], (
-        [f"{np.degrees(q2):.10g}"] + [f"{v:.6f}" for t in tracks for v in t[i]]
-        for i, q2 in enumerate(dataset.q2_rad)))
+    header = ["q2_deg"] + [f"{n}_{a}" for n in names for a in axes]
+    write_table(path, header, [".10g"] + [".6f"] * (len(header) - 1),
+                np.column_stack((np.degrees(dataset.q2_rad),) + tracks).tolist())
 
 
 def _overflow_names_the_data(fn):

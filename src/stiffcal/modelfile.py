@@ -1,7 +1,8 @@
 """Robot model files: a strict YAML schema for the manipulator description.
 
 The file is plain key/value + arrays.  Unknown keys are rejected so typos
-fail loudly rather than silently falling back to defaults.  Schema::
+fail loudly rather than silently falling back to defaults, and every
+number must be finite.  Schema::
 
     joints:                      # exactly 6 entries, base outwards
       - axis: [0, 0, 1]                  # unit vector, parent frame
@@ -137,9 +138,12 @@ def load_model(path: str | os.PathLike) -> ManipulatorModel:
         if not isinstance(m["markers"], (list, tuple)):
             raise ModelFileError("markers: expected a list of 3-vectors")
         for i, mk in enumerate(m["markers"]):
-            arr = np.asarray(mk, dtype=float)
-            if arr.shape != (3,):
-                raise ModelFileError(f"markers[{i}]: expected a 3-vector")
+            try:
+                arr = np.asarray(mk, dtype=float)
+            except (ValueError, TypeError):
+                arr = None
+            if arr is None or arr.shape != (3,) or not np.isfinite(arr).all():
+                raise ModelFileError(f"markers[{i}]: expected a 3-vector of finite numbers")
             markers.append(arr)
 
     comp = _compensator(m["compensator"], "compensator") if "compensator" in m else None

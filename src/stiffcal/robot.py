@@ -18,6 +18,7 @@ newtons).  Jacobian rows are ordered position (mm/rad) then orientation
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,6 +31,8 @@ def _vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
     return v
 
 
@@ -63,6 +66,9 @@ class JointSpec:
         object.__setattr__(self, "com_mm", _vec3(com, "com_mm"))
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("axis must have unit norm")
+        for name in ("compliance_rad_per_Nmm", "mass_kg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.compliance_rad_per_Nmm < 0.0:
             raise ValueError("compliance_rad_per_Nmm must be >= 0")
         if self.mass_kg < 0.0:
@@ -81,9 +87,6 @@ class FrameSpec:
         r = self.rotation_rpy_rad if self.rotation_rpy_rad is not None else np.zeros(3)
         object.__setattr__(self, "translation_mm", _vec3(t, "translation_mm"))
         object.__setattr__(self, "rotation_rpy_rad", _vec3(r, "rotation_rpy_rad"))
-
-    def rotation(self) -> np.ndarray:
-        return rot_rpy(self.rotation_rpy_rad)
 
 
 @dataclass(frozen=True)
@@ -120,18 +123,19 @@ class ManipulatorModel:
         g = self.gravity if self.gravity is not None else np.array([0.0, 0.0, -9.81])
         self.gravity = _vec3(g, "gravity")
         self.markers = tuple(_vec3(m, f"markers[{i}]") for i, m in enumerate(self.markers))
-        # Pre-build the fixed per-link transforms.
-        self._link_R = np.stack([j.link_rotation_rpy_rad for j in self.joints])
-        self._link_R = np.stack([rot_rpy(r) for r in self._link_R])
+        # Pre-build the fixed transforms: six links, then base and tool.
+        fixed_R = rot_rpy(np.stack([j.link_rotation_rpy_rad for j in self.joints]
+                                   + [self.base.rotation_rpy_rad, self.tool.rotation_rpy_rad]))
+        self._link_R = fixed_R[:6]
         self._link_p = np.stack([j.link_translation_mm for j in self.joints])
         self._axes = np.stack([j.axis for j in self.joints])
         # Constant Rodrigues terms of each axis k (see transforms.rot_axis).
         self._axis_K = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
                                  for x, y, z in self._axes])
         self._axis_kk = self._axes[:, :, None] * self._axes[:, None, :]
-        self._R_base = self.base.rotation()
+        self._R_base = fixed_R[6]
         self._p_base = self.base.translation_mm
-        self._R_tool = self.tool.rotation()
+        self._R_tool = fixed_R[7]
         self._p_tool = self.tool.translation_mm
         # configuration independent (see gravity_loading), so built once
         self._gravity_loading = gravity_loading(self)

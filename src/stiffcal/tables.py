@@ -9,7 +9,6 @@ cells the same way, naming ``path:line`` and the column.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -29,6 +28,9 @@ def read_table(path, header: Optional[Sequence[str]] = None, *, kind: str = "",
     from ``row`` raises :class:`DataLayoutError` starting ``path:line``;
     every other failure to read the file as UTF-8 CSV starts ``path``.
     """
+    def where() -> str:   # built only for a message: most rows never need it
+        return f"{path}:{reader.line_num}"
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -46,44 +48,47 @@ def read_table(path, header: Optional[Sequence[str]] = None, *, kind: str = "",
             for cells in reader:
                 if not any(c.strip() for c in cells):
                     continue
-                where = f"{path}:{reader.line_num}"
                 if len(cells) != len(names):
                     raise DataLayoutError(
-                        f"{where}: expected {len(names)} fields, got {len(cells)}")
+                        f"{where()}: expected {len(names)} fields, got {len(cells)}")
                 vals = []
                 for name, is_int, cell in zip(names, integer, cells):
                     try:
                         v = int(cell) if is_int else float(cell)
                     except ValueError as exc:
-                        raise DataLayoutError(f"{where}: column {name}: {exc}") from exc
+                        raise DataLayoutError(f"{where()}: column {name}: {exc}") from exc
                     if not (is_int or math.isfinite(v)):
                         raise DataLayoutError(
-                            f"{where}: column {name} must be finite, got {cell.strip()!r}")
+                            f"{where()}: column {name} must be finite, got {cell.strip()!r}")
                     vals.append(v)
                 try:
                     out.append(row(vals))
                 except ValueError as exc:
-                    raise DataLayoutError(f"{where}: {exc}") from exc
+                    raise DataLayoutError(f"{where()}: {exc}") from exc
     except csv.Error as exc:
-        raise DataLayoutError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise DataLayoutError(f"{where()}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataLayoutError(f"{path}: not UTF-8 text: {exc}") from exc
     return names, out
 
 
-def write_table(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write ``header`` then the pre-formatted ``rows`` (``\\r\\n`` line ends).
+def write_table(path, header: Sequence[str], formats: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then one line per row of values (``\\r\\n`` line ends).
 
-    Cells are written unquoted, so a cell holding ``,``, ``"``, CR or LF
-    raises ``ValueError`` before the file is opened.
+    ``formats`` holds one printf spec per column (``".10g"``, ``"d"``,
+    ``".6f"``, ``"s"``), so each row is formatted with one
+    ``template % tuple(row)``.  Cells are written unquoted, so a line
+    holding ``,`` inside a cell, ``"``, CR or LF raises ``ValueError``
+    before the file is opened.
     """
-    lines = []
-    for cells in itertools.chain([header], rows):
-        line = ",".join(cells)
-        if (line.count(",") > max(len(cells) - 1, 0)
-                or '"' in line or "\r" in line or "\n" in line):
+    template = ",".join("%" + f for f in formats)
+    lines = [",".join(header)]
+    lines += [template % tuple(row) for row in rows]
+    commas = max(len(header) - 1, 0)
+    for line in lines:
+        if line.count(",") > commas or '"' in line or "\r" in line or "\n" in line:
             raise ValueError(f"{path}: a cell would need CSV quoting "
-                             f"(it holds ',', '\"', CR or LF): {list(cells)}")
-        lines.append(line)
+                             f"(it holds ',', '\"', CR or LF): {line!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

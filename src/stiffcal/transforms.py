@@ -24,13 +24,22 @@ def rot_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * K + (1.0 - c) * np.outer(k, k)
 
 
+# Rodrigues terms of the x, y and z axes, built as rot_axis builds them.
+_EYE3 = np.eye(3)
+_XYZ_K = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in _EYE3])
+_XYZ_KK = _EYE3[:, :, None] * _EYE3[:, None, :]
+
+
 def rot_rpy(rpy) -> np.ndarray:
-    """Rotation from roll/pitch/yaw (radians): Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    r, p, y = float(rpy[0]), float(rpy[1]), float(rpy[2])
-    Rx = rot_axis(np.array([1.0, 0.0, 0.0]), r)
-    Ry = rot_axis(np.array([0.0, 1.0, 0.0]), p)
-    Rz = rot_axis(np.array([0.0, 0.0, 1.0]), y)
-    return Rz @ Ry @ Rx
+    """Rotation from roll/pitch/yaw (radians): Rz(yaw) @ Ry(pitch) @ Rx(roll).
+
+    ``rpy`` of shape ``(..., 3)`` gives a stack ``(..., 3, 3)``, each
+    matrix bit for bit the product of its own three ``rot_axis`` calls.
+    """
+    angle = np.asarray(rpy, dtype=float)[..., None, None]
+    c = np.cos(angle)
+    R = c * _EYE3 + np.sin(angle) * _XYZ_K + (1.0 - c) * _XYZ_KK
+    return R[..., 2, :, :] @ R[..., 1, :, :] @ R[..., 0, :, :]
 
 
 def rot_from_rotvec(v: np.ndarray) -> np.ndarray:

@@ -394,3 +394,13 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     if failed > n_samples // 2:
         raise IdentifiabilityError(f"{failed}/{n_samples} resamples failed")
     return 3.0 * np.std(np.array(samples), axis=0, ddof=1), failed
+
+
+# the writers' cell formats before write_table took one printf spec per column
+_CELL = {".10g": lambda v: f"{v:.10g}", ".6f": lambda v: f"{v:.6f}", "d": str, "s": str}
+
+
+def table_bytes_per_cell(header, formats, rows):
+    """The bytes of a headed table formatted one cell at a time."""
+    lines = [list(header)] + [[_CELL[f](v) for f, v in zip(formats, row)] for row in rows]
+    return "".join(",".join(cells) + "\r\n" for cells in lines).encode("utf-8")

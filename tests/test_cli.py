@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -416,6 +419,24 @@ class TestUsageParsing:
         assert _load_json(tmp_path / "g" / "geometry.json")["ci_samples"] == 0
         assert main(["eta-curve", "--model", str(model_path), "--s0=458",
                      "--q2=-140:0:10000", "--out", str(tmp_path / "e")]) == 0
+
+    def test_non_finite_model_number_is_2_without_traceback(self, tmp_path, model_path):
+        """A model file with an infinite link length fails as bad data naming
+        the field, with no numpy warning or traceback on the way."""
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(model_path.read_text().replace("[350.0, 0.0, 675.0]",
+                                                      "[350.0, 0.0, .inf]"))
+        src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "stiffcal.cli", "predict", "--model", str(bad),
+             "--q=10,-30,20,40,50,60", "--wrench=0,0,-2600,0,0,0",
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "joints[0]: link_translation_mm must be finite" in run.stderr
+        assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_model_without_compensator(self, tmp_path, capsys):
         bare = tmp_path / "bare.yaml"

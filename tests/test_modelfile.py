@@ -208,3 +208,54 @@ def test_document_must_be_mapping(tmp_path):
 def test_gravity_override(tmp_path):
     model = load_model(_write(tmp_path, MINIMAL + "gravity: [0, 0, -10]\n"))
     assert np.allclose(model.gravity, [0, 0, -10])
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+NON_FINITE = [
+    (("joints", 0, "link_translation_mm"), [350.0, 0.0, INF],
+     r"joints\[0\]: link_translation_mm must be finite"),
+    (("joints", 2, "link_rotation_rpy_rad"), [0.0, INF, 0.0],
+     r"joints\[2\]: link_rotation_rpy_rad must be finite"),
+    (("joints", 1, "axis"), [NAN, 0.0, 1.0], r"joints\[1\]: axis must be finite"),
+    (("joints", 3, "compliance_rad_per_Nmm"), NAN,
+     r"joints\[3\]: compliance_rad_per_Nmm must be finite"),
+    (("joints", 3, "compliance_rad_per_Nmm"), INF,
+     r"joints\[3\]: compliance_rad_per_Nmm must be finite"),
+    (("joints", 4, "mass_kg"), NAN, r"joints\[4\]: mass_kg must be finite"),
+    (("joints", 4, "mass_kg"), INF, r"joints\[4\]: mass_kg must be finite"),
+    (("joints", 5, "com_mm"), [NAN, 0.0, 0.0], r"joints\[5\]: com_mm must be finite"),
+    (("gravity",), [0.0, 0.0, INF], r"model file: gravity must be finite"),
+    (("tool", "translation_mm"), [150.0, NAN, 130.0], r"tool: translation_mm must be finite"),
+    (("base",), {"rotation_rpy_rad": [0.0, 0.0, -INF]},
+     r"base: rotation_rpy_rad must be finite"),
+    (("markers", 0), [120.0, 0.0, INF], r"markers\[0\]: expected a 3-vector of finite numbers"),
+    (("markers", 1), [120.0, 0.0, "x"], r"markers\[1\]: expected a 3-vector of finite numbers"),
+    (("markers", 2), [120.0, 0.0, [80.0]],
+     r"markers\[2\]: expected a 3-vector of finite numbers"),
+    (("compensator", "L_mm"), NAN, r"compensator: L_mm must be finite"),
+    (("compensator", "ax_mm"), INF, r"compensator: ax_mm must be finite"),
+    (("compensator", "ay_mm"), -INF, r"compensator: ay_mm must be finite"),
+    (("compensator", "Kc_N_per_mm"), INF, r"compensator: Kc_N_per_mm must be finite"),
+    (("compensator", "s0_mm"), NAN, r"compensator: s0_mm must be finite"),
+    (("compensator", "s0_mm"), INF, r"compensator: s0_mm must be finite"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", NON_FINITE, ids=[
+    "-".join(map(str, path + (value,))).replace(" ", "") for path, value, _ in NON_FINITE])
+def test_non_finite_numbers_name_the_field(tmp_path, model_path, path, value, message):
+    """Every number of a model file must be finite; the error names the field
+    (and the run turns any RuntimeWarning on the way into a failure)."""
+    doc = yaml.safe_load(model_path.read_text())
+    _set(doc, path, value)
+    with pytest.raises(ModelFileError, match=message):
+        load_model(_write(tmp_path, yaml.safe_dump(doc)))

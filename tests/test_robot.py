@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_loop,
                      planar_2r_force_hessian, point_jacobian_loop)
-from stiffcal.robot import (JointSpec, ManipulatorModel, NodeLoading, _cross,
-                            _point_jacobian, chain_state, fk, gravity_loading,
-                            hessian_theta, load_torques, marker_positions)
+from stiffcal.robot import (FrameSpec, JointSpec, ManipulatorModel, NodeLoading,
+                            _cross, _point_jacobian, chain_state, fk,
+                            gravity_loading, hessian_theta, load_torques,
+                            marker_positions)
 from stiffcal.transforms import rot_axis, rot_rpy, rotvec_from_matrix
 
 
@@ -313,6 +314,22 @@ def _random_axes_model(rng):
                         link_rotation_rpy_rad=rng.uniform(-3.0, 3.0, 3),
                         compliance_rad_per_Nmm=1e-9) for a in axes]
     return ManipulatorModel(joints=joints)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_fixed_rotations_are_rot_rpy_of_each_frame(seed):
+    """The link, base and tool rotations built in one stacked call are each
+    frame's own ``rot_rpy``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    frames = [FrameSpec(translation_mm=rng.uniform(-500.0, 500.0, 3),
+                        rotation_rpy_rad=rng.uniform(-3.0, 3.0, 3)) for _ in range(2)]
+    m = dataclasses.replace(_random_axes_model(rng), base=frames[0], tool=frames[1])
+    for i, j in enumerate(m.joints):
+        assert m._link_R[i].tobytes() == rot_rpy(j.link_rotation_rpy_rad).tobytes()
+    assert m._R_base.tobytes() == rot_rpy(frames[0].rotation_rpy_rad).tobytes()
+    assert m._R_tool.tobytes() == rot_rpy(frames[1].rotation_rpy_rad).tobytes()
+    assert not np.array_equal(m._R_base, np.eye(3))
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-20.0, 20.0))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stiffcal.transforms import (pose_difference, rot_axis, rot_from_rotvec,
                                  rot_rpy, rotvec_from_matrix)
@@ -55,6 +56,25 @@ def test_rpy_order():
         rot_axis(np.array([0.0, 1.0, 0.0]), p) @ \
         rot_axis(np.array([1.0, 0.0, 0.0]), r)
     assert np.allclose(R, Rref, atol=1e-14)
+
+
+def _rot_axis_rpy(r, p, y):
+    return (rot_axis(np.array([0.0, 0.0, 1.0]), y) @ rot_axis(np.array([0.0, 1.0, 0.0]), p)
+            @ rot_axis(np.array([1.0, 0.0, 0.0]), r))
+
+
+@given(rpy=arrays(float, st.tuples(st.integers(1, 8), st.just(3)),
+                  elements=st.floats(-20.0, 20.0)))
+@settings(max_examples=100, deadline=None)
+def test_stacked_rot_rpy_is_each_rot_axis_product(rpy):
+    """A (k, 3) stack gives each frame's product of rot_axis calls, bit for bit
+    (signed zeros included), and so does each frame on its own."""
+    R = rot_rpy(rpy)
+    assert R.shape == (len(rpy), 3, 3)
+    for angles, Ri in zip(rpy, R):
+        ref = _rot_axis_rpy(*angles)
+        assert Ri.tobytes() == ref.tobytes()
+        assert rot_rpy(tuple(angles)).tobytes() == ref.tobytes()
 
 
 @given(angle=st.floats(-2.0, 2.0), axis=unit_axis)
