@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .compensator import (CompensatorElastics, CompensatorGeometry,
                           CompensatorParams, compensator_torque,
                           equivalent_joint_stiffness, eta, eta_curve,
-                          spring_length, spring_span)
+                          spring_span)
 from .errors import (AngleDirectionError, CalibrationError, ConvergenceError,
                      DataLayoutError, DegenerateGeometryError,
                      IdentifiabilityError, ModelFileError,

@@ -7,8 +7,8 @@ synthetic datasets, predict deflections, and tabulate the compensator
 stiffness-contribution curve.
 
 Every run writes a ``manifest.json`` capturing the subcommand, the sha256
-of each input file, the seed and parameter overrides, so results can be
-reproduced bit for bit.  All CSV/JSON payloads are deterministic (sorted
+of each input file, the seed and every other flag but ``--out``, so results
+can be reproduced bit for bit.  All CSV/JSON payloads are deterministic (sorted
 keys, fixed float formats, no timestamps).
 
 Exit codes: 0 success, 1 bad usage, 2 numerical/validation failure.
@@ -47,6 +47,8 @@ from .stiffness import (cartesian_stiffness, compensate_target,
 from .tables import write_table
 
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
+# Flags naming input files: the manifest records their sha256.
+_INPUT_FLAGS = ("markers", "model", "records", "plan")
 # Largest --ci-samples and start:stop:count count: each is one refit or one pose.
 MAX_COUNT = 10_000
 
@@ -74,21 +76,26 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, subcommand: str, inputs: Dict[str, str],
-                    outputs: Sequence[str], seed: Optional[int],
-                    overrides: Dict) -> None:
+def _write_manifest(args, outputs: Sequence[str]) -> None:
+    """``manifest.json`` in ``args.out``, from the parsed flags: the file
+    flags are the inputs, ``--seed`` the seed (null without one), and every
+    other flag but ``--out`` an override, each as parsed."""
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "sim_kind", "func", "out")}
+    inputs = {name: flags.pop(name) for name in _INPUT_FLAGS if name in flags}
+    seed = flags.pop("seed", None)
     manifest = {
         "tool": "stiffcal",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": "-".join(filter(None, (args.command, getattr(args, "sim_kind", None)))),
         "inputs": {name: {"path": os.path.abspath(p), "sha256": _sha256(p)}
                    for name, p in inputs.items()},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(outputs),
         "seed": seed,
-        "overrides": overrides,
-        "out_dir": os.path.abspath(out_dir),
+        "overrides": flags,
+        "out_dir": os.path.abspath(args.out),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -138,7 +145,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
 
 
 def _parse_ranges(text: str, name: str) -> List[tuple]:
-    """Comma-separated lo:hi pairs in degrees, returned in radians."""
+    """Comma-separated lo:hi pairs in degrees, each lo below its hi, returned
+    in radians."""
     out = []
     for i, part in enumerate(text.split(",")):
         bits = part.split(":")
@@ -149,6 +157,8 @@ def _parse_ranges(text: str, name: str) -> List[tuple]:
         except ValueError as exc:
             raise UsageError(f"{name} entry {i + 1}: {exc}") from exc
         _finite([lo, hi], f"{name} entry {i + 1}")
+        if not lo < hi:
+            raise UsageError(f"{name} entry {i + 1}: lo must be below hi, got {part}")
         out.append((math.radians(lo), math.radians(hi)))
     return out
 
@@ -217,9 +227,7 @@ def _cmd_geom_ident(args) -> int:
         rows.append((q2_deg[i], "crank_fit_x", fit_pts[i, 0]))
         rows.append((q2_deg[i], "crank_fit_y", fit_pts[i, 1]))
     write_plot_data(os.path.join(out, "fit_tracks.csv"), rows)
-    _write_manifest(out, "geom-ident", {"markers": args.markers},
-                    ["geometry.json", "fit_tracks.csv"], args.seed,
-                    {"angle_sign": args.angle_sign, "ci_samples": args.ci_samples})
+    _write_manifest(args, ["geometry.json", "fit_tracks.csv"])
     print(f"L  = {est.L_mm:10.3f} +/- {ci.halfwidth3_L_mm:.3f} mm")
     print(f"ax = {est.ax_mm:10.3f} +/- {ci.halfwidth3_ax_mm:.3f} mm")
     print(f"ay = {est.ay_mm:10.3f} +/- {ci.halfwidth3_ay_mm:.3f} mm")
@@ -258,10 +266,7 @@ def _cmd_elasto_ident(args) -> int:
         rows.append((math.degrees(q2), "K2_separation_fit",
                      est.separation.K2_fit_Nmm_per_rad[b]))
     write_plot_data(os.path.join(out, "joint2_stiffness.csv"), rows)
-    _write_manifest(out, "elasto-ident",
-                    {"model": args.model, "records": args.records},
-                    ["elasto.json", "joint2_stiffness.csv"], args.seed,
-                    {"ci_samples": args.ci_samples})
+    _write_manifest(args, ["elasto.json", "joint2_stiffness.csv"])
     for p in params:
         pct = p["ci3_percent"]
         pct_s = f" ({pct:5.1f}%)" if pct is not None else ""
@@ -282,6 +287,10 @@ def _cmd_doe(args) -> int:
     cons = PlanConstraints(joint_limits_rad=tuple(limits),
                            load_magnitude_N=args.load,
                            q1_intervals_rad=q1_windows)
+    try:
+        cons.bucket_layout(buckets)
+    except ValueError as exc:
+        raise UsageError(f"--buckets: {exc}") from exc
     test = TestPose(tuple(test_q), tuple(cons.wrench()))
     noise = NoiseModel(sigma_mm=args.noise)
     opt = optimize_plan(model, test, buckets, cons, noise,
@@ -304,12 +313,7 @@ def _cmd_doe(args) -> int:
              opt.accuracy.per_bucket_mm2[i])
             for i, b in enumerate(opt.accuracy.bucket_q2_rad)]
     write_plot_data(os.path.join(out, "bucket_contributions.csv"), rows)
-    _write_manifest(out, "doe", {"model": args.model},
-                    ["plan.csv", "doe.json", "bucket_contributions.csv"],
-                    args.seed,
-                    {"load": args.load, "noise": args.noise,
-                     "configs_per_bucket": args.configs_per_bucket,
-                     "repeats": args.repeats, "starts": args.starts})
+    _write_manifest(args, ["plan.csv", "doe.json", "bucket_contributions.csv"])
     print(f"rho0 = {opt.accuracy.rho0_mm:.4f} mm "
           f"(variance {opt.accuracy.rho0_sq_mm2:.3e} mm^2, "
           f"{opt.plan.n_entries} configurations)")
@@ -326,9 +330,7 @@ def _cmd_simulate(args) -> int:
         out = _ensure_out(args.out)
         path = os.path.join(out, "markers.csv")
         save_marker_csv(path, ds)
-        _write_manifest(out, "simulate-geometry", {"model": args.model},
-                        ["markers.csv"], args.seed,
-                        {"noise": args.noise, "angle_sign": args.angle_sign})
+        _write_manifest(args, ["markers.csv"])
         print(f"wrote {ds.n_poses} sweep poses to {path}")
         return 0
     # deflection records
@@ -343,10 +345,7 @@ def _cmd_simulate(args) -> int:
     truth = GroundTruth.from_model(model)
     _write_json(os.path.join(out, "truth.json"),
                 {"labels": list(truth.labels), "values": list(truth.values)})
-    _write_manifest(out, "simulate-deflections",
-                    {"model": args.model, "plan": args.plan},
-                    ["records.csv", "truth.json"], args.seed,
-                    {"noise": args.noise, "response": args.response})
+    _write_manifest(args, ["records.csv", "truth.json"])
     print(f"wrote {len(records)} deflection records to {path}")
     return 0
 
@@ -376,8 +375,7 @@ def _cmd_predict(args) -> int:
         "compensated_target_mm": list(commanded.p),
     }
     _write_json(os.path.join(out, "prediction.json"), payload)
-    _write_manifest(out, "predict", {"model": args.model},
-                    ["prediction.json"], None, {"wrench": list(wrench)})
+    _write_manifest(args, ["prediction.json"])
     dp = np.linalg.norm(twist[:3])
     print(f"converged={state.converged} iters={state.iterations} "
           f"linear tool sag {dp:.3f} mm")
@@ -395,8 +393,7 @@ def _cmd_eta_curve(args) -> int:
                 ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table))
     rows = [(math.degrees(r[0]), f"s0={r[1]:g}mm", r[2]) for r in table]
     write_plot_data(os.path.join(out, "eta_plot.csv"), rows)
-    _write_manifest(out, "eta-curve", {"model": args.model},
-                    ["eta.csv", "eta_plot.csv"], None, {"s0": s0_vals})
+    _write_manifest(args, ["eta.csv", "eta_plot.csv"])
     print(f"wrote {len(table)} eta samples to {path}")
     for s0, eta in zip(s0_vals, table[:, 2].reshape(len(s0_vals), -1)):
         print(f"s0={s0:6.1f} mm: eta in [{eta.min():+.3f}, {eta.max():+.3f}], "

@@ -102,11 +102,6 @@ def spring_span(geom: CompensatorGeometry, q2_rad):
     return np.sqrt(s2)
 
 
-def spring_length(params: CompensatorParams, q2_rad):
-    """Spring span s(q2) honouring the params' q2 sign convention."""
-    return spring_span(params.geometry, params.q2_sign * np.asarray(q2_rad, dtype=float))
-
-
 def compensator_torque(params: CompensatorParams, q2_rad):
     """Torque (N*mm) the compensator applies about the joint-2 axis.
 

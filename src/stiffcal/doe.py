@@ -81,11 +81,6 @@ class CalibrationPlan:
     def n_entries(self) -> int:
         return len(self.entries)
 
-    def replicated(self, factor: int) -> "CalibrationPlan":
-        """Same configurations with every repeat count multiplied."""
-        return CalibrationPlan(tuple(
-            PlanEntry(e.q_rad, e.wrench, e.repeats * factor) for e in self.entries))
-
     def layout(self) -> ParameterLayout:
         """Joint-2 bucket layout implied by the plan configurations."""
         return ParameterLayout.from_q2(e.q_rad[1] for e in self.entries)
@@ -137,6 +132,18 @@ class PlanConstraints:
         """Gravity-direction test load of the configured magnitude."""
         return np.array([0.0, 0.0, -self.load_magnitude_N, 0.0, 0.0, 0.0])
 
+    def bucket_layout(self, bucket_q2_rad: Sequence[float]) -> ParameterLayout:
+        """Layout of the joint-2 buckets, near-upright first; ``ValueError``
+        for a bucket outside joint 2's limits (the limits included)."""
+        lo, hi = self.joint_limits_rad[1]
+        buckets = [float(b) for b in bucket_q2_rad]
+        for b in buckets:
+            if not lo <= b <= hi:
+                raise ValueError(
+                    f"joint-2 bucket {math.degrees(b):g} deg outside joint 2's limits "
+                    f"{math.degrees(lo):g}..{math.degrees(hi):g} deg")
+        return ParameterLayout(tuple(sorted(buckets, reverse=True)))
+
 
 def save_plan_csv(path, plan: CalibrationPlan) -> None:
     write_table(path, PLAN_CSV_HEADER, (".10g",) * 12 + ("d",), (
@@ -170,7 +177,7 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     ``(..., rows, cols)``, each equal to its own single-configuration call.
     """
     st = chain_state(model, q, np.zeros(6))
-    Jt = _point_jacobian(st, st.tool_p, 6)
+    Jt = _point_jacobian(st, st.tool_p)
     w = np.asarray(wrench, dtype=float)
     tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
     if tool_only:
@@ -182,7 +189,7 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     first = 0 if include_joint1 else 1
     A = np.zeros(tau.shape[:-1] + (3 * len(points), 6 - first))
     for m, pt in enumerate(points):
-        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt, 6)[..., :3, first:]
+        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt)[..., :3, first:]
                                       * tau[..., None, first:])
     return A
 
@@ -217,8 +224,8 @@ def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
     Ms = [np.zeros((5, 5)) for _ in range(layout.n_buckets)]
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
                             [e.wrench for e in plan.entries])
-    for i, (e, A) in enumerate(zip(plan.entries, rows)):
-        b = layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
+    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries], "plan entry")
+    for e, A, b in zip(plan.entries, rows, bucket):
         Ms[b] += e.repeats * (A.T @ A)
     return Ms
 
@@ -264,8 +271,7 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
     layout = plan.layout()
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
                             [e.wrench for e in plan.entries])
-    bucket = [layout.bucket_of(e.q_rad[1], context=f"plan entry {i}")
-              for i, e in enumerate(plan.entries)]
+    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries], "plan entry")
     weight = np.sqrt([e.repeats for e in plan.entries])[:, None, None]
     B = layout.place(weight * rows, bucket).reshape(-1, layout.n_params)
     _, s, Vt = factor_regressor(B, layout)
@@ -340,16 +346,14 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     its random draw under a load along its axis, and the applied load is the
     gravity-direction wrench from ``constraints``.  Each step (config, joint)
     scores the grids of every bucket of every start still improving as one
-    stack; the starts do not interact.  Deterministic for a fixed seed.
+    stack; the starts do not interact.  Deterministic for a fixed seed.  A
+    bucket outside joint 2's limits raises ``ValueError``.
     """
-    buckets = [float(b) for b in bucket_q2_rad]
-    if len(buckets) < 1:
-        raise ValueError("need at least one joint-2 bucket")
+    layout = constraints.bucket_layout(bucket_q2_rad)
     for name, count in (("configs_per_bucket", configs_per_bucket),
                         ("repeats", repeats), ("n_starts", n_starts)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    layout = ParameterLayout(tuple(sorted(buckets, reverse=True)))
     wrench = constraints.wrench()
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
     joints = _searched_joints(model, wrench)

@@ -141,15 +141,21 @@ class ParameterLayout:
     def n_params(self) -> int:
         return self.n_buckets + 4
 
-    def bucket_of(self, q2_rad: float, context: str = "record") -> int:
-        for i, b in enumerate(self.bucket_q2_rad):
-            if abs(q2_rad - b) <= BUCKET_TOL_RAD:
-                return i
-        have = ", ".join(f"{math.degrees(b):.2f}" for b in self.bucket_q2_rad)
-        raise DataLayoutError(
-            f"{context}: joint-2 angle {math.degrees(q2_rad):.3f} deg matches no "
-            f"layout bucket (have: {have} deg, tol "
-            f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
+    def bucket_of(self, q2_rad, context: str = "record") -> np.ndarray:
+        """Index of the first bucket within ``BUCKET_TOL_RAD`` of each joint-2
+        angle, shaped as ``q2_rad``; raises for the first angle (in flat
+        order ``i``, named ``<context> <i>``) that matches no bucket."""
+        q2 = np.asarray(q2_rad, dtype=float)
+        near = np.abs(q2[..., None] - np.array(self.bucket_q2_rad)) <= BUCKET_TOL_RAD
+        miss = np.flatnonzero(~near.any(axis=-1))
+        if miss.size:
+            i = int(miss[0])
+            have = ", ".join(f"{math.degrees(b):.2f}" for b in self.bucket_q2_rad)
+            raise DataLayoutError(
+                f"{context} {i}: joint-2 angle {math.degrees(q2.flat[i]):.3f} deg "
+                f"matches no layout bucket (have: {have} deg, tol "
+                f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
+        return near.argmax(axis=-1)
 
     def column_labels(self) -> Tuple[str, ...]:
         return (tuple(f"k2[{math.degrees(b):.2f}deg]" for b in self.bucket_q2_rad)
@@ -190,17 +196,14 @@ def build_regressor(model: ManipulatorModel, records: DeflectionRecords,
         raise DataLayoutError("no deflection records to regress on")
     q, wrench, marker = records.q_rad, records.wrench, records.marker_id
     n_markers = len(model.markers)
-    marker_ok = (marker >= 0) & (marker < n_markers)
-    near = np.abs(q[:, 1:2] - np.array(layout.bucket_q2_rad)) <= BUCKET_TOL_RAD
-    bad = np.flatnonzero(~(marker_ok & near.any(axis=1)))
-    if bad.size:     # the first bad record, marker before bucket
-        i = int(bad[0])
-        if not marker_ok[i]:
-            raise DataLayoutError(
-                f"record {i}: marker id {marker[i]} outside model range "
-                f"0..{n_markers - 1}")
-        layout.bucket_of(float(q[i, 1]), context=f"record {i}")   # raises
-    bucket = near.argmax(axis=1)      # the first matching bucket
+    bad = np.flatnonzero((marker < 0) | (marker >= n_markers))
+    i = int(bad[0]) if bad.size else n
+    # the first bad record raises, its marker before its bucket: the bucket
+    # lookup covers the records before the first bad marker
+    bucket = layout.bucket_of(q[:i, 1])
+    if bad.size:
+        raise DataLayoutError(
+            f"record {i}: marker id {marker[i]} outside model range 0..{n_markers - 1}")
     # one sensitivity block per distinct (pose, wrench, bucket), taken at its
     # first record; + 0.0 makes -0.0 and 0.0 one key
     key = np.column_stack([np.round(q, 12), wrench, bucket]) + 0.0

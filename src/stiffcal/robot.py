@@ -145,9 +145,6 @@ class ManipulatorModel:
         """Per-joint elastic compliances, rad/(N*mm)."""
         return np.array([j.compliance_rad_per_Nmm for j in self.joints])
 
-    def total_mass(self) -> float:
-        return float(sum(j.mass_kg for j in self.joints))
-
 
 @dataclass
 class ChainState:
@@ -233,18 +230,18 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
-def _point_jacobian(st: ChainState, point: np.ndarray, n_cols: int = 6) -> np.ndarray:
-    """6x6 Jacobian of a point rigidly attached after joint ``n_cols``: column
-    ``i < n_cols`` is the lever arm ``[w_i x (p - p_i); w_i]`` (by :func:`_cross`'s
-    products), the rest zero; ``st``'s and ``point``'s (..., 3) batch axes lead it (..., 6, 6)."""
-    w = st.joint_axis[..., :n_cols, :]
-    d = point[..., None, :] - st.joint_p[..., :n_cols, :]
+def _point_jacobian(st: ChainState, point: np.ndarray) -> np.ndarray:
+    """6x6 Jacobian of a point rigidly attached after joint 6: column ``i`` is
+    the lever arm ``[w_i x (p - p_i); w_i]`` (by :func:`_cross`'s products);
+    ``st``'s and ``point``'s (..., 3) batch axes lead it (..., 6, 6)."""
+    w = st.joint_axis
+    d = point[..., None, :] - st.joint_p
     w0, w1, w2, d0, d1, d2 = w[..., 0], w[..., 1], w[..., 2], d[..., 0], d[..., 1], d[..., 2]
-    J = np.zeros(d.shape[:-2] + (6, 6))
-    J[..., 0, :n_cols] = w1 * d2 - w2 * d1
-    J[..., 1, :n_cols] = w2 * d0 - w0 * d2
-    J[..., 2, :n_cols] = w0 * d1 - w1 * d0
-    J[..., 3:, :n_cols] = w.swapaxes(-1, -2)
+    J = np.empty(d.shape[:-2] + (6, 6))
+    J[..., 0, :] = w1 * d2 - w2 * d1
+    J[..., 1, :] = w2 * d0 - w0 * d2
+    J[..., 2, :] = w0 * d1 - w1 * d0
+    J[..., 3:, :] = w.swapaxes(-1, -2)
     return J
 
 
@@ -265,9 +262,6 @@ class NodeLoading:
             raise ValueError(f"wrenches must have shape (7, 6), got {w.shape}")
         self.wrenches = w
         self.loaded_nodes = tuple(j for j in range(1, 7) if w[j].any())
-
-    def total_force(self) -> np.ndarray:
-        return self.wrenches[:, :3].sum(axis=0)
 
 
 def gravity_loading(model: ManipulatorModel) -> NodeLoading:
@@ -314,7 +308,7 @@ def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrenc
         return np.empty((0,) + batch + (6, 6)), W
     for i, (_, p, w) in enumerate(loaded):
         points[i], W[i] = p, w
-    J = _point_jacobian(st, points, 6)
+    J = _point_jacobian(st, points)
     for i, (n, _, _) in enumerate(loaded):
         J[i, ..., n:] = 0.0
     return J, W

@@ -96,9 +96,7 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
 
 def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
                                 *, noise_mm: float = 0.0, seed: int = 0,
-                                response: str = "nonlinear",
-                                include_gravity: bool = True
-                                ) -> DeflectionRecords:
+                                response: str = "nonlinear") -> DeflectionRecords:
     """Marker deflection records for every plan entry, repeat and marker,
     in that order.
 
@@ -124,8 +122,7 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
     else:
         # the unloaded equilibria of every entry, then the loaded ones
         q_both = np.concatenate([q, q])
-        st = solve_equilibria(model, comp, q_both, np.concatenate([np.zeros_like(w), w]),
-                              include_gravity=include_gravity)
+        st = solve_equilibria(model, comp, q_both, np.concatenate([np.zeros_like(w), w]))
         n = len(entries)
         bad = np.flatnonzero(~(st.converged[:n] & st.converged[n:]))
         if bad.size:

@@ -107,29 +107,29 @@ def _check_jacobian(J: np.ndarray) -> None:
 
 
 def solve_equilibrium(model: ManipulatorModel, compensator: Optional[CompensatorParams],
-                      q, tool_wrench=None, target: Optional[Pose] = None,
-                      include_gravity: bool = True, max_iter: int = _MAX_ITER
+                      q, tool_wrench=None, target: Optional[Pose] = None
                       ) -> EquilibriumState:
     """Solve the static equilibrium at commanded angles ``q``.
 
     Exactly one of the two load descriptions applies: pass ``tool_wrench``
     (primal mode; omit or None means gravity sag only) or ``target`` (dual
-    mode: find the wrench that holds the tool at that pose).  Convergence:
-    deflection update below 1e-12 rad, or relative balance residual below
-    1e-12 (primal) or position residual below 1e-9 mm (dual), capped at
-    ``max_iter`` iterations (the state is then flagged, not raised).  The
+    mode: find the wrench that holds the tool at that pose).  The link
+    weights come from the model's gravity (:func:`stiffcal.robot.gravity_loading`);
+    a model with zero gravity is a weightless arm.  Convergence: deflection
+    update below 1e-12 rad, or relative balance residual below 1e-12
+    (primal) or position residual below 1e-9 mm (dual), capped at
+    ``_MAX_ITER`` iterations (the state is then flagged, not raised).  The
     primal mode is the stacked solver of :func:`solve_equilibria` on a stack
     of one.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
-    loading = model._gravity_loading if include_gravity else None
     if target is not None and tool_wrench is not None:
         raise ValueError("pass either tool_wrench (primal) or target (dual), not both")
     if target is not None:
-        return _solve_dual(model, q, K, loading, target, max_iter)
+        return _solve_dual(model, q, K, target)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
-    st = _solve_primal(model, q[None], K[None], loading, F[None], max_iter)
+    st = _solve_primal(model, q[None], K[None], F[None])
     return EquilibriumState(q=q, theta=st.theta[0], tool_wrench=F,
                             pose=Pose(st.pose.p[0], st.pose.R[0]),
                             converged=bool(st.converged[0]),
@@ -138,8 +138,7 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
 
 
 def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorParams],
-                     q, tool_wrench, include_gravity: bool = True,
-                     max_iter: int = _MAX_ITER) -> EquilibriumState:
+                     q, tool_wrench) -> EquilibriumState:
     """Primal equilibria of a stack of poses ``q`` (N, 6) under tool wrenches
     (N, 6), all in one loop.
 
@@ -152,30 +151,30 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
-    loading = model._gravity_loading if include_gravity else None
     F = np.asarray(tool_wrench, dtype=float)
-    return _solve_primal(model, q, K, loading, F, max_iter)
+    return _solve_primal(model, q, K, F)
 
 
-def _tangent(model, st, K, loading, F) -> np.ndarray:
+def _tangent(model, st, K, F) -> np.ndarray:
     """``K_th - H`` at the chain state ``st``, (..., 6, 6): the derivative of
     the balance residual ``K_th theta - tau`` w.r.t. the deflections."""
-    return K[..., None] * np.eye(6) - hessian_theta(model, st, loading, F)
+    return K[..., None] * np.eye(6) - hessian_theta(model, st, model._gravity_loading, F)
 
 
-def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
+def _solve_primal(model, q, K, F) -> EquilibriumState:
+    loading = model._gravity_loading
     n = q.shape[0]
     theta = np.zeros((n, 6))
     st = chain_state(model, q, theta)
     # K - H stays at theta = 0: rebuilding it at every iteration (full Newton)
     # saves iterations but costs more time than they do
-    T = np.linalg.inv(_tangent(model, st, K, loading, F))
+    T = np.linalg.inv(_tangent(model, st, K, F))
     tau = load_torques(model, st, loading, F)
     res = _wrench_residual_rel(K, theta, tau)
-    iterations = np.full(n, max_iter)
+    iterations = np.full(n, _MAX_ITER)
     live = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         # a pose that has stopped keeps its theta: its state recomputes bit for bit
         step = (T @ (tau - K * theta)[..., None])[..., 0]
         cand = np.where(live[:, None], theta + step, theta)
@@ -197,15 +196,16 @@ def _solve_primal(model, q, K, loading, F, max_iter) -> EquilibriumState:
                             residual_wrench_rel=res)
 
 
-def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumState:
+def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
+    loading = model._gravity_loading
     theta = np.zeros(6)
     F = np.zeros(6)
     converged = False
     iterations = 0
     pos_res = np.inf
     st = chain_state(model, q, theta)
-    for iterations in range(1, max_iter + 1):
-        J = _point_jacobian(st, st.tool_p, 6)
+    for iterations in range(1, _MAX_ITER + 1):
+        J = _point_jacobian(st, st.tool_p)
         _check_jacobian(J)
         tau_G = load_torques(model, st, loading, None)
         # J^T scaled by 1/K: the bits of OpenBLAS's solve against np.diag(K)
@@ -229,25 +229,24 @@ def _solve_dual(model, q, K, loading, target: Pose, max_iter) -> EquilibriumStat
 
 
 def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[CompensatorParams],
-                        state: EquilibriumState, include_gravity: bool = True
-                        ) -> CartesianStiffness:
+                        state: EquilibriumState) -> CartesianStiffness:
     """Cartesian stiffness ``(J (K_th - H)^-1 J^T)^-1`` at an equilibrium.
 
     ``H`` collects the gravity and tool-wrench load Hessians at the
     equilibrium deflections, so the result is the exact local derivative of
-    sustaining wrench w.r.t. prescribed tool pose.
+    sustaining wrench w.r.t. prescribed tool pose.  The gravity is the
+    model's, as in the solve that gave ``state``.
     """
     q, theta = state.q, state.theta
     K = joint_stiffnesses(model, compensator, q)
-    loading = model._gravity_loading if include_gravity else None
     st = chain_state(model, q, theta)
-    Keff = _tangent(model, st, K, loading, state.tool_wrench)
+    Keff = _tangent(model, st, K, state.tool_wrench)
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
     if np.min(np.abs(w)) < 1e-12 * np.max(np.abs(w)):
         raise SingularConfigurationError(
             "joint stiffness minus load Hessian is singular: buckling-like "
             "instability of the elastic chain")
-    J = _point_jacobian(st, st.tool_p, 6)
+    J = _point_jacobian(st, st.tool_p)
     _check_jacobian(J)
     S = J @ np.linalg.solve(Keff, J.T)
     S = 0.5 * (S + S.T)  # clean roundoff; S is symmetric analytically
@@ -278,13 +277,12 @@ def predict_tool_deflection(model: ManipulatorModel,
     """First-order tool twist (3 mm rows, 3 rad rows) under a tool wrench."""
     K = joint_stiffnesses(model, compensator, q)
     st = chain_state(model, q, np.zeros(6))
-    J = _point_jacobian(st, st.tool_p, 6)
+    J = _point_jacobian(st, st.tool_p)
     return J @ ((J.T @ np.asarray(tool_wrench, dtype=float)) / K)
 
 
 def compensate_target(model: ManipulatorModel, compensator: Optional[CompensatorParams],
-                      q, tool_wrench, desired: Pose,
-                      include_gravity: bool = True) -> Pose:
+                      q, tool_wrench, desired: Pose) -> Pose:
     """Mirror the predicted load-induced deflection about the desired pose.
 
     The deflection is the pose change between the gravity-only equilibrium
@@ -293,8 +291,7 @@ def compensate_target(model: ManipulatorModel, compensator: Optional[Compensator
     the desired pose is returned unchanged.  Both equilibria are one stack.
     """
     F = np.stack([np.zeros(6), np.asarray(tool_wrench, dtype=float)])
-    st = solve_equilibria(model, compensator, np.stack([q, q]), F,
-                          include_gravity=include_gravity)
+    st = solve_equilibria(model, compensator, np.stack([q, q]), F)
     (p_g, p_f), (R_g, R_f) = st.pose.p, st.pose.R
     delta = pose_difference(p_f, R_f, p_g, R_g)
     p = np.asarray(desired.p, dtype=float) - delta[:3]

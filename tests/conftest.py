@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -16,6 +17,13 @@ def model_path():
 @pytest.fixture(scope="session")
 def model(model_path):
     return load_model(model_path)
+
+
+@pytest.fixture(scope="session")
+def weightless(model):
+    """The model with ``gravity: [0, 0, 0]``: a weightless arm, whose only
+    load is the tool wrench."""
+    return dataclasses.replace(model, gravity=np.zeros(3))
 
 
 @pytest.fixture(scope="session")

@@ -95,20 +95,28 @@ def fd_hessian(fun, x, h=3e-5):
 
 def spring_energy(params, q2_rad):
     """Elastic energy 0.5 * Kc * (s - s0)^2 stored in the compensator spring
-    (N*mm); minus its q2-gradient is the compensator torque."""
-    from stiffcal.compensator import spring_length
+    (N*mm), with the span s taken at the params' signed q2; minus its
+    q2-gradient is the compensator torque."""
+    from stiffcal.compensator import spring_span
 
     el = params.elastics
-    s = spring_length(params, q2_rad)
+    s = spring_span(params.geometry, params.q2_sign * np.asarray(q2_rad, dtype=float))
     return 0.5 * el.Kc_N_per_mm * (s - el.s0_mm) ** 2
 
 
-def point_jacobian_loop(st, point, n_cols):
+def point_jacobian_loop(st, point):
     """Lever-arm Jacobian of one point at one chain state, by ``np.cross``."""
-    w = st.joint_axis[:n_cols]
     J = np.zeros((6, 6))
-    J[:3, :n_cols] = np.cross(w, point - st.joint_p[:n_cols]).T
-    J[3:, :n_cols] = w.T
+    J[:3] = np.cross(st.joint_axis, point - st.joint_p).T
+    J[3:] = st.joint_axis.T
+    return J
+
+
+def node_jacobian_loop(st, point, node):
+    """:func:`point_jacobian_loop` of a point carried by link ``node``: the
+    joints beyond it do not move it, so their columns are zero."""
+    J = point_jacobian_loop(st, point)
+    J[:, node:] = 0.0
     return J
 
 
@@ -125,7 +133,7 @@ def load_torques_loop(st, loading, tool_wrench):
     """``sum_p J_p^T w_p``, one point Jacobian per loaded node, then the tool."""
     tau = np.zeros(6)
     for p, w, n in _loaded_points_loop(st, loading, tool_wrench):
-        tau += point_jacobian_loop(st, p, n).T @ w
+        tau += node_jacobian_loop(st, p, n).T @ w
     return tau
 
 
@@ -133,12 +141,30 @@ def hessian_theta_loop(st, loading, tool_wrench):
     """Load Hessian accumulated point by point, cross products by ``np.cross``."""
     H = np.zeros((6, 6))
     for p, w, n in _loaded_points_loop(st, loading, tool_wrench):
-        J = point_jacobian_loop(st, p, n)
+        J = node_jacobian_loop(st, p, n)
         W = J[3:].T
         U = np.triu(W @ np.cross(J[:3].T, w[:3]).T)
         U += 0.5 * np.triu(W @ np.cross(W, w[3:]).T, 1)
         H += U + np.triu(U, 1).T
     return H
+
+
+def bucket_of_loop(layout, q2_rad, context):
+    """Index of the first bucket of ``layout`` within its tolerance of one
+    joint-2 angle, bucket by bucket; raises naming ``context``."""
+    import math
+
+    from stiffcal.elasto_id import BUCKET_TOL_RAD
+    from stiffcal.errors import DataLayoutError
+
+    for i, b in enumerate(layout.bucket_q2_rad):
+        if abs(q2_rad - b) <= BUCKET_TOL_RAD:
+            return i
+    have = ", ".join(f"{math.degrees(b):.2f}" for b in layout.bucket_q2_rad)
+    raise DataLayoutError(
+        f"{context}: joint-2 angle {math.degrees(q2_rad):.3f} deg matches no "
+        f"layout bucket (have: {have} deg, tol "
+        f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
 
 
 def build_regressor_loop(model, records, layout):
@@ -158,7 +184,7 @@ def build_regressor_loop(model, records, layout):
             raise DataLayoutError(
                 f"record {i}: marker id {m} outside model range "
                 f"0..{len(model.markers) - 1}")
-        bucket = layout.bucket_of(float(q[1]), context=f"record {i}")
+        bucket = bucket_of_loop(layout, float(q[1]), f"record {i}")
         key = (tuple(np.round(q, 12)), tuple(w), bucket)
         first.setdefault(key, (q, w))
         keys.append(key)
@@ -261,10 +287,11 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
     return plan, acc.rho0_sq_mm2, tuple(start_values), n_eval
 
 
-def solve_primal_loop(model, compensator, q, tool_wrench=None, include_gravity=True,
-                      max_iter=100):
-    """One pose's damped fixed point, as the solver ran before it took stacks:
+def solve_primal_loop(model, compensator, q, tool_wrench=None):
+    """One pose's damped fixed point, as the solver ran before it took stacks,
+    under the model's gravity and the solver's iteration cap:
     ``(theta, iterations, converged, residual_wrench_rel, lam_halvings)``."""
+    from stiffcal import stiffness
     from stiffcal.robot import chain_state, gravity_loading, load_torques
     from stiffcal.stiffness import joint_stiffnesses
 
@@ -274,13 +301,13 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None, include_gravity=T
 
     q = np.asarray(q, dtype=float)
     K = np.diag(joint_stiffnesses(model, compensator, q))
-    loading = gravity_loading(model) if include_gravity else None
+    loading = gravity_loading(model)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
     theta = np.zeros(6)
     tau = load_torques(model, chain_state(model, q, theta), loading, F)
     res = residual(K, theta, tau)
     converged, iterations, halvings = False, 0, 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, stiffness._MAX_ITER + 1):
         theta_star = np.linalg.solve(K, tau)
         lam = 1.0
         while True:
@@ -300,7 +327,7 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None, include_gravity=T
 
 
 def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
-                                     response="nonlinear", include_gravity=True):
+                                     response="nonlinear"):
     """Deflection records one plan entry, one equilibrium, one marker and one
     repeat at a time; returns ``(q, wrench, marker_id, deflection, repeat)``
     tuples, or raises ``ConvergenceError`` naming the first failed entry.
@@ -319,8 +346,8 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
         if response == "linear":
             defl = predict_marker_deflections(model, comp, q, w)
         else:
-            st0 = solve_equilibrium(model, comp, q, None, include_gravity=include_gravity)
-            st1 = solve_equilibrium(model, comp, q, w, include_gravity=include_gravity)
+            st0 = solve_equilibrium(model, comp, q, None)
+            st1 = solve_equilibrium(model, comp, q, w)
             if not (st0.converged and st1.converged):
                 stop = st0 if not st0.converged else st1
                 raise ConvergenceError(

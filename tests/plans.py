@@ -14,6 +14,12 @@ LIMITS_DEG = ((-185, 185), (-140, -0.001), (-120, 155),
 LOAD_N = 2600.0
 
 
+def replicated(plan: CalibrationPlan, factor: int) -> CalibrationPlan:
+    """The same configurations with every repeat count multiplied by ``factor``."""
+    return CalibrationPlan(tuple(PlanEntry(e.q_rad, e.wrench, e.repeats * factor)
+                                 for e in plan.entries))
+
+
 def spread_plan(buckets_deg=BUCKETS_DEG, configs_per_bucket=3, repeats=3,
                 load_N=LOAD_N, seed=7) -> CalibrationPlan:
     """Random-but-seeded wide-spread plan: good conditioning without search.

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_jacobian, kasa_fit
-from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, spread_plan
+from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, replicated, spread_plan
 from stiffcal.circle_fit import fit_circle_procrustes
 from stiffcal.compensator import (CompensatorElastics, CompensatorGeometry,
                                   CompensatorParams, compensator_torque,
@@ -156,7 +156,7 @@ def test_criterion_4_compensator_stiffness_torque_consistency(request):
         assert worst < 1e-6, f"worst relative mismatch {worst:.2e}"
 
 
-def test_criterion_5_cartesian_stiffness_exactness(request, model):
+def test_criterion_5_cartesian_stiffness_exactness(request, model, weightless):
     with criterion(request, 5, "Cartesian stiffness symmetry/reduction/FD probes",
                    30.0):
         comp = model.compensator
@@ -167,16 +167,16 @@ def test_criterion_5_cartesian_stiffness_exactness(request, model):
         K = np.diag(joint_stiffnesses(model, comp, q))
         cs = chain_state(model, q, st.theta)
         H = hessian_theta(model, cs, gravity_loading(model), st.tool_wrench)
-        J = _point_jacobian(cs, cs.tool_p, 6)
+        J = _point_jacobian(cs, cs.tool_p)
         S = J @ np.linalg.solve(K - H, J.T)
         assert np.max(np.abs(S - S.T)) <= 1e-9 * np.max(np.abs(S))
         Kc = cartesian_stiffness(model, comp, st).matrix
         assert np.max(np.abs(Kc - Kc.T)) <= 1e-9 * np.max(np.abs(Kc))
         # no gravity, no load: collapse to the kinematic formula
-        st0 = solve_equilibrium(model, comp, q, include_gravity=False)
-        Kc0 = cartesian_stiffness(model, comp, st0, include_gravity=False).matrix
-        cs0 = chain_state(model, q, np.zeros(6))
-        J0 = _point_jacobian(cs0, cs0.tool_p, 6)
+        st0 = solve_equilibrium(weightless, comp, q)
+        Kc0 = cartesian_stiffness(weightless, comp, st0).matrix
+        cs0 = chain_state(weightless, q, np.zeros(6))
+        J0 = _point_jacobian(cs0, cs0.tool_p)
         ref = np.linalg.inv(J0 @ np.linalg.solve(K, J0.T))
         assert np.max(np.abs(Kc0 - ref)) <= 1e-9 * np.max(np.abs(ref))
         # finite-difference probes across three load decades
@@ -213,7 +213,7 @@ def test_criterion_6_jacobian_hessian_vs_finite_differences(request, model):
             theta = 1e-3 * rng.standard_normal(6)
             # marker Jacobian, all six twist rows
             st = chain_state(model, q, theta)
-            Jan = _point_jacobian(st, st.tool_R @ model.markers[0] + st.tool_p, 6)
+            Jan = _point_jacobian(st, st.tool_R @ model.markers[0] + st.tool_p)
             Jfd = np.zeros((6, 6))
             for j in range(6):
                 e = np.zeros(6)
@@ -269,7 +269,7 @@ def test_criterion_7_design_metric_and_optimizer(request, model):
         assert abs(mc - acc.rho0_sq_mm2) <= 0.10 * acc.rho0_sq_mm2, (
             f"MC {mc:.4e} vs metric {acc.rho0_sq_mm2:.4e}")
         # (b) replication of a plan halves the variance exactly
-        acc2 = pose_accuracy(model, small.replicated(2), TEST, NOISE)
+        acc2 = pose_accuracy(model, replicated(small, 2), TEST, NOISE)
         assert abs(acc2.rho0_sq_mm2 - acc.rho0_sq_mm2 / 2) <= 1e-12 * acc.rho0_sq_mm2
         # (c) the search beats the best of 100 random feasible plans
         opt = optimize_plan(model, TEST, np.radians(BUCKETS_DEG), CONSTRAINTS,

@@ -310,19 +310,28 @@ class TestUsageParsing:
         assert rc == 1
         assert "needs 6 comma-separated values" in capsys.readouterr().err
 
-    def test_bad_limits(self, tmp_path, model_path, capsys):
+    @pytest.mark.parametrize("limits, text", [
+        ("1:2", "six lo:hi pairs"),
+        ("-185:185,-0.001:-140,-120:155,-350:350,-122.5:122.5,-350:350",
+         "--limits entry 2: lo must be below hi"),
+    ])
+    def test_bad_limits(self, tmp_path, model_path, capsys, limits, text):
         rc = main(["doe", "--model", str(model_path),
                    "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
-                   "--limits=1:2", "--out", str(tmp_path / "x")])
+                   f"--limits={limits}", "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "six lo:hi pairs" in capsys.readouterr().err
+        assert text in capsys.readouterr().err
 
-    def test_bad_q1_windows(self, tmp_path, model_path, capsys):
+    @pytest.mark.parametrize("windows, text", [
+        ("10", "--q1-windows"),
+        ("10:0", "--q1-windows entry 1: lo must be below hi"),
+    ])
+    def test_bad_q1_windows(self, tmp_path, model_path, capsys, windows, text):
         rc = main(["doe", "--model", str(model_path),
                    "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
-                   "--q1-windows=10", "--out", str(tmp_path / "x")])
+                   f"--q1-windows={windows}", "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "--q1-windows" in capsys.readouterr().err
+        assert text in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["predict", "--q=0,-90,nan,0,0,0"], "--q", id="q"),
@@ -394,6 +403,10 @@ class TestUsageParsing:
                      id="eta-grid-over-cap"),
         pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10:-120:10001"],
                      "--buckets", id="buckets-over-cap"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-50,30"],
+                     "--buckets", id="buckets-outside-joint2-limits"),
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-10.1,-50"],
+                     "--buckets", id="buckets-too-close"),
         # argparse before Python 3.12 reads these as empty lists
         pytest.param(["eta-curve", "--s0=458", "--q2=--"], "--q2", id="q2-dashes"),
         pytest.param(["geom-ident", "--seed=--"], "--seed", id="seed-dashes"),
@@ -501,6 +514,30 @@ class TestInProcessReuse:
         assert main(valid) == 0
         err = capsys.readouterr().err
         assert "--bogus" in err and "--repeats" in err
+
+
+def test_readme_manifests_record_every_flag(tmp_path, monkeypatch):
+    """Each README command's manifest holds every flag given but ``--out``:
+    the file flags as inputs, ``--seed`` as the seed, the rest as overrides."""
+    TestInProcessReuse._readme_outputs(tmp_path, monkeypatch, cold=False)
+    for argv in _readme_commands():
+        given_flags, i = {}, 0
+        while i < len(argv):
+            if argv[i].startswith("--"):
+                name, eq, value = argv[i][2:].partition("=")
+                if not eq:
+                    i += 1
+                    value = argv[i]
+                given_flags[name.replace("-", "_")] = value
+            i += 1
+        man = _load_json(tmp_path / given_flags.pop("out") / "manifest.json")
+        for name, value in given_flags.items():
+            if name in man["inputs"]:
+                assert man["inputs"][name]["path"] == os.path.abspath(value), argv
+            elif name == "seed":
+                assert man["seed"] == int(value), argv
+            else:
+                assert str(man["overrides"][name]) == value, (argv, name)
 
 
 NUMS = ["0", "1", "-45", "2.5", "-0", "1e3", "1e308", "-1e400", "nan", "inf"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import optimize_plan_sequential
-from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, spread_plan
+from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, replicated, spread_plan
 from record_tables import table
 from stiffcal import doe
 from stiffcal.doe import (
@@ -59,7 +59,7 @@ class TestEntryAndPlan:
             CalibrationPlan(())
 
     def test_replicated_multiplies_repeats(self, plan):
-        doubled = plan.replicated(2)
+        doubled = replicated(plan, 2)
         assert all(d.repeats == 2 * e.repeats
                    for d, e in zip(doubled.entries, plan.entries))
 
@@ -159,7 +159,7 @@ class TestAccuracyMetric:
 
     def test_replication_halves_exactly(self, model, plan, test_pose):
         acc1 = pose_accuracy(model, plan, test_pose, NOISE)
-        acc2 = pose_accuracy(model, plan.replicated(2), test_pose, NOISE)
+        acc2 = pose_accuracy(model, replicated(plan, 2), test_pose, NOISE)
         assert acc2.rho0_sq_mm2 == pytest.approx(acc1.rho0_sq_mm2 / 2.0, rel=1e-12)
 
     def test_additive_over_buckets(self, model, plan, test_pose):
@@ -232,7 +232,7 @@ class TestAccuracyMetric:
 class TestParameterCovariance:
     def test_duplicating_plan_halves_covariance(self, model, plan):
         c1 = parameter_covariance(model, plan, NOISE)
-        c2 = parameter_covariance(model, plan.replicated(2), NOISE)
+        c2 = parameter_covariance(model, replicated(plan, 2), NOISE)
         assert np.allclose(c2, c1 / 2.0, rtol=1e-9, atol=0.0)
 
     def test_scales_with_sigma_squared(self, model, plan):
@@ -489,6 +489,14 @@ class TestOptimizer:
     def test_needs_buckets(self, model, test_pose):
         with pytest.raises(ValueError, match="at least one joint-2 bucket"):
             optimize_plan(model, test_pose, [], CONSTRAINTS, NOISE)
+
+    @pytest.mark.parametrize("bucket_deg", [30.0, -140.001, 0.0])
+    def test_bucket_outside_joint2_limits_rejected(self, model, test_pose, bucket_deg):
+        """Joint 2 is pinned to each bucket, so each must lie within its
+        limits; the limits themselves are allowed (the -140 deg bucket)."""
+        buckets = np.radians((-0.01, -70.0, -140.0, bucket_deg))
+        with pytest.raises(ValueError, match="outside joint 2's limits"):
+            optimize_plan(model, test_pose, buckets, CONSTRAINTS, NOISE, n_starts=1)
 
     @pytest.mark.parametrize("count", ["configs_per_bucket", "repeats", "n_starts"])
     def test_counts_below_one_rejected(self, model, test_pose, count):

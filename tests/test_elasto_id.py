@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from plans import spread_plan
@@ -75,8 +77,29 @@ class TestLayout:
 
     def test_unmatched_angle_names_record(self):
         lay = ParameterLayout(tuple(np.radians([-10.0, -90.0])))
-        with pytest.raises(DataLayoutError, match="record 12: joint-2 angle"):
-            lay.bucket_of(np.radians(-40.0), context="record 12")
+        q2 = np.radians([-10.0] * 12 + [-40.0, -50.0, -90.0])
+        with pytest.raises(DataLayoutError, match="record 12: joint-2 angle -40.000"):
+            lay.bucket_of(q2)
+        with pytest.raises(DataLayoutError, match="plan entry 0: joint-2 angle"):
+            lay.bucket_of(np.radians(-40.0), "plan entry")
+
+    @given(st.lists(st.sampled_from([-10.0, -10.1, -9.9, -90.0, -90.05, -40.0, 0.0]),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_bucket_by_bucket_loop(self, q2_deg):
+        """Each angle gets the first bucket within tolerance, as the scalar
+        loop finds it, and the first unmatched angle raises the loop's message."""
+        lay = ParameterLayout(tuple(np.radians([0.0, -10.0, -90.0])))
+        q2 = np.radians(q2_deg)
+        try:
+            want = [oracles.bucket_of_loop(lay, float(v), f"record {i}")
+                    for i, v in enumerate(q2)]
+        except DataLayoutError as exc:
+            with pytest.raises(DataLayoutError) as got:
+                lay.bucket_of(q2)
+            assert str(got.value) == str(exc)
+        else:
+            assert lay.bucket_of(q2).tolist() == want
 
     def test_buckets_too_close_rejected(self):
         with pytest.raises(ValueError, match="closer than twice"):

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_loop,
-                     planar_2r_force_hessian, point_jacobian_loop)
+                     node_jacobian_loop, planar_2r_force_hessian, point_jacobian_loop)
 from stiffcal.robot import (FrameSpec, JointSpec, ManipulatorModel, NodeLoading,
-                            _cross, _point_jacobian, chain_state, fk,
+                            _cross, _loaded_jacobians, _point_jacobian, chain_state, fk,
                             gravity_loading, hessian_theta, load_torques,
                             marker_positions)
 from stiffcal.transforms import rot_axis, rot_rpy, rotvec_from_matrix
 
 
-def _jacobian(model, q, theta, point=lambda cs: cs.tool_p, n_cols=6):
-    """Chain Jacobian of ``point(chain_state)``, columns beyond ``n_cols`` zero."""
+def _jacobian(model, q, theta, point=lambda cs: cs.tool_p):
+    """Chain Jacobian of ``point(chain_state)``."""
     cs = chain_state(model, q, theta)
-    return _point_jacobian(cs, point(cs), n_cols)
+    return _point_jacobian(cs, point(cs))
 
 
 def _planar_2r(l1=500.0, l2=300.0):
@@ -91,12 +91,28 @@ def test_tool_jacobian_vs_fd(model, random_states):
         assert np.linalg.norm(J - Jfd) / np.linalg.norm(J) < 1e-6
 
 
-def test_node_jacobian_truncates(model):
-    q = np.radians([20.0, -50.0, 30.0, 15.0, -40.0, 60.0])
-    for node in (1, 2, 3, 4, 5):
-        J = _jacobian(model, q, np.zeros(6), lambda cs: cs.node_p[node], node)
-        assert np.allclose(J[:, node:], 0.0)
-        assert np.any(J[:3, :node] != 0.0)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]))
+@settings(max_examples=30, deadline=None)
+def test_node_jacobian_truncates(model, seed, shape):
+    """The loaded-point stack holds nodes 1..6 and then the tool: node j's
+    columns from j on are zero, the rest are the cross loop's bits, and each
+    point carries its own wrench."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-np.pi, np.pi, shape + (6,))
+    th = rng.normal(scale=2e-3, size=shape + (6,))
+    loading = NodeLoading(rng.normal(scale=1e3, size=(7, 6)))
+    tool = rng.normal(scale=1e3, size=shape + (6,))
+    J, W = _loaded_jacobians(chain_state(model, q, th), loading, tool)
+    assert J.shape == (7,) + shape + (6, 6) and W.shape == (7,) + shape + (6,)
+    for idx in np.ndindex(*shape):
+        one = chain_state(model, q[idx], th[idx])
+        points = [(one.node_p[j], j, loading.wrenches[j]) for j in range(1, 7)]
+        for i, (p, node, w) in enumerate(points + [(one.tool_p, 6, tool[idx])]):
+            Ji = J[(i,) + idx]
+            assert not Ji[:, node:].any()
+            assert np.any(Ji[:3, :node] != 0.0)
+            assert Ji.tobytes() == node_jacobian_loop(one, p, node).tobytes(), (idx, i)
+            assert W[(i,) + idx].tobytes() == w.tobytes()
 
 
 def test_marker_jacobian_vs_fd(model):
@@ -110,8 +126,8 @@ def test_marker_jacobian_vs_fd(model):
 
 def test_gravity_loading_conserves_weight(model):
     load = gravity_loading(model)
-    total = model.total_mass() * np.asarray(model.gravity)
-    assert np.allclose(load.total_force(), total, rtol=1e-12)
+    total = sum(j.mass_kg for j in model.joints) * np.asarray(model.gravity)
+    assert np.allclose(load.wrenches[:, :3].sum(axis=0), total, rtol=1e-12)
 
 
 def test_gravity_torques_vs_potential_gradient(model):
@@ -255,21 +271,21 @@ def test_stacked_hessian_matches_each_pose_bit_for_bit(model, loads, shape):
     assert hessian_theta(model, batch).tobytes() == np.zeros(shape + (6, 6)).tobytes()
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([(), (4,), (2, 3)]),
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]),
        st.sampled_from([(), (3,)]))
 @settings(max_examples=60, deadline=None)
-def test_point_jacobian_matches_cross_loop_bit_for_bit(model, seed, n_cols, shape, stacked):
+def test_point_jacobian_matches_cross_loop_bit_for_bit(model, seed, shape, stacked):
     """Lever rows by component give ``np.cross``'s bits, at one chain state
     or a stack, for one point per state or a stack of points (P, ..., 3)."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(-np.pi, np.pi, shape + (6,))
     th = rng.normal(scale=2e-3, size=shape + (6,))
     points = rng.normal(scale=1e3, size=stacked + shape + (3,))
-    J = _point_jacobian(chain_state(model, q, th), points, n_cols)
+    J = _point_jacobian(chain_state(model, q, th), points)
     assert J.shape == stacked + shape + (6, 6)
     for idx in np.ndindex(*stacked + shape):
         pose = idx[len(stacked):]
-        ref = point_jacobian_loop(chain_state(model, q[pose], th[pose]), points[idx], n_cols)
+        ref = point_jacobian_loop(chain_state(model, q[pose], th[pose]), points[idx])
         assert J[idx].tobytes() == ref.tobytes(), idx
 
 
@@ -370,14 +386,14 @@ def test_batched_chain_state_matches_each_pose(model, seed, shape, shared_theta)
     theta = rng.normal(scale=1e-3, size=(6,) if shared_theta else shape + (6,))
     batch = chain_state(model, q, theta)
     assert batch.node_R.shape == shape + (6, 3, 3)
-    J_tool = _point_jacobian(batch, batch.tool_p, 6)
-    J_node = _point_jacobian(batch, batch.node_p[..., 4, :], 4)
+    J_tool = _point_jacobian(batch, batch.tool_p)
+    J_node = _point_jacobian(batch, batch.node_p[..., 4, :])
     for idx in np.ndindex(*shape):
         one = chain_state(model, q[idx], theta if shared_theta else theta[idx])
         for name in FRAMES:
             assert np.array_equal(getattr(batch, name)[idx], getattr(one, name)), name
-        assert np.array_equal(J_tool[idx], _point_jacobian(one, one.tool_p, 6))
-        assert np.array_equal(J_node[idx], _point_jacobian(one, one.node_p[4], 4))
+        assert np.array_equal(J_tool[idx], _point_jacobian(one, one.tool_p))
+        assert np.array_equal(J_node[idx], _point_jacobian(one, one.node_p[4]))
 
 
 def test_chain_state_rejects_wrong_last_axis(model):

@@ -96,7 +96,7 @@ class TestDeflectionRecords:
             (0.0, 0.0, -2600.0, 0.0, 0.0, 0.0), repeats=4000),))
         recs = simulate_deflection_records(model, plan, noise_mm=0.05,
                                            seed=8, response="linear")
-        clean = simulate_deflection_records(model, plan.replicated(1),
+        clean = simulate_deflection_records(model, plan,
                                             response="linear").deflection_mm[0]
         resid = recs.deflection_mm[recs.marker_id == 0] - clean
         var = resid.var()

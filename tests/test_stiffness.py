@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from stiffcal import stiffness
 from plans import LIMITS_DEG
 from stiffcal.errors import SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
@@ -50,11 +51,11 @@ class TestJointStiffness:
 
 
 class TestEquilibrium:
-    def test_no_load_no_gravity_is_rigid(self, model, comp):
-        st = solve_equilibrium(model, comp, TEST_Q, include_gravity=False)
+    def test_no_load_no_gravity_is_rigid(self, weightless, comp):
+        st = solve_equilibrium(weightless, comp, TEST_Q)
         assert st.converged
         assert np.allclose(st.theta, 0.0, atol=1e-15)
-        rigid = fk(model, TEST_Q)
+        rigid = fk(weightless, TEST_Q)
         assert np.allclose(st.pose.p, rigid.p, atol=1e-12)
 
     def test_gravity_sag_is_small_but_nonzero(self, model, comp):
@@ -84,13 +85,15 @@ class TestEquilibrium:
         with pytest.raises(ValueError, match="not both"):
             solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD, target=pose)
 
-    def test_iteration_cap_flags_not_raises(self, model, comp):
-        st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD, max_iter=1)
+    def test_iteration_cap_flags_not_raises(self, model, comp, monkeypatch):
+        monkeypatch.setattr(stiffness, "_MAX_ITER", 1)
+        st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
         assert not st.converged
         assert st.iterations == 1
 
-    def test_dual_zero_iteration_cap_flags_not_raises(self, model, comp):
-        st = solve_equilibrium(model, comp, TEST_Q, target=fk(model, TEST_Q), max_iter=0)
+    def test_dual_zero_iteration_cap_flags_not_raises(self, model, comp, monkeypatch):
+        monkeypatch.setattr(stiffness, "_MAX_ITER", 0)
+        st = solve_equilibrium(model, comp, TEST_Q, target=fk(model, TEST_Q))
         assert not st.converged and st.iterations == 0
         assert np.array_equal(st.theta, np.zeros(6))
 
@@ -116,13 +119,12 @@ class TestCartesianStiffness:
         Kc = cartesian_stiffness(model, comp, st).matrix
         assert np.max(np.abs(Kc - Kc.T)) <= 1e-9 * np.max(np.abs(Kc))
 
-    def test_unloaded_no_gravity_reduces_to_kinematic_form(self, model, comp):
-        st = solve_equilibrium(model, comp, TEST_Q, include_gravity=False)
-        Kc = cartesian_stiffness(model, comp, st, include_gravity=False).matrix
-        K = np.diag(joint_stiffnesses(model, comp, TEST_Q))
-        cs = chain_state(model, TEST_Q, np.zeros(6))
-        from stiffcal.robot import _point_jacobian
-        J = _point_jacobian(cs, cs.tool_p, 6)
+    def test_unloaded_no_gravity_reduces_to_kinematic_form(self, weightless, comp):
+        st = solve_equilibrium(weightless, comp, TEST_Q)
+        Kc = cartesian_stiffness(weightless, comp, st).matrix
+        K = np.diag(joint_stiffnesses(weightless, comp, TEST_Q))
+        cs = chain_state(weightless, TEST_Q, np.zeros(6))
+        J = _point_jacobian(cs, cs.tool_p)
         ref = np.linalg.inv(J @ np.linalg.solve(K, J.T))
         assert np.allclose(Kc, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
 
@@ -146,24 +148,22 @@ class TestCartesianStiffness:
         w = np.linalg.eigvalsh(Kc[:3, :3])
         assert np.all(w > 0.0)
 
-    def test_load_softening_visible(self, model, comp):
+    def test_load_softening_visible(self, weightless, comp):
         """The load Hessian shifts the stiffness away from the unloaded value."""
-        st0 = solve_equilibrium(model, comp, TEST_Q, include_gravity=False)
-        K0 = cartesian_stiffness(model, comp, st0, include_gravity=False).matrix
-        stF = solve_equilibrium(model, comp, TEST_Q, tool_wrench=10.0 * LOAD,
-                                include_gravity=False)
-        KF = cartesian_stiffness(model, comp, stF, include_gravity=False).matrix
+        st0 = solve_equilibrium(weightless, comp, TEST_Q)
+        K0 = cartesian_stiffness(weightless, comp, st0).matrix
+        stF = solve_equilibrium(weightless, comp, TEST_Q, tool_wrench=10.0 * LOAD)
+        KF = cartesian_stiffness(weightless, comp, stF).matrix
         assert np.max(np.abs(KF - K0)) / np.max(np.abs(K0)) > 1e-4
 
 
 class TestDeflectionPrediction:
-    def test_tool_prediction_matches_small_load_equilibrium(self, model, comp):
+    def test_tool_prediction_matches_small_load_equilibrium(self, weightless, comp):
         F = LOAD / 100.0
-        st_g = solve_equilibrium(model, comp, TEST_Q, include_gravity=False)
-        st_f = solve_equilibrium(model, comp, TEST_Q, tool_wrench=F,
-                                 include_gravity=False)
+        st_g = solve_equilibrium(weightless, comp, TEST_Q)
+        st_f = solve_equilibrium(weightless, comp, TEST_Q, tool_wrench=F)
         d_nl = st_f.pose.p - st_g.pose.p
-        d_lin = predict_tool_deflection(model, comp, TEST_Q, F)[:3]
+        d_lin = predict_tool_deflection(weightless, comp, TEST_Q, F)[:3]
         assert np.allclose(d_lin, d_nl, rtol=5e-3, atol=1e-6)
 
     def test_marker_prediction_close_to_nonlinear(self, model, comp):
@@ -186,9 +186,9 @@ class TestDeflectionPrediction:
         q = np.radians([35.0, -70.0, 10.0, 45.0, -80.0, 20.0])
         F = np.array([300.0, -150.0, -2600.0, 2e4, -4e4, 1e4])
         st = chain_state(model, q, np.zeros(6))
-        Jt = _point_jacobian(st, st.tool_p, 6)
+        Jt = _point_jacobian(st, st.tool_p)
         dtheta = np.linalg.solve(np.diag(joint_stiffnesses(model, c, q)), Jt.T @ F)
-        ref = np.array([_point_jacobian(st, st.tool_R @ off + st.tool_p, 6)[:3] @ dtheta
+        ref = np.array([_point_jacobian(st, st.tool_R @ off + st.tool_p)[:3] @ dtheta
                         for off in model.markers])
         d = predict_marker_deflections(model, c, q, F)
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
