@@ -58,7 +58,7 @@ def main(argv=None):
                                           noise_mm=args.noise,
                                           seed=args.seed + 1)
     est = identify_elastostatics(model, records)
-    ci = confidence_intervals_elasto(model, est, n_samples=300, seed=args.seed + 2)
+    ci = confidence_intervals_elasto(est, n_samples=300, seed=args.seed + 2)
 
     print(f"\n{'param':6s} {'estimate':>12s} {'truth':>12s} "
           f"{'3sigma':>10s} {'CI%':>6s}")

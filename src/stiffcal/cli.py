@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .compensator import CompensatorGeometry, eta_curve
+from .compensator import eta_curve
 from .doe import (MAX_REPEATS, NoiseModel, PlanConstraints, TestPose, load_plan_csv,
                   optimize_plan, save_plan_csv)
 from .elasto_id import (confidence_intervals_elasto, identify_elastostatics,
@@ -38,7 +38,7 @@ from .geometry_id import (confidence_intervals_geometry,
                           identify_compensator_geometry, load_marker_csv,
                           save_marker_csv)
 from .modelfile import load_model
-from .robot import fk
+from .robot import ManipulatorModel, fk
 from .sim import (GroundTruth, simulate_deflection_records,
                   simulate_geometry_dataset)
 from .stiffness import (cartesian_stiffness, compensate_target,
@@ -187,11 +187,12 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _geometry_from_model(path: str) -> CompensatorGeometry:
+def _compensated_model(path: str) -> ManipulatorModel:
+    """The model file at ``path``; a usage error unless it has a compensator."""
     model = load_model(path)
     if model.compensator is None:
         raise UsageError(f"{path}: model has no compensator section")
-    return model.compensator.geometry
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +236,9 @@ def _cmd_geom_ident(args) -> int:
 
 
 def _cmd_elasto_ident(args) -> int:
-    model = load_model(args.model)
+    model = _compensated_model(args.model)
     est = identify_elastostatics(model, load_deflection_csv(args.records))
-    ci = confidence_intervals_elasto(model, est, n_samples=args.ci_samples,
-                                     seed=args.seed)
+    ci = confidence_intervals_elasto(est, n_samples=args.ci_samples, seed=args.seed)
     out = _ensure_out(args.out)
     params = []
     for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent):
@@ -322,7 +322,7 @@ def _cmd_doe(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.sim_kind == "geometry":
-        geom = _geometry_from_model(args.model)
+        geom = _compensated_model(args.model).compensator.geometry
         q2 = np.radians(_parse_grid(args.q2, "--q2"))
         ds = simulate_geometry_dataset(geom, q2, noise_mm=args.noise,
                                        seed=args.seed,
@@ -334,7 +334,7 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {ds.n_poses} sweep poses to {path}")
         return 0
     # deflection records
-    model = load_model(args.model)
+    model = _compensated_model(args.model)
     plan = load_plan_csv(args.plan)
     records = simulate_deflection_records(model, plan, noise_mm=args.noise,
                                           seed=args.seed,
@@ -383,7 +383,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eta_curve(args) -> int:
-    geom = _geometry_from_model(args.model)
+    geom = _compensated_model(args.model).compensator.geometry
     s0_vals = _parse_float_list(args.s0, "--s0")
     q2 = np.radians(_parse_grid(args.q2, "--q2"))
     table = eta_curve(geom, s0_vals, q2)

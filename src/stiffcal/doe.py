@@ -180,13 +180,12 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     Jt = _point_jacobian(st, st.tool_p)
     w = np.asarray(wrench, dtype=float)
     tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    if tool_only:
-        points = [st.tool_p]
-    else:
-        offs = np.reshape(model.markers, (-1, 3))
-        pts = (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0]
-        points = [pts[..., m, :] + st.tool_p for m in range(len(offs))]
     first = 0 if include_joint1 else 1
+    if tool_only:
+        return Jt[..., :3, first:] * tau[..., None, first:]
+    offs = np.reshape(model.markers, (-1, 3))
+    pts = (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0]
+    points = [pts[..., m, :] + st.tool_p for m in range(len(offs))]
     A = np.zeros(tau.shape[:-1] + (3 * len(points), 6 - first))
     for m, pt in enumerate(points):
         A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt)[..., :3, first:]

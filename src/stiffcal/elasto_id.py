@@ -248,12 +248,9 @@ class CompliancesFit:
     def labels(self) -> Tuple[str, ...]:
         return self.layout.column_labels()
 
-    def joint2_compliances(self) -> np.ndarray:
-        return self.values[:self.layout.n_buckets]
-
     def joint2_stiffnesses(self) -> np.ndarray:
         """Equivalent joint-2 stiffness per bucket, N*mm/rad."""
-        k2 = self.joint2_compliances()
+        k2 = self.values[:self.layout.n_buckets]
         if np.any(k2 <= 0):
             bad = [lab for lab, v in zip(self.labels, k2) if v <= 0]
             raise IdentifiabilityError(
@@ -297,10 +294,7 @@ class CompensatorSeparation:
     condition: float      # of the 3-column separation system
     residual_rel: float   # relative misfit of the bucket stiffnesses
     K2_fit_Nmm_per_rad: np.ndarray  # per-bucket joint-2 stiffness of the fit
-
-    @property
-    def k2_rad_per_Nmm(self) -> float:
-        return 1.0 / self.K0_Nmm_per_rad
+    factors: tuple        # (C, U, s, Vt): the separation system and its SVD
 
 
 def separation_matrix(geometry: CompensatorGeometry, q2_rad: Sequence[float],
@@ -369,11 +363,19 @@ def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
         K0_Nmm_per_rad=K0, Kc_N_per_mm=Kc, s0_mm=s0,
         condition=float(s[0] / s[-1]),
         residual_rel=float(np.linalg.norm(fit - K2)) / nrm if nrm > 0 else 0.0,
-        K2_fit_Nmm_per_rad=fit)
+        K2_fit_Nmm_per_rad=fit, factors=factors)
 
 
 # ---------------------------------------------------------------------------
 # combined estimate and confidence intervals
+
+
+def _physical_parameters(K0, k3_6, Kc, s0) -> np.ndarray:
+    """``[1/K0, k3..k6, Kc, s0]`` in :data:`PARAMETER_LABELS` order: (7,) from
+    one set of values, (n, 7) from ``K0``, ``Kc``, ``s0`` (n,) and ``k3_6``
+    (n, 4)."""
+    K0, Kc, s0 = (np.asarray(v)[..., None] for v in (K0, Kc, s0))
+    return np.concatenate([1.0 / K0, k3_6, Kc, s0], axis=-1)
 
 
 @dataclass
@@ -381,23 +383,13 @@ class ElastostaticEstimate:
     fit: CompliancesFit
     separation: CompensatorSeparation
 
-    @property
-    def joint_compliances(self) -> np.ndarray:
-        """(6,) compliances rad/(N*mm); joint 2 is the bare spring 1/K0.
-
-        Joint 1 has no layout column and comes back as NaN.
-        """
-        nb = self.fit.layout.n_buckets
-        return np.concatenate([[np.nan, self.separation.k2_rad_per_Nmm],
-                               self.fit.values[nb:]])
-
-    def parameter_labels(self) -> Tuple[str, ...]:
-        return PARAMETER_LABELS
-
     def parameter_values(self) -> np.ndarray:
-        """Physical parameter vector matching :meth:`parameter_labels`."""
-        return np.append(self.joint_compliances[1:],
-                         [self.separation.Kc_N_per_mm, self.separation.s0_mm])
+        """Physical parameter vector in :data:`PARAMETER_LABELS` order; joint 2
+        is the bare spring 1/K0."""
+        sep = self.separation
+        return _physical_parameters(sep.K0_Nmm_per_rad,
+                                    self.fit.values[self.fit.layout.n_buckets:],
+                                    sep.Kc_N_per_mm, sep.s0_mm)
 
 
 def identify_elastostatics(model: ManipulatorModel,
@@ -421,14 +413,11 @@ class ElastoCI:
     values: np.ndarray
     halfwidth3: np.ndarray
     percent: np.ndarray      # 100 * halfwidth3 / |value|
-    sigma_hat_mm: float
     n_samples: int
-    seed: int
     n_failed: int = 0        # resamples left out of the spread (see below)
 
 
-def confidence_intervals_elasto(model: ManipulatorModel,
-                                estimate: ElastostaticEstimate,
+def confidence_intervals_elasto(estimate: ElastostaticEstimate,
                                 n_samples: int = 200,
                                 seed: int = 0) -> ElastoCI:
     """Parametric residual resampling through the full two-stage pipeline.
@@ -441,41 +430,34 @@ def confidence_intervals_elasto(model: ManipulatorModel,
     ``w`` standard normal in parameter space: sample ``i`` takes row ``i``
     of ``default_rng(seed).standard_normal((n_samples, p))``.  Empty
     residuals (noise-free data) give zero widths.  The resamples reuse the
-    stage-one fit of ``estimate``.  The separation, whose factorization
-    does not depend on the sample, runs on all samples at once.  A
-    resample fails when a joint-2 compliance is not positive or the spring
-    rate is indistinguishable from zero; more than half failing raises.
+    stage-one fit of ``estimate`` and the factorization its separation
+    stored, which does not depend on the sample, so the separation runs on
+    all samples at once.  A resample fails when a joint-2 compliance is not
+    positive or the spring rate is indistinguishable from zero; more than
+    half failing raises.
     """
     fit = estimate.fit
     layout = fit.layout
     sigma = fit.sigma_hat_mm
-    labels = estimate.parameter_labels()
     values = estimate.parameter_values()
     if sigma == 0.0 or n_samples < 2:
         zero = np.zeros_like(values)
-        return ElastoCI(labels, values, zero, zero, sigma, n_samples, seed)
+        return ElastoCI(PARAMETER_LABELS, values, zero, zero, n_samples)
     nb = layout.n_buckets
     w = np.random.default_rng(seed).standard_normal((n_samples, layout.n_params))
     k_star = fit.values + sigma * (w @ fit.root.T)
     k2 = k_star[:, :nb]
     ok = ~np.any(k2 <= 0, axis=1)
-    x = np.empty((n_samples, 3))
-    try:
-        factors = _separation_factors(layout, model.compensator.geometry,
-                                      model.compensator.q2_sign)
-    except IdentifiabilityError:
-        ok[:] = False
-    else:
-        x[ok], separated = _separate(factors, 1.0 / k2[ok])
-        ok[ok] = separated
+    x, separated = _separate(estimate.separation.factors, 1.0 / k2[ok])
+    ok[ok] = separated
     failed = int(n_samples - ok.sum())
     if failed > n_samples // 2:
         raise IdentifiabilityError(
             f"{failed}/{n_samples} resamples failed to separate the compensator; "
             "noise level too high for a meaningful interval")
-    K0, Kc, s0 = x[ok, 0], x[ok, 1], x[ok, 2] / x[ok, 1]
-    arr = np.column_stack([1.0 / K0, k_star[ok, nb:], Kc, s0])
+    K0, Kc, Kc_s0 = x[separated].T
+    arr = _physical_parameters(K0, k_star[ok, nb:], Kc, Kc_s0 / Kc)
     half = 3.0 * np.std(arr, axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.where(values != 0, 100.0 * half / np.abs(values), np.inf)
-    return ElastoCI(labels, values, half, pct, sigma, n_samples, seed, failed)
+    return ElastoCI(PARAMETER_LABELS, values, half, pct, n_samples, failed)

@@ -87,7 +87,6 @@ class GeometryCI:
     sigma_crank_mm: float
     sigma_satellite_mm: float
     n_samples: int
-    seed: int
 
 
 def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
@@ -218,7 +217,7 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     """
     s_crank, s_sat = residual_noise_sigma(estimate)
     if (s_crank == 0.0 and s_sat == 0.0) or n_samples < 2:
-        return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples, seed)
+        return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
     n_crank = crank_clean.size
     z = np.random.default_rng(seed).standard_normal(
@@ -233,4 +232,4 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     a_vec = centre - _arc_centre(sats)[0][:, :2]
     sd = np.column_stack([radius, a_vec]).std(axis=0, ddof=1)
     return GeometryCI(float(3.0 * sd[0]), float(3.0 * sd[1]), float(3.0 * sd[2]),
-                      s_crank, s_sat, n_samples, seed)
+                      s_crank, s_sat, n_samples)

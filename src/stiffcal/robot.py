@@ -314,7 +314,7 @@ def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrenc
     return J, W
 
 
-def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[NodeLoading],
+def load_torques(st: ChainState, loading: Optional[NodeLoading],
                  tool_wrench=None) -> np.ndarray:
     """Generalized joint torques of node wrenches plus a tool wrench.
 
@@ -327,8 +327,8 @@ def load_torques(model: ManipulatorModel, st: ChainState, loading: Optional[Node
     return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)
 
 
-def hessian_theta(model: ManipulatorModel, st: ChainState,
-                  loading: Optional[NodeLoading] = None, tool_wrench=None) -> np.ndarray:
+def hessian_theta(st: ChainState, loading: Optional[NodeLoading] = None,
+                  tool_wrench=None) -> np.ndarray:
     """Load-potential Hessian w.r.t. deflections at the chain state ``st``.
 
     Sums the loaded nodes (1..6; node 0 is inert) and the tool, each from

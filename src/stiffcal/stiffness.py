@@ -158,7 +158,7 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
 def _tangent(model, st, K, F) -> np.ndarray:
     """``K_th - H`` at the chain state ``st``, (..., 6, 6): the derivative of
     the balance residual ``K_th theta - tau`` w.r.t. the deflections."""
-    return K[..., None] * np.eye(6) - hessian_theta(model, st, model._gravity_loading, F)
+    return K[..., None] * np.eye(6) - hessian_theta(st, model._gravity_loading, F)
 
 
 def _solve_primal(model, q, K, F) -> EquilibriumState:
@@ -169,7 +169,7 @@ def _solve_primal(model, q, K, F) -> EquilibriumState:
     # K - H stays at theta = 0: rebuilding it at every iteration (full Newton)
     # saves iterations but costs more time than they do
     T = np.linalg.inv(_tangent(model, st, K, F))
-    tau = load_torques(model, st, loading, F)
+    tau = load_torques(st, loading, F)
     res = _wrench_residual_rel(K, theta, tau)
     iterations = np.full(n, _MAX_ITER)
     live = np.ones(n, dtype=bool)
@@ -179,7 +179,7 @@ def _solve_primal(model, q, K, F) -> EquilibriumState:
         step = (T @ (tau - K * theta)[..., None])[..., 0]
         cand = np.where(live[:, None], theta + step, theta)
         st = chain_state(model, q, cand)
-        tau_c = load_torques(model, st, loading, F)
+        tau_c = load_torques(st, loading, F)
         res_c = _wrench_residual_rel(K, cand, tau_c)
         done = live & ((_norms(cand - theta) < _THETA_TOL_RAD) | (res_c < 1e-12))
         # a live pose whose balance residual does not fall has diverged
@@ -207,7 +207,7 @@ def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
     for iterations in range(1, _MAX_ITER + 1):
         J = _point_jacobian(st, st.tool_p)
         _check_jacobian(J)
-        tau_G = load_torques(model, st, loading, None)
+        tau_G = load_torques(st, loading, None)
         # J^T scaled by 1/K: the bits of OpenBLAS's solve against np.diag(K)
         A = J @ (J.T * (1.0 / K)[:, None])
         twist = pose_difference(target.p, target.R, st.tool_p, st.tool_R)
@@ -221,7 +221,7 @@ def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
         if step < _THETA_TOL_RAD or pos_res < _POSITION_TOL_MM:
             converged = True
             break
-    tau = load_torques(model, st, loading, F)
+    tau = load_torques(st, loading, F)
     res = float(_wrench_residual_rel(K, theta, tau))
     return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
                             converged=converged, iterations=iterations,

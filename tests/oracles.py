@@ -304,7 +304,7 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None):
     loading = gravity_loading(model)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
     theta = np.zeros(6)
-    tau = load_torques(model, chain_state(model, q, theta), loading, F)
+    tau = load_torques(chain_state(model, q, theta), loading, F)
     res = residual(K, theta, tau)
     converged, iterations, halvings = False, 0, 0
     for iterations in range(1, stiffness._MAX_ITER + 1):
@@ -312,7 +312,7 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None):
         lam = 1.0
         while True:
             cand = theta + lam * (theta_star - theta)
-            tau_c = load_torques(model, chain_state(model, q, cand), loading, F)
+            tau_c = load_torques(chain_state(model, q, cand), loading, F)
             res_c = residual(K, cand, tau_c)
             if res_c <= res or lam < 1.0 / 1024.0:
                 break
@@ -417,7 +417,7 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
         except IdentifiabilityError:
             failed += 1
             continue
-        samples.append([sep.k2_rad_per_Nmm, *k_star[nb:], sep.Kc_N_per_mm, sep.s0_mm])
+        samples.append([1.0 / sep.K0_Nmm_per_rad, *k_star[nb:], sep.Kc_N_per_mm, sep.s0_mm])
     if failed > n_samples // 2:
         raise IdentifiabilityError(f"{failed}/{n_samples} resamples failed")
     return 3.0 * np.std(np.array(samples), axis=0, ddof=1), failed

@@ -114,7 +114,7 @@ def test_criterion_3_elasto_round_trip_coverage_ordering(request, model):
             recs = simulate_deflection_records(model, plan, noise_mm=0.05,
                                                seed=5000 + t, response="linear")
             e = identify_elastostatics(model, recs)
-            ci = confidence_intervals_elasto(model, e, n_samples=150, seed=6000 + t)
+            ci = confidence_intervals_elasto(e, n_samples=150, seed=6000 + t)
             hits += bool(np.all(np.abs(ci.values - truth.values)
                                 <= ci.halfwidth3))
             pct_sum = ci.percent if pct_sum is None else pct_sum + ci.percent
@@ -166,7 +166,7 @@ def test_criterion_5_cartesian_stiffness_exactness(request, model, weightless):
                                tool_wrench=(0, 0, -2600.0, 0, 0, 0))
         K = np.diag(joint_stiffnesses(model, comp, q))
         cs = chain_state(model, q, st.theta)
-        H = hessian_theta(model, cs, gravity_loading(model), st.tool_wrench)
+        H = hessian_theta(cs, gravity_loading(model), st.tool_wrench)
         J = _point_jacobian(cs, cs.tool_p)
         S = J @ np.linalg.solve(K - H, J.T)
         assert np.max(np.abs(S - S.T)) <= 1e-9 * np.max(np.abs(S))
@@ -229,10 +229,10 @@ def test_criterion_6_jacobian_hessian_vs_finite_differences(request, model):
             loading = gravity_loading(model)
             F = np.concatenate([rng.normal(0.0, 2600.0, 3),
                                 rng.normal(0.0, 1e5, 3)])
-            Han = hessian_theta(model, st, loading, F)
+            Han = hessian_theta(st, loading, F)
 
             def tau(th):
-                return load_torques(model, chain_state(model, q, th), loading, F)
+                return load_torques(chain_state(model, q, th), loading, F)
 
             Hfd = fd_jacobian(tau, theta, h=3e-5)
             Hfd = 0.5 * (Hfd + Hfd.T)

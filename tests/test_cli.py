@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plans import spread_plan
 from stiffcal import cli
 from stiffcal.cli import build_parser, main
-from stiffcal.doe import PLAN_CSV_HEADER
+from stiffcal.doe import PLAN_CSV_HEADER, save_plan_csv
 from stiffcal.elasto_id import DEFLECTION_CSV_HEADER, load_deflection_csv
 
 pytestmark = pytest.mark.usefixtures("model_path", "table1_path")
@@ -451,16 +452,30 @@ class TestUsageParsing:
         assert "Traceback" not in run.stderr and "Warning" not in run.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_model_without_compensator(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["eta-curve", "--s0", "458", "--q2=-140:0:5"],
+        ["simulate", "geometry", "--q2=-140:0:8"],
+        ["simulate", "deflections", "--plan", "{plan}"],
+        ["elasto-ident", "--records", "{records}"],
+    ], ids=["eta-curve", "simulate-geometry", "simulate-deflections", "elasto-ident"])
+    def test_model_without_compensator(self, tmp_path, model_path, capsys, command):
+        """A usage error before any output, with readable plan and records."""
         bare = tmp_path / "bare.yaml"
         bare.write_text(
             "joints:\n" + "".join(
                 f"  - {{axis: [0, 0, 1], link_translation_mm: [100, 0, 0], "
                 f"compliance_rad_per_Nmm: 1.0e-9}}\n" for _ in range(6)))
-        rc = main(["eta-curve", "--model", str(bare), "--s0", "458",
-                   "--q2=-140:0:5", "--out", str(tmp_path / "x")])
+        plan, rec = tmp_path / "plan.csv", tmp_path / "rec"
+        save_plan_csv(plan, spread_plan())
+        assert main(["simulate", "deflections", "--model", str(model_path),
+                     "--plan", str(plan), "--out", str(rec)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x"
+        rc = main([a.format(plan=plan, records=rec / "records.csv") for a in command]
+                  + ["--model", str(bare), "--out", str(out)])
         assert rc == 1
-        assert "no compensator" in capsys.readouterr().err
+        assert f"{bare}: model has no compensator section" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version(self, capsys):
         for _ in range(2):      # the cached parser exits the same way again

@@ -62,7 +62,7 @@ def test_hessian_planar_2r_closed_form():
     F = np.array([fx, fy, 0.0, 0.0, 0.0, 0.0])
     t1, t2 = 0.7, -0.9
     q = np.array([t1, t2, 0.0, 0.0, 0.0, 0.0])
-    H = hessian_theta(m, chain_state(m, q, np.zeros(6)), loading=None, tool_wrench=F)
+    H = hessian_theta(chain_state(m, q, np.zeros(6)), loading=None, tool_wrench=F)
     Href = planar_2r_force_hessian(l1, l2, t1, t2, fx, fy)
     assert np.allclose(H[:2, :2], Href, atol=1e-9)
     # joints stacked at the tip contribute nothing
@@ -142,7 +142,7 @@ def test_gravity_torques_vs_potential_gradient(model):
 
     th = np.zeros(6)
     st = chain_state(model, q, th)
-    tau = load_torques(model, st, load, None)
+    tau = load_torques(st, load, None)
     g = np.zeros(6)
     h = 1e-6
     for i in range(6):
@@ -158,7 +158,7 @@ def test_hessian_vs_fd_with_gravity_and_wrench(model):
     th = rng.normal(scale=2e-3, size=6)
     load = gravity_loading(model)
     F = np.array([150.0, -300.0, -2000.0, 4e4, -2e4, 1e4])
-    H = hessian_theta(model, chain_state(model, q, th), load, F)
+    H = hessian_theta(chain_state(model, q, th), load, F)
     assert np.allclose(H, H.T, atol=1e-9 * np.abs(H).max())
 
     def U(t):
@@ -183,8 +183,8 @@ def test_hessian_of_node_forces_and_moments_vs_fd(model, deepest):
     W[:deepest + 1, :3] = rng.normal(scale=500.0, size=(deepest + 1, 3))
     W[:deepest + 1, 3:] = rng.normal(scale=3e4, size=(deepest + 1, 3))
     load = NodeLoading(W)
-    H = hessian_theta(model, chain_state(model, q, th), load)
-    D = fd_jacobian(lambda t: load_torques(model, chain_state(model, q, t), load), th)
+    H = hessian_theta(chain_state(model, q, th), load)
+    D = fd_jacobian(lambda t: load_torques(chain_state(model, q, t), load), th)
     Dsym = 0.5 * (D + D.T)
     assert np.linalg.norm(H - Dsym) / np.linalg.norm(Dsym) < 1e-4
     assert np.array_equal(H, H.T)
@@ -237,8 +237,8 @@ def test_load_terms_match_point_loop_bit_for_bit(model, loads, tool, seed):
     q = rng.uniform(-np.pi, np.pi, 6)
     th = rng.normal(scale=2e-3, size=6)
     st_ = chain_state(model, q, th)
-    tau = load_torques(model, st_, loading, tool)
-    H = hessian_theta(model, st_, loading, tool)
+    tau = load_torques(st_, loading, tool)
+    H = hessian_theta(st_, loading, tool)
     assert tau.tobytes() == load_torques_loop(st_, loading, tool).tobytes()
     assert H.tobytes() == hessian_theta_loop(st_, loading, tool).tobytes()
     if loading is None and tool is None:
@@ -262,13 +262,13 @@ def test_stacked_hessian_matches_each_pose_bit_for_bit(model, loads, shape):
     tool = np.concatenate([rng.normal(scale=1500.0, size=shape + (3,)),
                            rng.normal(scale=1e5, size=shape + (3,))], axis=-1)
     batch = chain_state(model, q, th)
-    H = hessian_theta(model, batch, loading, tool)
+    H = hessian_theta(batch, loading, tool)
     assert H.shape == shape + (6, 6)
     for idx in np.ndindex(*shape):
         one = chain_state(model, q[idx], th[idx])
-        assert H[idx].tobytes() == hessian_theta(model, one, loading, tool[idx]).tobytes()
+        assert H[idx].tobytes() == hessian_theta(one, loading, tool[idx]).tobytes()
         assert H[idx].tobytes() == hessian_theta_loop(one, loading, tool[idx]).tobytes()
-    assert hessian_theta(model, batch).tobytes() == np.zeros(shape + (6, 6)).tobytes()
+    assert hessian_theta(batch).tobytes() == np.zeros(shape + (6, 6)).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]),
