@@ -284,9 +284,12 @@ def _cmd_doe(args) -> int:
     q1_windows = None
     if args.q1_windows:
         q1_windows = tuple(_parse_ranges(args.q1_windows, "--q1-windows"))
-    cons = PlanConstraints(joint_limits_rad=tuple(limits),
-                           load_magnitude_N=args.load,
-                           q1_intervals_rad=q1_windows)
+    try:    # limits and load are checked above: only the windows can fail
+        cons = PlanConstraints(joint_limits_rad=tuple(limits),
+                               load_magnitude_N=args.load,
+                               q1_intervals_rad=q1_windows)
+    except ValueError as exc:
+        raise UsageError(f"--q1-windows: {exc}") from exc
     try:
         cons.bucket_layout(buckets)
     except ValueError as exc:
@@ -325,8 +328,7 @@ def _cmd_simulate(args) -> int:
         geom = _compensated_model(args.model).compensator.geometry
         q2 = np.radians(_parse_grid(args.q2, "--q2"))
         ds = simulate_geometry_dataset(geom, q2, noise_mm=args.noise,
-                                       seed=args.seed,
-                                       angle_sign=args.angle_sign)
+                                       seed=args.seed)
         out = _ensure_out(args.out)
         path = os.path.join(out, "markers.csv")
         save_marker_csv(path, ds)
@@ -385,6 +387,8 @@ def _cmd_predict(args) -> int:
 def _cmd_eta_curve(args) -> int:
     geom = _compensated_model(args.model).compensator.geometry
     s0_vals = _parse_float_list(args.s0, "--s0")
+    if min(s0_vals) < 0.0:
+        raise UsageError(f"--s0: free lengths must be >= 0, got {min(s0_vals):g}")
     q2 = np.radians(_parse_grid(args.q2, "--q2"))
     table = eta_curve(geom, s0_vals, q2)
     out = _ensure_out(args.out)
@@ -464,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sweep angles: list or start:stop:count (deg)")
     sg.add_argument("--out", required=True)
     sg.add_argument("--noise", type=_sigma, default=0.0)
-    sg.add_argument("--angle-sign", type=int, choices=[1, -1], default=1)
     sg.add_argument("--seed", type=_seed, default=0)
     sg.set_defaults(func=_cmd_simulate)
     sd = ssub.add_parser("deflections",

@@ -6,9 +6,12 @@ stiffness ``Kc`` and free length ``s0`` spans from a fixed anchor P0 to P1.
 With ``a = |P0 P2|`` and ``alpha`` the direction angle of the anchor-to-crank
 vector ``(ax, ay)``, the spring span is
 
-    s(q2)^2 = a^2 + L^2 + 2 a L cos(alpha - q2)
+    s(q2)^2 = a^2 + L^2 + 2 a L cos(alpha - q2_sign * q2)
 
-All lengths in mm, stiffness in N/mm, torques in N*mm, angles in rad.
+where ``q2`` is the controller's joint-2 angle and ``q2_sign`` (+1 or -1)
+the direction in which the linkage turns with it; every function here takes
+the controller's angle.  All lengths in mm, stiffness in N/mm, torques in
+N*mm, angles in rad.
 
 Sign convention: ``compensator_torque`` returns the torque the spring applies
 *to* the joint, i.e. minus the gradient of the spring energy with respect to
@@ -32,14 +35,19 @@ def _require_finite(block, *names: str) -> None:
 
 @dataclass(frozen=True)
 class CompensatorGeometry:
-    """Linkage geometry: crank radius and anchor-to-crank vector."""
+    """Linkage geometry: crank radius, anchor-to-crank vector and the
+    direction ``q2_sign`` in which the crank turns with the controller's q2
+    (-1 for robots that count joint 2 opposite to the linkage)."""
 
     L_mm: float
     ax_mm: float
     ay_mm: float
+    q2_sign: float = 1.0
 
     def __post_init__(self):
         _require_finite(self, "L_mm", "ax_mm", "ay_mm")
+        if self.q2_sign not in (-1.0, 1.0):
+            raise ValueError("q2_sign must be +1 or -1")
         # derived once: every stiffness evaluation reads them
         object.__setattr__(self, "_a", float(np.hypot(self.ax_mm, self.ay_mm)))
         object.__setattr__(self, "_alpha", float(np.arctan2(self.ay_mm, self.ax_mm)))
@@ -75,23 +83,15 @@ class CompensatorElastics:
 
 @dataclass(frozen=True)
 class CompensatorParams:
-    """Full compensator description plus the joint-2 coupling convention.
-
-    ``q2_sign`` flips the joint angle fed into the linkage formulas for robots
-    whose controller counts joint 2 opposite to the linkage convention.
-    """
+    """Full compensator description: linkage geometry and spring constants."""
 
     geometry: CompensatorGeometry
     elastics: CompensatorElastics
-    q2_sign: float = 1.0
-
-    def __post_init__(self):
-        if self.q2_sign not in (-1.0, 1.0, -1, 1):
-            raise ValueError("q2_sign must be +1 or -1")
 
 
 def _gamma(geom: CompensatorGeometry, q2_rad) -> np.ndarray:
-    return geom.alpha_rad - np.asarray(q2_rad, dtype=float)
+    """Linkage angle ``alpha - q2_sign * q2`` of the controller's angle q2."""
+    return geom.alpha_rad - geom.q2_sign * np.asarray(q2_rad, dtype=float)
 
 
 def spring_span(geom: CompensatorGeometry, q2_rad):
@@ -105,24 +105,23 @@ def spring_span(geom: CompensatorGeometry, q2_rad):
 def compensator_torque(params: CompensatorParams, q2_rad):
     """Torque (N*mm) the compensator applies about the joint-2 axis.
 
-    Equals minus the energy gradient: -Kc (1 - s0/s) a L sin(alpha - q2),
-    zero whenever the crank crosses the base line (q2 = alpha) or the spring
-    is at free length (s = s0).
+    Equals minus the energy gradient: -Kc (1 - s0/s) a L sin(gamma), zero
+    whenever the crank crosses the base line (gamma = 0) or the spring is at
+    free length (s = s0).
     """
     geom, el = params.geometry, params.elastics
-    q2 = params.q2_sign * np.asarray(q2_rad, dtype=float)
-    s = spring_span(geom, q2)
-    g = _gamma(geom, q2)
+    s = spring_span(geom, q2_rad)
+    g = _gamma(geom, q2_rad)
     m = -el.Kc_N_per_mm * (1.0 - el.s0_mm / s) * geom.a_mm * geom.L_mm * np.sin(g)
     # An outer sign flip maps the torque back to the controller's convention.
-    return params.q2_sign * m
+    return geom.q2_sign * m
 
 
-def eta_parts(geom: CompensatorGeometry, q2_rad):
+def _eta_parts(geom: CompensatorGeometry, q2_rad):
     """The s0-free parts ``(s, b, cos(gamma))`` of ``eta = (s0/s) * b - cos(gamma)``.
 
     ``b = (aL/s^2) sin^2(gamma) + cos(gamma)``, so eta is affine in s0 with
-    slope ``b/s``; the compensator separation regresses on these terms.
+    slope ``b/s``; :func:`separation_matrix` regresses on these terms.
     """
     a, L = geom.a_mm, geom.L_mm
     g = _gamma(geom, q2_rad)
@@ -135,11 +134,23 @@ def eta(geom: CompensatorGeometry, s0_mm: float, q2_rad):
     """Dimensionless stiffness kernel of the linkage.
 
     eta = (s0/s) * ((aL/s^2) sin^2(gamma) + cos(gamma)) - cos(gamma) with
-    gamma = alpha - q2; the compensator adds ``Kc * a * L * eta`` to the
-    joint-2 stiffness.  Affine in s0 at fixed q2.
+    gamma = alpha - q2_sign * q2; the compensator adds ``Kc * a * L * eta``
+    to the joint-2 stiffness.  Affine in s0 at fixed q2.
     """
-    s, b, cg = eta_parts(geom, q2_rad)
+    s, b, cg = _eta_parts(geom, q2_rad)
     return (s0_mm / s) * b - cg
+
+
+def separation_matrix(geometry: CompensatorGeometry, q2_rad) -> np.ndarray:
+    """Rows mapping [K0, Kc, Kc*s0] to the equivalent joint-2 stiffness.
+
+    The spring adds Kc*a*L*eta(q2; s0) and eta is affine in s0, so the
+    stiffness is linear in x = [K0, Kc, Kc*s0]; the free length is recovered
+    afterwards as x3/x2.
+    """
+    aL = geometry.a_mm * geometry.L_mm
+    s, b, cg = _eta_parts(geometry, q2_rad)
+    return np.column_stack([np.ones_like(s), -aL * cg, (aL / s) * b])
 
 
 def equivalent_joint_stiffness(params: CompensatorParams, K0_Nmm_per_rad: float, q2_rad):
@@ -149,8 +160,8 @@ def equivalent_joint_stiffness(params: CompensatorParams, K0_Nmm_per_rad: float,
     not positive (the joint would be statically unstable there).
     """
     geom, el = params.geometry, params.elastics
-    q2 = params.q2_sign * np.asarray(q2_rad, dtype=float)
-    k = K0_Nmm_per_rad + el.Kc_N_per_mm * geom.a_mm * geom.L_mm * eta(geom, el.s0_mm, q2)
+    k = K0_Nmm_per_rad + (el.Kc_N_per_mm * geom.a_mm * geom.L_mm
+                          * eta(geom, el.s0_mm, q2_rad))
     if np.any(np.asarray(k) <= 0.0):
         warnings.warn("equivalent joint-2 stiffness is not positive at the "
                       "requested angle(s)", RuntimeWarning, stacklevel=2)
@@ -163,11 +174,9 @@ def eta_curve(geom: CompensatorGeometry, s0_values_mm, q2_grid_rad) -> np.ndarra
     Returns an array of rows ``(q2_rad, s0_mm, eta)``, grouped by s0 value,
     ready for long-format serialization.
     """
-    q2 = np.asarray(q2_grid_rad, dtype=float)
+    q2 = np.asarray(q2_grid_rad, dtype=float).reshape(-1)
     if q2.size == 0:
         raise ValueError("empty grid")
-    rows = []
-    for s0 in np.atleast_1d(np.asarray(s0_values_mm, dtype=float)):
-        e = eta(geom, float(s0), q2)
-        rows.append(np.column_stack([q2, np.full(q2.shape, s0), e]))
-    return np.vstack(rows)
+    s0 = np.asarray(s0_values_mm, dtype=float).reshape(-1)
+    e = eta(geom, s0[:, None], q2)
+    return np.column_stack([np.tile(q2, s0.size), np.repeat(s0, q2.size), e.ravel()])

@@ -102,7 +102,8 @@ class PlanConstraints:
     """Feasible region for plan search.
 
     ``q1_intervals_rad`` restricts the base joint to a union of windows
-    (floor obstacles, tracker visibility); joints 3..6 use the plain limits.
+    (floor obstacles, tracker visibility), each inside joint 1's limits;
+    joints 3..6 use the plain limits.
     Joint 2 never moves: it is pinned to the bucket angle of each entry.
     """
 
@@ -121,6 +122,13 @@ class PlanConstraints:
             ivs = tuple((float(lo), float(hi)) for lo, hi in self.q1_intervals_rad)
             if not ivs or any(hi <= lo for lo, hi in ivs):
                 raise ValueError("q1 intervals must be non-empty (lo, hi) pairs")
+            lo1, hi1 = lim[0]
+            for lo, hi in ivs:
+                if not (lo1 <= lo and hi <= hi1):
+                    raise ValueError(
+                        f"q1 window {math.degrees(lo):g}..{math.degrees(hi):g} deg "
+                        f"outside joint 1's limits {math.degrees(lo1):g}.."
+                        f"{math.degrees(hi1):g} deg")
             object.__setattr__(self, "q1_intervals_rad", ivs)
 
     def q1_windows(self) -> Tuple[Tuple[float, float], ...]:

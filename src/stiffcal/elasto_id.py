@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .compensator import CompensatorGeometry, eta_parts
+from .compensator import CompensatorGeometry, separation_matrix
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel
 from .tables import read_table, write_table
@@ -297,29 +297,14 @@ class CompensatorSeparation:
     factors: tuple        # (C, U, s, Vt): the separation system and its SVD
 
 
-def separation_matrix(geometry: CompensatorGeometry, q2_rad: Sequence[float],
-                      q2_sign: int = 1) -> np.ndarray:
-    """Rows mapping [K0, Kc, Kc*s0] to the equivalent joint-2 stiffness.
-
-    The spring adds Kc*a*L*eta(q2; s0) and eta = (s0/s)*b - cos(gamma) is
-    affine in s0 (:func:`stiffcal.compensator.eta_parts`), so the stiffness
-    is linear in x = [K0, Kc, Kc*s0]; the free length is recovered
-    afterwards as x3/x2.
-    """
-    aL = geometry.a_mm * geometry.L_mm
-    s, b, cg = eta_parts(geometry, q2_sign * np.asarray(q2_rad, dtype=float))
-    return np.column_stack([np.ones_like(s), -aL * cg, (aL / s) * b])
-
-
-def _separation_factors(layout: ParameterLayout, geometry: CompensatorGeometry,
-                        q2_sign: int):
+def _separation_factors(layout: ParameterLayout, geometry: CompensatorGeometry):
     """Separation matrix of the layout's buckets and its SVD ``(C, U, s, Vt)``;
     raises when the buckets cannot separate the compensator."""
     if layout.n_buckets < 3:
         raise IdentifiabilityError(
             f"need at least 3 distinct joint-2 angles to separate the "
             f"compensator, got {layout.n_buckets}")
-    C = separation_matrix(geometry, layout.bucket_q2_rad, q2_sign)
+    C = separation_matrix(geometry, layout.bucket_q2_rad)
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
     if s[-1] <= 1e-12 * s[0]:
         raise IdentifiabilityError(
@@ -338,13 +323,12 @@ def _separate(factors, K2: np.ndarray):
 
 
 def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
-                         geometry: CompensatorGeometry,
-                         q2_sign: int = 1) -> CompensatorSeparation:
+                         geometry: CompensatorGeometry) -> CompensatorSeparation:
     """Split per-bucket joint-2 stiffnesses into K0, Kc and s0."""
     K2 = np.asarray(K2_Nmm_per_rad, dtype=float).reshape(-1)
     if K2.shape[0] != layout.n_buckets:
         raise ValueError("one joint-2 stiffness per bucket required")
-    factors = _separation_factors(layout, geometry, q2_sign)
+    factors = _separation_factors(layout, geometry)
     x, ok = _separate(factors, K2)
     if not ok:
         raise IdentifiabilityError(
@@ -400,8 +384,7 @@ def identify_elastostatics(model: ManipulatorModel,
                          "joint-2 stiffness into spring constants")
     fit = identify_compliances(model, records)
     sep = separate_compensator(fit.layout, fit.joint2_stiffnesses(),
-                               model.compensator.geometry,
-                               model.compensator.q2_sign)
+                               model.compensator.geometry)
     return ElastostaticEstimate(fit=fit, separation=sep)
 
 

@@ -92,8 +92,8 @@ class GeometryCI:
 def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     """Read a sweep CSV: ``q2_deg, P1_x, P1_y[, P1_z], P01_x, ...``.
 
-    Any number of satellite groups ``P0k_*`` is accepted; angles are stored
-    in radians internally.
+    Any number of satellite groups ``P0k_*`` is accepted, each with its
+    ``_x`` and ``_y`` columns; angles are stored in radians internally.
     """
     header, rows = read_table(path)
     if not rows:
@@ -104,21 +104,21 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
 
     def group(prefix):
         names = [f"{prefix}_x", f"{prefix}_y"]
+        missing = [n for n in names if n not in cols]
+        if missing:
+            raise DataLayoutError(f"{path}: missing column {missing[0]} "
+                                  f"(a marker needs {prefix}_x/{prefix}_y)")
         if f"{prefix}_z" in cols:
             names.append(f"{prefix}_z")
-        if not all(n in cols for n in names[:2]):
-            return None
         return np.column_stack([cols[n] for n in names])
 
     crank = group("P1")
-    if crank is None:
-        raise DataLayoutError(f"{path}: missing P1_x/P1_y columns")
     sat_names = sorted({m.group(1) for h in header
                         for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m})
-    satellites = [group(n) for n in sat_names]
+    satellites = tuple(group(n) for n in sat_names)
     try:
         return MarkerDataset(q2_rad=np.deg2rad(cols["q2_deg"]), crank=crank,
-                             satellites=tuple(s for s in satellites if s is not None))
+                             satellites=satellites)
     except ValueError as exc:
         raise DataLayoutError(f"{path}: {exc}") from exc
 

@@ -93,11 +93,11 @@ def _compensator(obj: Any, where: str) -> CompensatorParams:
         raise ModelFileError(f"{where}: missing required key(s) {sorted(missing)}")
     try:
         geom = CompensatorGeometry(L_mm=float(m["L_mm"]), ax_mm=float(m["ax_mm"]),
-                                   ay_mm=float(m["ay_mm"]))
+                                   ay_mm=float(m["ay_mm"]),
+                                   q2_sign=float(m.get("q2_sign", 1.0)))
         el = CompensatorElastics(Kc_N_per_mm=float(m["Kc_N_per_mm"]),
                                  s0_mm=float(m["s0_mm"]))
-        return CompensatorParams(geometry=geom, elastics=el,
-                                 q2_sign=float(m.get("q2_sign", 1.0)))
+        return CompensatorParams(geometry=geom, elastics=el)
     except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{where}: {exc}") from exc
 

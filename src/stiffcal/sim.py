@@ -26,7 +26,7 @@ from .stiffness import predict_marker_deflections, solve_equilibria
 
 # Tracker targets bolted to the spring cylinder, in the pivot frame whose
 # x axis points from the pivot towards the crank pin (mm).
-DEFAULT_SATELLITE_OFFSETS = ((140.0, 40.0), (250.0, -30.0))
+SATELLITE_OFFSETS = ((140.0, 40.0), (250.0, -30.0))
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
                               q2_rad: Sequence[float], *,
                               p2_xy: Sequence[float] = (0.0, 0.0),
                               crank_phase_rad: float = 0.0,
-                              angle_sign: int = 1,
-                              satellite_offsets_mm: Sequence[Sequence[float]]
-                              = DEFAULT_SATELLITE_OFFSETS,
                               noise_mm: float = 0.0,
                               seed: int = 0) -> MarkerDataset:
     """Planar marker tracks of the compensator linkage over a joint-2 sweep.
@@ -68,25 +65,21 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
     The crank pin rides a circle of the linkage crank radius around the
     joint-2 axis ``p2_xy``; the cylinder pivot sits at p2 - (ax, ay) and the
     satellite markers ride with the cylinder, which always points from the
-    pivot towards the pin.  ``angle_sign`` flips the marker rotation
-    direction relative to the recorded joint angle (some controllers count
-    the crank the other way); ``crank_phase_rad`` offsets its zero.
+    pivot towards the pin.  The crank turns by ``geometry.q2_sign`` times
+    the recorded joint angle (some controllers count the crank the other
+    way); ``crank_phase_rad`` offsets its zero.
     """
     q2 = np.asarray(q2_rad, dtype=float).reshape(-1)
     if q2.size < 3:
         raise ValueError("need at least 3 sweep angles")
-    if angle_sign not in (1, -1):
-        raise ValueError("angle_sign must be +1 or -1")
     p2 = np.asarray(p2_xy, dtype=float).reshape(2)
     p0 = p2 - np.array([geometry.ax_mm, geometry.ay_mm])
-    ang = angle_sign * q2 + crank_phase_rad
+    ang = geometry.q2_sign * q2 + crank_phase_rad
     crank = p2 + geometry.L_mm * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    sats = []
     beta = np.arctan2(crank[:, 1] - p0[1], crank[:, 0] - p0[0])
     cb, sb = np.cos(beta), np.sin(beta)
-    for off in satellite_offsets_mm:
-        ox, oy = float(off[0]), float(off[1])
-        sats.append(p0 + np.stack([cb * ox - sb * oy, sb * ox + cb * oy], axis=1))
+    sats = [p0 + np.stack([cb * ox - sb * oy, sb * ox + cb * oy], axis=1)
+            for ox, oy in SATELLITE_OFFSETS]
     if noise_mm > 0.0:
         rng = np.random.default_rng(seed)
         crank = _noisy(crank, noise_mm, rng.standard_normal(crank.shape))

@@ -20,6 +20,20 @@ def model(model_path):
 
 
 @pytest.fixture(scope="session")
+def mirrored_model_path(model_path, tmp_path_factory):
+    """The reference model file with ``q2_sign: -1``: a controller that
+    counts joint 2 opposite to the compensator linkage."""
+    path = tmp_path_factory.mktemp("mirrored") / "kr270_mirrored.yaml"
+    path.write_text(model_path.read_text() + "  q2_sign: -1\n")
+    return path
+
+
+@pytest.fixture(scope="session")
+def mirrored(mirrored_model_path):
+    return load_model(mirrored_model_path)
+
+
+@pytest.fixture(scope="session")
 def weightless(model):
     """The model with ``gravity: [0, 0, 0]``: a weightless arm, whose only
     load is the tool wrench."""

@@ -95,12 +95,13 @@ def fd_hessian(fun, x, h=3e-5):
 
 def spring_energy(params, q2_rad):
     """Elastic energy 0.5 * Kc * (s - s0)^2 stored in the compensator spring
-    (N*mm), with the span s taken at the params' signed q2; minus its
-    q2-gradient is the compensator torque."""
-    from stiffcal.compensator import spring_span
-
-    el = params.elastics
-    s = spring_span(params.geometry, params.q2_sign * np.asarray(q2_rad, dtype=float))
+    (N*mm), with the span s from the linkage triangle,
+    s^2 = a^2 + L^2 + 2 a L cos(alpha - q2_sign * q2); minus its q2-gradient
+    is the compensator torque."""
+    g, el = params.geometry, params.elastics
+    a = np.hypot(g.ax_mm, g.ay_mm)
+    gamma = np.arctan2(g.ay_mm, g.ax_mm) - g.q2_sign * np.asarray(q2_rad, dtype=float)
+    s = np.sqrt(a * a + g.L_mm ** 2 + 2.0 * a * g.L_mm * np.cos(gamma))
     return 0.5 * el.Kc_N_per_mm * (s - el.s0_mm) ** 2
 
 
@@ -413,7 +414,7 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
                 raise IdentifiabilityError("non-positive resampled compliance")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                sep = separate_compensator(layout, 1.0 / k2, comp.geometry, comp.q2_sign)
+                sep = separate_compensator(layout, 1.0 / k2, comp.geometry)
         except IdentifiabilityError:
             failed += 1
             continue

@@ -8,6 +8,7 @@ import math
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,8 +76,8 @@ def test_criterion_2_geometry_round_trip_and_coverage(request):
                    30.0):
         sweep = np.radians(np.linspace(-140.0, -0.01, 8))
         # noise-free round trip to numerical precision
-        ds = simulate_geometry_dataset(TRUE_GEOM, sweep, p2_xy=(0.16, 1.84),
-                                       crank_phase_rad=0.4, angle_sign=-1)
+        ds = simulate_geometry_dataset(replace(TRUE_GEOM, q2_sign=-1.0), sweep,
+                                       p2_xy=(0.16, 1.84), crank_phase_rad=0.4)
         est = identify_compensator_geometry(ds)
         assert abs(est.L_mm - 185.0) < 1e-9
         assert abs(est.ax_mm - 25.0) < 1e-9
@@ -136,12 +137,12 @@ def test_criterion_4_compensator_stiffness_torque_consistency(request):
             L = rng.uniform(100.0, 250.0)
             a = rng.uniform(1.3 * L, 5.0 * L)
             alpha = rng.uniform(-math.pi, math.pi)
-            geom = CompensatorGeometry(L_mm=L, ax_mm=a * math.cos(alpha),
-                                       ay_mm=a * math.sin(alpha))
             el = CompensatorElastics(Kc_N_per_mm=rng.uniform(500.0, 10000.0),
                                      s0_mm=rng.uniform(0.0, 700.0))
-            params = CompensatorParams(geometry=geom, elastics=el,
+            geom = CompensatorGeometry(L_mm=L, ax_mm=a * math.cos(alpha),
+                                       ay_mm=a * math.sin(alpha),
                                        q2_sign=rng.choice([-1.0, 1.0]))
+            params = CompensatorParams(geometry=geom, elastics=el)
             q2 = rng.uniform(-2.5, 2.5)
             K0 = rng.uniform(1e7, 1e9)
             with warnings.catch_warnings():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from plans import spread_plan
 from stiffcal import cli
 from stiffcal.cli import build_parser, main
+from stiffcal.compensator import equivalent_joint_stiffness
 from stiffcal.doe import PLAN_CSV_HEADER, save_plan_csv
 from stiffcal.elasto_id import DEFLECTION_CSV_HEADER, load_deflection_csv
 
@@ -88,6 +89,16 @@ class TestExitCodes:
             argv += ["--model", str(model_path)]
         assert main(argv) == 2
         assert f"{bad}{where}" in capsys.readouterr().err
+
+    def test_satellite_without_y_column_is_2(self, tmp_path, table1_path, capsys):
+        bad = tmp_path / "markers.csv"
+        lines = table1_path.read_text().splitlines()
+        bad.write_text("\n".join([lines[0] + ",P03_x"]
+                                 + [line + ",1.0" for line in lines[1:]]) + "\n")
+        assert main(["geom-ident", "--markers", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{bad}: missing column P03_y" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "geometry", "--q2=-140:0:5"], id="geometry"),
@@ -298,6 +309,39 @@ class TestPipelineRoundTrip:
             "s0= 600.0 mm: eta in [-0.174, +0.269], 5 non-positive"]
 
 
+class TestMirroredCompensator:
+    """A model with ``q2_sign: -1``: every command follows the model's sign."""
+
+    def test_eta_curve_matches_the_joint_stiffness(self, tmp_path, mirrored,
+                                                   mirrored_model_path, capsys):
+        out = tmp_path / "eta"
+        assert main(["eta-curve", "--model", str(mirrored_model_path), "--s0=458",
+                     "--q2=-140:0:31", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            "s0= 458.0 mm: eta in [-0.480, +0.140], 27 non-positive"
+        comp = mirrored.compensator
+        K0 = 1.0 / mirrored.compliances[1]
+        scale = comp.elastics.Kc_N_per_mm * comp.geometry.a_mm * comp.geometry.L_mm
+        q2_deg = np.linspace(-140.0, 0.0, 31)
+        with warnings.catch_warnings():     # the joint softens below K0 here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            k = equivalent_joint_stiffness(comp, K0, np.radians(q2_deg))
+        # the law's eta at each angle, written as eta.csv writes it
+        want = [float(f"{v:.10g}") for v in (k - K0) / scale]
+        table = np.loadtxt(out / "eta.csv", delimiter=",", skiprows=1)
+        assert table[:, 0].tolist() == [float(f"{v:.10g}") for v in q2_deg]
+        np.testing.assert_allclose(table[:, 2], want, rtol=1e-12, atol=0.0)
+
+    def test_geometry_sweep_turns_the_crank_by_the_model_sign(self, tmp_path,
+                                                              mirrored_model_path):
+        sim, geo = tmp_path / "sim", tmp_path / "geo"
+        assert main(["simulate", "geometry", "--model", str(mirrored_model_path),
+                     "--q2=-140:0:8", "--out", str(sim)]) == 0
+        assert main(["geom-ident", "--markers", str(sim / "markers.csv"),
+                     "--out", str(geo), "--ci-samples", "8"]) == 0
+        assert _load_json(geo / "geometry.json")["crank_angle_sign"] == -1
+
+
 class TestUsageParsing:
     def test_bad_grid(self, tmp_path, model_path, capsys):
         rc = main(["eta-curve", "--model", str(model_path), "--s0", "458",
@@ -326,6 +370,8 @@ class TestUsageParsing:
     @pytest.mark.parametrize("windows, text", [
         ("10", "--q1-windows"),
         ("10:0", "--q1-windows entry 1: lo must be below hi"),
+        ("200:260", "--q1-windows: q1 window 200..260 deg outside joint 1's "
+                    "limits -185..185 deg"),
     ])
     def test_bad_q1_windows(self, tmp_path, model_path, capsys, windows, text):
         rc = main(["doe", "--model", str(model_path),
@@ -333,6 +379,7 @@ class TestUsageParsing:
                    f"--q1-windows={windows}", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert text in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["predict", "--q=0,-90,nan,0,0,0"], "--q", id="q"),
@@ -412,6 +459,8 @@ class TestUsageParsing:
         pytest.param(["eta-curve", "--s0=458", "--q2=--"], "--q2", id="q2-dashes"),
         pytest.param(["geom-ident", "--seed=--"], "--seed", id="seed-dashes"),
         pytest.param(["eta-curve", "--s0=", "--q2=-140:0:5"], "--s0", id="s0-empty"),
+        pytest.param(["eta-curve", "--s0=458,-50", "--q2=-140:0:5"], "--s0",
+                     id="s0-negative"),
         pytest.param(["eta-curve", "--s0=458", "--q2="], "--q2", id="eta-q2-empty"),
         pytest.param(["simulate", "geometry", "--q2="], "--q2", id="geometry-q2-empty"),
         pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets="], "--buckets",

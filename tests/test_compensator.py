@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,8 @@ def test_geometry_validation():
         CompensatorGeometry(L_mm=200.0, ax_mm=100.0, ay_mm=100.0)
     with pytest.raises(ValueError, match="Kc"):
         CompensatorElastics(Kc_N_per_mm=-1.0, s0_mm=100.0)
-    with pytest.raises(ValueError, match="q2_sign"):
-        CompensatorParams(geometry=GEOM, elastics=ELAS, q2_sign=0.5)
+    with pytest.raises(ValueError, match=r"q2_sign must be \+1 or -1"):
+        CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0, q2_sign=0.5)
 
 
 def test_span_triangle_geometry():
@@ -67,7 +69,7 @@ def test_stiffness_is_minus_torque_gradient(q2):
 
 def test_sign_convention_flip():
     # with q2_sign = -1 the energy must be even in the recorded angle
-    flipped = CompensatorParams(geometry=GEOM, elastics=ELAS, q2_sign=-1)
+    flipped = CompensatorParams(geometry=replace(GEOM, q2_sign=-1.0), elastics=ELAS)
     for q2 in (-1.2, -0.4, 0.05):
         assert np.isclose(spring_energy(flipped, q2),
                           spring_energy(PARAMS, -q2))

@@ -525,5 +525,15 @@ class TestConstraints:
         w = CONSTRAINTS.wrench()
         assert np.allclose(w, [0, 0, -2600.0, 0, 0, 0])
 
+    def test_q1_windows_inside_joint1_limits(self):
+        lim = CONSTRAINTS.joint_limits_rad
+        edge = PlanConstraints(lim, q1_intervals_rad=(lim[0],))     # ends included
+        assert edge.q1_windows() == (lim[0],)
+        with pytest.raises(ValueError, match=r"q1 window 200\.\.260 deg outside "
+                                             r"joint 1's limits -185\.\.185 deg"):
+            PlanConstraints(lim, q1_intervals_rad=((0.0, 0.5),
+                                                   (math.radians(200.0),
+                                                    math.radians(260.0))))
+
     def test_q1_windows_default_to_limits(self):
         assert CONSTRAINTS.q1_windows() == (CONSTRAINTS.joint_limits_rad[0],)

@@ -22,9 +22,8 @@ from stiffcal.elasto_id import (
     load_deflection_csv,
     save_deflection_csv,
     separate_compensator,
-    separation_matrix,
 )
-from stiffcal.compensator import equivalent_joint_stiffness
+from stiffcal.compensator import equivalent_joint_stiffness, separation_matrix
 from stiffcal.doe import PLAN_CSV_HEADER, load_plan_csv, sensitivity_rows
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.geometry_id import load_marker_csv
@@ -291,7 +290,7 @@ class TestSeparation:
         lay = ParameterLayout(buckets)
         K2 = np.array([equivalent_joint_stiffness(comp, 1.0 / model.compliances[1], b)
                        for b in buckets])
-        sep = separate_compensator(lay, K2, comp.geometry, comp.q2_sign)
+        sep = separate_compensator(lay, K2, comp.geometry)
         assert sep.K0_Nmm_per_rad == pytest.approx(1.0 / model.compliances[1], rel=1e-9)
         assert sep.Kc_N_per_mm == pytest.approx(comp.elastics.Kc_N_per_mm, rel=1e-9)
         assert sep.s0_mm == pytest.approx(comp.elastics.s0_mm, rel=1e-9)
@@ -331,6 +330,15 @@ class TestFullPipeline:
         assert PARAMETER_LABELS == tuple(truth.labels)
         rel = np.abs(vals - truth.values) / np.abs(truth.values)
         assert np.max(rel) < 1e-6
+
+    def test_noiseless_round_trip_mirrored_compensator(self, mirrored, plan):
+        """A controller counting joint 2 against the linkage: the separation
+        follows the model's sign and recovers every parameter."""
+        assert mirrored.compensator.geometry.q2_sign == -1.0
+        records = simulate_deflection_records(mirrored, plan, response="linear")
+        vals = identify_elastostatics(mirrored, records).parameter_values()
+        truth = GroundTruth.from_model(mirrored)
+        assert np.max(np.abs(vals - truth.values) / np.abs(truth.values)) < 1e-6
 
     def test_model_without_compensator_rejected(self, model, clean_records):
         import dataclasses
@@ -515,7 +523,7 @@ class TestStackedResampler:
         k_star = np.vstack([(P @ (y + fit.sigma_hat_mm * zi)).T for zi in z])
         nb = fit.layout.n_buckets
         comp = model.compensator
-        C = separation_matrix(comp.geometry, fit.layout.bucket_q2_rad, comp.q2_sign)
+        C = separation_matrix(comp.geometry, fit.layout.bucket_q2_rad)
         x = np.linalg.lstsq(C, 1.0 / k_star[:, :nb].T, rcond=None)[0].T
         arr = np.column_stack([1.0 / x[:, 0], k_star[:, nb:], x[:, 1], x[:, 2] / x[:, 1]])
         ref = 3.0 * arr.std(axis=0, ddof=1)
@@ -581,15 +589,15 @@ class TestStackedResampler:
         from stiffcal.elasto_id import _separate, _separation_factors
         comp = model.compensator
         lay = ParameterLayout(tuple(np.radians([-1.0, -40.0, -80.0, -120.0])))
-        C = separation_matrix(comp.geometry, lay.bucket_q2_rad, comp.q2_sign)
+        C = separation_matrix(comp.geometry, lay.bucket_q2_rad)
         K2 = np.stack([C @ [3.3e9, 6000.0, 6000.0 * 458.0], C @ [3.3e9, 0.0, 0.0],
                        C @ [3.0e9, 5000.0, 5000.0 * 400.0]])
-        x, ok = _separate(_separation_factors(lay, comp.geometry, comp.q2_sign), K2)
+        x, ok = _separate(_separation_factors(lay, comp.geometry), K2)
         assert ok.tolist() == [True, False, True]
         with pytest.raises(IdentifiabilityError, match="indistinguishable from zero"):
-            separate_compensator(lay, K2[1], comp.geometry, comp.q2_sign)
+            separate_compensator(lay, K2[1], comp.geometry)
         for i in (0, 2):
-            sep = separate_compensator(lay, K2[i], comp.geometry, comp.q2_sign)
+            sep = separate_compensator(lay, K2[i], comp.geometry)
             assert [sep.K0_Nmm_per_rad, sep.Kc_N_per_mm] == x[i, :2].tolist()
             assert sep.s0_mm == x[i, 2] / x[i, 1]
 

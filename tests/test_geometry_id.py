@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ import oracles
 from stiffcal.circle_fit import (_arc_centre, _fit_signed, fit_circle_procrustes,
                                  fit_concentric_arcs)
 from stiffcal.compensator import CompensatorGeometry
-from stiffcal.errors import AngleDirectionError, DegenerateGeometryError
+from stiffcal.errors import (AngleDirectionError, DataLayoutError,
+                             DegenerateGeometryError)
 from stiffcal.geometry_id import (
     MarkerDataset,
     confidence_intervals_geometry,
@@ -17,12 +21,13 @@ from stiffcal.geometry_id import (
 from stiffcal.sim import simulate_geometry_dataset
 
 GEOM = CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0)
+MIRRORED = replace(GEOM, q2_sign=-1.0)
 SWEEP = np.radians(np.linspace(-140.0, -0.01, 8))
 
 
 def test_noiseless_round_trip():
-    ds = simulate_geometry_dataset(GEOM, SWEEP, p2_xy=(0.16, 1.84),
-                                   crank_phase_rad=0.3, angle_sign=-1)
+    ds = simulate_geometry_dataset(MIRRORED, SWEEP, p2_xy=(0.16, 1.84),
+                                   crank_phase_rad=0.3)
     est = identify_compensator_geometry(ds)
     assert est.L_mm == pytest.approx(185.0, abs=1e-9)
     assert est.ax_mm == pytest.approx(25.0, abs=1e-9)
@@ -32,10 +37,9 @@ def test_noiseless_round_trip():
 
 
 def test_round_trip_robust_to_phase_and_sign():
-    for sign in (1, -1):
+    for geom in (GEOM, MIRRORED):
         for phase in (0.0, 1.1, -2.0):
-            ds = simulate_geometry_dataset(GEOM, SWEEP, crank_phase_rad=phase,
-                                           angle_sign=sign)
+            ds = simulate_geometry_dataset(geom, SWEEP, crank_phase_rad=phase)
             est = identify_compensator_geometry(ds)
             assert est.L_mm == pytest.approx(185.0, abs=1e-8)
             assert est.ax_mm == pytest.approx(25.0, abs=1e-7)
@@ -111,6 +115,14 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("q2_deg,P01_x,P01_y\n0,1,2\n-60,2,3\n-120,3,4\n")
         with pytest.raises(ValueError, match="P1_x/P1_y"):
+            load_marker_csv(p)
+
+    def test_satellite_group_needs_x_and_y(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("q2_deg,P1_x,P1_y,P01_x,P01_y,P02_y\n"
+                     "0,1,0,2,0,3\n-60,0.5,0.9,1,1.7,2.6\n-120,-0.5,0.9,-1,1.7,2.6\n")
+        with pytest.raises(DataLayoutError,
+                           match=f"{re.escape(str(p))}: missing column P02_x"):
             load_marker_csv(p)
 
     def test_missing_angle_column(self, tmp_path):
@@ -227,9 +239,9 @@ class TestStackedResampler:
     @staticmethod
     def _datasets(table1_path):
         yield load_marker_csv(table1_path)
-        for n, noise, sign in ((16, 0.05, 1), (8, 0.5, -1), (30, 0.01, 1)):
-            yield simulate_geometry_dataset(GEOM, np.radians(np.linspace(-140, 0, n)),
-                                            noise_mm=noise, seed=3, angle_sign=sign)
+        for n, noise, geom in ((16, 0.05, GEOM), (8, 0.5, MIRRORED), (30, 0.01, GEOM)):
+            yield simulate_geometry_dataset(geom, np.radians(np.linspace(-140, 0, n)),
+                                            noise_mm=noise, seed=3)
         ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=1)
         rng = np.random.default_rng(0)
         lift = [np.column_stack([t, 10.0 + rng.normal(0.0, 0.05, len(t))])

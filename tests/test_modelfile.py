@@ -161,7 +161,7 @@ def test_compensator_block_parsed(tmp_path):
           q2_sign: -1
         """)
     comp = load_model(_write(tmp_path, text)).compensator
-    assert comp.q2_sign == -1
+    assert comp.geometry.q2_sign == -1
     assert comp.elastics.s0_mm == pytest.approx(458.0)
     assert comp.geometry.a_mm == pytest.approx(np.hypot(25.0, 695.0))
 

@@ -7,7 +7,7 @@ from stiffcal.compensator import CompensatorGeometry
 from stiffcal.doe import CalibrationPlan, PlanEntry
 from stiffcal.errors import ConvergenceError
 from stiffcal.sim import (
-    DEFAULT_SATELLITE_OFFSETS,
+    SATELLITE_OFFSETS,
     GroundTruth,
     simulate_deflection_records,
     simulate_geometry_dataset,
@@ -26,7 +26,7 @@ class TestGeometryDataset:
     def test_satellites_ride_rigidly_with_the_cylinder(self):
         ds = simulate_geometry_dataset(GEOM, SWEEP)
         p0 = np.array([-25.0, -695.0])
-        for off, track in zip(DEFAULT_SATELLITE_OFFSETS, ds.satellites):
+        for off, track in zip(SATELLITE_OFFSETS, ds.satellites):
             r = np.linalg.norm(track - p0, axis=1)
             assert np.allclose(r, np.hypot(*off), atol=1e-12)
         # pairwise distance between satellites is constant (rigid body)
@@ -44,9 +44,10 @@ class TestGeometryDataset:
         rel = np.unwrap(b_sat - b_pin)
         assert np.ptp(rel) < 1e-12
 
-    def test_angle_sign_mirrors_the_sweep(self):
-        a = simulate_geometry_dataset(GEOM, SWEEP, angle_sign=1)
-        b = simulate_geometry_dataset(GEOM, SWEEP, angle_sign=-1)
+    def test_q2_sign_mirrors_the_sweep(self):
+        mirrored = CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0, q2_sign=-1.0)
+        a = simulate_geometry_dataset(GEOM, SWEEP)
+        b = simulate_geometry_dataset(mirrored, SWEEP)
         assert np.allclose(a.crank[:, 0], b.crank[:, 0], atol=1e-12)
         assert np.allclose(a.crank[:, 1], -b.crank[:, 1], atol=1e-12)
 
@@ -60,8 +61,6 @@ class TestGeometryDataset:
     def test_input_guards(self):
         with pytest.raises(ValueError, match="at least 3 sweep angles"):
             simulate_geometry_dataset(GEOM, np.radians([-10.0, -80.0]))
-        with pytest.raises(ValueError, match="angle_sign"):
-            simulate_geometry_dataset(GEOM, SWEEP, angle_sign=2)
 
 
 class TestDeflectionRecords:
