@@ -19,8 +19,7 @@ import numpy as np
 
 from stiffcal import (GroundTruth, NoiseModel, PlanConstraints, TestPose,
                       confidence_intervals_elasto, identify_elastostatics,
-                      load_model, optimize_plan, simulate_deflection_records,
-                      test_pose_accuracy)
+                      load_model, optimize_plan, simulate_deflection_records)
 
 BUCKETS_DEG = (-0.01, -25.24, -56.9, -99.85, -140.0)
 TEST_Q_DEG = (79.20, -0.01, -5.57, 51.00, -97.52, -91.67)
@@ -68,9 +67,8 @@ def main(argv=None):
         print(f"{lab:6s} {val:12.5e} {tr:12.5e} {half:10.2e} "
               f"{pct:5.1f}%{mark}")
 
-    acc = test_pose_accuracy(model, opt.plan, test, noise)
     print(f"\npredicted test-pose deflection uncertainty: "
-          f"{acc.rho0_mm * 1000:.1f} um (rms)")
+          f"{opt.accuracy.rho0_mm * 1000:.1f} um (rms)")
     return 0
 
 

@@ -145,22 +145,13 @@ def fit_circle_procrustes(points, angles_rad, angle_sign="auto") -> CircleFit:
         raise DegenerateGeometryError("all angles equal: circle fit is rank deficient")
 
     if angle_sign == "auto":
-        fits = {}
-        for sign in (1, -1):
-            mu, R, t, F, ok = _procrustes_once(p, _embed(a, sign))
-            if ok:
-                fits[sign] = (float(mu), R, t, float(F))
-        if not fits:
-            raise DegenerateGeometryError("circle fit degenerate for either angle direction")
-        sign = min(fits, key=lambda s: (fits[s][3], -s))
-        mu, R, t, F = fits[sign]
-        if mu <= 0.0:
-            raise DegenerateGeometryError("non-positive fitted radius: degenerate data")
+        F_plus, F_minus = (_procrustes_once(p, _embed(a, s))[3] for s in (1, -1))
+        sign = 1 if F_plus <= F_minus else -1
     else:
         sign = int(angle_sign)
         if sign not in (1, -1):
             raise ValueError("angle_sign must be +1, -1 or 'auto'")
-        mu, R, t, F = _fit_signed(p, a, sign)
+    mu, R, t, F = _fit_signed(p, a, sign)
     return CircleFit(center=t, radius=float(mu), R=R, angle_sign=sign,
                      residual_rms=float(np.sqrt(F / m)), n_points=m)
 

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,9 +213,17 @@ class TestPoseAccuracy:
     bucket_q2_rad: Tuple[float, ...]
 
 
+def _information(model: ManipulatorModel, q, wrench, repeats) -> np.ndarray:
+    """``repeats * A^T A`` of the sensitivity rows ``A`` of each configuration
+    in ``q`` (..., 6): the stack of information blocks (..., 5, 5)."""
+    A = sensitivity_rows(model, q, wrench)
+    return repeats * (A.swapaxes(-1, -2) @ A)
+
+
 def _bucket_variance(M: np.ndarray, A0: np.ndarray):
     """trace(A0 M^-1 A0^T) of each bucket in the stack ``M`` (..., w, w); inf
-    where ``M`` is singular."""
+    where ``M`` is singular or so near singular that the trace comes out
+    negative or NaN."""
     try:
         X = np.linalg.solve(M, np.broadcast_to(A0.T, M.shape[:-1] + A0.shape[:1]))
     except np.linalg.LinAlgError:
@@ -223,18 +231,8 @@ def _bucket_variance(M: np.ndarray, A0: np.ndarray):
             return math.inf
         flat = [_bucket_variance(m, A0) for m in M.reshape((-1,) + M.shape[-2:])]
         return np.reshape(flat, M.shape[:-2])
-    return np.sum(A0 * X.swapaxes(-1, -2), axis=(-2, -1))
-
-
-def _bucket_informations(model: ManipulatorModel, plan: CalibrationPlan,
-                         layout: ParameterLayout) -> List[np.ndarray]:
-    Ms = [np.zeros((5, 5)) for _ in range(layout.n_buckets)]
-    rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
-                            [e.wrench for e in plan.entries])
-    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries], "plan entry")
-    for e, A, b in zip(plan.entries, rows, bucket):
-        Ms[b] += e.repeats * (A.T @ A)
-    return Ms
+    t = np.sum(A0 * X.swapaxes(-1, -2), axis=(-2, -1))
+    return np.where(t >= 0, t, math.inf)
 
 
 def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
@@ -245,6 +243,8 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     where M_j is the information each bucket accumulates about its reduced
     parameter vector and A0 maps that vector to the tool deflection at the
     test pose.  Duplicating the plan doubles every M_j and halves rho0^2.
+    A bucket whose M_j is singular, or so near singular that its trace comes
+    out negative, raises ``IdentifiabilityError``.
     """
     layout = plan.layout()
     if layout.n_buckets < 3:
@@ -253,7 +253,12 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
             "are needed to separate the compensator afterwards", RuntimeWarning,
             stacklevel=2)
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
-    t = _bucket_variance(np.array(_bucket_informations(model, plan, layout)), A0)
+    q = np.array([e.q_rad for e in plan.entries])
+    Ms = np.zeros((layout.n_buckets, 5, 5))
+    repeats = np.array([e.repeats for e in plan.entries])[:, None, None]
+    np.add.at(Ms, layout.bucket_of(q[:, 1]),
+              _information(model, q, [e.wrench for e in plan.entries], repeats))
+    t = _bucket_variance(Ms, A0)
     singular = np.flatnonzero(t == math.inf)
     if singular.size:
         raise IdentifiabilityError(
@@ -262,7 +267,7 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
             "does not excite every compliance there")
     per_bucket = (noise.sigma_mm**2 * t).tolist()
     rho_sq = sum(per_bucket)
-    return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(max(rho_sq, 0.0)),
+    return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(rho_sq),
                             per_bucket_mm2=tuple(per_bucket),
                             bucket_q2_rad=layout.bucket_q2_rad)
 
@@ -278,7 +283,7 @@ def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
     layout = plan.layout()
     rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
                             [e.wrench for e in plan.entries])
-    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries], "plan entry")
+    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries])
     weight = np.sqrt([e.repeats for e in plan.entries])[:, None, None]
     B = layout.place(weight * rows, bucket).reshape(-1, layout.n_params)
     _, s, Vt = factor_regressor(B, layout)
@@ -369,12 +374,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     def gram(q: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += q.size // 6
-        A = sensitivity_rows(model, q, wrench)
-        return repeats * (A.swapaxes(-1, -2) @ A)
-
-    def bucket_term(M: np.ndarray) -> np.ndarray:
-        t = _bucket_variance(M, A0)
-        return np.where(t >= 0, t, math.inf)
+        return _information(model, q, wrench, repeats)
 
     # (start, bucket, config, 6) poses, their repeats * A^T A, and each bucket's sum
     configs = np.array([[[_random_config(rng, b, constraints)
@@ -384,7 +384,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                                     for s in range(n_starts))])
     G = gram(configs)
     Ms = sum(G[:, :, c] for c in range(configs_per_bucket))
-    terms = bucket_term(Ms).tolist()
+    terms = _bucket_variance(Ms, A0).tolist()
     totals = [sum(t) for t in terms]
     start_values = tuple(noise.sigma_mm**2 * t for t in totals)
     for level in range(n_levels):
@@ -407,7 +407,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                     G_try = gram(q_try)
                     base = (Ms[active] - G[active][:, :, c]).reshape((-1,) + Ms.shape[-2:])
                     M_try = np.repeat(base, counts, axis=0) + G_try
-                    t_try = bucket_term(M_try).tolist()
+                    t_try = _bucket_variance(M_try, A0).tolist()
                     stop = 0
                     for (s, b), size in zip(product(active, range(layout.n_buckets)),
                                             counts.tolist()):

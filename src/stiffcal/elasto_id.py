@@ -141,10 +141,10 @@ class ParameterLayout:
     def n_params(self) -> int:
         return self.n_buckets + 4
 
-    def bucket_of(self, q2_rad, context: str = "record") -> np.ndarray:
+    def bucket_of(self, q2_rad) -> np.ndarray:
         """Index of the first bucket within ``BUCKET_TOL_RAD`` of each joint-2
         angle, shaped as ``q2_rad``; raises for the first angle (in flat
-        order ``i``, named ``<context> <i>``) that matches no bucket."""
+        order ``i``, named ``record <i>``) that matches no bucket."""
         q2 = np.asarray(q2_rad, dtype=float)
         near = np.abs(q2[..., None] - np.array(self.bucket_q2_rad)) <= BUCKET_TOL_RAD
         miss = np.flatnonzero(~near.any(axis=-1))
@@ -152,7 +152,7 @@ class ParameterLayout:
             i = int(miss[0])
             have = ", ".join(f"{math.degrees(b):.2f}" for b in self.bucket_q2_rad)
             raise DataLayoutError(
-                f"{context} {i}: joint-2 angle {math.degrees(q2.flat[i]):.3f} deg "
+                f"record {i}: joint-2 angle {math.degrees(q2.flat[i]):.3f} deg "
                 f"matches no layout bucket (have: {have} deg, tol "
                 f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
         return near.argmax(axis=-1)

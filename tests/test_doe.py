@@ -20,7 +20,6 @@ from stiffcal.doe import (
     parameter_covariance,
     save_plan_csv,
     sensitivity_rows,
-    _bucket_informations,
     _bucket_variance,
     _random_config,
 )
@@ -129,7 +128,8 @@ class TestSensitivityRows:
 
 class TestAccuracyMetric:
     def test_bucket_variance_stack_with_singular_member(self, model, plan, test_pose):
-        """A stack scores each member as alone; a singular one scores inf."""
+        """A stack scores each member as alone; a singular one, or one whose
+        trace comes out negative, scores inf."""
         A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
         rows = sensitivity_rows(model, np.array([e.q_rad for e in plan.entries[:6]]),
                                 test_pose.w)
@@ -138,13 +138,16 @@ class TestAccuracyMetric:
         assert np.isfinite(single).all()
         assert np.array_equal(_bucket_variance(Ms, A0), single)
         Ms[1, 0] = 0.0
+        Ms[0, 2] *= -1.0
         expected = single.copy()
-        expected[1, 0] = np.inf
+        expected[1, 0] = expected[0, 2] = np.inf
         assert _bucket_variance(Ms[1, 0], A0) == math.inf
+        assert _bucket_variance(Ms[0, 2], A0) == math.inf
         assert np.array_equal(_bucket_variance(Ms, A0), expected)
 
-    def test_information_matches_per_entry_rows(self, model, plan):
-        """The plan-wide row stack accumulates each entry's own rows and wrench."""
+    def test_information_matches_per_entry_rows(self, model, plan, test_pose):
+        """The plan-wide row stack accumulates each entry's own rows, wrench
+        and repeats, bucket by bucket in entry order."""
         rng = np.random.default_rng(2)
         mixed = CalibrationPlan(tuple(
             PlanEntry(e.q_rad, tuple(rng.normal(0.0, 1e3, 6)), e.repeats + i % 2)
@@ -154,8 +157,11 @@ class TestAccuracyMetric:
         for e in mixed.entries:
             A = sensitivity_rows(model, e.q, e.w)
             ref[lay.bucket_of(e.q_rad[1])] += e.repeats * (A.T @ A)
-        Ms = _bucket_informations(model, mixed, lay)
-        assert all(np.array_equal(M, R) for M, R in zip(Ms, ref))
+        A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
+        want = NOISE.sigma_mm**2 * _bucket_variance(np.array(ref), A0)
+        acc = pose_accuracy(model, mixed, test_pose, NOISE)
+        assert np.isfinite(want).all()
+        assert np.array(acc.per_bucket_mm2).tobytes() == want.tobytes()
 
     def test_replication_halves_exactly(self, model, plan, test_pose):
         acc1 = pose_accuracy(model, plan, test_pose, NOISE)
@@ -188,6 +194,16 @@ class TestAccuracyMetric:
             _w.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(IdentifiabilityError, match=r"bucket at -70\.00 deg"):
                 pose_accuracy(model, plan, test_pose, NOISE)
+
+    def test_near_singular_bucket_raises(self, model, test_pose):
+        """One configuration per bucket with the wrist all but straight
+        (q5 = 1e-9 rad): the solve goes through, but the -0.01 deg bucket's
+        trace comes out negative, which must not pass for a tiny variance."""
+        plan = CalibrationPlan(tuple(
+            PlanEntry((0.3, math.radians(b), 0.2, 0.5, 1e-9, 0.1), test_pose.wrench)
+            for b in (-0.01, -25.24, -140.0)))
+        with pytest.raises(IdentifiabilityError, match=r"bucket at -0\.01 deg"):
+            pose_accuracy(model, plan, test_pose, NOISE)
 
     def test_monte_carlo_agreement_small(self, model, test_pose):
         """rho0^2 equals the simulated estimator error within MC tolerance.

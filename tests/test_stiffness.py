@@ -21,6 +21,9 @@ from stiffcal.stiffness import (
 
 TEST_Q = np.radians([79.20, -0.01, -5.57, 51.00, -97.52, -91.67])
 LOAD = np.array([0.0, 0.0, -2600.0, 0.0, 0.0, 0.0])
+# wrist straight (q5 = 0): joints 4 and 6 turn about one line, the tool
+# Jacobian at theta = 0 loses a rank
+WRIST_STRAIGHT_Q = np.radians([10.0, -60.0, 20.0, 30.0, 0.0, 40.0])
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,11 @@ class TestEquilibrium:
         assert not st.converged and st.iterations == 0
         assert np.array_equal(st.theta, np.zeros(6))
 
+    def test_dual_at_singular_pose_raises(self, model, comp):
+        with pytest.raises(SingularConfigurationError, match="singular tool Jacobian"):
+            solve_equilibrium(model, comp, WRIST_STRAIGHT_Q,
+                              target=fk(model, WRIST_STRAIGHT_Q))
+
     def test_wrench_balance_residual_small(self, model, comp):
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
         assert st.residual_wrench_rel < 1e-10
@@ -127,6 +135,14 @@ class TestCartesianStiffness:
         J = _point_jacobian(cs, cs.tool_p)
         ref = np.linalg.inv(J @ np.linalg.solve(K, J.T))
         assert np.allclose(Kc, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
+
+    def test_singular_pose_raises(self, weightless, comp):
+        """Without gravity the equilibrium stays at theta = 0, on the
+        singularity (the model's gravity moves theta off it)."""
+        st = solve_equilibrium(weightless, comp, WRIST_STRAIGHT_Q)
+        assert np.array_equal(st.theta, np.zeros(6))
+        with pytest.raises(SingularConfigurationError, match="singular tool Jacobian"):
+            cartesian_stiffness(weightless, comp, st)
 
     def test_force_probe_matches_derivative(self, model, comp):
         """K_C predicts the wrench change for a small prescribed pose shift."""
