@@ -9,6 +9,12 @@ buckets, and exactly halved by plan replication.
 
 Angles are searched by cyclic coordinate descent over the free joints with
 a shrinking grid, from several random feasible plans searched in lockstep.
+The search builds the chain of each configuration once and carries its
+frames (joint centres and axes, tool and marker points); a line search over
+joint j turns the frames after joint j about that joint's axis for every
+candidate angle, instead of rebuilding the whole chain.  The rows of turned
+frames and of the chain go through one row builder, and the final plan is
+scored from the chain itself.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .elasto_id import ParameterLayout, factor_regressor
 from .errors import DataLayoutError, IdentifiabilityError
-from .robot import ManipulatorModel, chain_state, _point_jacobian
+from .robot import ManipulatorModel, chain_state, _cross, _point_jacobian
 from .tables import read_table, write_table
 
 # Records per plan row: ``simulate deflections`` emits one per repeat and marker.
@@ -172,6 +178,37 @@ def load_plan_csv(path) -> CalibrationPlan:
 # sensitivity rows and the accuracy metric
 
 
+class _Joints(NamedTuple):
+    """The joint centres and world axes :func:`_point_jacobian` reads."""
+
+    joint_p: np.ndarray
+    joint_axis: np.ndarray
+
+
+def _marker_points(model: ManipulatorModel, st) -> np.ndarray:
+    """World points of the markers at the chain state ``st``: (..., n_markers, 3)."""
+    offs = np.reshape(model.markers, (-1, 3))
+    return (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0] + st.tool_p[..., None, :]
+
+
+def _rows(joints, tool: np.ndarray, markers: Optional[np.ndarray], wrench, *,
+          first: int = 1) -> np.ndarray:
+    """Sensitivity rows (see :func:`sensitivity_rows`) of the marker points
+    (..., n_markers, 3), or of the tool point when ``markers`` is None, with
+    joints ``first``.. as columns; one :func:`_point_jacobian` call per point."""
+    Jt = _point_jacobian(joints, tool)
+    w = np.asarray(wrench, dtype=float)
+    tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
+    if markers is None:
+        return Jt[..., :3, first:] * tau[..., None, first:]
+    n_markers = markers.shape[-2]
+    A = np.zeros(tau.shape[:-1] + (3 * n_markers, 6 - first))
+    for m in range(n_markers):
+        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(joints, markers[..., m, :])[..., :3, first:]
+                                      * tau[..., None, first:])
+    return A
+
+
 def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
                      include_joint1: bool = False,
                      tool_only: bool = False) -> np.ndarray:
@@ -185,20 +222,50 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     ``(..., rows, cols)``, each equal to its own single-configuration call.
     """
     st = chain_state(model, q, np.zeros(6))
-    Jt = _point_jacobian(st, st.tool_p)
-    w = np.asarray(wrench, dtype=float)
-    tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    first = 0 if include_joint1 else 1
-    if tool_only:
-        return Jt[..., :3, first:] * tau[..., None, first:]
-    offs = np.reshape(model.markers, (-1, 3))
-    pts = (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0]
-    points = [pts[..., m, :] + st.tool_p for m in range(len(offs))]
-    A = np.zeros(tau.shape[:-1] + (3 * len(points), 6 - first))
-    for m, pt in enumerate(points):
-        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(st, pt)[..., :3, first:]
-                                      * tau[..., None, first:])
-    return A
+    return _rows(st, st.tool_p, None if tool_only else _marker_points(model, st), wrench,
+                 first=0 if include_joint1 else 1)
+
+
+# Rows of a frames array: joint i's centre at 2i and world axis at 2i + 1,
+# then the tool point, then the marker points.  Everything after joint j is
+# the slice 2j + 2:, which turns with joint j.
+_TOOL = 12
+
+
+def _frames(model: ManipulatorModel, q) -> np.ndarray:
+    """Frames of each configuration in ``q`` (..., 6) at theta = 0, from one
+    :func:`chain_state` call: (..., 13 + n_markers, 3)."""
+    st = chain_state(model, q, np.zeros(6))
+    F = np.empty(st.tool_p.shape[:-1] + (_TOOL + 1 + len(model.markers), 3))
+    F[..., 0:_TOOL:2, :] = st.joint_p
+    F[..., 1:_TOOL:2, :] = st.joint_axis
+    F[..., _TOOL, :] = st.tool_p
+    F[..., _TOOL + 1:, :] = _marker_points(model, st)
+    return F
+
+
+def _candidates(q: np.ndarray, F: np.ndarray, joint: int, counts: np.ndarray,
+                grid: np.ndarray):
+    """Line-search candidates: pose ``i`` of ``q`` (n, 6) ``counts[i]`` times,
+    with ``joint`` set to the grid values in turn, and their frames, turned
+    from the poses' frames ``F`` (n, P, 3).  Every point and axis after
+    ``joint`` turns about the joint's world axis ``a`` through its centre
+    ``o`` by the change ``d`` of its angle:
+    ``v -> v cos d + (a x v) sin d + a (a . v)(1 - cos d)``, ``v`` taken from
+    ``o`` for a point."""
+    q_try = np.repeat(q, counts, axis=0)
+    delta = grid - q_try[:, joint]
+    q_try[:, joint] = grid
+    F_try = np.repeat(F, counts, axis=0)
+    point = np.ones((F.shape[-2], 1))   # 0 on the axis rows, which turn about the origin
+    point[1:_TOOL:2] = 0.0
+    a = F_try[:, 2 * joint + 1, None, :]
+    o = F_try[:, 2 * joint, None, :] * point[2 * joint + 2:]
+    v = F_try[:, 2 * joint + 2:, :] - o
+    c = np.cos(delta)[:, None, None]
+    F_try[:, 2 * joint + 2:, :] = (v * c + _cross(a, v) * np.sin(delta)[:, None, None]
+                                   + a * (v @ a.swapaxes(-1, -2)) * (1.0 - c) + o)
+    return q_try, F_try
 
 
 @dataclass
@@ -213,10 +280,13 @@ class TestPoseAccuracy:
     bucket_q2_rad: Tuple[float, ...]
 
 
-def _information(model: ManipulatorModel, q, wrench, repeats) -> np.ndarray:
-    """``repeats * A^T A`` of the sensitivity rows ``A`` of each configuration
-    in ``q`` (..., 6): the stack of information blocks (..., 5, 5)."""
-    A = sensitivity_rows(model, q, wrench)
+def _information(F: np.ndarray, wrench, repeats) -> np.ndarray:
+    """``repeats * A^T A`` of the sensitivity rows ``A`` of each configuration's
+    frames in ``F`` (..., P, 3): the stack of information blocks (..., 5, 5)."""
+    # one contiguous copy of the joints serves the four point Jacobians faster
+    # than the strided rows of ``F``
+    joints = _Joints(*(np.ascontiguousarray(F[..., i:_TOOL:2, :]) for i in (0, 1)))
+    A = _rows(joints, F[..., _TOOL, :], F[..., _TOOL + 1:, :], wrench)
     return repeats * (A.swapaxes(-1, -2) @ A)
 
 
@@ -257,7 +327,7 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     Ms = np.zeros((layout.n_buckets, 5, 5))
     repeats = np.array([e.repeats for e in plan.entries])[:, None, None]
     np.add.at(Ms, layout.bucket_of(q[:, 1]),
-              _information(model, q, [e.wrench for e in plan.entries], repeats))
+              _information(_frames(model, q), [e.wrench for e in plan.entries], repeats))
     t = _bucket_variance(Ms, A0)
     singular = np.flatnonzero(t == math.inf)
     if singular.size:
@@ -336,12 +406,29 @@ def _candidate_grids(joint: int, centres: np.ndarray, span: float,
     the centre itself: ``(counts, values)``, the values centre by centre."""
     windows = (constraints.q1_windows() if joint == 0
                else (constraints.joint_limits_rad[joint],))
-    g = np.sort(np.concatenate([
-        np.linspace(np.maximum(lo, c - span), np.minimum(hi, c + span), n_grid, axis=-1)
-        for lo, hi in windows for c in (np.clip(centres, lo, hi),)], axis=-1), axis=-1)
+    grids = [_linspace(np.maximum(lo, c - span), np.minimum(hi, c + span), n_grid)
+             for lo, hi in windows for c in (np.minimum(np.maximum(centres, lo), hi),)]
+    g = grids[0] if len(grids) == 1 else np.sort(np.concatenate(grids, axis=-1), axis=-1)
     keep = g != centres[:, None]
     keep[:, 1:] &= g[:, 1:] != g[:, :-1]
     return keep.sum(axis=1), g[keep]
+
+
+def _linspace(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """``np.linspace(start, stop, n, axis=-1)`` of 1-D ``start`` and ``stop``,
+    bit for bit (its products, in its order), without its per-call checks."""
+    k = np.arange(n, dtype=float)
+    div = max(n - 1, 1)
+    delta = stop - start
+    step = delta / div
+    if (step == 0).any():   # numpy's path when some step vanishes
+        g = (k / div) * delta[:, None]
+    else:
+        g = k * step[:, None]
+    g += start[:, None]
+    if n > 1:
+        g[:, -1] = stop
+    return g
 
 
 def optimize_plan(model: ManipulatorModel, test: TestPose,
@@ -359,30 +446,34 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     gravity-direction wrench from ``constraints``.  Each step (config, joint)
     scores the grids of every bucket of every start still improving as one
     stack; the starts do not interact.  Deterministic for a fixed seed.  A
-    bucket outside joint 2's limits raises ``ValueError``.
+    bucket outside joint 2's limits, ``n_levels`` below 0 or another count
+    below 1 raises ``ValueError``.
     """
     layout = constraints.bucket_layout(bucket_q2_rad)
-    for name, count in (("configs_per_bucket", configs_per_bucket),
-                        ("repeats", repeats), ("n_starts", n_starts)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    for name, count, least in (("configs_per_bucket", configs_per_bucket, 1),
+                               ("repeats", repeats, 1), ("n_starts", n_starts, 1),
+                               ("n_grid", n_grid, 1), ("n_levels", n_levels, 0)):
+        if count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
     wrench = constraints.wrench()
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
     joints = _searched_joints(model, wrench)
     n_eval = 0
 
-    def gram(q: np.ndarray) -> np.ndarray:
+    def gram(F: np.ndarray) -> np.ndarray:
         nonlocal n_eval
-        n_eval += q.size // 6
-        return _information(model, q, wrench, repeats)
+        n_eval += F[..., 0, 0].size
+        return _information(F, wrench, repeats)
 
-    # (start, bucket, config, 6) poses, their repeats * A^T A, and each bucket's sum
+    # (start, bucket, config, 6) poses, their frames, their repeats * A^T A,
+    # and each bucket's sum
     configs = np.array([[[_random_config(rng, b, constraints)
                           for _ in range(configs_per_bucket)]
                          for b in layout.bucket_q2_rad]
                         for rng in (np.random.default_rng((seed, s))
                                     for s in range(n_starts))])
-    G = gram(configs)
+    frames = _frames(model, configs)
+    G = gram(frames)
     Ms = sum(G[:, :, c] for c in range(configs_per_bucket))
     terms = _bucket_variance(Ms, A0).tolist()
     totals = [sum(t) for t in terms]
@@ -397,15 +488,16 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
             for c in range(configs_per_bucket):
                 for j in joints:
                     lo, hi = constraints.joint_limits_rad[j]
-                    q_cur = configs[active][:, :, c].reshape(-1, 6)
+                    q_cur = configs[active, :, c].reshape(-1, 6)
                     counts, grid = _candidate_grids(j, q_cur[:, j], (hi - lo) / scale,
                                                     constraints, n_grid)
                     if not grid.size:
                         continue
-                    q_try = np.repeat(q_cur, counts, axis=0)
-                    q_try[:, j] = grid
-                    G_try = gram(q_try)
-                    base = (Ms[active] - G[active][:, :, c]).reshape((-1,) + Ms.shape[-2:])
+                    q_try, F_try = _candidates(
+                        q_cur, frames[active, :, c].reshape((-1,) + frames.shape[-2:]),
+                        j, counts, grid)
+                    G_try = gram(F_try)
+                    base = (Ms[active] - G[active, :, c]).reshape((-1,) + Ms.shape[-2:])
                     M_try = np.repeat(base, counts, axis=0) + G_try
                     t_try = _bucket_variance(M_try, A0).tolist()
                     stop = 0
@@ -420,6 +512,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                                 best_val, best = val, k
                         if best is not None:
                             configs[s, b, c] = q_try[best]
+                            frames[s, b, c] = F_try[best]
                             G[s, b, c] = G_try[best]
                             Ms[s, b] = M_try[best]
                             terms[s][b] = t_try[best]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import optimize_plan_sequential
 from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, replicated, spread_plan
@@ -21,12 +23,16 @@ from stiffcal.doe import (
     save_plan_csv,
     sensitivity_rows,
     _bucket_variance,
+    _candidate_grids,
+    _candidates,
+    _frames,
+    _information,
     _random_config,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
 from stiffcal.elasto_id import ParameterLayout, build_regressor, identify_compliances
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
-from stiffcal.robot import FrameSpec
+from stiffcal.robot import FrameSpec, chain_state, marker_positions
 from stiffcal.sim import simulate_deflection_records
 
 CONSTRAINTS = PlanConstraints(
@@ -124,6 +130,87 @@ class TestSensitivityRows:
             assert np.array_equal(each[idx], one)
             assert np.array_equal(shared[idx],
                                   sensitivity_rows(model, q[idx], w[1, 2], **kw))
+
+
+class TestFrames:
+    """The plan search carries each configuration's frames and turns them
+    for its line-search candidates instead of rebuilding the chain."""
+
+    def test_frames_hold_the_chain_state(self, model):
+        """Joint i's centre and axis at rows 2i and 2i + 1, then the tool
+        point, then the markers."""
+        q = np.random.default_rng(3).uniform(-np.pi, np.pi, (2, 3, 6))
+        F = _frames(model, q)
+        cs = chain_state(model, q, np.zeros(6))
+        assert F.shape == (2, 3, 13 + len(model.markers), 3)
+        assert np.array_equal(F[..., 0:12:2, :], cs.joint_p)
+        assert np.array_equal(F[..., 1:12:2, :], cs.joint_axis)
+        assert np.array_equal(F[..., 12, :], cs.tool_p)
+        np.testing.assert_allclose(F[..., 13:, :], marker_positions(model, q),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_information_of_chain_frames_is_from_sensitivity_rows(self, model):
+        """The search's information blocks, built from the rows of a frames
+        array, are ``repeats * A^T A`` of ``sensitivity_rows`` bit for bit."""
+        rng = np.random.default_rng(8)
+        q = rng.uniform(-np.pi, np.pi, (2, 4, 6))
+        w = rng.normal(0.0, 1e3, (2, 4, 6))
+        A = sensitivity_rows(model, q, w)
+        assert (_information(_frames(model, q), w, 3).tobytes()
+                == (3 * (A.swapaxes(-1, -2) @ A)).tobytes())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_turned_frames_match_the_chain(self, model, seed, joint, tilt):
+        """Turning each pose's frames about ``joint`` to every grid value
+        gives the frames ``chain_state`` builds at the new angle, for a stack
+        of poses with their own grid sizes, and for a base that tilts joint 1."""
+        if tilt:
+            model = dataclasses.replace(model, base=TestOptimizer.ROLLED)
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-np.pi, np.pi, (3, 6))
+        counts = rng.integers(0, 5, 3)
+        grid = np.repeat(q[:, joint], counts) + rng.uniform(-np.pi, np.pi, counts.sum())
+        q_try, F_try = _candidates(q, _frames(model, q), joint, counts, grid)
+        expected = np.repeat(q, counts, axis=0)
+        expected[:, joint] = grid
+        assert np.array_equal(q_try, expected)
+        np.testing.assert_allclose(F_try, _frames(model, q_try), rtol=0.0, atol=1e-9)
+
+
+def _candidate_grids_linspace(joint, centres, span, constraints, n_grid):
+    """``doe._candidate_grids`` as written over ``np.linspace``."""
+    windows = (constraints.q1_windows() if joint == 0
+               else (constraints.joint_limits_rad[joint],))
+    g = np.sort(np.concatenate([
+        np.linspace(np.maximum(lo, c - span), np.minimum(hi, c + span), n_grid, axis=-1)
+        for lo, hi in windows for c in (np.clip(centres, lo, hi),)], axis=-1), axis=-1)
+    keep = g != centres[:, None]
+    keep[:, 1:] &= g[:, 1:] != g[:, :-1]
+    return keep.sum(axis=1), g[keep]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4),
+       st.sampled_from([1.0, 1e-3, 1e-20]))
+@settings(max_examples=150, deadline=None)
+def test_candidate_grids_match_linspace(seed, n_grid, case, span_scale):
+    """The line-search grids equal ``np.linspace``'s bit for bit: one window,
+    two windows (given in descending order, overlapping, or sharing an end),
+    and joints 3..6 on their limits; a span below the centres' rounding
+    (1e-20) takes numpy's vanishing-step path."""
+    rng = np.random.default_rng(seed)
+    windows = (None, ((0.3, 0.6), (-1.0, -0.2)), ((-1.0, 0.4), (-0.5, 0.6)),
+               ((-1.0, -0.2), (-0.2, 0.6)), ((-1.0, 0.6),))[case]
+    cons = PlanConstraints(CONSTRAINTS.joint_limits_rad, q1_intervals_rad=windows)
+    joint = 0 if windows else int(rng.integers(2, 6))
+    lo, hi = cons.q1_windows()[0] if windows else cons.joint_limits_rad[joint]
+    centres = rng.uniform(lo - 0.2, hi + 0.2, 12)
+    centres[:4] = (lo, hi, 0.0, -0.2)                    # on the limits and the shared end
+    span = span_scale * rng.uniform(0.01, 2.0)
+    got = _candidate_grids(joint, centres, span, cons, n_grid)
+    want = _candidate_grids_linspace(joint, centres, span, cons, n_grid)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestAccuracyMetric:
@@ -408,24 +495,30 @@ class TestOptimizer:
         return [_random_config(rng, b, cons)[0] for b in sorted(self.BUCKETS3, reverse=True)
                 for _ in range(self.SMALL["configs_per_bucket"])]
 
-    @pytest.mark.parametrize("n_starts, windows, seed, tilt", [
-        (1, None, 3, False),            # the pinned problem
-        (3, TWO_WINDOWS, 11, False),
-        (3, TWO_WINDOWS, 11, True),     # q1 searched over both windows
-        (2, ((-1.0, -0.2), (-0.2, 0.6)), 5, True),   # windows sharing an end
+    # the ``design`` benchmark workload's size: about 100 accepted moves per
+    # start, each carrying its turned frames into the next line search
+    DESIGN = dict(configs_per_bucket=3, repeats=3, n_grid=7, n_levels=3)
+
+    @pytest.mark.parametrize("n_starts, windows, seed, tilt, design", [
+        (1, None, 3, False, False),            # the pinned problem
+        (3, TWO_WINDOWS, 11, False, False),
+        (3, TWO_WINDOWS, 11, True, False),     # q1 searched over both windows
+        (2, ((-1.0, -0.2), (-0.2, 0.6)), 5, True, False),   # windows sharing an end
+        (2, None, 1, False, True),             # the design workload, seed 1
     ])
-    def test_lockstep_matches_sequential_search(self, model, test_pose,
-                                                n_starts, windows, seed, tilt):
+    def test_lockstep_matches_sequential_search(self, model, test_pose, n_starts,
+                                                windows, seed, tilt, design):
         """Stacking every start and bucket into one line search picks the
         same q2..q6 as searching them one at a time, q1 included (and the
         same q1 where it moves rho0)."""
         if tilt:
             model = dataclasses.replace(model, base=self.ROLLED)
         cons = PlanConstraints(CONSTRAINTS.joint_limits_rad, q1_intervals_rad=windows)
-        kw = dict(self.SMALL, n_starts=n_starts, seed=seed)
-        opt = optimize_plan(model, test_pose, self.BUCKETS3, cons, NOISE, **kw)
+        buckets = tuple(np.radians(BUCKETS_DEG)) if design else self.BUCKETS3
+        kw = dict(self.DESIGN if design else self.SMALL, n_starts=n_starts, seed=seed)
+        opt = optimize_plan(model, test_pose, buckets, cons, NOISE, **kw)
         plan, rho_sq, start_values, n_eval = optimize_plan_sequential(
-            model, test_pose, self.BUCKETS3, cons, NOISE, **kw)
+            model, test_pose, buckets, cons, NOISE, **kw)
         q = np.array([e.q_rad for e in opt.plan.entries])
         q_seq = np.array([e.q_rad for e in plan.entries])
         first = 0 if tilt else 1
@@ -450,14 +543,20 @@ class TestOptimizer:
         """Under the vertical load q1 cannot move rho0: plan.csv holds the
         random draw, and no evaluated pose has a q1 off the draws."""
         seen = []
-        rows = doe.sensitivity_rows
+        frames, candidates = doe._frames, doe._candidates
 
-        def recording(model, q, wrench, **kw):
-            if not kw.get("tool_only"):
+        def framing(model, q):
+            if np.ndim(q) > 1:   # the starts and the final plan, not the test pose
                 seen.append(np.reshape(q, (-1, 6)))
-            return rows(model, q, wrench, **kw)
+            return frames(model, q)
 
-        monkeypatch.setattr(doe, "sensitivity_rows", recording)
+        def turning(q, F, joint, counts, grid):
+            q_try, F_try = candidates(q, F, joint, counts, grid)
+            seen.append(q_try)
+            return q_try, F_try
+
+        monkeypatch.setattr(doe, "_frames", framing)
+        monkeypatch.setattr(doe, "_candidates", turning)
         cons = PlanConstraints(CONSTRAINTS.joint_limits_rad,
                                q1_intervals_rad=self.TWO_WINDOWS)
         opt = optimize_plan(model, test_pose, self.BUCKETS3, cons, NOISE,
@@ -468,7 +567,7 @@ class TestOptimizer:
         with open(tmp_path / "plan.csv", newline="") as fh:
             q1_deg = [row["q1_deg"] for row in csv.DictReader(fh)]
         assert q1_deg == [f"{math.degrees(v):.10g}" for v in draws]
-        # the last recorded call scores the final plan; the rest are the search's
+        # the last recorded frames score the final plan; the rest are the search's
         evaluated = np.concatenate(seen[:-1])
         assert len(evaluated) == opt.n_evaluations
         assert set(evaluated[:, 0].tolist()) == set(draws)
@@ -514,11 +613,21 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="outside joint 2's limits"):
             optimize_plan(model, test_pose, buckets, CONSTRAINTS, NOISE, n_starts=1)
 
-    @pytest.mark.parametrize("count", ["configs_per_bucket", "repeats", "n_starts"])
-    def test_counts_below_one_rejected(self, model, test_pose, count):
-        with pytest.raises(ValueError, match=f"{count} must be >= 1"):
+    @pytest.mark.parametrize("count, value, least", [
+        ("configs_per_bucket", 0, 1), ("repeats", 0, 1), ("n_starts", 0, 1),
+        ("n_grid", 0, 1), ("n_grid", -1, 1), ("n_levels", -1, 0)])
+    def test_counts_below_their_least_rejected(self, model, test_pose, count, value,
+                                               least):
+        with pytest.raises(ValueError, match=f"{count} must be >= {least}, got {value}"):
             optimize_plan(model, test_pose, np.radians(BUCKETS_DEG),
-                          CONSTRAINTS, NOISE, **{count: 0})
+                          CONSTRAINTS, NOISE, **{count: value})
+
+    def test_no_levels_keeps_the_best_start(self, model, test_pose):
+        opt = optimize_plan(model, test_pose, self.BUCKETS3, CONSTRAINTS, NOISE,
+                            n_starts=3, n_levels=0, seed=4, configs_per_bucket=2)
+        assert opt.n_evaluations == 3 * 3 * 2
+        assert opt.accuracy.rho0_sq_mm2 == pytest.approx(min(opt.start_values_mm2),
+                                                         rel=1e-12)
 
     def test_no_finite_start_raises(self, model, test_pose):
         cons = PlanConstraints(joint_limits_rad=CONSTRAINTS.joint_limits_rad,
