@@ -95,18 +95,23 @@ def _embed(a: np.ndarray, sign: int) -> np.ndarray:
     return np.column_stack([np.cos(sign * a), np.sin(sign * a)])
 
 
-def _fit_signed(p: np.ndarray, a: np.ndarray, sign: int):
-    """Procrustes fit with a fixed angle sign of each point set in ``p``
-    (..., m, 2): ``(mu, R, t, F)``.  Raises if any set is degenerate, fits
-    the mirrored convention far better (a sign mismatch, not noise) or gets
-    a non-positive radius."""
-    mu, R, t, F, ok = _procrustes_once(p, _embed(a, sign))
+def _fit_signed(p: np.ndarray, a: np.ndarray, sign):
+    """Procrustes fit of each point set in ``p`` (..., m, 2) with the angle
+    sign +1, -1 or, for a single set, "auto": the sign whose fit leaves the
+    smaller residual, +1 on a tie.  Fits both signs once and returns
+    ``(sign, mu, R, t, F)``.  Raises if any set is degenerate, fits the
+    mirrored convention far better (a sign mismatch, not noise) or gets a
+    non-positive radius."""
+    fits = [_procrustes_once(p, _embed(a, s)) for s in (1, -1)]
+    if sign == "auto":
+        sign = 1 if fits[0][3] <= fits[1][3] else -1
+    # the fit of the chosen sign, then the mirrored one
+    (mu, R, t, F, ok), (*_, F_mirror, ok_mirror) = fits[::sign]
     if not ok.all():
         raise DegenerateGeometryError(
             "angle embedding is rank deficient (angles span a degenerate arc)")
     # Diagnose an angle-direction mismatch: the mirrored convention
     # fitting far better than the requested one is not noise.
-    *_, F_mirror, ok_mirror = _procrustes_once(p, _embed(a, -sign))
     F_mirror = np.where(ok_mirror, F_mirror, np.inf)
     scale = np.maximum(1.0, np.abs(mu))
     if np.any((F > 4.0 * F_mirror) & (np.sqrt(F / a.shape[0]) > 1e-9 * scale)):
@@ -115,7 +120,7 @@ def _fit_signed(p: np.ndarray, a: np.ndarray, sign: int):
             f"angles flipped (angle_sign={-sign})")
     if np.any(mu <= 0.0):
         raise DegenerateGeometryError("non-positive fitted radius: degenerate data")
-    return mu, R, t, F
+    return sign, mu, R, t, F
 
 
 def fit_circle_procrustes(points, angles_rad, angle_sign="auto") -> CircleFit:
@@ -144,14 +149,10 @@ def fit_circle_procrustes(points, angles_rad, angle_sign="auto") -> CircleFit:
     if np.ptp(a) < 1e-12:
         raise DegenerateGeometryError("all angles equal: circle fit is rank deficient")
 
-    if angle_sign == "auto":
-        F_plus, F_minus = (_procrustes_once(p, _embed(a, s))[3] for s in (1, -1))
-        sign = 1 if F_plus <= F_minus else -1
-    else:
-        sign = int(angle_sign)
-        if sign not in (1, -1):
-            raise ValueError("angle_sign must be +1, -1 or 'auto'")
-    mu, R, t, F = _fit_signed(p, a, sign)
+    sign = angle_sign if angle_sign == "auto" else int(angle_sign)
+    if sign not in (1, -1, "auto"):
+        raise ValueError("angle_sign must be +1, -1 or 'auto'")
+    sign, mu, R, t, F = _fit_signed(p, a, sign)
     return CircleFit(center=t, radius=float(mu), R=R, angle_sign=sign,
                      residual_rms=float(np.sqrt(F / m)), n_points=m)
 

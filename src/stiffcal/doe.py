@@ -12,9 +12,9 @@ a shrinking grid, from several random feasible plans searched in lockstep.
 The search builds the chain of each configuration once and carries its
 frames (joint centres and axes, tool and marker points); a line search over
 joint j turns the frames after joint j about that joint's axis for every
-candidate angle, instead of rebuilding the whole chain.  The rows of turned
-frames and of the chain go through one row builder, and the final plan is
-scored from the chain itself.
+candidate angle, instead of rebuilding the whole chain.  One row builder
+reads a frames array, built from the chain or turned, for every sensitivity
+row: :func:`sensitivity_rows`, the search and the final plan's score.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .elasto_id import ParameterLayout, factor_regressor
 from .errors import DataLayoutError, IdentifiabilityError
-from .robot import ManipulatorModel, chain_state, _cross, _point_jacobian
+from .robot import ManipulatorModel, chain_state, _cross, _marker_points, _point_jacobian
 from .tables import read_table, write_table
 
 # Records per plan row: ``simulate deflections`` emits one per repeat and marker.
@@ -185,27 +185,42 @@ class _Joints(NamedTuple):
     joint_axis: np.ndarray
 
 
-def _marker_points(model: ManipulatorModel, st) -> np.ndarray:
-    """World points of the markers at the chain state ``st``: (..., n_markers, 3)."""
-    offs = np.reshape(model.markers, (-1, 3))
-    return (st.tool_R[..., None, :, :] @ offs[:, :, None])[..., 0] + st.tool_p[..., None, :]
+# Rows of a frames array: joint i's centre at 2i and world axis at 2i + 1,
+# then the tool point, then the marker points.  Everything after joint j is
+# the slice 2j + 2:, which turns with joint j.
+_TOOL = 12
 
 
-def _rows(joints, tool: np.ndarray, markers: Optional[np.ndarray], wrench, *,
-          first: int = 1) -> np.ndarray:
-    """Sensitivity rows (see :func:`sensitivity_rows`) of the marker points
-    (..., n_markers, 3), or of the tool point when ``markers`` is None, with
-    joints ``first``.. as columns; one :func:`_point_jacobian` call per point."""
-    Jt = _point_jacobian(joints, tool)
+def _frames(model: ManipulatorModel, q) -> np.ndarray:
+    """Frames of each configuration in ``q`` (..., 6) at theta = 0, from one
+    :func:`chain_state` call: (..., 13 + n_markers, 3)."""
+    st = chain_state(model, q, np.zeros(6))
+    F = np.empty(st.tool_p.shape[:-1] + (_TOOL + 1 + len(model.markers), 3))
+    F[..., 0:_TOOL:2, :] = st.joint_p
+    F[..., 1:_TOOL:2, :] = st.joint_axis
+    F[..., _TOOL, :] = st.tool_p
+    F[..., _TOOL + 1:, :] = _marker_points(model, st.tool_R, st.tool_p)
+    return F
+
+
+def _rows(F: np.ndarray, wrench, *, first: int = 1, tool_only: bool = False) -> np.ndarray:
+    """Sensitivity rows (see :func:`sensitivity_rows`) of each configuration's
+    frames in ``F`` (..., P, 3): of the marker points, or of the tool point
+    when ``tool_only``, with joints ``first``.. as columns; one
+    :func:`_point_jacobian` call per point."""
+    # one contiguous copy of the joints serves the point Jacobians faster
+    # than the strided rows of ``F``
+    joints = _Joints(*(np.ascontiguousarray(F[..., i:_TOOL:2, :]) for i in (0, 1)))
+    Jt = _point_jacobian(joints, F[..., _TOOL, :])
     w = np.asarray(wrench, dtype=float)
     tau = (Jt.swapaxes(-1, -2) @ w[..., None])[..., 0]
-    if markers is None:
+    if tool_only:
         return Jt[..., :3, first:] * tau[..., None, first:]
-    n_markers = markers.shape[-2]
+    n_markers = F.shape[-2] - _TOOL - 1
     A = np.zeros(tau.shape[:-1] + (3 * n_markers, 6 - first))
     for m in range(n_markers):
-        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(joints, markers[..., m, :])[..., :3, first:]
-                                      * tau[..., None, first:])
+        A[..., 3 * m:3 * m + 3, :] = (_point_jacobian(joints, F[..., _TOOL + 1 + m, :])
+                                      [..., :3, first:] * tau[..., None, first:])
     return A
 
 
@@ -221,27 +236,8 @@ def sensitivity_rows(model: ManipulatorModel, q, wrench, *,
     ``q`` and ``wrench`` of shape ``(..., 6)`` give a stack of blocks
     ``(..., rows, cols)``, each equal to its own single-configuration call.
     """
-    st = chain_state(model, q, np.zeros(6))
-    return _rows(st, st.tool_p, None if tool_only else _marker_points(model, st), wrench,
-                 first=0 if include_joint1 else 1)
-
-
-# Rows of a frames array: joint i's centre at 2i and world axis at 2i + 1,
-# then the tool point, then the marker points.  Everything after joint j is
-# the slice 2j + 2:, which turns with joint j.
-_TOOL = 12
-
-
-def _frames(model: ManipulatorModel, q) -> np.ndarray:
-    """Frames of each configuration in ``q`` (..., 6) at theta = 0, from one
-    :func:`chain_state` call: (..., 13 + n_markers, 3)."""
-    st = chain_state(model, q, np.zeros(6))
-    F = np.empty(st.tool_p.shape[:-1] + (_TOOL + 1 + len(model.markers), 3))
-    F[..., 0:_TOOL:2, :] = st.joint_p
-    F[..., 1:_TOOL:2, :] = st.joint_axis
-    F[..., _TOOL, :] = st.tool_p
-    F[..., _TOOL + 1:, :] = _marker_points(model, st)
-    return F
+    return _rows(_frames(model, q), wrench, first=0 if include_joint1 else 1,
+                 tool_only=tool_only)
 
 
 def _candidates(q: np.ndarray, F: np.ndarray, joint: int, counts: np.ndarray,
@@ -283,10 +279,7 @@ class TestPoseAccuracy:
 def _information(F: np.ndarray, wrench, repeats) -> np.ndarray:
     """``repeats * A^T A`` of the sensitivity rows ``A`` of each configuration's
     frames in ``F`` (..., P, 3): the stack of information blocks (..., 5, 5)."""
-    # one contiguous copy of the joints serves the four point Jacobians faster
-    # than the strided rows of ``F``
-    joints = _Joints(*(np.ascontiguousarray(F[..., i:_TOOL:2, :]) for i in (0, 1)))
-    A = _rows(joints, F[..., _TOOL, :], F[..., _TOOL + 1:, :], wrench)
+    A = _rows(F, wrench)
     return repeats * (A.swapaxes(-1, -2) @ A)
 
 
@@ -415,19 +408,18 @@ def _candidate_grids(joint: int, centres: np.ndarray, span: float,
 
 
 def _linspace(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
-    """``np.linspace(start, stop, n, axis=-1)`` of 1-D ``start`` and ``stop``,
-    bit for bit (its products, in its order), without its per-call checks."""
+    """``np.linspace(start, stop, n, axis=-1)`` of 1-D ``start`` and ``stop``
+    and ``n >= 2``, bit for bit (its products, in its order), without its
+    per-call checks."""
     k = np.arange(n, dtype=float)
-    div = max(n - 1, 1)
     delta = stop - start
-    step = delta / div
+    step = delta / (n - 1)
     if (step == 0).any():   # numpy's path when some step vanishes
-        g = (k / div) * delta[:, None]
+        g = (k / (n - 1)) * delta[:, None]
     else:
         g = k * step[:, None]
     g += start[:, None]
-    if n > 1:
-        g[:, -1] = stop
+    g[:, -1] = stop
     return g
 
 
@@ -446,13 +438,13 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     gravity-direction wrench from ``constraints``.  Each step (config, joint)
     scores the grids of every bucket of every start still improving as one
     stack; the starts do not interact.  Deterministic for a fixed seed.  A
-    bucket outside joint 2's limits, ``n_levels`` below 0 or another count
-    below 1 raises ``ValueError``.
+    bucket outside joint 2's limits, ``n_grid`` below 2, ``n_levels`` below 0
+    or another count below 1 raises ``ValueError``.
     """
     layout = constraints.bucket_layout(bucket_q2_rad)
     for name, count, least in (("configs_per_bucket", configs_per_bucket, 1),
                                ("repeats", repeats, 1), ("n_starts", n_starts, 1),
-                               ("n_grid", n_grid, 1), ("n_levels", n_levels, 0)):
+                               ("n_grid", n_grid, 2), ("n_levels", n_levels, 0)):
         if count < least:
             raise ValueError(f"{name} must be >= {least}, got {count}")
     wrench = constraints.wrench()
@@ -479,7 +471,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     totals = [sum(t) for t in terms]
     start_values = tuple(noise.sigma_mm**2 * t for t in totals)
     for level in range(n_levels):
-        scale = (2.0 * max(n_grid - 1, 1))**level
+        scale = (2.0 * (n_grid - 1))**level
         improved, passes = [True] * n_starts, [0] * n_starts
         while active := [s for s in range(n_starts) if improved[s] and passes[s] < 3]:
             for s in active:

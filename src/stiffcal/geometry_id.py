@@ -228,7 +228,7 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     sats = [s + s_sat * sat_noise[:, j] for j, s in enumerate(sats_clean)]
     # every sample's refit as one stack; the fixed crank sign keeps the
     # mirror diagnostic, and any sample failing a check raises
-    radius, _, centre, _ = _fit_signed(crank, dataset.q2_rad, estimate.crank_fit.angle_sign)
+    _, radius, _, centre, _ = _fit_signed(crank, dataset.q2_rad, estimate.crank_fit.angle_sign)
     a_vec = centre - _arc_centre(sats)[0][:, :2]
     sd = np.column_stack([radius, a_vec]).std(axis=0, ddof=1)
     return GeometryCI(float(3.0 * sd[0]), float(3.0 * sd[1]), float(3.0 * sd[2]),

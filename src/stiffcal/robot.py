@@ -215,10 +215,15 @@ def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
     if theta is None:
         theta = np.zeros(6)
     st = chain_state(model, q, theta)
-    if not model.markers:
-        return np.empty(st.tool_p.shape[:-1] + (0, 3))
-    offs = np.stack(model.markers)
-    return (st.tool_R @ offs.T).swapaxes(-1, -2) + st.tool_p[..., None, :]
+    return _marker_points(model, st.tool_R, st.tool_p)
+
+
+def _marker_points(model: ManipulatorModel, tool_R: np.ndarray,
+                   tool_p: np.ndarray) -> np.ndarray:
+    """World points of the markers on the tool frames ``tool_R`` (..., 3, 3)
+    and ``tool_p`` (..., 3): (..., n_markers, 3)."""
+    offs = np.reshape(model.markers, (-1, 3))
+    return (tool_R[..., None, :, :] @ offs[:, :, None])[..., 0] + tool_p[..., None, :]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .doe import CalibrationPlan
 from .elasto_id import PARAMETER_LABELS, DeflectionRecords
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
-from .robot import ManipulatorModel, marker_positions
+from .robot import ManipulatorModel, _marker_points
 from .stiffness import predict_marker_deflections, solve_equilibria
 
 # Tracker targets bolted to the spring cylinder, in the pivot frame whose
@@ -124,7 +124,8 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
             raise ConvergenceError(
                 f"equilibrium did not converge for plan entry {i} "
                 f"(q2={math.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
-        pos = marker_positions(model, q_both, st.theta)
+        # the markers ride the tool frames the solve ended on
+        pos = _marker_points(model, st.pose.R, st.pose.p)
         defl = pos[n:] - pos[:n]
     reps = np.array([e.repeats for e in entries])
     d = np.repeat(defl, reps, axis=0)     # (entry repeats, marker, 3)

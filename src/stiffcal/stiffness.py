@@ -85,8 +85,6 @@ class CartesianStiffness:
     """6x6 Cartesian stiffness at an equilibrium (N/mm force rows, N*mm moment rows)."""
 
     matrix: np.ndarray
-    q: np.ndarray
-    theta: np.ndarray
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -252,7 +250,7 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     S = 0.5 * (S + S.T)  # clean roundoff; S is symmetric analytically
     Kc = np.linalg.inv(S)
     Kc = 0.5 * (Kc + Kc.T)
-    return CartesianStiffness(matrix=Kc, q=q, theta=theta)
+    return CartesianStiffness(matrix=Kc)
 
 
 def predict_marker_deflections(model: ManipulatorModel,

@@ -113,6 +113,25 @@ def point_jacobian_loop(st, point):
     return J
 
 
+def sensitivity_rows_loop(model, q, wrench, *, include_joint1=False, tool_only=False):
+    """:func:`stiffcal.doe.sensitivity_rows` one configuration and one point at
+    a time: each point's ``_point_jacobian`` at the configuration's own
+    ``chain_state``, the markers placed by ``marker_positions``."""
+    from stiffcal.robot import _point_jacobian, chain_state, marker_positions
+
+    first = 0 if include_joint1 else 1
+    q = np.asarray(q, dtype=float)
+    w = np.broadcast_to(np.asarray(wrench, dtype=float), q.shape)
+    blocks = []
+    for qi, wi in zip(q.reshape(-1, 6), w.reshape(-1, 6)):
+        st = chain_state(model, qi, np.zeros(6))
+        tau = _point_jacobian(st, st.tool_p).T @ wi
+        points = [st.tool_p] if tool_only else marker_positions(model, qi)
+        blocks.append(np.concatenate([_point_jacobian(st, p)[:3, first:] * tau[first:]
+                                      for p in points]))
+    return np.reshape(blocks, q.shape[:-1] + blocks[0].shape)
+
+
 def node_jacobian_loop(st, point, node):
     """:func:`point_jacobian_loop` of a point carried by link ``node``: the
     joints beyond it do not move it, so their columns are zero."""
@@ -249,7 +268,7 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                     for c in range(configs_per_bucket):
                         for fj, j in enumerate(_FREE_JOINTS):
                             q_cur = configs[b][c]
-                            span = spans[fj] / (2.0 * max(n_grid - 1, 1))**level
+                            span = spans[fj] / (2.0 * (n_grid - 1))**level
                             grid = candidate_grid(j, q_cur[j], span)
                             grid = grid[grid != q_cur[j]]
                             if not grid.size:

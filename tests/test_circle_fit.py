@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import circumcenter, kasa_fit
+from stiffcal import circle_fit
 from stiffcal.circle_fit import fit_circle_procrustes, fit_concentric_arcs
 from stiffcal.errors import AngleDirectionError, DegenerateGeometryError
 
@@ -40,6 +41,21 @@ class TestProcrustes:
         pts = _arc(np.array([5.0, 5.0]), 150.0, angles, sign=-1)
         with pytest.raises(AngleDirectionError):
             fit_circle_procrustes(pts, angles, angle_sign=1)
+
+    @pytest.mark.parametrize("angle_sign", ["auto", 1, -1])
+    def test_each_sign_fitted_once(self, monkeypatch, angle_sign):
+        """One Procrustes solve per angle sign, whatever ``angle_sign`` is:
+        "auto" picks from the two fits the mirror check then reads."""
+        calls = []
+        solve = circle_fit._procrustes_once
+        monkeypatch.setattr(circle_fit, "_procrustes_once",
+                            lambda p, u: calls.append(1) or solve(p, u))
+        angles = np.radians(np.linspace(-140.0, 0.0, 9))
+        sign = -1 if angle_sign == "auto" else angle_sign
+        fit = fit_circle_procrustes(_arc(np.array([5.0, 5.0]), 150.0, angles, sign=sign,
+                                         noise=0.05), angles, angle_sign=angle_sign)
+        assert fit.angle_sign == sign
+        assert len(calls) == 2
 
     def test_three_d_input_drops_z(self):
         angles = np.radians([0.0, -40.0, -80.0, -120.0])

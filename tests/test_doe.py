@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import optimize_plan_sequential
+from oracles import optimize_plan_sequential, sensitivity_rows_loop
 from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, replicated, spread_plan
 from record_tables import table
 from stiffcal import doe
@@ -131,6 +131,21 @@ class TestSensitivityRows:
             assert np.array_equal(shared[idx],
                                   sensitivity_rows(model, q[idx], w[1, 2], **kw))
 
+    @pytest.mark.parametrize("tool_only", [False, True])
+    @pytest.mark.parametrize("include_joint1", [False, True])
+    def test_rows_match_the_chain_state_reference(self, model, include_joint1, tool_only):
+        """A (2, 3) stack of rows equals, bit for bit, the rows built one
+        configuration and one point at a time from each configuration's own
+        chain state."""
+        rng = np.random.default_rng(12)
+        q = rng.uniform(-np.pi, np.pi, (2, 3, 6))
+        w = np.concatenate([rng.normal(0.0, 800.0, (2, 3, 3)),
+                            rng.normal(0.0, 2e5, (2, 3, 3))], axis=-1)
+        kw = dict(include_joint1=include_joint1, tool_only=tool_only)
+        for wrench in (w, w[0, 1]):
+            assert (sensitivity_rows(model, q, wrench, **kw).tobytes()
+                    == sensitivity_rows_loop(model, q, wrench, **kw).tobytes())
+
 
 class TestFrames:
     """The plan search carries each configuration's frames and turns them
@@ -146,16 +161,16 @@ class TestFrames:
         assert np.array_equal(F[..., 0:12:2, :], cs.joint_p)
         assert np.array_equal(F[..., 1:12:2, :], cs.joint_axis)
         assert np.array_equal(F[..., 12, :], cs.tool_p)
-        np.testing.assert_allclose(F[..., 13:, :], marker_positions(model, q),
-                                   rtol=0.0, atol=1e-9)
+        assert np.array_equal(F[..., 13:, :], marker_positions(model, q))
 
     def test_information_of_chain_frames_is_from_sensitivity_rows(self, model):
         """The search's information blocks, built from the rows of a frames
-        array, are ``repeats * A^T A`` of ``sensitivity_rows`` bit for bit."""
+        array, are ``repeats * A^T A`` of the rows built point by point from
+        the chain state, bit for bit."""
         rng = np.random.default_rng(8)
         q = rng.uniform(-np.pi, np.pi, (2, 4, 6))
         w = rng.normal(0.0, 1e3, (2, 4, 6))
-        A = sensitivity_rows(model, q, w)
+        A = sensitivity_rows_loop(model, q, w)
         assert (_information(_frames(model, q), w, 3).tobytes()
                 == (3 * (A.swapaxes(-1, -2) @ A)).tobytes())
 
@@ -190,7 +205,7 @@ def _candidate_grids_linspace(joint, centres, span, constraints, n_grid):
     return keep.sum(axis=1), g[keep]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4),
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 4),
        st.sampled_from([1.0, 1e-3, 1e-20]))
 @settings(max_examples=150, deadline=None)
 def test_candidate_grids_match_linspace(seed, n_grid, case, span_scale):
@@ -615,7 +630,7 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("count, value, least", [
         ("configs_per_bucket", 0, 1), ("repeats", 0, 1), ("n_starts", 0, 1),
-        ("n_grid", 0, 1), ("n_grid", -1, 1), ("n_levels", -1, 0)])
+        ("n_grid", 1, 2), ("n_grid", 0, 2), ("n_grid", -1, 2), ("n_levels", -1, 0)])
     def test_counts_below_their_least_rejected(self, model, test_pose, count, value,
                                                least):
         with pytest.raises(ValueError, match=f"{count} must be >= {least}, got {value}"):

@@ -287,8 +287,9 @@ class TestStackedResampler:
                 fit_circle_procrustes(bad, a, angle_sign=1)
             with pytest.raises(error):
                 _fit_signed(np.stack([ds.crank, bad, ds.crank]), a, 1)
-        mu, _, t, _ = _fit_signed(np.stack([ds.crank, ds.crank]), a, 1)
+        sign, mu, _, t, _ = _fit_signed(np.stack([ds.crank, ds.crank]), a, 1)
         single = fit_circle_procrustes(ds.crank, a, angle_sign=1)
+        assert sign == single.angle_sign == 1
         assert mu.tolist() == [single.radius] * 2 and t[1].tolist() == single.center.tolist()
         sats = [np.stack([s, s]) for s in ds.satellites]
         for k, s in enumerate(sats):             # sample 1: arcs along one line
