@@ -20,17 +20,12 @@ consistent: K_eq - K0 = -dM/dq2 = d^2 E/dq2^2.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-
-def _require_finite(block, *names: str) -> None:
-    for name in names:
-        if not math.isfinite(getattr(block, name)):
-            raise ValueError(f"{name} must be finite")
+from .robot import _finite_floats
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,7 @@ class CompensatorGeometry:
     q2_sign: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, "L_mm", "ax_mm", "ay_mm")
+        _finite_floats(self, "L_mm", "ax_mm", "ay_mm", "q2_sign")
         if self.q2_sign not in (-1.0, 1.0):
             raise ValueError("q2_sign must be +1 or -1")
         # derived once: every stiffness evaluation reads them
@@ -74,7 +69,7 @@ class CompensatorElastics:
     s0_mm: float
 
     def __post_init__(self):
-        _require_finite(self, "Kc_N_per_mm", "s0_mm")
+        _finite_floats(self, "Kc_N_per_mm", "s0_mm")
         if not self.Kc_N_per_mm > 0.0:
             raise ValueError("Kc_N_per_mm must be > 0")
         if self.s0_mm < 0.0:

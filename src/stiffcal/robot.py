@@ -28,12 +28,28 @@ from .transforms import rot_rpy
 
 
 def _vec3(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (ValueError, TypeError):
+        raise ValueError(f"{name} must be a 3-vector of numbers") from None
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def _finite_floats(spec, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``spec`` as a finite
+    float, so a number read as text (YAML's ``3e-10``) converts as well."""
+    for name in names:
+        try:
+            v = float(getattr(spec, name))
+        except (ValueError, TypeError):
+            raise ValueError(f"{name} must be a number") from None
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(spec, name, v)
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,8 @@ class JointSpec:
 
     axis: np.ndarray
     link_translation_mm: np.ndarray
-    link_rotation_rpy_rad: np.ndarray
     compliance_rad_per_Nmm: float
+    link_rotation_rpy_rad: np.ndarray = None
     mass_kg: float = 0.0
     com_mm: np.ndarray = None
 
@@ -57,18 +73,14 @@ class JointSpec:
         object.__setattr__(
             self, "link_translation_mm", _vec3(self.link_translation_mm, "link_translation_mm")
         )
-        object.__setattr__(
-            self,
-            "link_rotation_rpy_rad",
-            _vec3(self.link_rotation_rpy_rad, "link_rotation_rpy_rad"),
-        )
+        rpy = self.link_rotation_rpy_rad
+        object.__setattr__(self, "link_rotation_rpy_rad", _vec3(
+            rpy if rpy is not None else np.zeros(3), "link_rotation_rpy_rad"))
         com = self.com_mm if self.com_mm is not None else 0.5 * self.link_translation_mm
         object.__setattr__(self, "com_mm", _vec3(com, "com_mm"))
         if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
             raise ValueError("axis must have unit norm")
-        for name in ("compliance_rad_per_Nmm", "mass_kg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _finite_floats(self, "compliance_rad_per_Nmm", "mass_kg")
         if self.compliance_rad_per_Nmm < 0.0:
             raise ValueError("compliance_rad_per_Nmm must be >= 0")
         if self.mass_kg < 0.0:

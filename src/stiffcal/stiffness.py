@@ -240,10 +240,10 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     st = chain_state(model, q, theta)
     Keff = _tangent(model, st, K, state.tool_wrench)
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
-    if np.min(np.abs(w)) < 1e-12 * np.max(np.abs(w)):
+    if w[0] < 1e-12 * np.max(np.abs(w)):
         raise SingularConfigurationError(
-            "joint stiffness minus load Hessian is singular: buckling-like "
-            "instability of the elastic chain")
+            "joint stiffness minus load Hessian is not positive definite: "
+            "buckling-like instability of the elastic chain")
     J = _point_jacobian(st, st.tool_p)
     _check_jacobian(J)
     S = J @ np.linalg.solve(Keff, J.T)

@@ -23,7 +23,8 @@ from stiffcal.elasto_id import (
     save_deflection_csv,
     separate_compensator,
 )
-from stiffcal.compensator import equivalent_joint_stiffness, separation_matrix
+from stiffcal.compensator import (CompensatorGeometry, equivalent_joint_stiffness,
+                                  separation_matrix)
 from stiffcal.doe import PLAN_CSV_HEADER, load_plan_csv, sensitivity_rows
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.geometry_id import load_marker_csv
@@ -299,6 +300,22 @@ class TestSeparation:
         lay = ParameterLayout(tuple(np.radians([-10.0, -80.0])))
         with pytest.raises(IdentifiabilityError, match="at least 3 distinct"):
             separate_compensator(lay, np.ones(2), comp.geometry)
+
+    def test_mirror_buckets_cannot_separate(self):
+        """q2 and its mirror under gamma -> -gamma (gamma = alpha - q2) span
+        the spring equally, so their separation rows are equal and three
+        buckets holding both leave a null direction."""
+        geom = CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0, q2_sign=1.0)
+        q2 = np.radians(-60.0)
+        mirror = 2.0 * geom.alpha_rad - q2 - 2.0 * np.pi
+        assert np.degrees(mirror) == pytest.approx(-124.12, abs=0.005)
+        rows = separation_matrix(geom, [q2, mirror])
+        assert np.allclose(rows[0], rows[1], rtol=1e-12, atol=0.0)
+        lay = ParameterLayout((np.radians(-0.01), q2, mirror))
+        with pytest.raises(IdentifiabilityError,
+                           match="do not vary the spring geometry enough") as err:
+            separate_compensator(lay, np.ones(3), geom)
+        assert err.value.null_directions.shape == (3, 1)
 
     def test_row_count_checked(self, model):
         lay = ParameterLayout(tuple(np.radians([-10.0, -50.0, -90.0])))

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 import textwrap
@@ -60,6 +61,26 @@ def test_defaults_mass_and_rotation(tmp_path):
     assert np.allclose(j.com_mm, [575, 0, 0])
 
 
+def test_null_link_rotation_is_the_default(tmp_path):
+    text = MINIMAL.replace("compliance_rad_per_Nmm: 3.0e-9}",
+                           "compliance_rad_per_Nmm: 3.0e-9, link_rotation_rpy_rad: null}")
+    assert text != MINIMAL
+    assert np.array_equal(load_model(_write(tmp_path, text)).joints[3].link_rotation_rpy_rad,
+                          np.zeros(3))
+
+
+def test_exponent_without_point_reads_as_number(tmp_path):
+    """YAML 1.1 reads ``3e-10`` as a string; the model types convert it."""
+    text = MINIMAL.replace("2.5e-10", "25e-11") + textwrap.dedent("""\
+        compensator: {L_mm: 185, ax_mm: 25, ay_mm: 695, Kc_N_per_mm: 6e3, s0_mm: 458}
+        """)
+    assert isinstance(yaml.safe_load(text)["compensator"]["Kc_N_per_mm"], str)
+    model = load_model(_write(tmp_path, text))
+    assert model.joints[0].compliance_rad_per_Nmm == 2.5e-10
+    el = model.compensator.elastics
+    assert (el.Kc_N_per_mm, type(el.Kc_N_per_mm)) == (6000.0, float)
+
+
 def test_unknown_top_key(tmp_path):
     with pytest.raises(ModelFileError, match=r"unknown key\(s\).*'payload'"):
         load_model(_write(tmp_path, MINIMAL + "payload: 5\n"))
@@ -76,13 +97,13 @@ def test_unknown_joint_key_names_entry(tmp_path):
 def test_missing_compliance_names_field(tmp_path):
     bad = MINIMAL.replace(", compliance_rad_per_Nmm: 3.0e-10}", "}", 1)
     with pytest.raises(ModelFileError,
-                       match=r"joints\[1\]: missing required key 'compliance_rad_per_Nmm'"):
+                       match=r"joints\[1\]: missing required key\(s\) \['compliance_rad_per_Nmm'\]"):
         load_model(_write(tmp_path, bad))
 
 
 def test_wrong_joint_count(tmp_path):
     lines = MINIMAL.strip().splitlines()
-    with pytest.raises(ModelFileError, match="exactly 6 joints required, got 5"):
+    with pytest.raises(ModelFileError, match="model file: exactly 6 joints required, got 5"):
         load_model(_write(tmp_path, "\n".join(lines[:-1]) + "\n"))
 
 
@@ -93,7 +114,7 @@ def test_non_unit_axis_rejected(tmp_path):
 
 
 def test_missing_joints_key(tmp_path):
-    with pytest.raises(ModelFileError, match="missing required key 'joints'"):
+    with pytest.raises(ModelFileError, match=r"model file: missing required key\(s\) \['joints'\]"):
         load_model(_write(tmp_path, "markers: [[0, 0, 0]]\n"))
 
 
@@ -237,10 +258,10 @@ NON_FINITE = [
     (("tool", "translation_mm"), [150.0, NAN, 130.0], r"tool: translation_mm must be finite"),
     (("base",), {"rotation_rpy_rad": [0.0, 0.0, -INF]},
      r"base: rotation_rpy_rad must be finite"),
-    (("markers", 0), [120.0, 0.0, INF], r"markers\[0\]: expected a 3-vector of finite numbers"),
-    (("markers", 1), [120.0, 0.0, "x"], r"markers\[1\]: expected a 3-vector of finite numbers"),
+    (("markers", 0), [120.0, 0.0, INF], r"model file: markers\[0\] must be finite"),
+    (("markers", 1), [120.0, 0.0, "x"], r"model file: markers\[1\] must be a 3-vector of numbers"),
     (("markers", 2), [120.0, 0.0, [80.0]],
-     r"markers\[2\]: expected a 3-vector of finite numbers"),
+     r"model file: markers\[2\] must be a 3-vector of numbers"),
     (("compensator", "L_mm"), NAN, r"compensator: L_mm must be finite"),
     (("compensator", "ax_mm"), INF, r"compensator: ax_mm must be finite"),
     (("compensator", "ay_mm"), -INF, r"compensator: ay_mm must be finite"),
@@ -259,3 +280,21 @@ def test_non_finite_numbers_name_the_field(tmp_path, model_path, path, value, me
     _set(doc, path, value)
     with pytest.raises(ModelFileError, match=message):
         load_model(_write(tmp_path, yaml.safe_dump(doc)))
+
+
+def test_documented_schema_names_the_model_fields():
+    """The schema block of the module docstring is the only list of keys
+    outside the model types; it names exactly their fields."""
+    from stiffcal import modelfile
+    from stiffcal.compensator import CompensatorElastics, CompensatorGeometry
+    from stiffcal.robot import FrameSpec, JointSpec, ManipulatorModel
+
+    def names(*types):
+        return {f.name for t in types for f in dataclasses.fields(t)}
+
+    block = textwrap.dedent(modelfile.__doc__.split("Schema::\n", 1)[1])
+    doc = yaml.safe_load(block)
+    assert set(doc) == names(ManipulatorModel)
+    assert set(doc["joints"][0]) == names(JointSpec)
+    assert set(doc["base"]) == set(doc["tool"]) == names(FrameSpec)
+    assert set(doc["compensator"]) == names(CompensatorGeometry, CompensatorElastics)

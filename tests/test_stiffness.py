@@ -144,6 +144,19 @@ class TestCartesianStiffness:
         with pytest.raises(SingularConfigurationError, match="singular tool Jacobian"):
             cartesian_stiffness(weightless, comp, st)
 
+    def test_indefinite_tangent_raises(self, model, comp):
+        """A 1e7 N push leaves the primal unconverged at a state whose
+        ``K - H`` is indefinite although not singular; 3e5 N still converges
+        to a positive definite stiffness."""
+        st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=[0, 0, -1e7, 0, 0, 0])
+        assert not st.converged
+        with pytest.raises(SingularConfigurationError,
+                           match="not positive definite: buckling-like instability"):
+            cartesian_stiffness(model, comp, st)
+        st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=[0, 0, -3e5, 0, 0, 0])
+        assert st.converged
+        assert np.linalg.eigvalsh(cartesian_stiffness(model, comp, st).matrix)[0] > 0.0
+
     def test_force_probe_matches_derivative(self, model, comp):
         """K_C predicts the wrench change for a small prescribed pose shift."""
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
