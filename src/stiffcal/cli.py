@@ -49,7 +49,8 @@ from .tables import write_table
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
 # Flags naming input files: the manifest records their sha256.
 _INPUT_FLAGS = ("markers", "model", "records", "plan")
-# Largest --ci-samples and start:stop:count count: each is one refit or one pose.
+# Largest --ci-samples, --starts, --configs-per-bucket and start:stop:count
+# count: each is one refit, one random start, one plan row per bucket or one pose.
 MAX_COUNT = 10_000
 
 
@@ -174,7 +175,7 @@ def _bounded(convert, ok, rule: str):
     return parse
 
 
-_count = _bounded(int, lambda v: v >= 1, ">= 1")
+_count = _bounded(int, lambda v: 1 <= v <= MAX_COUNT, f"in 1..{MAX_COUNT}")
 _repeats = _bounded(int, lambda v: 1 <= v <= MAX_REPEATS, f"in 1..{MAX_REPEATS}")
 _seed = _bounded(int, lambda v: v >= 0, ">= 0")
 _ci_samples = _bounded(int, lambda v: 0 <= v <= MAX_COUNT, f"in 0..{MAX_COUNT}")

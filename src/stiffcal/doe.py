@@ -8,13 +8,16 @@ wrist/arm compliances), which keeps the metric cheap, additive over
 buckets, and exactly halved by plan replication.
 
 Angles are searched by cyclic coordinate descent over the free joints with
-a shrinking grid, from several random feasible plans searched in lockstep.
-The search builds the chain of each configuration once and carries its
-frames (joint centres and axes, tool and marker points); a line search over
-joint j turns the frames after joint j about that joint's axis for every
-candidate angle, instead of rebuilding the whole chain.  One row builder
-reads a frames array, built from the chain or turned, for every sensitivity
-row: :func:`sensitivity_rows`, the search and the final plan's score.
+a shrinking grid, from several random feasible plans.  A bucket's
+configurations enter only its own term, so each (start, bucket) descends on
+its own until a pass leaves it unchanged; one stack scores the candidates of
+all still descending.  The search builds the chain of each configuration
+once and carries its frames (joint centres and axes, tool and marker
+points); a line search over joint j turns the frames after joint j about
+that joint's axis for every candidate angle, instead of rebuilding the
+whole chain.  One row builder reads a frames array, built from the chain or
+turned, for every sensitivity row: :func:`sensitivity_rows`, the search and
+the final plan's score.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,8 +101,9 @@ class NoiseModel:
     sigma_mm: float = 0.05
 
     def __post_init__(self):
-        if self.sigma_mm < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not (math.isfinite(self.sigma_mm) and self.sigma_mm >= 0):
+            raise ValueError(f"noise sigma_mm must be finite and non-negative, "
+                             f"got {self.sigma_mm}")
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,16 @@ class PlanConstraints:
 
     def __post_init__(self):
         lim = tuple((float(lo), float(hi)) for lo, hi in self.joint_limits_rad)
-        if len(lim) != 6 or any(hi <= lo for lo, hi in lim):
-            raise ValueError("joint_limits_rad must be six (lo, hi) pairs")
+        if len(lim) != 6 or not all(-math.inf < lo < hi < math.inf for lo, hi in lim):
+            raise ValueError("joint_limits_rad must be six finite (lo, hi) pairs, lo < hi")
         object.__setattr__(self, "joint_limits_rad", lim)
-        if self.load_magnitude_N <= 0:
-            raise ValueError("load magnitude must be positive")
+        if not 0 < self.load_magnitude_N < math.inf:
+            raise ValueError(f"load_magnitude_N must be a finite positive load magnitude, "
+                             f"got {self.load_magnitude_N}")
         if self.q1_intervals_rad is not None:
             ivs = tuple((float(lo), float(hi)) for lo, hi in self.q1_intervals_rad)
-            if not ivs or any(hi <= lo for lo, hi in ivs):
-                raise ValueError("q1 intervals must be non-empty (lo, hi) pairs")
+            if not ivs or not all(lo < hi for lo, hi in ivs):
+                raise ValueError("q1_intervals_rad must be non-empty (lo, hi) pairs")
             lo1, hi1 = lim[0]
             for lo, hi in ivs:
                 if not (lo1 <= lo and hi <= hi1):
@@ -435,11 +439,13 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     entry is line-searched on a grid that shrinks over ``n_levels``
     refinement levels; joint 2 is pinned to its bucket angle, joint 1 keeps
     its random draw under a load along its axis, and the applied load is the
-    gravity-direction wrench from ``constraints``.  Each step (config, joint)
-    scores the grids of every bucket of every start still improving as one
-    stack; the starts do not interact.  Deterministic for a fixed seed.  A
-    bucket outside joint 2's limits, ``n_grid`` below 2, ``n_levels`` below 0
-    or another count below 1 raises ``ValueError``.
+    gravity-direction wrench from ``constraints``.  Each (start, bucket)
+    descends on its own, taking a candidate that lowers its own term, and
+    stops at a level when a pass leaves it unchanged; each step (config,
+    joint) scores the grids of every one still descending as one stack.
+    Deterministic for a fixed seed.  A bucket outside joint 2's limits,
+    ``n_grid`` below 2, ``n_levels`` below 0 or another count below 1 raises
+    ``ValueError``.
     """
     layout = constraints.bucket_layout(bucket_q2_rad)
     for name, count, least in (("configs_per_bucket", configs_per_bucket, 1),
@@ -457,59 +463,51 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
         n_eval += F[..., 0, 0].size
         return _information(F, wrench, repeats)
 
-    # (start, bucket, config, 6) poses, their frames, their repeats * A^T A,
-    # and each bucket's sum
-    configs = np.array([[[_random_config(rng, b, constraints)
-                          for _ in range(configs_per_bucket)]
-                         for b in layout.bucket_q2_rad]
+    # (chain, config, 6) poses, their frames, their repeats * A^T A, and each
+    # chain's sum: chain s * n_buckets + b is bucket b of start s
+    configs = np.array([[_random_config(rng, b, constraints)
+                         for _ in range(configs_per_bucket)]
                         for rng in (np.random.default_rng((seed, s))
-                                    for s in range(n_starts))])
+                                    for s in range(n_starts))
+                        for b in layout.bucket_q2_rad])
     frames = _frames(model, configs)
     G = gram(frames)
-    Ms = sum(G[:, :, c] for c in range(configs_per_bucket))
-    terms = _bucket_variance(Ms, A0).tolist()
-    totals = [sum(t) for t in terms]
-    start_values = tuple(noise.sigma_mm**2 * t for t in totals)
+    Ms = sum(G[:, c] for c in range(configs_per_bucket))
+    terms = _bucket_variance(Ms, A0)
+    start_values = tuple(noise.sigma_mm**2 * sum(t)
+                         for t in terms.reshape(n_starts, -1).tolist())
     for level in range(n_levels):
         scale = (2.0 * (n_grid - 1))**level
-        improved, passes = [True] * n_starts, [0] * n_starts
-        while active := [s for s in range(n_starts) if improved[s] and passes[s] < 3]:
-            for s in active:
-                improved[s] = False
-                passes[s] += 1
+        improved, passes = np.ones(terms.size, dtype=bool), np.zeros(terms.size, dtype=int)
+        while (active := np.flatnonzero(improved & (passes < 3))).size:
+            improved[active] = False
+            passes[active] += 1
             for c in range(configs_per_bucket):
                 for j in joints:
                     lo, hi = constraints.joint_limits_rad[j]
-                    q_cur = configs[active, :, c].reshape(-1, 6)
-                    counts, grid = _candidate_grids(j, q_cur[:, j], (hi - lo) / scale,
-                                                    constraints, n_grid)
+                    counts, grid = _candidate_grids(j, configs[active, c, j],
+                                                    (hi - lo) / scale, constraints, n_grid)
                     if not grid.size:
                         continue
-                    q_try, F_try = _candidates(
-                        q_cur, frames[active, :, c].reshape((-1,) + frames.shape[-2:]),
-                        j, counts, grid)
+                    q_try, F_try = _candidates(configs[active, c], frames[active, c], j,
+                                               counts, grid)
                     G_try = gram(F_try)
-                    base = (Ms[active] - G[active, :, c]).reshape((-1,) + Ms.shape[-2:])
-                    M_try = np.repeat(base, counts, axis=0) + G_try
-                    t_try = _bucket_variance(M_try, A0).tolist()
-                    stop = 0
-                    for (s, b), size in zip(product(active, range(layout.n_buckets)),
-                                            counts.tolist()):
-                        k0, stop = stop, stop + size
-                        best_val, best = totals[s], None
-                        rest = totals[s] - terms[s][b]
-                        for k in range(k0, stop):
-                            val = rest + t_try[k]
-                            if val < best_val * (1.0 - 1e-15):
-                                best_val, best = val, k
-                        if best is not None:
-                            configs[s, b, c] = q_try[best]
-                            frames[s, b, c] = F_try[best]
-                            G[s, b, c] = G_try[best]
-                            Ms[s, b] = M_try[best]
-                            terms[s][b] = t_try[best]
-                            totals[s] = best_val
-                            improved[s] = True
+                    M_try = np.repeat(Ms[active] - G[active, c], counts, axis=0) + G_try
+                    t_try = _bucket_variance(M_try, A0)
+                    # the first lowest candidate of each chain, taken when it
+                    # lowers the chain's own term
+                    chain = np.repeat(np.arange(active.size), counts)
+                    low = np.full(active.size, math.inf)
+                    np.minimum.at(low, chain, t_try)
+                    first = np.full(active.size, t_try.size)
+                    hit = np.flatnonzero(t_try == low[chain])
+                    np.minimum.at(first, chain[hit], hit)
+                    moved = low < terms[active] * (1.0 - 1e-15)
+                    to, best = active[moved], first[moved]
+                    configs[to, c], frames[to, c] = q_try[best], F_try[best]
+                    G[to, c], Ms[to], terms[to] = G_try[best], M_try[best], t_try[best]
+                    improved[to] = True
+    totals = [sum(t) for t in terms.reshape(n_starts, -1).tolist()]
     finite = [s for s, total in enumerate(totals) if total < math.inf]
     if not finite:
         raise IdentifiabilityError(
@@ -517,7 +515,7 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
             "leaves some joint-2 bucket unidentifiable")
     best_start = min(finite, key=totals.__getitem__)
     plan = CalibrationPlan(tuple(PlanEntry(tuple(qc), tuple(wrench), repeats)
-                                 for bucket in configs[best_start] for qc in bucket))
+                                 for qc in configs.reshape(n_starts, -1, 6)[best_start]))
     acc = test_pose_accuracy(model, plan, test, noise)
     return OptimizedPlan(plan=plan, accuracy=acc, start_values_mm2=start_values,
                          n_evaluations=n_eval,

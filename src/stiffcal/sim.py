@@ -45,6 +45,11 @@ class GroundTruth:
                                                [el.Kc_N_per_mm, el.s0_mm]))
 
 
+def _check_noise(noise_mm: float) -> None:
+    if not (math.isfinite(noise_mm) and noise_mm >= 0.0):
+        raise ValueError(f"noise_mm must be finite and >= 0, got {noise_mm}")
+
+
 def _noisy(clean: np.ndarray, noise_mm: float, draws: np.ndarray) -> np.ndarray:
     """``clean + noise_mm * draws``; ``ValueError`` when that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -69,6 +74,7 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
     the recorded joint angle (some controllers count the crank the other
     way); ``crank_phase_rad`` offsets its zero.
     """
+    _check_noise(noise_mm)
     q2 = np.asarray(q2_rad, dtype=float).reshape(-1)
     if q2.size < 3:
         raise ValueError("need at least 3 sweep angles")
@@ -103,6 +109,7 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
     """
     if response not in ("nonlinear", "linear"):
         raise ValueError(f"unknown response model: {response!r}")
+    _check_noise(noise_mm)
     n_mark = len(model.markers)
     if n_mark == 0:
         raise ValueError("model defines no markers to measure")

@@ -219,8 +219,9 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                              configs_per_bucket=3, repeats=3, n_starts=20,
                              n_grid=7, n_levels=3, seed=0):
     """The plan search one start, one bucket, one config and one joint at a
-    time, q1 included whatever the load; returns ``(plan, rho0^2,
-    start_values_mm2, n_evaluations)``."""
+    time, each bucket descending until a pass leaves it unchanged, q1
+    included whatever the load; returns ``(plan, rho0^2, start_values_mm2,
+    n_evaluations)``."""
     import math
 
     from stiffcal.doe import (_FREE_JOINTS, CalibrationPlan, PlanEntry,
@@ -238,10 +239,6 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
         n_eval += q.size // 6
         return sensitivity_rows(model, q, wrench)
 
-    def bucket_term(M):
-        t = _bucket_variance(M, A0)
-        return np.where(t >= 0, t, math.inf)
-
     def candidate_grid(joint, centre, span):
         windows = (constraints.q1_windows() if joint == 0
                    else (constraints.joint_limits_rad[joint],))
@@ -255,16 +252,16 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
         rows = [[rows_for(qc) for qc in bucket]
                 for bucket in configs]
         Ms = [sum(repeats * (A.T @ A) for A in bucket) for bucket in rows]
-        terms = [float(bucket_term(M)) for M in Ms]
-        total = start_total = sum(terms)
+        terms = [float(_bucket_variance(M, A0)) for M in Ms]
+        start_total = sum(terms)
         spans = [constraints.joint_limits_rad[j][1] - constraints.joint_limits_rad[j][0]
                  for j in _FREE_JOINTS]
         for level in range(n_levels):
-            improved, passes = True, 0
-            while improved and passes < 3:
-                improved = False
-                passes += 1
-                for b in range(len(configs)):
+            for b in range(len(configs)):
+                improved, passes = True, 0
+                while improved and passes < 3:
+                    improved = False
+                    passes += 1
                     for c in range(configs_per_bucket):
                         for fj, j in enumerate(_FREE_JOINTS):
                             q_cur = configs[b][c]
@@ -278,19 +275,15 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                             q_try[:, j] = grid
                             A_try = rows_for(q_try)
                             M_try = base_M + repeats * (A_try.swapaxes(1, 2) @ A_try)
-                            t_try = bucket_term(M_try)
-                            best_val, best = total, None
-                            for k, val in enumerate((total - terms[b] + t_try).tolist()):
-                                if val < best_val * (1.0 - 1e-15):
-                                    best_val, best = val, k
-                            if best is not None:
+                            t_try = _bucket_variance(M_try, A0)
+                            best = int(np.argmin(t_try))
+                            if t_try[best] < terms[b] * (1.0 - 1e-15):
                                 configs[b][c] = q_try[best]
                                 rows[b][c] = A_try[best]
                                 Ms[b] = M_try[best]
                                 terms[b] = float(t_try[best])
-                                total = best_val
                                 improved = True
-        return start_total, total, configs
+        return start_total, sum(terms), configs
 
     best_total, best_configs, start_values = math.inf, None, []
     for start in range(n_starts):

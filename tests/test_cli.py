@@ -417,7 +417,7 @@ class TestUsageParsing:
 
     @pytest.mark.parametrize("flag, value", [
         ("--starts", "0"), ("--configs-per-bucket", "0"), ("--repeats", "0"),
-        ("--repeats", "10001"),
+        ("--repeats", "10001"), ("--starts", "10001"), ("--configs-per-bucket", "10001"),
         ("--load", "0"), ("--noise", "-0.01"),
     ])
     def test_numeric_doe_flags_bounded(self, tmp_path, model_path, capsys,

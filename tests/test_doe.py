@@ -362,6 +362,11 @@ class TestParameterCovariance:
         with pytest.raises(ValueError, match="non-negative"):
             NoiseModel(sigma_mm=-0.01)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma_mm must be finite and non-negative"):
+            NoiseModel(sigma_mm=sigma)
+
     def test_matches_dense_regressor(self, model, plan):
         cov = parameter_covariance(model, plan, NOISE)
         # oracle: sigma^2 (B^T B)^-1 of the dense regressor of one dummy
@@ -645,12 +650,33 @@ class TestOptimizer:
                                                          rel=1e-12)
 
     def test_no_finite_start_raises(self, model, test_pose):
+        """A load so small that every information matrix underflows to zero
+        leaves every bucket of every candidate singular."""
         cons = PlanConstraints(joint_limits_rad=CONSTRAINTS.joint_limits_rad,
-                               load_magnitude_N=math.inf)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(IdentifiabilityError, match="no random start"):
+                               load_magnitude_N=1e-300)
+        with pytest.raises(IdentifiabilityError, match="no random start"):
             optimize_plan(model, test_pose, np.radians(BUCKETS_DEG), cons, NOISE,
                           n_starts=1, configs_per_bucket=1, n_grid=3, n_levels=1)
+
+    def test_singular_bucket_does_not_freeze_its_start(self, model, test_pose,
+                                                       monkeypatch):
+        """q5 = 0 aligns joints 4 and 6 in every random configuration of the
+        -56.9 deg bucket, so the start's metric is infinite.  Each bucket
+        descends on its own, so the search still ends on a finite plan."""
+        draw = doe._random_config
+
+        def aligned(rng, q2, constraints):
+            q = draw(rng, q2, constraints)
+            if q2 == pytest.approx(math.radians(-56.9)):
+                q[4] = 0.0
+            return q
+
+        monkeypatch.setattr(doe, "_random_config", aligned)
+        opt = optimize_plan(model, test_pose, np.radians(BUCKETS_DEG), CONSTRAINTS, NOISE,
+                            n_starts=1, seed=0, repeats=1, configs_per_bucket=2)
+        assert opt.start_values_mm2 == (math.inf,)
+        assert math.isfinite(opt.accuracy.rho0_mm)
+        assert opt.accuracy.rho0_mm < 0.1
 
 
 class TestConstraints:
@@ -660,6 +686,18 @@ class TestConstraints:
         with pytest.raises(ValueError, match="load magnitude"):
             PlanConstraints(joint_limits_rad=((0.0, 1.0),) * 6,
                             load_magnitude_N=-5.0)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("load_magnitude_N", dict(load_magnitude_N=math.nan)),
+        ("load_magnitude_N", dict(load_magnitude_N=math.inf)),
+        ("joint_limits_rad", dict(joint_limits_rad=((0.0, 1.0),) * 5 + ((math.nan, 1.0),))),
+        ("joint_limits_rad", dict(joint_limits_rad=((0.0, 1.0),) * 5 + ((0.0, math.inf),))),
+        ("q1_intervals_rad", dict(q1_intervals_rad=((math.nan, 0.5),))),
+    ])
+    def test_non_finite_values_rejected(self, field, kwargs):
+        kwargs = dict(joint_limits_rad=((0.0, 1.0),) * 6) | kwargs
+        with pytest.raises(ValueError, match=field):
+            PlanConstraints(**kwargs)
 
     def test_wrench_is_gravity_direction(self):
         w = CONSTRAINTS.wrench()

@@ -185,6 +185,18 @@ def _same_records(recs, ref):
     assert np.abs(recs.deflection_mm - d).max() <= 1e-15
 
 
+@pytest.mark.parametrize("noise_mm", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["geometry", "deflections"])
+def test_bad_noise_rejected(model, kind, noise_mm):
+    with pytest.raises(ValueError, match="noise_mm must be finite and >= 0"):
+        if kind == "geometry":
+            simulate_geometry_dataset(GEOM, SWEEP, noise_mm=noise_mm)
+        else:
+            simulate_deflection_records(model, spread_plan(buckets_deg=(-45.0,),
+                                                           configs_per_bucket=1),
+                                        noise_mm=noise_mm)
+
+
 class TestGroundTruth:
     def test_from_reference_model(self, model):
         truth = GroundTruth.from_model(model)
