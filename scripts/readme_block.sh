@@ -6,6 +6,8 @@
 #   - an empty or missing output among the five checked below;
 #   - an unconverged prediction (predict still exits 0);
 #   - a design whose rho0 is not finite and positive;
+#   - a manifest.json whose outputs are not exactly the other files in its
+#     directory;
 #   - any byte that differs between the two runs, manifest.json aside
 #     (manifests hold absolute paths).
 #
@@ -33,8 +35,13 @@ for hash_seed in 0 1; do
         test -s "$work/out/$f" || { echo "out/$f is missing or empty" >&2; exit 1; }
     done
     python - "$work/out" <<'EOF'
-import json, math, sys
+import glob, json, math, os, sys
 out = sys.argv[1]
+for man in sorted(glob.glob(f"{out}/*/manifest.json")):
+    listed = sorted(json.load(open(man))["outputs"])
+    written = sorted(n for n in os.listdir(os.path.dirname(man)) if n != "manifest.json")
+    if listed != written:
+        sys.exit(f"{man} lists {listed}, but its directory holds {written}")
 if json.load(open(f"{out}/pred/prediction.json"))["converged"] is not True:
     sys.exit("the prediction did not converge")
 rho0 = json.load(open(f"{out}/plan/doe.json"))["rho0_mm"]

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +52,11 @@ _INPUT_FLAGS = ("markers", "model", "records", "plan")
 # Largest --ci-samples, --starts, --configs-per-bucket and start:stop:count
 # count: each is one refit, one random start, one plan row per bucket or one pose.
 MAX_COUNT = 10_000
+# Largest --starts x buckets x --configs-per-bucket: the plan search holds the
+# frames of every configuration at once, 384 bytes each with three markers.
+MAX_SEARCH_CONFIGS = 1_000_000
+# file name -> JSON dict, (x, series, y) plot rows or a writer taking the path
+Outputs = Dict[str, Union[Dict, List[tuple], Callable[[str], None]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,11 +188,6 @@ _sigma = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >=
 _magnitude = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _compensated_model(path: str) -> ManipulatorModel:
     """The model file at ``path``; a usage error unless it has a compensator."""
     model = load_model(path)
@@ -200,13 +200,12 @@ def _compensated_model(path: str) -> ManipulatorModel:
 # subcommand bodies
 
 
-def _cmd_geom_ident(args) -> int:
+def _cmd_geom_ident(args) -> Outputs:
     dataset = load_marker_csv(args.markers)
     sign = {"auto": "auto", "+1": 1, "-1": -1}[args.angle_sign]
     est = identify_compensator_geometry(dataset, angle_sign=sign)
     ci = confidence_intervals_geometry(dataset, est, n_samples=args.ci_samples,
                                        seed=args.seed)
-    out = _ensure_out(args.out)
     payload = {
         "L_mm": est.L_mm, "ax_mm": est.ax_mm, "ay_mm": est.ay_mm,
         "p2_mm": list(est.p2), "p0_mm": list(est.p0),
@@ -219,7 +218,6 @@ def _cmd_geom_ident(args) -> int:
                            "satellite": ci.sigma_satellite_mm},
         "ci_samples": ci.n_samples,
     }
-    _write_json(os.path.join(out, "geometry.json"), payload)
     q2_deg = np.degrees(dataset.q2_rad)
     fit_pts = est.crank_fit.predict(dataset.q2_rad)
     rows = []
@@ -228,19 +226,16 @@ def _cmd_geom_ident(args) -> int:
         rows.append((q2_deg[i], "crank_meas_y", dataset.crank[i, 1]))
         rows.append((q2_deg[i], "crank_fit_x", fit_pts[i, 0]))
         rows.append((q2_deg[i], "crank_fit_y", fit_pts[i, 1]))
-    write_plot_data(os.path.join(out, "fit_tracks.csv"), rows)
-    _write_manifest(args, ["geometry.json", "fit_tracks.csv"])
     print(f"L  = {est.L_mm:10.3f} +/- {ci.halfwidth3_L_mm:.3f} mm")
     print(f"ax = {est.ax_mm:10.3f} +/- {ci.halfwidth3_ax_mm:.3f} mm")
     print(f"ay = {est.ay_mm:10.3f} +/- {ci.halfwidth3_ay_mm:.3f} mm")
-    return 0
+    return {"geometry.json": payload, "fit_tracks.csv": rows}
 
 
-def _cmd_elasto_ident(args) -> int:
+def _cmd_elasto_ident(args) -> Outputs:
     model = _compensated_model(args.model)
     est = identify_elastostatics(model, load_deflection_csv(args.records))
     ci = confidence_intervals_elasto(est, n_samples=args.ci_samples, seed=args.seed)
-    out = _ensure_out(args.out)
     params = []
     for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent):
         params.append({"name": lab, "value": val, "ci3": half,
@@ -259,23 +254,20 @@ def _cmd_elasto_ident(args) -> int:
         "ci_samples": ci.n_samples,
         "ci_failed": ci.n_failed,
     }
-    _write_json(os.path.join(out, "elasto.json"), payload)
     K2 = est.fit.joint2_stiffnesses()
     rows = []
     for b, q2 in enumerate(lay.bucket_q2_rad):
         rows.append((math.degrees(q2), "K2_measured", K2[b]))
         rows.append((math.degrees(q2), "K2_separation_fit",
                      est.separation.K2_fit_Nmm_per_rad[b]))
-    write_plot_data(os.path.join(out, "joint2_stiffness.csv"), rows)
-    _write_manifest(args, ["elasto.json", "joint2_stiffness.csv"])
     for p in params:
         pct = p["ci3_percent"]
         pct_s = f" ({pct:5.1f}%)" if pct is not None else ""
         print(f"{p['name']:4s} = {p['value']: .6e} +/- {p['ci3']:.2e}{pct_s}")
-    return 0
+    return {"elasto.json": payload, "joint2_stiffness.csv": rows}
 
 
-def _cmd_doe(args) -> int:
+def _cmd_doe(args) -> Outputs:
     model = load_model(args.model)
     test_q = np.radians(_parse_float_list(args.test_q, "--test-q", 6))
     buckets = np.radians(_parse_grid(args.buckets, "--buckets"))
@@ -295,14 +287,15 @@ def _cmd_doe(args) -> int:
         cons.bucket_layout(buckets)
     except ValueError as exc:
         raise UsageError(f"--buckets: {exc}") from exc
+    n_configs = args.starts * len(buckets) * args.configs_per_bucket
+    if n_configs > MAX_SEARCH_CONFIGS:
+        raise UsageError(f"--starts and --configs-per-bucket: {n_configs} configurations "
+                         f"(starts x buckets x per bucket), more than {MAX_SEARCH_CONFIGS}")
     test = TestPose(tuple(test_q), tuple(cons.wrench()))
-    noise = NoiseModel(sigma_mm=args.noise)
-    opt = optimize_plan(model, test, buckets, cons, noise,
+    opt = optimize_plan(model, test, buckets, cons, NoiseModel(sigma_mm=args.noise),
                         configs_per_bucket=args.configs_per_bucket,
                         repeats=args.repeats, n_starts=args.starts,
                         seed=args.seed)
-    out = _ensure_out(args.out)
-    save_plan_csv(os.path.join(out, "plan.csv"), opt.plan)
     payload = {
         "rho0_sq_mm2": opt.accuracy.rho0_sq_mm2,
         "rho0_mm": opt.accuracy.rho0_mm,
@@ -312,48 +305,37 @@ def _cmd_doe(args) -> int:
         "n_evaluations": opt.n_evaluations,
         "searched_joints": list(opt.searched_joints),
     }
-    _write_json(os.path.join(out, "doe.json"), payload)
     rows = [(math.degrees(b), "rho0_sq_contribution",
              opt.accuracy.per_bucket_mm2[i])
             for i, b in enumerate(opt.accuracy.bucket_q2_rad)]
-    write_plot_data(os.path.join(out, "bucket_contributions.csv"), rows)
-    _write_manifest(args, ["plan.csv", "doe.json", "bucket_contributions.csv"])
     print(f"rho0 = {opt.accuracy.rho0_mm:.4f} mm "
           f"(variance {opt.accuracy.rho0_sq_mm2:.3e} mm^2, "
           f"{opt.plan.n_entries} configurations)")
-    return 0
+    return {"plan.csv": lambda path: save_plan_csv(path, opt.plan),
+            "doe.json": payload, "bucket_contributions.csv": rows}
 
 
-def _cmd_simulate(args) -> int:
-    if args.sim_kind == "geometry":
-        geom = _compensated_model(args.model).compensator.geometry
-        q2 = np.radians(_parse_grid(args.q2, "--q2"))
-        ds = simulate_geometry_dataset(geom, q2, noise_mm=args.noise,
-                                       seed=args.seed)
-        out = _ensure_out(args.out)
-        path = os.path.join(out, "markers.csv")
-        save_marker_csv(path, ds)
-        _write_manifest(args, ["markers.csv"])
-        print(f"wrote {ds.n_poses} sweep poses to {path}")
-        return 0
-    # deflection records
+def _cmd_simulate_geometry(args) -> Outputs:
+    geom = _compensated_model(args.model).compensator.geometry
+    q2 = np.radians(_parse_grid(args.q2, "--q2"))
+    ds = simulate_geometry_dataset(geom, q2, noise_mm=args.noise, seed=args.seed)
+    print(f"wrote {ds.n_poses} sweep poses to {os.path.join(args.out, 'markers.csv')}")
+    return {"markers.csv": lambda path: save_marker_csv(path, ds)}
+
+
+def _cmd_simulate_deflections(args) -> Outputs:
     model = _compensated_model(args.model)
-    plan = load_plan_csv(args.plan)
-    records = simulate_deflection_records(model, plan, noise_mm=args.noise,
-                                          seed=args.seed,
+    records = simulate_deflection_records(model, load_plan_csv(args.plan),
+                                          noise_mm=args.noise, seed=args.seed,
                                           response=args.response)
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "records.csv")
-    save_deflection_csv(path, records)
     truth = GroundTruth.from_model(model)
-    _write_json(os.path.join(out, "truth.json"),
-                {"labels": list(truth.labels), "values": list(truth.values)})
-    _write_manifest(args, ["records.csv", "truth.json"])
-    print(f"wrote {len(records)} deflection records to {path}")
-    return 0
+    print(f"wrote {len(records)} deflection records to "
+          f"{os.path.join(args.out, 'records.csv')}")
+    return {"records.csv": lambda path: save_deflection_csv(path, records),
+            "truth.json": {"labels": list(truth.labels), "values": list(truth.values)}}
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> Outputs:
     model = load_model(args.model)
     q = np.radians(_parse_float_list(args.q, "--q", 6))
     wrench = np.array(_parse_float_list(args.wrench, "--wrench", 6))
@@ -364,7 +346,6 @@ def _cmd_predict(args) -> int:
     markers = predict_marker_deflections(model, comp, q, wrench)
     rigid = fk(model, q)
     commanded = compensate_target(model, comp, q, wrench, rigid)
-    out = _ensure_out(args.out)
     payload = {
         "q_deg": [math.degrees(v) for v in q],
         "wrench": list(wrench),
@@ -377,33 +358,27 @@ def _cmd_predict(args) -> int:
         "cartesian_stiffness": [list(r) for r in kc.matrix],
         "compensated_target_mm": list(commanded.p),
     }
-    _write_json(os.path.join(out, "prediction.json"), payload)
-    _write_manifest(args, ["prediction.json"])
-    dp = np.linalg.norm(twist[:3])
     print(f"converged={state.converged} iters={state.iterations} "
-          f"linear tool sag {dp:.3f} mm")
-    return 0
+          f"linear tool sag {np.linalg.norm(twist[:3]):.3f} mm")
+    return {"prediction.json": payload}
 
 
-def _cmd_eta_curve(args) -> int:
+def _cmd_eta_curve(args) -> Outputs:
     geom = _compensated_model(args.model).compensator.geometry
     s0_vals = _parse_float_list(args.s0, "--s0")
     if min(s0_vals) < 0.0:
         raise UsageError(f"--s0: free lengths must be >= 0, got {min(s0_vals):g}")
     q2 = np.radians(_parse_grid(args.q2, "--q2"))
     table = eta_curve(geom, s0_vals, q2)
-    out = _ensure_out(args.out)
-    path = os.path.join(out, "eta.csv")
-    write_table(path, ("q2_deg", "s0_mm", "eta"), (".10g",) * 3,
-                ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table))
     rows = [(math.degrees(r[0]), f"s0={r[1]:g}mm", r[2]) for r in table]
-    write_plot_data(os.path.join(out, "eta_plot.csv"), rows)
-    _write_manifest(args, ["eta.csv", "eta_plot.csv"])
-    print(f"wrote {len(table)} eta samples to {path}")
+    print(f"wrote {len(table)} eta samples to {os.path.join(args.out, 'eta.csv')}")
     for s0, eta in zip(s0_vals, table[:, 2].reshape(len(s0_vals), -1)):
         print(f"s0={s0:6.1f} mm: eta in [{eta.min():+.3f}, {eta.max():+.3f}], "
               f"{int(np.sum(eta <= 0))} non-positive")
-    return 0
+    return {"eta.csv": lambda path: write_table(
+                path, ("q2_deg", "s0_mm", "eta"), (".10g",) * 3,
+                ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table)),
+            "eta_plot.csv": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    g = sub.add_parser("geom-ident", parents=[], description=None,
-                       help="identify compensator linkage geometry from "
-                            "marker tracks")
+    g = sub.add_parser("geom-ident", help="identify compensator linkage geometry "
+                                          "from marker tracks")
     g.add_argument("--markers", required=True, help="marker track CSV")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--angle-sign", choices=["auto", "+1", "-1"],
@@ -470,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--out", required=True)
     sg.add_argument("--noise", type=_sigma, default=0.0)
     sg.add_argument("--seed", type=_seed, default=0)
-    sg.set_defaults(func=_cmd_simulate)
+    sg.set_defaults(func=_cmd_simulate_geometry)
     sd = ssub.add_parser("deflections",
                          help="deflection records for a measurement plan")
     sd.add_argument("--model", required=True)
@@ -480,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--response", choices=["nonlinear", "linear"],
                     default="nonlinear")
     sd.add_argument("--seed", type=_seed, default=0)
-    sd.set_defaults(func=_cmd_simulate)
+    sd.set_defaults(func=_cmd_simulate_deflections)
 
     pr = sub.add_parser("predict", help="predict deflections under a load")
     pr.add_argument("--model", required=True)
@@ -510,7 +484,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command and return its exit code (0, 1 or 2).
+    """Run one command, write its files to ``--out`` and return its exit code (0, 1 or 2).
 
     The parser is built once per process, so ``main`` may be called
     repeatedly in-process (a benchmark or a notebook running one command
@@ -526,7 +500,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if bad:     # argparse before Python 3.12 reads --flag=-- as an empty list
             raise UsageError(f"--{bad[0].replace('_', '-')}: expected a value, got --")
         with np.errstate(over="raise"):
-            return args.func(args)
+            outputs = args.func(args)
+            os.makedirs(args.out, exist_ok=True)
+            for name, content in outputs.items():
+                path = os.path.join(args.out, name)
+                if isinstance(content, dict):
+                    _write_json(path, content)
+                elif callable(content):
+                    content(path)
+                else:
+                    write_plot_data(path, content)
+            _write_manifest(args, list(outputs))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

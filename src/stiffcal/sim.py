@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .compensator import CompensatorGeometry
-from .doe import CalibrationPlan
+from .doe import CalibrationPlan, NoiseModel
 from .elasto_id import PARAMETER_LABELS, DeflectionRecords
 from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
@@ -45,11 +45,6 @@ class GroundTruth:
                                                [el.Kc_N_per_mm, el.s0_mm]))
 
 
-def _check_noise(noise_mm: float) -> None:
-    if not (math.isfinite(noise_mm) and noise_mm >= 0.0):
-        raise ValueError(f"noise_mm must be finite and >= 0, got {noise_mm}")
-
-
 def _noisy(clean: np.ndarray, noise_mm: float, draws: np.ndarray) -> np.ndarray:
     """``clean + noise_mm * draws``; ``ValueError`` when that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -74,7 +69,7 @@ def simulate_geometry_dataset(geometry: CompensatorGeometry,
     the recorded joint angle (some controllers count the crank the other
     way); ``crank_phase_rad`` offsets its zero.
     """
-    _check_noise(noise_mm)
+    NoiseModel(noise_mm)
     q2 = np.asarray(q2_rad, dtype=float).reshape(-1)
     if q2.size < 3:
         raise ValueError("need at least 3 sweep angles")
@@ -109,7 +104,7 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
     """
     if response not in ("nonlinear", "linear"):
         raise ValueError(f"unknown response model: {response!r}")
-    _check_noise(noise_mm)
+    NoiseModel(noise_mm)
     n_mark = len(model.markers)
     if n_mark == 0:
         raise ValueError("model defines no markers to measure")

@@ -453,6 +453,10 @@ class TestUsageParsing:
                      "--buckets", id="buckets-over-cap"),
         pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-50,30"],
                      "--buckets", id="buckets-outside-joint2-limits"),
+        # 10000 starts x 3 buckets x 34 is just over the search's 10**6 configurations
+        pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-60,-120",
+                      "--starts=10000", "--configs-per-bucket=34"],
+                     "--configs-per-bucket", id="doe-search-over-cap"),
         pytest.param(["doe", "--test-q=0,-45,0,0,0,0", "--buckets=-10,-10.1,-50"],
                      "--buckets", id="buckets-too-close"),
         # argparse before Python 3.12 reads these as empty lists
@@ -581,8 +585,9 @@ class TestInProcessReuse:
 
 
 def test_readme_manifests_record_every_flag(tmp_path, monkeypatch):
-    """Each README command's manifest holds every flag given but ``--out``:
-    the file flags as inputs, ``--seed`` as the seed, the rest as overrides."""
+    """Each README command's manifest lists exactly the files in its ``--out``
+    and holds every flag given but ``--out``: the file flags as inputs,
+    ``--seed`` as the seed, the rest as overrides."""
     TestInProcessReuse._readme_outputs(tmp_path, monkeypatch, cold=False)
     for argv in _readme_commands():
         given_flags, i = {}, 0
@@ -594,7 +599,10 @@ def test_readme_manifests_record_every_flag(tmp_path, monkeypatch):
                     value = argv[i]
                 given_flags[name.replace("-", "_")] = value
             i += 1
-        man = _load_json(tmp_path / given_flags.pop("out") / "manifest.json")
+        out = tmp_path / given_flags.pop("out")
+        man = _load_json(out / "manifest.json")
+        assert sorted(man["outputs"]) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json"), argv
         for name, value in given_flags.items():
             if name in man["inputs"]:
                 assert man["inputs"][name]["path"] == os.path.abspath(value), argv

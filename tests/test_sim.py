@@ -188,7 +188,7 @@ def _same_records(recs, ref):
 @pytest.mark.parametrize("noise_mm", [-0.5, np.nan, np.inf])
 @pytest.mark.parametrize("kind", ["geometry", "deflections"])
 def test_bad_noise_rejected(model, kind, noise_mm):
-    with pytest.raises(ValueError, match="noise_mm must be finite and >= 0"):
+    with pytest.raises(ValueError, match="noise sigma_mm must be finite and non-negative"):
         if kind == "geometry":
             simulate_geometry_dataset(GEOM, SWEEP, noise_mm=noise_mm)
         else:
