@@ -4,7 +4,8 @@
 # `stiffcal` that imports this checkout's src/, and once through one that
 # imports the src/ of another commit, checked out as a temporary git
 # worktree.  Print a Markdown report of the output files that differ between
-# the two runs, manifest.json aside (manifests hold absolute paths).
+# the two runs, manifest.json aside (manifests hold absolute paths), and of
+# whether the two runs printed the same lines.
 #
 # The report never fails: a change may alter a payload on purpose, and a
 # commit that cannot run this checkout's block is reported as such.
@@ -62,3 +63,12 @@ else
     echo "$changed"
     echo '```'
 fi
+if cmp -s "$tmp/base.log" "$tmp/head.log"; then
+    echo "The block printed identical lines."
+else
+    echo "The block printed different lines (diff from the base's to this checkout's):"
+    echo '```'
+    diff "$tmp/base.log" "$tmp/head.log"
+    echo '```'
+fi
+exit 0

@@ -4,7 +4,8 @@
 # through the `stiffcal` command on PATH.  The run fails on
 #   - a failing command, or a numpy overflow or invalid-value warning;
 #   - an empty or missing output among the five checked below;
-#   - an unconverged prediction (predict still exits 0);
+#   - an unconverged prediction (predict itself exits 2 on one; this
+#     check stays as a second guard);
 #   - a design whose rho0 is not finite and positive;
 #   - a manifest.json whose outputs are not exactly the other files in its
 #     directory;

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,8 +55,8 @@ MAX_COUNT = 10_000
 # Largest --starts x buckets x --configs-per-bucket: the plan search holds the
 # frames of every configuration at once, 384 bytes each with three markers.
 MAX_SEARCH_CONFIGS = 1_000_000
-# file name -> JSON dict, (x, series, y) plot rows or a writer taking the path
-Outputs = Dict[str, Union[Dict, List[tuple], Callable[[str], None]]]
+# result lines; file name -> JSON dict, (x, series, y) plot rows or a writer taking the path
+Result = Tuple[List[str], Dict[str, Union[Dict, List[tuple], Callable[[str], None]]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,15 +82,15 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, outputs: Sequence[str]) -> None:
-    """``manifest.json`` in ``args.out``, from the parsed flags: the file
-    flags are the inputs, ``--seed`` the seed (null without one), and every
-    other flag but ``--out`` an override, each as parsed."""
+def _manifest(args, outputs: Sequence[str]) -> Dict:
+    """``manifest.json`` of a run writing ``outputs``, from the parsed flags:
+    the file flags are the inputs, ``--seed`` the seed (null without one), and
+    every other flag but ``--out`` an override, each as parsed."""
     flags = {name: value for name, value in vars(args).items()
              if name not in ("command", "sim_kind", "func", "out")}
     inputs = {name: flags.pop(name) for name in _INPUT_FLAGS if name in flags}
     seed = flags.pop("seed", None)
-    manifest = {
+    return {
         "tool": "stiffcal",
         "version": __version__,
         "subcommand": "-".join(filter(None, (args.command, getattr(args, "sim_kind", None)))),
@@ -101,18 +101,6 @@ def _write_manifest(args, outputs: Sequence[str]) -> None:
         "overrides": flags,
         "out_dir": os.path.abspath(args.out),
     }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
-
-
-def _write_json(path: str, payload: Dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_plot_data(path: str, rows) -> None:
-    """Long-format plot table: one (x, series, y) triple per row."""
-    write_table(path, ("x", "series", "y"), (".10g", "s", ".10g"), rows)
 
 
 def _finite(vals: List[float], name: str) -> List[float]:
@@ -200,10 +188,9 @@ def _compensated_model(path: str) -> ManipulatorModel:
 # subcommand bodies
 
 
-def _cmd_geom_ident(args) -> Outputs:
+def _cmd_geom_ident(args) -> Result:
     dataset = load_marker_csv(args.markers)
-    sign = {"auto": "auto", "+1": 1, "-1": -1}[args.angle_sign]
-    est = identify_compensator_geometry(dataset, angle_sign=sign)
+    est = identify_compensator_geometry(dataset, angle_sign=args.angle_sign)
     ci = confidence_intervals_geometry(dataset, est, n_samples=args.ci_samples,
                                        seed=args.seed)
     payload = {
@@ -226,13 +213,13 @@ def _cmd_geom_ident(args) -> Outputs:
         rows.append((q2_deg[i], "crank_meas_y", dataset.crank[i, 1]))
         rows.append((q2_deg[i], "crank_fit_x", fit_pts[i, 0]))
         rows.append((q2_deg[i], "crank_fit_y", fit_pts[i, 1]))
-    print(f"L  = {est.L_mm:10.3f} +/- {ci.halfwidth3_L_mm:.3f} mm")
-    print(f"ax = {est.ax_mm:10.3f} +/- {ci.halfwidth3_ax_mm:.3f} mm")
-    print(f"ay = {est.ay_mm:10.3f} +/- {ci.halfwidth3_ay_mm:.3f} mm")
-    return {"geometry.json": payload, "fit_tracks.csv": rows}
+    lines = [f"L  = {est.L_mm:10.3f} +/- {ci.halfwidth3_L_mm:.3f} mm",
+             f"ax = {est.ax_mm:10.3f} +/- {ci.halfwidth3_ax_mm:.3f} mm",
+             f"ay = {est.ay_mm:10.3f} +/- {ci.halfwidth3_ay_mm:.3f} mm"]
+    return lines, {"geometry.json": payload, "fit_tracks.csv": rows}
 
 
-def _cmd_elasto_ident(args) -> Outputs:
+def _cmd_elasto_ident(args) -> Result:
     model = _compensated_model(args.model)
     est = identify_elastostatics(model, load_deflection_csv(args.records))
     ci = confidence_intervals_elasto(est, n_samples=args.ci_samples, seed=args.seed)
@@ -260,14 +247,13 @@ def _cmd_elasto_ident(args) -> Outputs:
         rows.append((math.degrees(q2), "K2_measured", K2[b]))
         rows.append((math.degrees(q2), "K2_separation_fit",
                      est.separation.K2_fit_Nmm_per_rad[b]))
-    for p in params:
-        pct = p["ci3_percent"]
-        pct_s = f" ({pct:5.1f}%)" if pct is not None else ""
-        print(f"{p['name']:4s} = {p['value']: .6e} +/- {p['ci3']:.2e}{pct_s}")
-    return {"elasto.json": payload, "joint2_stiffness.csv": rows}
+    lines = [f"{p['name']:4s} = {p['value']: .6e} +/- {p['ci3']:.2e}"
+             + (f" ({p['ci3_percent']:5.1f}%)" if p["ci3_percent"] is not None else "")
+             for p in params]
+    return lines, {"elasto.json": payload, "joint2_stiffness.csv": rows}
 
 
-def _cmd_doe(args) -> Outputs:
+def _cmd_doe(args) -> Result:
     model = load_model(args.model)
     test_q = np.radians(_parse_float_list(args.test_q, "--test-q", 6))
     buckets = np.radians(_parse_grid(args.buckets, "--buckets"))
@@ -308,34 +294,34 @@ def _cmd_doe(args) -> Outputs:
     rows = [(math.degrees(b), "rho0_sq_contribution",
              opt.accuracy.per_bucket_mm2[i])
             for i, b in enumerate(opt.accuracy.bucket_q2_rad)]
-    print(f"rho0 = {opt.accuracy.rho0_mm:.4f} mm "
-          f"(variance {opt.accuracy.rho0_sq_mm2:.3e} mm^2, "
-          f"{opt.plan.n_entries} configurations)")
-    return {"plan.csv": lambda path: save_plan_csv(path, opt.plan),
-            "doe.json": payload, "bucket_contributions.csv": rows}
+    line = (f"rho0 = {opt.accuracy.rho0_mm:.4f} mm "
+            f"(variance {opt.accuracy.rho0_sq_mm2:.3e} mm^2, "
+            f"{opt.plan.n_entries} configurations)")
+    return [line], {"plan.csv": lambda path: save_plan_csv(path, opt.plan),
+                    "doe.json": payload, "bucket_contributions.csv": rows}
 
 
-def _cmd_simulate_geometry(args) -> Outputs:
+def _cmd_simulate_geometry(args) -> Result:
     geom = _compensated_model(args.model).compensator.geometry
     q2 = np.radians(_parse_grid(args.q2, "--q2"))
     ds = simulate_geometry_dataset(geom, q2, noise_mm=args.noise, seed=args.seed)
-    print(f"wrote {ds.n_poses} sweep poses to {os.path.join(args.out, 'markers.csv')}")
-    return {"markers.csv": lambda path: save_marker_csv(path, ds)}
+    return ([f"wrote {ds.n_poses} sweep poses to {os.path.join(args.out, 'markers.csv')}"],
+            {"markers.csv": lambda path: save_marker_csv(path, ds)})
 
 
-def _cmd_simulate_deflections(args) -> Outputs:
+def _cmd_simulate_deflections(args) -> Result:
     model = _compensated_model(args.model)
     records = simulate_deflection_records(model, load_plan_csv(args.plan),
                                           noise_mm=args.noise, seed=args.seed,
                                           response=args.response)
     truth = GroundTruth.from_model(model)
-    print(f"wrote {len(records)} deflection records to "
-          f"{os.path.join(args.out, 'records.csv')}")
-    return {"records.csv": lambda path: save_deflection_csv(path, records),
-            "truth.json": {"labels": list(truth.labels), "values": list(truth.values)}}
+    return ([f"wrote {len(records)} deflection records to "
+             f"{os.path.join(args.out, 'records.csv')}"],
+            {"records.csv": lambda path: save_deflection_csv(path, records),
+             "truth.json": {"labels": list(truth.labels), "values": list(truth.values)}})
 
 
-def _cmd_predict(args) -> Outputs:
+def _cmd_predict(args) -> Result:
     model = load_model(args.model)
     q = np.radians(_parse_float_list(args.q, "--q", 6))
     wrench = np.array(_parse_float_list(args.wrench, "--wrench", 6))
@@ -358,12 +344,12 @@ def _cmd_predict(args) -> Outputs:
         "cartesian_stiffness": [list(r) for r in kc.matrix],
         "compensated_target_mm": list(commanded.p),
     }
-    print(f"converged={state.converged} iters={state.iterations} "
-          f"linear tool sag {np.linalg.norm(twist[:3]):.3f} mm")
-    return {"prediction.json": payload}
+    return ([f"converged={state.converged} iters={state.iterations} "
+             f"linear tool sag {np.linalg.norm(twist[:3]):.3f} mm"],
+            {"prediction.json": payload})
 
 
-def _cmd_eta_curve(args) -> Outputs:
+def _cmd_eta_curve(args) -> Result:
     geom = _compensated_model(args.model).compensator.geometry
     s0_vals = _parse_float_list(args.s0, "--s0")
     if min(s0_vals) < 0.0:
@@ -371,14 +357,14 @@ def _cmd_eta_curve(args) -> Outputs:
     q2 = np.radians(_parse_grid(args.q2, "--q2"))
     table = eta_curve(geom, s0_vals, q2)
     rows = [(math.degrees(r[0]), f"s0={r[1]:g}mm", r[2]) for r in table]
-    print(f"wrote {len(table)} eta samples to {os.path.join(args.out, 'eta.csv')}")
-    for s0, eta in zip(s0_vals, table[:, 2].reshape(len(s0_vals), -1)):
-        print(f"s0={s0:6.1f} mm: eta in [{eta.min():+.3f}, {eta.max():+.3f}], "
-              f"{int(np.sum(eta <= 0))} non-positive")
-    return {"eta.csv": lambda path: write_table(
-                path, ("q2_deg", "s0_mm", "eta"), (".10g",) * 3,
-                ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table)),
-            "eta_plot.csv": rows}
+    lines = [f"wrote {len(table)} eta samples to {os.path.join(args.out, 'eta.csv')}"]
+    lines += [f"s0={s0:6.1f} mm: eta in [{eta.min():+.3f}, {eta.max():+.3f}], "
+              f"{int(np.sum(eta <= 0))} non-positive"
+              for s0, eta in zip(s0_vals, table[:, 2].reshape(len(s0_vals), -1))]
+    return lines, {"eta.csv": lambda path: write_table(
+                       path, ("q2_deg", "s0_mm", "eta"), (".10g",) * 3,
+                       ((math.degrees(q2_rad), s0, e) for q2_rad, s0, e in table)),
+                   "eta_plot.csv": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +470,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command, write its files to ``--out`` and return its exit code (0, 1 or 2).
+    """Run one command, write its files to ``--out``, print its lines, return 0, 1 or 2.
 
     The parser is built once per process, so ``main`` may be called
     repeatedly in-process (a benchmark or a notebook running one command
@@ -500,17 +486,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if bad:     # argparse before Python 3.12 reads --flag=-- as an empty list
             raise UsageError(f"--{bad[0].replace('_', '-')}: expected a value, got --")
         with np.errstate(over="raise"):
-            outputs = args.func(args)
+            lines, outputs = args.func(args)
+            outputs["manifest.json"] = _manifest(args, list(outputs))
             os.makedirs(args.out, exist_ok=True)
             for name, content in outputs.items():
                 path = os.path.join(args.out, name)
                 if isinstance(content, dict):
-                    _write_json(path, content)
+                    with open(path, "w") as fh:
+                        json.dump(content, fh, indent=2, sort_keys=True)
+                        fh.write("\n")
                 elif callable(content):
                     content(path)
-                else:
-                    write_plot_data(path, content)
-            _write_manifest(args, list(outputs))
+                else:   # the long-format plot table
+                    write_table(path, ("x", "series", "y"), (".10g", "s", ".10g"), content)
+            for line in lines:
+                print(line)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

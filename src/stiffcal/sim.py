@@ -10,7 +10,6 @@ datasets are stable against reordering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -19,10 +18,9 @@ import numpy as np
 from .compensator import CompensatorGeometry
 from .doe import CalibrationPlan, NoiseModel
 from .elasto_id import PARAMETER_LABELS, DeflectionRecords
-from .errors import ConvergenceError
 from .geometry_id import MarkerDataset
 from .robot import ManipulatorModel, _marker_points
-from .stiffness import predict_marker_deflections, solve_equilibria
+from .stiffness import _load_pairs, predict_marker_deflections
 
 # Tracker targets bolted to the spring cylinder, in the pivot frame whose
 # x axis points from the pivot towards the crank pin (mm).
@@ -115,20 +113,9 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
     if response == "linear":
         defl = predict_marker_deflections(model, comp, q, w)
     else:
-        # the unloaded equilibria of every entry, then the loaded ones
-        q_both = np.concatenate([q, q])
-        st = solve_equilibria(model, comp, q_both, np.concatenate([np.zeros_like(w), w]))
-        n = len(entries)
-        bad = np.flatnonzero(~(st.converged[:n] & st.converged[n:]))
-        if bad.size:
-            i = int(bad[0])
-            stop = i if not st.converged[i] else n + i
-            raise ConvergenceError(
-                f"equilibrium did not converge for plan entry {i} "
-                f"(q2={math.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
-        # the markers ride the tool frames the solve ended on
-        pos = _marker_points(model, st.pose.R, st.pose.p)
-        defl = pos[n:] - pos[:n]
+        # the markers ride the tool frames the solves ended on
+        g, f = _load_pairs(model, comp, q, w)
+        defl = _marker_points(model, f.R, f.p) - _marker_points(model, g.R, g.p)
     reps = np.array([e.repeats for e in entries])
     d = np.repeat(defl, reps, axis=0)     # (entry repeats, marker, 3)
     if noise_mm > 0.0:

@@ -21,13 +21,13 @@ Hessian, so finite-difference probes of the solver reproduce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .compensator import CompensatorParams, equivalent_joint_stiffness
 from .doe import sensitivity_rows
-from .errors import SingularConfigurationError
+from .errors import ConvergenceError, SingularConfigurationError
 from .robot import (ManipulatorModel, Pose, chain_state, hessian_theta, load_torques,
                     _point_jacobian)
 from .transforms import dot_rows, pose_difference, rot_from_rotvec
@@ -279,19 +279,38 @@ def predict_tool_deflection(model: ManipulatorModel,
     return J @ ((J.T @ np.asarray(tool_wrench, dtype=float)) / K)
 
 
+def _load_pairs(model: ManipulatorModel, compensator: Optional[CompensatorParams],
+                q, tool_wrench) -> Tuple[Pose, Pose]:
+    """The gravity-only and the loaded equilibrium tool frames at each pose of
+    ``q`` under its tool wrench, both (N, 6) or (6,), from one stack; raises
+    :class:`ConvergenceError` naming the first pose either did not reach."""
+    q = np.asarray(q, dtype=float).reshape(-1, 6)
+    w = np.asarray(tool_wrench, dtype=float).reshape(-1, 6)
+    n = len(q)
+    st = solve_equilibria(model, compensator, np.concatenate([q, q]),
+                          np.concatenate([np.zeros_like(w), w]))
+    bad = np.flatnonzero(~(st.converged[:n] & st.converged[n:]))
+    if bad.size:
+        i = int(bad[0])
+        stop = i if not st.converged[i] else n + i
+        raise ConvergenceError(
+            f"equilibrium did not converge for pose {i} "
+            f"(q2={np.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
+    return Pose(st.pose.p[:n], st.pose.R[:n]), Pose(st.pose.p[n:], st.pose.R[n:])
+
+
 def compensate_target(model: ManipulatorModel, compensator: Optional[CompensatorParams],
                       q, tool_wrench, desired: Pose) -> Pose:
     """Mirror the predicted load-induced deflection about the desired pose.
 
     The deflection is the pose change between the gravity-only equilibrium
-    and the loaded equilibrium at ``q``; commanding the returned pose instead
-    of ``desired`` cancels the deflection to first order.  With a zero wrench
-    the desired pose is returned unchanged.  Both equilibria are one stack.
+    and the loaded equilibrium at ``q`` (:class:`ConvergenceError` unless
+    both converge); commanding the returned pose instead of ``desired``
+    cancels the deflection to first order.  With a zero wrench the desired
+    pose is returned unchanged.
     """
-    F = np.stack([np.zeros(6), np.asarray(tool_wrench, dtype=float)])
-    st = solve_equilibria(model, compensator, np.stack([q, q]), F)
-    (p_g, p_f), (R_g, R_f) = st.pose.p, st.pose.R
-    delta = pose_difference(p_f, R_f, p_g, R_g)
+    g, f = _load_pairs(model, compensator, q, tool_wrench)
+    delta = pose_difference(f.p[0], f.R[0], g.p[0], g.R[0])
     p = np.asarray(desired.p, dtype=float) - delta[:3]
     R = rot_from_rotvec(-delta[3:]) @ desired.R
     return Pose(p, R)

@@ -174,6 +174,27 @@ class TestExitCodes:
         assert f"{path}:2: column {column} must be <= {2**63 - 1}, got {10**30}\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "geometry", "--q2=-140:0:8"], id="simulate-geometry"),
+        pytest.param(["predict", "--q=0,-45,0,0,0,0"], id="predict"),
+    ])
+    def test_failed_write_prints_no_result(self, tmp_path, model_path, capsys, argv):
+        """An ``--out`` that names a file exits 2 with no result line printed."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(argv + ["--model", str(model_path), "--out", str(taken)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "File exists" in err
+
+    def test_unconverged_prediction_is_2(self, tmp_path, model_path, capsys):
+        """A load whose equilibrium does not converge fails before any output."""
+        rc = main(["predict", "--model", str(model_path), "--q=-17,38,-102,113,-74,-33",
+                   "--wrench=0,0,-641773,0,0,0", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_simulate_without_kind(self, capsys):
         assert main(["simulate"]) == 1
         assert "KIND" in capsys.readouterr().err

@@ -135,14 +135,14 @@ class TestDeflectionRecords:
                          (0.0, 0.0, -2600.0, 0.0, 0.0, 0.0))
         diverging = PlanEntry(tuple(np.radians([0.0, -45.0, 0.0, 0.0, 0.0, 0.0])),
                               (0.0, 0.0, -1e9, 0.0, 0.0, 0.0))
-        with pytest.raises(ConvergenceError, match=r"plan entry 0 \(q2=-45\.0 deg\)"):
+        with pytest.raises(ConvergenceError, match=r"pose 0 \(q2=-45\.0 deg\)"):
             simulate_deflection_records(model, CalibrationPlan((diverging,)))
         # inside a stack, the diverging pose is named by its own index, with the
         # iteration it stopped at (a divergence, not the cap) ...
         with pytest.raises(ConvergenceError,
-                           match=r"plan entry 1 \(q2=-45\.0 deg\) after 2 iterations$"):
+                           match=r"pose 1 \(q2=-45\.0 deg\) after 2 iterations$"):
             simulate_deflection_records(model, CalibrationPlan((good, diverging)))
-        with pytest.raises(ConvergenceError, match=r"plan entry 1 \(q2=-45\.0 deg\)"):
+        with pytest.raises(ConvergenceError, match=r"pose 1 \(q2=-45\.0 deg\)"):
             simulate_deflection_records(model, CalibrationPlan((good, diverging, diverging)))
         # ... and the stack without it gives the records of one entry at a time
         alone = CalibrationPlan((good,))

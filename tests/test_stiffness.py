@@ -6,7 +6,7 @@ import pytest
 import oracles
 from stiffcal import stiffness
 from plans import LIMITS_DEG
-from stiffcal.errors import SingularConfigurationError
+from stiffcal.errors import ConvergenceError, SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
                             marker_positions)
 from stiffcal.stiffness import (
@@ -344,6 +344,13 @@ class TestStackedPrimal:
         out = compensate_target(model, comp, TEST_Q, LOAD, desired)
         assert np.array_equal(out.p, desired.p - delta[:3])
         assert np.array_equal(out.R, rot_from_rotvec(-delta[3:]) @ desired.R)
+
+    def test_compensation_of_an_unconverged_load_raises(self, model, comp):
+        # the 641,773 N pose: its loaded equilibrium stops after 2 iterations
+        w = np.array([0.0, 0.0, -self.LOADS_N[3], 0.0, 0.0, 0.0])
+        with pytest.raises(ConvergenceError,
+                           match=r"pose 0 \(q2=38\.0 deg\) after 2 iterations$"):
+            compensate_target(model, comp, self.POSES[3], w, fk(model, self.POSES[3]))
 
     def test_stacked_linear_deflections(self, model, comp):
         q, w = self._stack()
