@@ -36,9 +36,9 @@ from .elasto_id import (CompliancesFit, DeflectionRecords, ElastoCI,
                         separate_compensator)
 from .stiffness import (CartesianStiffness, EquilibriumState,
                         cartesian_stiffness, compensate_target,
-                        joint_stiffnesses, predict_marker_deflections,
-                        predict_tool_deflection, solve_equilibria,
-                        solve_equilibrium)
+                        joint_stiffnesses, loaded_equilibrium, mirror_deflection,
+                        predict_marker_deflections, predict_tool_deflection,
+                        solve_equilibria, solve_equilibrium)
 from .doe import (CalibrationPlan, NoiseModel, OptimizedPlan, PlanConstraints,
                   PlanEntry, TestPose, load_plan_csv, optimize_plan,
                   parameter_covariance, save_plan_csv, test_pose_accuracy)

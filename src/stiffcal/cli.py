@@ -41,9 +41,8 @@ from .modelfile import load_model
 from .robot import ManipulatorModel, fk
 from .sim import (GroundTruth, simulate_deflection_records,
                   simulate_geometry_dataset)
-from .stiffness import (cartesian_stiffness, compensate_target,
-                        predict_marker_deflections, predict_tool_deflection,
-                        solve_equilibrium)
+from .stiffness import (cartesian_stiffness, loaded_equilibrium, mirror_deflection,
+                        predict_marker_deflections, predict_tool_deflection)
 from .tables import write_table
 
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
@@ -326,12 +325,12 @@ def _cmd_predict(args) -> Result:
     q = np.radians(_parse_float_list(args.q, "--q", 6))
     wrench = np.array(_parse_float_list(args.wrench, "--wrench", 6))
     comp = model.compensator
-    state = solve_equilibrium(model, comp, q, tool_wrench=wrench)
+    state, delta = loaded_equilibrium(model, comp, q, wrench)
     kc = cartesian_stiffness(model, comp, state)
     twist = predict_tool_deflection(model, comp, q, wrench)
     markers = predict_marker_deflections(model, comp, q, wrench)
     rigid = fk(model, q)
-    commanded = compensate_target(model, comp, q, wrench, rigid)
+    commanded = mirror_deflection(rigid, delta)
     payload = {
         "q_deg": [math.degrees(v) for v in q],
         "wrench": list(wrench),

@@ -170,11 +170,18 @@ def save_plan_csv(path, plan: CalibrationPlan) -> None:
 
 
 def load_plan_csv(path) -> CalibrationPlan:
-    _, entries = read_table(
-        path, PLAN_CSV_HEADER, kind="plan", ints=("repeats",),
-        row=lambda v: PlanEntry(tuple(np.radians(v[:6])), tuple(v[6:12]), v[12]))
-    if not entries:
+    cols, lines = read_table(path, PLAN_CSV_HEADER, kind="plan", ints=("repeats",))
+    if not len(lines):
         raise DataLayoutError(f"{path}: no plan entries found")
+    q = np.radians(np.column_stack([cols[n] for n in PLAN_CSV_HEADER[:6]]))
+    w = np.column_stack([cols[n] for n in PLAN_CSV_HEADER[6:12]])
+    entries = []
+    for line, qi, wi, r in zip(lines.tolist(), q.tolist(), w.tolist(),
+                               cols["repeats"].tolist()):
+        try:
+            entries.append(PlanEntry(tuple(qi), tuple(wi), r))
+        except ValueError as exc:
+            raise DataLayoutError(f"{path}:{line}: {exc}") from exc
     return CalibrationPlan(tuple(entries))
 
 

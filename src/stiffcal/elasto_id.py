@@ -82,20 +82,19 @@ def save_deflection_csv(path, records: DeflectionRecords) -> None:
 def load_deflection_csv(path) -> DeflectionRecords:
     """The records of a deflection CSV; a ``marker_id`` or ``repeat`` below
     0 or above the int64 range is rejected with its ``path:line``."""
-    def checked(v: list) -> list:
-        for i, name in ((12, "marker_id"), (16, "repeat")):
-            if v[i] < 0:
-                raise ValueError(f"column {name} must be >= 0, got {v[i]}")
-            if v[i] > INT64_MAX:
-                raise ValueError(f"column {name} must be <= {INT64_MAX}, got {v[i]}")
-        return v
-
-    _, rows = read_table(path, DEFLECTION_CSV_HEADER, kind="deflection",
-                         ints=("marker_id", "repeat"), row=checked)
-    if not rows:
+    cols, lines = read_table(path, DEFLECTION_CSV_HEADER, kind="deflection",
+                             ints=("marker_id", "repeat"))
+    if not len(lines):
         raise DataLayoutError(f"{path}: no deflection records found")
-    a = np.array(rows)                               # float columns
-    ids = np.array([(v[12], v[16]) for v in rows])   # marker_id, repeat, exact
+    ids = np.column_stack((cols["marker_id"], cols["repeat"]))
+    bad = (ids < 0) | (ids > INT64_MAX)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        v = ids[i, j]
+        raise DataLayoutError(
+            f"{path}:{lines[i]}: column {('marker_id', 'repeat')[j]} must be "
+            + (f">= 0, got {v}" if v < 0 else f"<= {INT64_MAX}, got {v}"))
+    a = np.column_stack([cols[n] for n in DEFLECTION_CSV_HEADER])
     return DeflectionRecords(np.radians(a[:, :6]), a[:, 6:12], ids[:, 0], ids[:, 1],
                              a[:, 13:16])
 
@@ -124,12 +123,18 @@ class ParameterLayout:
 
     @classmethod
     def from_q2(cls, angles) -> "ParameterLayout":
-        """Cluster joint-2 angles into buckets; the first angle seen is the centre."""
+        """Cluster joint-2 angles (any iterable) into buckets, one bucket at a
+        time: the first angle not yet in a bucket is the next centre, and it
+        and every angle within ``BUCKET_TOL_RAD`` of it leave the free set.
+        So each angle joins the first bucket whose centre it matches, and a
+        NaN or infinite centre is a bucket of its own."""
+        free = np.fromiter(angles, dtype=float)
         buckets: List[float] = []
-        for q2 in angles:
-            q2 = float(q2)
-            if not any(abs(q2 - b) <= BUCKET_TOL_RAD for b in buckets):
-                buckets.append(q2)
+        while free.size:
+            buckets.append(float(free[0]))
+            rest = free[1:]
+            with np.errstate(invalid="ignore"):     # inf - inf matches nothing
+                free = rest[~(np.abs(rest - free[0]) <= BUCKET_TOL_RAD)]
         buckets.sort(reverse=True)  # sweep order: near-upright first
         return cls(tuple(buckets))
 

@@ -95,10 +95,9 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     Any number of satellite groups ``P0k_*`` is accepted, each with its
     ``_x`` and ``_y`` columns; angles are stored in radians internally.
     """
-    header, rows = read_table(path)
-    if not rows:
+    cols, lines = read_table(path)
+    if not len(lines):
         raise DataLayoutError(f"{path}: no data rows")
-    cols = dict(zip(header, np.array(rows).T))
     if "q2_deg" not in cols:
         raise DataLayoutError(f"{path}: missing column q2_deg")
 
@@ -113,7 +112,7 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
         return np.column_stack([cols[n] for n in names])
 
     crank = group("P1")
-    sat_names = sorted({m.group(1) for h in header
+    sat_names = sorted({m.group(1) for h in cols
                         for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m})
     satellites = tuple(group(n) for n in sat_names)
     try:

@@ -114,8 +114,10 @@ def simulate_deflection_records(model: ManipulatorModel, plan: CalibrationPlan,
         defl = predict_marker_deflections(model, comp, q, w)
     else:
         # the markers ride the tool frames the solves ended on
-        g, f = _load_pairs(model, comp, q, w)
-        defl = _marker_points(model, f.R, f.p) - _marker_points(model, g.R, g.p)
+        pose = _load_pairs(model, comp, q, w).pose   # the gravity-only frames, then the loaded
+        n = len(q)
+        defl = (_marker_points(model, pose.R[n:], pose.p[n:])
+                - _marker_points(model, pose.R[:n], pose.p[:n]))
     reps = np.array([e.repeats for e in entries])
     d = np.repeat(defl, reps, axis=0)     # (entry repeats, marker, 3)
     if noise_mm > 0.0:

@@ -127,12 +127,16 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     if target is not None:
         return _solve_dual(model, q, K, target)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
-    st = _solve_primal(model, q[None], K[None], F[None])
-    return EquilibriumState(q=q, theta=st.theta[0], tool_wrench=F,
-                            pose=Pose(st.pose.p[0], st.pose.R[0]),
-                            converged=bool(st.converged[0]),
-                            iterations=int(st.iterations[0]), residual_position_mm=np.nan,
-                            residual_wrench_rel=float(st.residual_wrench_rel[0]))
+    return _one(_solve_primal(model, q[None], K[None], F[None]), 0)
+
+
+def _one(st: EquilibriumState, i: int) -> EquilibriumState:
+    """Pose ``i`` of a stacked primal state, with scalar fields."""
+    return EquilibriumState(q=st.q[i], theta=st.theta[i], tool_wrench=st.tool_wrench[i],
+                            pose=Pose(st.pose.p[i], st.pose.R[i]),
+                            converged=bool(st.converged[i]),
+                            iterations=int(st.iterations[i]), residual_position_mm=np.nan,
+                            residual_wrench_rel=float(st.residual_wrench_rel[i]))
 
 
 def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -280,9 +284,9 @@ def predict_tool_deflection(model: ManipulatorModel,
 
 
 def _load_pairs(model: ManipulatorModel, compensator: Optional[CompensatorParams],
-                q, tool_wrench) -> Tuple[Pose, Pose]:
-    """The gravity-only and the loaded equilibrium tool frames at each pose of
-    ``q`` under its tool wrench, both (N, 6) or (6,), from one stack; raises
+                q, tool_wrench) -> EquilibriumState:
+    """The gravity-only equilibria at the N poses of ``q`` (N, 6) or (6,), then
+    the loaded ones under their tool wrenches, as one stack of 2N; raises
     :class:`ConvergenceError` naming the first pose either did not reach."""
     q = np.asarray(q, dtype=float).reshape(-1, 6)
     w = np.asarray(tool_wrench, dtype=float).reshape(-1, 6)
@@ -296,7 +300,31 @@ def _load_pairs(model: ManipulatorModel, compensator: Optional[CompensatorParams
         raise ConvergenceError(
             f"equilibrium did not converge for pose {i} "
             f"(q2={np.degrees(q[i, 1]):.1f} deg) after {st.iterations[stop]} iterations")
-    return Pose(st.pose.p[:n], st.pose.R[:n]), Pose(st.pose.p[n:], st.pose.R[n:])
+    return st
+
+
+def loaded_equilibrium(model: ManipulatorModel, compensator: Optional[CompensatorParams],
+                       q, tool_wrench) -> Tuple[EquilibriumState, np.ndarray]:
+    """The loaded equilibrium at ``q`` and the tool pose change the load causes.
+
+    The gravity-only and the loaded equilibrium are solved as one stack
+    (:class:`ConvergenceError` unless both converge).  The loaded state has
+    scalar fields and the bits :func:`solve_equilibrium` gives it; the
+    change is the twist (3 mm rows, 3 rad rows) from the gravity-only to
+    the loaded tool pose.
+    """
+    st = _load_pairs(model, compensator, q, tool_wrench)
+    g, f = _one(st, 0), _one(st, len(st.q) // 2)
+    return f, pose_difference(f.pose.p, f.pose.R, g.pose.p, g.pose.R)
+
+
+def mirror_deflection(desired: Pose, delta) -> Pose:
+    """The pose to command so that the tool pose change ``delta`` (a twist,
+    as :func:`loaded_equilibrium` gives it) lands on ``desired``, to first
+    order: ``delta`` mirrored about the desired pose."""
+    p = np.asarray(desired.p, dtype=float) - delta[:3]
+    R = rot_from_rotvec(-delta[3:]) @ desired.R
+    return Pose(p, R)
 
 
 def compensate_target(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -304,13 +332,10 @@ def compensate_target(model: ManipulatorModel, compensator: Optional[Compensator
     """Mirror the predicted load-induced deflection about the desired pose.
 
     The deflection is the pose change between the gravity-only equilibrium
-    and the loaded equilibrium at ``q`` (:class:`ConvergenceError` unless
-    both converge); commanding the returned pose instead of ``desired``
-    cancels the deflection to first order.  With a zero wrench the desired
-    pose is returned unchanged.
+    and the loaded equilibrium at ``q`` (:func:`loaded_equilibrium`);
+    commanding the returned pose instead of ``desired`` cancels the
+    deflection to first order.  With a zero wrench the desired pose is
+    returned unchanged.
     """
-    g, f = _load_pairs(model, compensator, q, tool_wrench)
-    delta = pose_difference(f.p[0], f.R[0], g.p[0], g.R[0])
-    p = np.asarray(desired.p, dtype=float) - delta[:3]
-    R = rot_from_rotvec(-delta[3:]) @ desired.R
-    return Pose(p, R)
+    return mirror_deflection(desired, loaded_equilibrium(model, compensator, q,
+                                                         tool_wrench)[1])

@@ -5,46 +5,114 @@ header and its row meaning in its own module and reaches the file only
 through :func:`read_table` and :func:`write_table`, so every format
 skips blank rows, checks field counts and rejects unparsable or non-finite
 cells the same way, naming ``path:line`` and the column.
+
+:func:`read_table` parses a table's body in one bulk ``np.loadtxt`` pass.
+Only a file the bulk pass rejects (a blank row, a quoted cell, a
+non-finite or unparsable cell, anything that is not one row per line) is
+read again by the cell-by-cell loop, which accepts what Python's
+``float``/``int`` accept and otherwise names the first bad ``path:line``.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+import re
+import warnings
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DataLayoutError
 
+Columns = Dict[str, np.ndarray]
+
 
 def read_table(path, header: Optional[Sequence[str]] = None, *, kind: str = "",
-               ints: Sequence[str] = (),
-               row: Callable[[list], object] = list) -> Tuple[List[str], list]:
-    """Read a headed CSV; return its stripped header and one ``row(values)`` per row.
+               ints: Sequence[str] = ()) -> Tuple[Columns, np.ndarray]:
+    """Read a headed CSV; return its columns, by stripped header name in file
+    order, and each row's line number in the file.
 
     With ``header`` given the file's header must equal it (``kind`` names
-    the format in the message).  Rows whose cells are all blank are
-    skipped; every other row must have one field per header column.  Cells
-    of the columns named in ``ints`` parse as ``int``, all others as finite
-    floats.  A bad cell, field count, CSV syntax error or ``ValueError``
-    from ``row`` raises :class:`DataLayoutError` starting ``path:line``;
-    every other failure to read the file as UTF-8 CSV starts ``path``.
+    the format in the message).  A UTF-8 byte-order mark is ignored.  Rows
+    whose cells are all blank are skipped; every other row must have one
+    field per header column.  The columns named in ``ints`` are int64 (an
+    integer outside that range makes the column an object array of Python
+    ints, for the caller to reject), all others finite float64.  A bad
+    cell, field count or CSV syntax error raises :class:`DataLayoutError`
+    starting ``path:line``; every other failure to read the file as UTF-8
+    CSV starts ``path``.
     """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+        body = io.StringIO(text, newline="")
+        reader = csv.reader(body)
+        names = _names(path, next(reader, None), header, kind)
+    except (UnicodeDecodeError, csv.Error):
+        return _read_cells(path, header, kind, ints)
+    table = _read_bulk(text, body, names, ints)
+    return table if table is not None else _read_cells(path, header, kind, ints)
+
+
+def _names(path, cells: Optional[List[str]], header: Optional[Sequence[str]],
+           kind: str) -> List[str]:
+    """The stripped header ``cells`` (None: the file is empty), checked."""
+    if cells is None:
+        raise DataLayoutError(f"{path}: empty file")
+    names = [h.strip() for h in cells]
+    if header is not None and names != list(header):
+        raise DataLayoutError(f"{path}: expected {kind} header "
+                              f"{','.join(header)}, got {names}")
+    if len(set(names)) < len(names):
+        raise DataLayoutError(f"{path}: duplicate column name in header {names}")
+    return names
+
+
+def _read_bulk(text: str, body: io.StringIO, names: List[str],
+               ints: Sequence[str]) -> Optional[Tuple[Columns, np.ndarray]]:
+    """The table of ``body`` (``text`` after its header) from one
+    ``np.loadtxt`` call, or None where the cell loop must decide.
+
+    The bulk pass takes a row only as the loop would take it: one row on
+    each line after the first, no quoting, no warning, every float finite.
+    A blank line (which ``loadtxt`` skips) or a header spanning lines
+    leaves fewer rows than lines.
+    """
+    lines = text.count("\n") + text.count("\r") - text.count("\r\n")
+    lines += not text.endswith(("\n", "\r"))
+    limit = csv.field_size_limit()
+    if len(text) > limit and re.search(f"[^,\r\n]{{{limit + 1}}}", text):
+        return None   # a field the csv module refuses
+    dtype = np.dtype([(f"c{j}", np.int64 if n in ints else np.float64)
+                      for j, n in enumerate(names)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    cols = {n: a[f"c{j}"] for j, n in enumerate(names)}
+    if len(a) != lines - 1 or not all(np.isfinite(cols[n]).all()
+                                      for n in names if n not in ints):
+        return None
+    return cols, np.arange(2, len(a) + 2)
+
+
+def _read_cells(path, header: Optional[Sequence[str]], kind: str,
+                ints: Sequence[str]) -> Tuple[Columns, np.ndarray]:
+    """:func:`read_table` one cell at a time with ``float``/``int``, raising
+    at the first bad header, row or cell in file order."""
     def where() -> str:   # built only for a message: most rows never need it
         return f"{path}:{reader.line_num}"
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            try:
-                names = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DataLayoutError(f"{path}: empty file") from None
-            if header is not None and names != list(header):
-                raise DataLayoutError(f"{path}: expected {kind} header "
-                                      f"{','.join(header)}, got {names}")
-            if len(set(names)) < len(names):
-                raise DataLayoutError(f"{path}: duplicate column name in header {names}")
+            names = _names(path, next(reader, None), header, kind)
             integer = [n in ints for n in names]
-            out = []
+            rows, lines = [], []
             for cells in reader:
                 if not any(c.strip() for c in cells):
                     continue
@@ -61,15 +129,24 @@ def read_table(path, header: Optional[Sequence[str]] = None, *, kind: str = "",
                         raise DataLayoutError(
                             f"{where()}: column {name} must be finite, got {cell.strip()!r}")
                     vals.append(v)
-                try:
-                    out.append(row(vals))
-                except ValueError as exc:
-                    raise DataLayoutError(f"{where()}: {exc}") from exc
+                rows.append(vals)
+                lines.append(reader.line_num)
     except csv.Error as exc:
         raise DataLayoutError(f"{where()}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataLayoutError(f"{path}: not UTF-8 text: {exc}") from exc
-    return names, out
+    values = list(zip(*rows)) if rows else [()] * len(names)
+    return ({n: _column(v, is_int) for n, is_int, v in zip(names, integer, values)},
+            np.array(lines, dtype=np.int64))
+
+
+def _column(values: Sequence, is_int: bool) -> np.ndarray:
+    if not is_int:
+        return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def write_table(path, header: Sequence[str], formats: Sequence[str],

@@ -187,6 +187,20 @@ def bucket_of_loop(layout, q2_rad, context):
         f"{math.degrees(BUCKET_TOL_RAD):.2f} deg)")
 
 
+def layout_from_q2_loop(angles):
+    """The joint-2 layout of ``angles`` record by record: an angle within
+    ``BUCKET_TOL_RAD`` of no bucket opened so far opens one at itself."""
+    from stiffcal.elasto_id import BUCKET_TOL_RAD, ParameterLayout
+
+    buckets = []
+    for q2 in angles:
+        q2 = float(q2)
+        if not any(abs(q2 - b) <= BUCKET_TOL_RAD for b in buckets):
+            buckets.append(q2)
+    buckets.sort(reverse=True)
+    return ParameterLayout(tuple(buckets))
+
+
 def build_regressor_loop(model, records, layout):
     """The stage-one regressor one record at a time: marker and bucket checks
     in record order, one sensitivity block per distinct (q rounded to 1e-12,
@@ -444,3 +458,112 @@ def table_bytes_per_cell(header, formats, rows):
     """The bytes of a headed table formatted one cell at a time."""
     lines = [list(header)] + [[_CELL[f](v) for f, v in zip(formats, row)] for row in rows]
     return "".join(",".join(cells) + "\r\n" for cells in lines).encode("utf-8")
+
+
+def read_table_loop(path, header=None, *, kind="", ints=(), row=list):
+    """A headed CSV read one cell at a time with ``float``/``int``: its
+    stripped header, one ``row(values)`` per non-blank row and each such
+    row's line, raising ``DataLayoutError`` at the first bad header, row,
+    cell or ``row`` ``ValueError`` in file order; a UTF-8 byte-order mark
+    is ignored.  The reference the bulk pass of ``read_table`` must match."""
+    import csv
+    import math
+
+    from stiffcal.errors import DataLayoutError
+
+    def where():
+        return f"{path}:{reader.line_num}"
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                names = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataLayoutError(f"{path}: empty file") from None
+            if header is not None and names != list(header):
+                raise DataLayoutError(f"{path}: expected {kind} header "
+                                      f"{','.join(header)}, got {names}")
+            if len(set(names)) < len(names):
+                raise DataLayoutError(f"{path}: duplicate column name in header {names}")
+            out, lines = [], []
+            for cells in reader:
+                if not any(c.strip() for c in cells):
+                    continue
+                if len(cells) != len(names):
+                    raise DataLayoutError(
+                        f"{where()}: expected {len(names)} fields, got {len(cells)}")
+                vals = []
+                for name, cell in zip(names, cells):
+                    try:
+                        v = int(cell) if name in ints else float(cell)
+                    except ValueError as exc:
+                        raise DataLayoutError(f"{where()}: column {name}: {exc}") from exc
+                    if not (name in ints or math.isfinite(v)):
+                        raise DataLayoutError(
+                            f"{where()}: column {name} must be finite, got {cell.strip()!r}")
+                    vals.append(v)
+                try:
+                    out.append(row(vals))
+                except ValueError as exc:
+                    raise DataLayoutError(f"{where()}: {exc}") from exc
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise DataLayoutError(f"{where()}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataLayoutError(f"{path}: not UTF-8 text: {exc}") from exc
+    return names, out, lines
+
+
+def load_deflection_csv_loop(path):
+    """Deflection records through :func:`read_table_loop`, each row's
+    ``marker_id`` and ``repeat`` checked as it is read."""
+    from stiffcal.elasto_id import DEFLECTION_CSV_HEADER, INT64_MAX, DeflectionRecords
+    from stiffcal.errors import DataLayoutError
+
+    def checked(v):
+        for i, name in ((12, "marker_id"), (16, "repeat")):
+            if v[i] < 0:
+                raise ValueError(f"column {name} must be >= 0, got {v[i]}")
+            if v[i] > INT64_MAX:
+                raise ValueError(f"column {name} must be <= {INT64_MAX}, got {v[i]}")
+        return v
+
+    _, rows, _ = read_table_loop(path, DEFLECTION_CSV_HEADER, kind="deflection",
+                                 ints=("marker_id", "repeat"), row=checked)
+    if not rows:
+        raise DataLayoutError(f"{path}: no deflection records found")
+    a = np.array(rows)
+    ids = np.array([(v[12], v[16]) for v in rows])
+    return DeflectionRecords(np.radians(a[:, :6]), a[:, 6:12], ids[:, 0], ids[:, 1],
+                             a[:, 13:16])
+
+
+def load_plan_csv_loop(path):
+    """A plan through :func:`read_table_loop`, one entry built per row as it is read."""
+    from stiffcal.doe import PLAN_CSV_HEADER, CalibrationPlan, PlanEntry
+    from stiffcal.errors import DataLayoutError
+
+    _, entries, _ = read_table_loop(
+        path, PLAN_CSV_HEADER, kind="plan", ints=("repeats",),
+        row=lambda v: PlanEntry(tuple(np.radians(v[:6])), tuple(v[6:12]), v[12]))
+    if not entries:
+        raise DataLayoutError(f"{path}: no plan entries found")
+    return CalibrationPlan(tuple(entries))
+
+
+def load_marker_csv_loop(path):
+    """:func:`stiffcal.geometry_id.load_marker_csv` with its columns read by
+    :func:`read_table_loop`: a marker sweep has no row checks, so only the
+    reader differs."""
+    from unittest import mock
+
+    from stiffcal import geometry_id
+
+    def columns(path):
+        names, rows, lines = read_table_loop(path)
+        values = list(zip(*rows)) if rows else [()] * len(names)
+        return {n: np.array(v, dtype=float) for n, v in zip(names, values)}, np.array(lines)
+
+    with mock.patch.object(geometry_id, "read_table", columns):
+        return geometry_id.load_marker_csv(path)

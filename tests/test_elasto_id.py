@@ -11,6 +11,7 @@ import oracles
 from plans import spread_plan
 from record_tables import rows, table, take
 from stiffcal.elasto_id import (
+    BUCKET_TOL_RAD,
     DEFLECTION_CSV_HEADER,
     PARAMETER_LABELS,
     RANK_TOL,
@@ -99,6 +100,52 @@ class TestLayout:
             assert str(got.value) == str(exc)
         else:
             assert lay.bucket_of(q2).tolist() == want
+
+    @staticmethod
+    def _from_q2(cluster, angles):
+        """The bucket bits ``cluster(angles)`` gives, or the ``ValueError`` text
+        (a NaN or infinite bucket may leave the layout check's sort and
+        difference warning about inf - inf; that warning is not compared)."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return [b.hex() for b in cluster(angles).bucket_q2_rad]
+        except ValueError as exc:
+            return str(exc)
+
+    TOL = BUCKET_TOL_RAD
+    EDGES = [0.0, TOL, -TOL, 0.9 * TOL, 1.8 * TOL, 2.1 * TOL, -2.1 * TOL,
+             np.nextafter(TOL, 1.0), 3.5 * TOL, -1.0, -1.0 + TOL, -1.0 - TOL,
+             -1.0 + 2.5 * TOL, math.nan, math.inf, -math.inf]
+
+    @given(st.lists(st.sampled_from(EDGES), max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_from_q2_matches_record_by_record_loop(self, angles):
+        """Angles at exactly the tolerance, a later angle that would have been
+        a better centre, NaN and infinite angles: the per-bucket clustering
+        gives the loop's buckets, bit for bit, or its error."""
+        want = self._from_q2(oracles.layout_from_q2_loop, angles)
+        assert self._from_q2(ParameterLayout.from_q2, np.array(angles)) == want
+        assert self._from_q2(ParameterLayout.from_q2, (a for a in angles)) == want
+
+    def test_from_q2_keeps_the_first_centre(self):
+        """0.9 tol would split the three angles evenly, but 0 comes first: it
+        takes 0.9 tol, and 2.1 tol opens a bucket of its own."""
+        lay = ParameterLayout.from_q2(iter([0.0, 0.9 * self.TOL, 2.1 * self.TOL]))
+        assert lay.bucket_q2_rad == (2.1 * self.TOL, 0.0)
+
+    def test_from_q2_at_exactly_the_tolerance(self):
+        """Angles at exactly +-tol join the centre; one ulp further opens a
+        second bucket, which the layout then rejects as too close."""
+        lay = ParameterLayout.from_q2([0.0, self.TOL, -self.TOL, -1.0])
+        assert lay.bucket_q2_rad == (0.0, -1.0)
+        with pytest.raises(ValueError, match="closer than twice"):
+            ParameterLayout.from_q2([0.0, np.nextafter(self.TOL, 1.0)])
+
+    def test_from_q2_nan_and_inf_angles_are_buckets_of_their_own(self):
+        lay = ParameterLayout.from_q2([math.nan, 0.0, math.nan, math.inf, -math.inf])
+        assert lay.n_buckets == 5
+        assert sum(math.isnan(b) for b in lay.bucket_q2_rad) == 2
 
     def test_buckets_too_close_rejected(self):
         with pytest.raises(ValueError, match="closer than twice"):

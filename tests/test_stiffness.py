@@ -13,6 +13,7 @@ from stiffcal.stiffness import (
     cartesian_stiffness,
     compensate_target,
     joint_stiffnesses,
+    loaded_equilibrium,
     predict_marker_deflections,
     predict_tool_deflection,
     solve_equilibria,
@@ -344,6 +345,26 @@ class TestStackedPrimal:
         out = compensate_target(model, comp, TEST_Q, LOAD, desired)
         assert np.array_equal(out.p, desired.p - delta[:3])
         assert np.array_equal(out.R, rot_from_rotvec(-delta[3:]) @ desired.R)
+
+    def test_loaded_equilibrium_is_the_loaded_solve(self, model, comp):
+        """The loaded half of one [gravity only, loaded] stack is the state a
+        loaded solve_equilibrium gives, field by field and bit for bit, and
+        the pose change is the one between the two solo solves."""
+        from stiffcal.transforms import pose_difference
+        q, w = self._stack()
+        for i in (0, 1, 2, 4):
+            g = solve_equilibrium(model, comp, q[i])
+            f = solve_equilibrium(model, comp, q[i], tool_wrench=w[i])
+            state, delta = loaded_equilibrium(model, comp, q[i], w[i])
+            for field in dataclasses.fields(f):
+                got, want = getattr(state, field.name), getattr(f, field.name)
+                if isinstance(want, Pose):
+                    got, want = np.concatenate([got.p, got.R.ravel()]), np.concatenate(
+                        [want.p, want.R.ravel()])
+                assert type(got) is type(want), field.name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+            assert np.array_equal(
+                delta, pose_difference(f.pose.p, f.pose.R, g.pose.p, g.pose.R))
 
     def test_compensation_of_an_unconverged_load_raises(self, model, comp):
         # the 641,773 N pose: its loaded equilibrium stops after 2 iterations
