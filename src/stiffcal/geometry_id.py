@@ -25,6 +25,11 @@ from .errors import DataLayoutError, DegenerateGeometryError
 from .tables import read_table, write_table
 
 _MIN_SPAN_RAD = np.deg2rad(30.0)
+# MarkerDataset counts the distinct angles rounded to this many decimals (of
+# a radian); rounding scales each angle by 10**decimals, so a larger angle
+# than _MAX_ANGLE_RAD overflows
+_ANGLE_DECIMALS = 9
+_MAX_ANGLE_RAD = np.finfo(float).max / 10.0**_ANGLE_DECIMALS
 
 
 @dataclass
@@ -54,7 +59,7 @@ class MarkerDataset:
         if not np.isfinite(self.q2_rad).all() or not np.isfinite(self.crank).all() \
                 or any(not np.isfinite(s).all() for s in self.satellites):
             raise ValueError("marker dataset contains non-finite values")
-        if np.unique(np.round(self.q2_rad, 9)).size < 3:
+        if np.unique(np.round(self.q2_rad, _ANGLE_DECIMALS)).size < 3:
             raise ValueError("need at least 3 distinct joint angles")
         if np.ptp(self.q2_rad) < _MIN_SPAN_RAD:
             raise ValueError("joint-angle span below 30 degrees: geometry is ill-conditioned")
@@ -93,7 +98,9 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     """Read a sweep CSV: ``q2_deg, P1_x, P1_y[, P1_z], P01_x, ...``.
 
     Any number of satellite groups ``P0k_*`` is accepted, each with its
-    ``_x`` and ``_y`` columns; angles are stored in radians internally.
+    ``_x`` and ``_y`` columns; angles are stored in radians internally.  An
+    angle too large to count among the distinct angles (above about 1e301
+    degrees) is refused, naming its line.
     """
     cols, lines = read_table(path)
     if not len(lines):
@@ -115,9 +122,13 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     sat_names = sorted({m.group(1) for h in cols
                         for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m})
     satellites = tuple(group(n) for n in sat_names)
+    q2 = np.deg2rad(cols["q2_deg"])
+    big = np.flatnonzero(np.abs(q2) > _MAX_ANGLE_RAD)
+    if big.size:
+        raise DataLayoutError(f"{path}:{lines[big[0]]}: column q2_deg out of range, "
+                              f"got {cols['q2_deg'][big[0]]:g}")
     try:
-        return MarkerDataset(q2_rad=np.deg2rad(cols["q2_deg"]), crank=crank,
-                             satellites=satellites)
+        return MarkerDataset(q2_rad=q2, crank=crank, satellites=satellites)
     except ValueError as exc:
         raise DataLayoutError(f"{path}: {exc}") from exc
 

@@ -15,6 +15,13 @@ bookkeeping so that weight totals balance exactly.
 Units: mm, N, N*mm, rad.  Gravity is N/kg (so mass_kg * gravity is a force in
 newtons).  Jacobian rows are ordered position (mm/rad) then orientation
 (rad/rad); wrenches are force (N) then moment (N*mm).
+
+At one chain state, the point Jacobians of the loaded nodes and of the tool
+are built once, as one stack with their wrenches (``_loaded_jacobians``).
+The joint torques of the loads (:func:`load_torques`) and their Hessian
+(:func:`hessian_theta`) are two kernels over that stack, so a caller that
+needs both, or the tool Jacobian as well (the stack's last entry when a
+tool wrench is given), builds it once.
 """
 from __future__ import annotations
 
@@ -25,6 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .transforms import rot_rpy
+
+_EYE3 = np.eye(3)
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -139,6 +148,8 @@ class ManipulatorModel:
         fixed_R = rot_rpy(np.stack([j.link_rotation_rpy_rad for j in self.joints]
                                    + [self.base.rotation_rpy_rad, self.tool.rotation_rpy_rad]))
         self._link_R = fixed_R[:6]
+        # a link rotation that is exactly the identity is not multiplied in
+        self._link_turns = tuple(not (R == _EYE3).all() for R in self._link_R)
         self._link_p = np.stack([j.link_translation_mm for j in self.joints])
         self._axes = np.stack([j.axis for j in self.joints])
         # Constant Rodrigues terms of each axis k (see transforms.rot_axis).
@@ -178,7 +189,6 @@ class ChainState:
     tool_R: np.ndarray
 
 
-_EYE3 = np.eye(3)
 _TRIU, _TRIU_STRICT = (np.triu(np.ones((6, 6), dtype=bool), k) for k in (0, 1))
 
 
@@ -194,21 +204,30 @@ def chain_state(model: ManipulatorModel, q, theta) -> ChainState:
     c = np.cos(angle)
     rot = c * _EYE3 + np.sin(angle) * model._axis_K + (1.0 - c) * model._axis_kk
     batch = rot.shape[:-3]
-    R, p = model._R_base, model._p_base
-    node_p = np.empty(batch + (7, 3))
-    # frame before each joint's rotation: the base, then nodes 1..5
+    # frames[..., i] is the frame joint i + 1 turns (the base, then nodes
+    # 1..5) and frames[..., 6] the flange; turned[..., i] is frames[..., i]
+    # turned by joint i + 1, before link i + 1's fixed rotation
     frames = np.empty(batch + (7, 3, 3))
-    node_p[..., 0, :] = p
-    frames[..., 0, :, :] = R
+    frames[..., 0, :, :] = model._R_base
+    turns = model._link_turns
+    # without link rotations the turned frames are the node frames themselves
+    own_turned = any(turns)
+    turned = np.empty(batch + (6, 3, 3)) if own_turned else frames[..., 1:, :, :]
     for i in range(6):
-        R = R @ rot[..., i, :, :]
-        p = R @ model._link_p[i] + p
-        R = R @ model._link_R[i]
-        node_p[..., i + 1, :] = p
-        frames[..., i + 1, :, :] = R
+        np.matmul(frames[..., i, :, :], rot[..., i, :, :], out=turned[..., i, :, :])
+        if turns[i]:
+            np.matmul(turned[..., i, :, :], model._link_R[i], out=frames[..., i + 1, :, :])
+        elif own_turned:
+            frames[..., i + 1, :, :] = turned[..., i, :, :]
+    # node j is node j - 1 plus link j's offset in its turned frame
+    node_p = np.empty(batch + (7, 3))
+    node_p[..., 0, :] = model._p_base
+    np.matmul(turned, model._link_p[:, :, None], out=node_p[..., 1:, :, None])
+    np.add.accumulate(node_p, axis=-2, out=node_p)
     joint_axis = (frames[..., :6, :, :] @ model._axes[:, :, None])[..., 0]
+    R = frames[..., 6, :, :]
     tool_R = R @ model._R_tool
-    tool_p = R @ model._p_tool + p
+    tool_p = R @ model._p_tool + node_p[..., 6, :]
     return ChainState(q, theta, node_p[..., :6, :], joint_axis, node_p,
                       frames[..., 1:, :, :], tool_p, tool_R)
 
@@ -331,6 +350,21 @@ def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrenc
     return J, W
 
 
+def _torques(J: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Generalized joint torques ``sum_k J_k^T W_k`` of a loaded-Jacobian
+    stack (:func:`_loaded_jacobians`)."""
+    return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)
+
+
+def _hessian(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Load-potential Hessian of a loaded-Jacobian stack (see :func:`hessian_theta`)."""
+    Jt = J.swapaxes(-1, -2)
+    W = Jt[..., 3:]
+    U = np.where(_TRIU, W @ _cross(Jt[..., :3], F[..., None, :3]).swapaxes(-1, -2), 0.0)
+    U += 0.5 * np.where(_TRIU_STRICT, W @ _cross(W, F[..., None, 3:]).swapaxes(-1, -2), 0.0)
+    return (U + np.where(_TRIU_STRICT, U, 0.0).swapaxes(-1, -2)).sum(axis=0)
+
+
 def load_torques(st: ChainState, loading: Optional[NodeLoading],
                  tool_wrench=None) -> np.ndarray:
     """Generalized joint torques of node wrenches plus a tool wrench.
@@ -340,8 +374,7 @@ def load_torques(st: ChainState, loading: Optional[NodeLoading],
     A stacked ``st`` takes a tool wrench per pose (..., 6) or one for all,
     and gives torques (..., 6).
     """
-    J, W = _loaded_jacobians(st, loading, tool_wrench)
-    return (J.swapaxes(-1, -2) @ W[..., None])[..., 0].sum(axis=0)
+    return _torques(*_loaded_jacobians(st, loading, tool_wrench))
 
 
 def hessian_theta(st: ChainState, loading: Optional[NodeLoading] = None,
@@ -359,9 +392,4 @@ def hessian_theta(st: ChainState, loading: Optional[NodeLoading] = None,
     beyond a node's own joint are zero in its ``J``.  One stacked pass over all
     points; the batch axes of ``st`` and the tool wrench lead the result (..., 6, 6).
     """
-    J, F = _loaded_jacobians(st, loading, tool_wrench)
-    Jt = J.swapaxes(-1, -2)
-    W = Jt[..., 3:]
-    U = np.where(_TRIU, W @ _cross(Jt[..., :3], F[..., None, :3]).swapaxes(-1, -2), 0.0)
-    U += 0.5 * np.where(_TRIU_STRICT, W @ _cross(W, F[..., None, 3:]).swapaxes(-1, -2), 0.0)
-    return (U + np.where(_TRIU_STRICT, U, 0.0).swapaxes(-1, -2)).sum(axis=0)
+    return _hessian(*_loaded_jacobians(st, loading, tool_wrench))

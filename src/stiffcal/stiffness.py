@@ -17,6 +17,10 @@ gravity wrenches and ``F`` the external tool wrench.  Two solver modes:
 The Cartesian stiffness at an equilibrium is the exact derivative dF/dt of
 the dual problem: ``K_C = (J (K_th - H)^-1 J^T)^-1`` with H the load
 Hessian, so finite-difference probes of the solver reproduce it.
+
+Terms taken at one chain state share one loaded-Jacobian stack
+(:mod:`stiffcal.robot`): the primal's ``K_th - H`` and its torques at
+theta = 0, and the stiffness's ``H`` and its tool Jacobian ``J``.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ import numpy as np
 from .compensator import CompensatorParams, equivalent_joint_stiffness
 from .doe import sensitivity_rows
 from .errors import ConvergenceError, SingularConfigurationError
-from .robot import (ManipulatorModel, Pose, chain_state, hessian_theta, load_torques,
-                    _point_jacobian)
+from .robot import (ManipulatorModel, Pose, chain_state, load_torques, _hessian,
+                    _loaded_jacobians, _point_jacobian, _torques)
 from .transforms import dot_rows, pose_difference, rot_from_rotvec
 
 _POSITION_TOL_MM = 1e-9
@@ -157,21 +161,18 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
     return _solve_primal(model, q, K, F)
 
 
-def _tangent(model, st, K, F) -> np.ndarray:
-    """``K_th - H`` at the chain state ``st``, (..., 6, 6): the derivative of
-    the balance residual ``K_th theta - tau`` w.r.t. the deflections."""
-    return K[..., None] * np.eye(6) - hessian_theta(st, model._gravity_loading, F)
-
-
 def _solve_primal(model, q, K, F) -> EquilibriumState:
     loading = model._gravity_loading
     n = q.shape[0]
     theta = np.zeros((n, 6))
     st = chain_state(model, q, theta)
-    # K - H stays at theta = 0: rebuilding it at every iteration (full Newton)
-    # saves iterations but costs more time than they do
-    T = np.linalg.inv(_tangent(model, st, K, F))
-    tau = load_torques(st, loading, F)
+    # the tangent K - H (the derivative of the balance residual w.r.t. theta)
+    # and the torques share one loaded-Jacobian stack; K - H stays at
+    # theta = 0: rebuilding it at every iteration (full Newton) saves
+    # iterations but costs more time than they do
+    J, W = _loaded_jacobians(st, loading, F)
+    T = np.linalg.inv(K[..., None] * np.eye(6) - _hessian(J, W))
+    tau = _torques(J, W)
     res = _wrench_residual_rel(K, theta, tau)
     iterations = np.full(n, _MAX_ITER)
     live = np.ones(n, dtype=bool)
@@ -242,13 +243,17 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     q, theta = state.q, state.theta
     K = joint_stiffnesses(model, compensator, q)
     st = chain_state(model, q, theta)
-    Keff = _tangent(model, st, K, state.tool_wrench)
+    # H's stack ends with the tool, whose Jacobian is J; a state without a
+    # tool wrench takes a zero one, which adds nothing to H
+    F = np.zeros(6) if state.tool_wrench is None else state.tool_wrench
+    Js, W = _loaded_jacobians(st, model._gravity_loading, F)
+    Keff = K[..., None] * np.eye(6) - _hessian(Js, W)
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
     if w[0] < 1e-12 * np.max(np.abs(w)):
         raise SingularConfigurationError(
             "joint stiffness minus load Hessian is not positive definite: "
             "buckling-like instability of the elastic chain")
-    J = _point_jacobian(st, st.tool_p)
+    J = Js[-1]
     _check_jacobian(J)
     S = J @ np.linalg.solve(Keff, J.T)
     S = 0.5 * (S + S.T)  # clean roundoff; S is symmetric analytically

@@ -6,11 +6,12 @@ through :func:`read_table` and :func:`write_table`, so every format
 skips blank rows, checks field counts and rejects unparsable or non-finite
 cells the same way, naming ``path:line`` and the column.
 
-:func:`read_table` parses a table's body in one bulk ``np.loadtxt`` pass.
-Only a file the bulk pass rejects (a blank row, a quoted cell, a
-non-finite or unparsable cell, anything that is not one row per line) is
-read again by the cell-by-cell loop, which accepts what Python's
-``float``/``int`` accept and otherwise names the first bad ``path:line``.
+:func:`read_table` parses a table's body in one bulk ``np.loadtxt`` pass,
+which skips empty lines.  Only a file the bulk pass rejects (a row of
+blank cells, a quoted cell, a non-finite or unparsable cell, anything that
+is not one row per non-empty line) is read again by the cell-by-cell loop,
+which accepts what Python's ``float``/``int`` accept and otherwise names
+the first bad ``path:line``.
 """
 from __future__ import annotations
 
@@ -75,12 +76,13 @@ def _read_bulk(text: str, body: io.StringIO, names: List[str],
     ``np.loadtxt`` call, or None where the cell loop must decide.
 
     The bulk pass takes a row only as the loop would take it: one row on
-    each line after the first, no quoting, no warning, every float finite.
-    A blank line (which ``loadtxt`` skips) or a header spanning lines
-    leaves fewer rows than lines.
+    each line after the first that is not empty, no quoting, no warning,
+    every float finite.  An empty line is skipped by ``loadtxt`` and the
+    loop alike, so each row is numbered by the non-empty lines after the
+    first (CRLF, LF and a lone CR end a line, as in the csv module); a
+    whitespace-only line fails ``loadtxt``, and a header spanning lines
+    leaves fewer rows than non-empty lines.
     """
-    lines = text.count("\n") + text.count("\r") - text.count("\r\n")
-    lines += not text.endswith(("\n", "\r"))
     limit = csv.field_size_limit()
     if len(text) > limit and re.search(f"[^,\r\n]{{{limit + 1}}}", text):
         return None   # a field the csv module refuses
@@ -94,10 +96,11 @@ def _read_bulk(text: str, body: io.StringIO, names: List[str],
     except (ValueError, Warning):
         return None
     cols = {n: a[f"c{j}"] for j, n in enumerate(names)}
-    if len(a) != lines - 1 or not all(np.isfinite(cols[n]).all()
-                                      for n in names if n not in ints):
+    if not all(np.isfinite(cols[n]).all() for n in names if n not in ints):
         return None
-    return cols, np.arange(2, len(a) + 2)
+    # bytes split lines at CRLF, LF and CR alone, as the csv module does
+    rows = [k for k, line in enumerate(text.encode().splitlines()[1:], 2) if line]
+    return (cols, np.array(rows, dtype=np.int64)) if len(a) == len(rows) else None
 
 
 def _read_cells(path, header: Optional[Sequence[str]], kind: str,

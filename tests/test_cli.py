@@ -136,6 +136,26 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
+    def test_huge_sweep_angle_is_2(self, tmp_path, model_path, capsys):
+        """A finite sweep angle too large to count among the distinct
+        angles fails naming its file and line, with no numpy warning."""
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", "geometry", "--q2=-140:0:5", "--model", str(model_path),
+                     "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        markers = sweep / "markers.csv"
+        rows = markers.read_text().splitlines()
+        rows[2] = ",".join(["1.7e308"] + rows[2].split(",")[1:])
+        markers.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["geom-ident", "--markers", str(markers), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (f"error: {markers}:3: column q2_deg out of range, got 1.7e+308"
+                in capsys.readouterr().err)
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["predict", "--q=0,-10,0,0,0,0", "--wrench=0,0,1e308,0,0,0"],
                      id="predict-wrench"),

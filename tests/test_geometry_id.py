@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,26 @@ class TestCsv:
         ds = load_marker_csv(p)
         assert ds.crank.shape == (3, 3)
         assert np.allclose(ds.crank[:, 2], 5.0)
+
+    def test_a_huge_angle_names_its_line(self, tmp_path):
+        """An angle too large to round to 1e-9 rad among the distinct
+        angles is refused naming its line, with no numpy warning; the
+        largest one that rounds loads."""
+        p = tmp_path / "sweep.csv"
+        save_marker_csv(p, simulate_geometry_dataset(GEOM, SWEEP))
+        rows = p.read_text().splitlines()
+        largest = np.rad2deg(np.finfo(float).max / 1e9)
+        for angle in (largest, np.nextafter(largest, np.inf), -1.7e308):
+            row = ",".join([repr(float(angle))] + rows[3].split(",")[1:])
+            p.write_text("\n".join(rows[:3] + [row] + rows[4:]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if angle == largest:
+                    assert load_marker_csv(p).q2_rad[2] == np.deg2rad(largest)
+                    continue
+                with pytest.raises(DataLayoutError, match=(
+                        f"^{re.escape(str(p))}:4: column q2_deg out of range, got ")):
+                    load_marker_csv(p)
 
     def test_missing_crank_columns(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -358,22 +358,45 @@ def test_cached_rodrigues_terms_give_rot_axis(seed, angle):
         assert np.array_equal(R, rot_axis(k, angle))
 
 
+def _chain_model(kind, model, rng):
+    """The shipped model (no link rotations), a random chain with every link
+    rotated, or one with a random half of its link rotations zero."""
+    if kind == "shipped":
+        return model
+    m = _random_axes_model(rng)
+    if kind == "mixed":
+        m = dataclasses.replace(m, joints=[
+            dataclasses.replace(j, link_rotation_rpy_rad=np.zeros(3)) if flat else j
+            for j, flat in zip(m.joints, rng.random(6) < 0.5)])
+    return m
+
+
+@pytest.mark.parametrize("kind", ["shipped", "random", "mixed"])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_chain_state_is_the_rot_axis_product(seed):
-    """One pose: the frames of the product of per-joint rot_axis, bit for bit."""
+def test_chain_state_is_the_rot_axis_product(model, kind, seed):
+    """One pose: the frames of the product of per-joint rot_axis and each
+    link's rot_rpy, bit for bit with signed zeros, whether a link rotation
+    that is the identity is skipped or not; zero angles included."""
     rng = np.random.default_rng(seed)
-    m = _random_axes_model(rng)
-    q, th = rng.uniform(-4.0, 4.0, 6), rng.normal(scale=1e-3, size=6)
-    R, p = np.eye(3), np.zeros(3)
+    m = _chain_model(kind, model, rng)
+    turns = [bool(j.link_rotation_rpy_rad.any()) for j in m.joints]
+    assert m._link_turns == tuple(turns)
+    zero = rng.random((2, 6)) < 0.3
+    q = np.where(zero[0], 0.0, rng.uniform(-4.0, 4.0, 6))
+    th = np.where(zero[1], 0.0, rng.normal(scale=1e-3, size=6))
+    R, p = rot_rpy(m.base.rotation_rpy_rad), m.base.translation_mm
     cs = chain_state(m, q, th)
     for i, j in enumerate(m.joints):
-        assert np.array_equal(cs.joint_p[i], p)
-        assert np.array_equal(cs.joint_axis[i], R @ j.axis)
+        assert cs.joint_p[i].tobytes() == p.tobytes()
+        assert cs.joint_axis[i].tobytes() == (R @ j.axis).tobytes()
         R = R @ rot_axis(j.axis, q[i] + th[i])
         p = R @ j.link_translation_mm + p
         R = R @ rot_rpy(j.link_rotation_rpy_rad)
-        assert np.array_equal(cs.node_R[i], R) and np.array_equal(cs.node_p[i + 1], p)
+        assert cs.node_R[i].tobytes() == R.tobytes()
+        assert cs.node_p[i + 1].tobytes() == p.tobytes()
+    assert cs.tool_R.tobytes() == (R @ rot_rpy(m.tool.rotation_rpy_rad)).tobytes()
+    assert cs.tool_p.tobytes() == (R @ m.tool.translation_mm + p).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(5,), (3, 4)]), st.booleans())

@@ -8,7 +8,7 @@ from stiffcal import stiffness
 from plans import LIMITS_DEG
 from stiffcal.errors import ConvergenceError, SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
-                            marker_positions)
+                            gravity_loading, hessian_theta, marker_positions)
 from stiffcal.stiffness import (
     cartesian_stiffness,
     compensate_target,
@@ -122,6 +122,18 @@ class TestEquilibrium:
         assert 0.0 <= dual.residual_position_mm < 1e-6
 
 
+def _stiffness_formula(model, comp, st, tool_wrench):
+    """``(J (K - H)^-1 J^T)^-1`` at ``st`` from ``hessian_theta`` and the tool
+    point's own ``_point_jacobian``, symmetrized as ``cartesian_stiffness`` does."""
+    cs = chain_state(model, st.q, st.theta)
+    H = hessian_theta(cs, gravity_loading(model), tool_wrench)
+    Keff = joint_stiffnesses(model, comp, st.q)[:, None] * np.eye(6) - H
+    J = _point_jacobian(cs, cs.tool_p)
+    S = J @ np.linalg.solve(Keff, J.T)
+    ref = np.linalg.inv(0.5 * (S + S.T))
+    return 0.5 * (ref + ref.T)
+
+
 class TestCartesianStiffness:
     def test_symmetric(self, model, comp):
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
@@ -171,6 +183,29 @@ class TestCartesianStiffness:
             dF = (st_d.tool_wrench - st.tool_wrench) / h
             assert np.allclose(dF, Kc[:, axis],
                                rtol=2e-3, atol=2e-3 * np.linalg.norm(Kc[:, axis]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_formula_of_the_tool_jacobian_bit_for_bit(self, model, comp, seed):
+        """At a primal and a dual equilibrium the stiffness is, byte for
+        byte, ``(J (K - H)^-1 J^T)^-1`` built from ``hessian_theta`` and the
+        tool point's own ``_point_jacobian``."""
+        rng = np.random.default_rng(seed)
+        lim = np.radians(LIMITS_DEG)
+        q = rng.uniform(lim[:, 0], lim[:, 1])
+        wrench = np.concatenate([rng.normal(0.0, 1500.0, 3), rng.normal(0.0, 1e5, 3)])
+        for st in (solve_equilibrium(model, comp, q, tool_wrench=wrench),
+                   solve_equilibrium(model, comp, q, target=fk(model, q))):
+            ref = _stiffness_formula(model, comp, st, st.tool_wrench)
+            assert cartesian_stiffness(model, comp, st).matrix.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("which", ["model", "weightless"])
+    def test_a_state_without_tool_wrench_is_gravity_only(self, which, comp, request):
+        """A caller-built state with ``tool_wrench=None`` gets the gravity-only
+        H and the tool point's Jacobian, also on a model with no weight."""
+        m = request.getfixturevalue(which)
+        st = dataclasses.replace(solve_equilibrium(m, comp, TEST_Q), tool_wrench=None)
+        ref = _stiffness_formula(m, comp, st, None)
+        assert cartesian_stiffness(m, comp, st).matrix.tobytes() == ref.tobytes()
 
     def test_positive_definite_translational_block(self, model, comp):
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)

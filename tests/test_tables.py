@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (load_deflection_csv_loop, load_marker_csv_loop, load_plan_csv_loop,
@@ -196,7 +196,19 @@ def _line(message):
     return int(re.match(r".*?\.csv:(\d+): ", message).group(1))
 
 
+def _empty_lines(end):
+    """A deflection table with empty lines after its header, between its
+    rows and at its end, every line ended by ``end``."""
+    row = ",".join(["1.5"] * 12 + ["0", "0.25", "-0.5", "0.75", "0"])
+    lines = [",".join(DEFLECTION_CSV_HEADER), "", row, "", "", row, ""]
+    return (load_deflection_csv, load_deflection_csv_loop, DEFLECTION_CSV_HEADER,
+            ("marker_id", "repeat"), end.join(lines) + end)
+
+
 @given(case=csv_file())
+@example(case=_empty_lines("\n"))
+@example(case=_empty_lines("\r\n"))
+@example(case=FORMATS[2] + ('"q2\n_deg",P1_x\n1,2\n\n3,4\n',))   # a header over two lines
 @settings(max_examples=400, deadline=None)
 def test_read_table_matches_the_cell_loop(case):
     """The bulk pass with its fallback gives the cell loop's columns bit for
@@ -267,16 +279,29 @@ def test_a_byte_order_mark_is_ignored(tmp_path, loader):
     assert _arrays(loader(with_bom)) == _arrays(loader(plain))
 
 
+@pytest.mark.parametrize("empty", [None, b"\n", b"\r\n"])
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
 @pytest.mark.parametrize("loader", [load_plan_csv, load_deflection_csv, load_marker_csv])
-def test_a_well_formed_table_takes_the_bulk_pass(tmp_path, monkeypatch, loader, bom):
+def test_a_well_formed_table_takes_the_bulk_pass(tmp_path, monkeypatch, loader, bom, empty):
+    """Also with empty lines (ended by LF or CRLF) after the header,
+    between the rows and at the end: each row keeps its line in the file."""
     def cell_loop(*args):
         raise AssertionError("the cell loop re-read a well-formed table")
 
     p = _saved(tmp_path, loader)
-    p.write_bytes(bom + p.read_bytes())
+    want = _arrays(loader(p))
+    text = p.read_bytes()
+    if empty is not None:
+        lines = text.replace(b"\r\n", b"\n").split(b"\n")[:-1]
+        lines = lines[:1] + [b""] + lines[1:2] + [b"", b""] + lines[2:] + [b""]
+        text = empty.join(lines) + empty
+    p.write_bytes(bom + text)
+    want_lines = read_table_loop(p)[2]
     monkeypatch.setattr(tables, "_read_cells", cell_loop)
-    loader(p)
+    assert _arrays(loader(p)) == want
+    assert read_table(p)[1].tolist() == want_lines
+    if empty is not None:
+        assert want_lines == [3] + list(range(6, 5 + len(want_lines)))
 
 
 def test_a_field_past_the_csv_limit_is_refused(tmp_path):
