@@ -41,7 +41,7 @@ from .stiffness import (CartesianStiffness, EquilibriumState,
                         solve_equilibria, solve_equilibrium)
 from .doe import (CalibrationPlan, NoiseModel, OptimizedPlan, PlanConstraints,
                   PlanEntry, TestPose, load_plan_csv, optimize_plan,
-                  parameter_covariance, save_plan_csv, test_pose_accuracy)
+                  save_plan_csv, test_pose_accuracy)
 from .sim import (GroundTruth, simulate_deflection_records,
                   simulate_geometry_dataset)
 from .modelfile import load_model

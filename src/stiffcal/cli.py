@@ -48,6 +48,8 @@ from .tables import write_table
 _DEFAULT_LIMITS_DEG = "-185:185,-140:-0.001,-120:155,-350:350,-122.5:122.5,-350:350"
 # Flags naming input files: the manifest records their sha256.
 _INPUT_FLAGS = ("markers", "model", "records", "plan")
+# Printed for a half-width that is null in the payload: --ci-samples below 2.
+_NO_CI = "(no interval: fewer than 2 usable resamples)"
 # Largest --ci-samples, --starts, --configs-per-bucket and start:stop:count
 # count: each is one refit, one random start, one plan row per bucket or one pose.
 MAX_COUNT = 10_000
@@ -100,6 +102,11 @@ def _manifest(args, outputs: Sequence[str]) -> Dict:
         "overrides": flags,
         "out_dir": os.path.abspath(args.out),
     }
+
+
+def _or_null(v):
+    """``v``, or None (JSON null) when it is NaN or infinite."""
+    return v if math.isfinite(v) else None
 
 
 def _finite(vals: List[float], name: str) -> List[float]:
@@ -192,14 +199,14 @@ def _cmd_geom_ident(args) -> Result:
     est = identify_compensator_geometry(dataset, angle_sign=args.angle_sign)
     ci = confidence_intervals_geometry(dataset, est, n_samples=args.ci_samples,
                                        seed=args.seed)
+    halves = (ci.halfwidth3_L_mm, ci.halfwidth3_ax_mm, ci.halfwidth3_ay_mm)
     payload = {
         "L_mm": est.L_mm, "ax_mm": est.ax_mm, "ay_mm": est.ay_mm,
         "p2_mm": list(est.p2), "p0_mm": list(est.p0),
         "crank_rms_mm": est.crank_fit.residual_rms,
         "crank_angle_sign": est.crank_fit.angle_sign,
         "satellite_radii_mm": list(est.satellite_fit.radii),
-        "ci3": {"L_mm": ci.halfwidth3_L_mm, "ax_mm": ci.halfwidth3_ax_mm,
-                "ay_mm": ci.halfwidth3_ay_mm},
+        "ci3": dict(zip(("L_mm", "ax_mm", "ay_mm"), map(_or_null, halves))),
         "noise_sigma_mm": {"crank": ci.sigma_crank_mm,
                            "satellite": ci.sigma_satellite_mm},
         "ci_samples": ci.n_samples,
@@ -212,9 +219,9 @@ def _cmd_geom_ident(args) -> Result:
         rows.append((q2_deg[i], "crank_meas_y", dataset.crank[i, 1]))
         rows.append((q2_deg[i], "crank_fit_x", fit_pts[i, 0]))
         rows.append((q2_deg[i], "crank_fit_y", fit_pts[i, 1]))
-    lines = [f"L  = {est.L_mm:10.3f} +/- {ci.halfwidth3_L_mm:.3f} mm",
-             f"ax = {est.ax_mm:10.3f} +/- {ci.halfwidth3_ax_mm:.3f} mm",
-             f"ay = {est.ay_mm:10.3f} +/- {ci.halfwidth3_ay_mm:.3f} mm"]
+    lines = [f"{lab} = {payload[key]:10.3f} "
+             + (f"mm {_NO_CI}" if half is None else f"+/- {half:.3f} mm")
+             for lab, (key, half) in zip(("L ", "ax", "ay"), payload["ci3"].items())]
     return lines, {"geometry.json": payload, "fit_tracks.csv": rows}
 
 
@@ -222,20 +229,18 @@ def _cmd_elasto_ident(args) -> Result:
     model = _compensated_model(args.model)
     est = identify_elastostatics(model, load_deflection_csv(args.records))
     ci = confidence_intervals_elasto(est, n_samples=args.ci_samples, seed=args.seed)
-    params = []
-    for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent):
-        params.append({"name": lab, "value": val, "ci3": half,
-                       "ci3_percent": None if not np.isfinite(pct) else pct})
+    params = [{"name": lab, "value": val, "ci3": _or_null(half), "ci3_percent": _or_null(pct)}
+              for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent)]
     lay = est.fit.layout
     payload = {
         "parameters": params,
         "joint2_buckets_deg": [math.degrees(b) for b in lay.bucket_q2_rad],
         "joint2_stiffness_Nmm_per_rad": list(est.fit.joint2_stiffnesses()),
         "stage1_sigma_mm": est.fit.sigma_hat_mm,
-        "stage1_condition": est.fit.condition,
+        "stage1_condition": est.fit.lsq.condition,
         "stage1_labels": list(est.fit.labels),
         "stage1_compliances": list(est.fit.values),
-        "separation": {"condition": est.separation.condition,
+        "separation": {"condition": est.separation.lsq.condition,
                        "residual_rel": est.separation.residual_rel},
         "ci_samples": ci.n_samples,
         "ci_failed": ci.n_failed,
@@ -246,8 +251,9 @@ def _cmd_elasto_ident(args) -> Result:
         rows.append((math.degrees(q2), "K2_measured", K2[b]))
         rows.append((math.degrees(q2), "K2_separation_fit",
                      est.separation.K2_fit_Nmm_per_rad[b]))
-    lines = [f"{p['name']:4s} = {p['value']: .6e} +/- {p['ci3']:.2e}"
-             + (f" ({p['ci3_percent']:5.1f}%)" if p["ci3_percent"] is not None else "")
+    lines = [f"{p['name']:4s} = {p['value']: .6e} "
+             + (_NO_CI if p["ci3"] is None else f"+/- {p['ci3']:.2e}"
+                + (f" ({p['ci3_percent']:5.1f}%)" if p["ci3_percent"] is not None else ""))
              for p in params]
     return lines, {"elasto.json": payload, "joint2_stiffness.csv": rows}
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import ParameterLayout, factor_regressor
+from .elasto_id import ParameterLayout
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _cross, _marker_points, _point_jacobian
 from .tables import read_table, write_table
@@ -344,24 +344,6 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(rho_sq),
                             per_bucket_mm2=tuple(per_bucket),
                             bucket_q2_rad=layout.bucket_q2_rad)
-
-
-def parameter_covariance(model: ManipulatorModel, plan: CalibrationPlan,
-                         noise: NoiseModel) -> np.ndarray:
-    """Covariance sigma^2 (B^T B)^-1 of the full stage-one compliance vector.
-
-    B is the shared-parameter regressor (one k3..k6 across all buckets), each
-    entry's rows weighted by sqrt(repeats).  It is factored and rank-checked
-    by :func:`stiffcal.elasto_id.factor_regressor`, as in the identification.
-    """
-    layout = plan.layout()
-    rows = sensitivity_rows(model, [e.q_rad for e in plan.entries],
-                            [e.wrench for e in plan.entries])
-    bucket = layout.bucket_of([e.q_rad[1] for e in plan.entries])
-    weight = np.sqrt([e.repeats for e in plan.entries])[:, None, None]
-    B = layout.place(weight * rows, bucket).reshape(-1, layout.n_params)
-    _, s, Vt = factor_regressor(B, layout)
-    return noise.sigma_mm**2 * ((Vt.T / s**2) @ Vt)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ marker displacements on the model-predicted sensitivity columns; joint 2
 gets one compliance value *per distinct joint-2 angle* because the gravity
 compensator modulates it with posture.  Stage two separates the bucketed
 joint-2 stiffnesses into the bare joint spring, the compensator spring rate
-and its free length using the slider-crank kinematics.
+and its free length using the slider-crank kinematics.  Both stages solve
+through a :class:`LeastSquares` kept on the result, each under its own rank cut.
 
 The records, the rows of one :class:`DeflectionRecords` table, are
 loaded-minus-unloaded displacement vectors, so gravity drops out of the
@@ -220,13 +221,35 @@ def build_regressor(model: ManipulatorModel, records: DeflectionRecords,
     return B, records.deflection_mm.reshape(-1)
 
 
-def factor_regressor(B: np.ndarray, layout: ParameterLayout):
-    """Thin SVD ``(U, s, Vt)`` of the stage-one regressor ``B`` (columns as in
-    ``layout``); raises naming the unobservable columns unless every singular
-    value is above ``RANK_TOL`` of the largest.  ``B`` itself is factored:
-    the same cut on ``B^T B`` would sit at 1e-20, below double rounding."""
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+class LeastSquares:
+    """A design matrix ``A`` (m, p) and its thin SVD ``U s Vt``, taken once, so
+    the resampler and any refit on new data solve without factoring again."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.U, self.s, self.Vt = np.linalg.svd(A, full_matrices=False)
+
+    @property
+    def condition(self) -> float:
+        return float(self.s[0] / self.s[-1])
+
+    @property
+    def root(self) -> np.ndarray:
+        """``V / s`` (p, p): the solution's covariance is sigma^2 root root^T."""
+        return self.Vt.T / self.s
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """Least-squares ``x`` (..., p) of ``A x = y`` for ``y`` (..., m), row by row."""
+        return (self.Vt.T @ ((self.U.T @ y[..., None])[..., 0] / self.s)[..., None])[..., 0]
+
+
+def factor_regressor(B: np.ndarray, layout: ParameterLayout) -> LeastSquares:
+    """The stage-one regressor ``B`` (columns as in ``layout``), factored;
+    raises naming the unobservable columns unless every singular value is
+    above ``RANK_TOL`` of the largest.  ``B`` itself is factored: the same
+    cut on ``B^T B`` would sit at 1e-20, below double rounding."""
+    lsq = LeastSquares(B)
+    rank = int(np.sum(lsq.s > RANK_TOL * lsq.s[0]))
     p = layout.n_params
     if rank < p:
         null = np.linalg.svd(B)[2][rank:].T   # all of V: B may have < p rows
@@ -236,7 +259,7 @@ def factor_regressor(B: np.ndarray, layout: ParameterLayout):
         raise IdentifiabilityError(
             f"regressor rank {rank} < {p}: parameters not identifiable from this "
             f"plan (unobservable: {', '.join(worst)})", null_directions=null)
-    return U, s, Vt
+    return lsq
 
 
 @dataclass
@@ -246,8 +269,7 @@ class CompliancesFit:
     layout: ParameterLayout
     values: np.ndarray       # (p,) compliances, rad/(N*mm)
     sigma_hat_mm: float      # residual noise scale per displacement axis
-    condition: float         # sigma_max / sigma_min of the regressor B
-    root: np.ndarray         # (p, p) V / s: the covariance is sigma^2 root root^T
+    lsq: LeastSquares        # the factored regressor B
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -270,8 +292,8 @@ def identify_compliances(model: ManipulatorModel,
     raises if a direction is unobservable."""
     layout = ParameterLayout.from_q2(records.q_rad[:, 1])
     B, y = build_regressor(model, records, layout)
-    U, s, Vt = factor_regressor(B, layout)
-    k = Vt.T @ ((U.T @ y) / s)
+    lsq = factor_regressor(B, layout)
+    k = lsq.solve(y)
     resid = y - B @ k
     dof = len(y) - layout.n_params
     sigma = math.sqrt(float(resid @ resid) / dof) if dof > 0 else 0.0
@@ -281,8 +303,7 @@ def identify_compliances(model: ManipulatorModel,
                 f"estimated compliance {layout.column_labels()[i]} = {v:.3e} "
                 "is non-positive; treat the fit with suspicion", RuntimeWarning,
                 stacklevel=2)
-    return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma,
-                          condition=float(s[0] / s[-1]), root=Vt.T / s)
+    return CompliancesFit(layout=layout, values=k, sigma_hat_mm=sigma, lsq=lsq)
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +317,15 @@ class CompensatorSeparation:
     K0_Nmm_per_rad: float
     Kc_N_per_mm: float
     s0_mm: float
-    condition: float      # of the 3-column separation system
     residual_rel: float   # relative misfit of the bucket stiffnesses
     K2_fit_Nmm_per_rad: np.ndarray  # per-bucket joint-2 stiffness of the fit
-    factors: tuple        # (C, U, s, Vt): the separation system and its SVD
+    lsq: LeastSquares     # the factored 3-column separation system
 
 
-def _separation_factors(layout: ParameterLayout, geometry: CompensatorGeometry):
-    """Separation matrix of the layout's buckets and its SVD ``(C, U, s, Vt)``;
-    raises when the buckets cannot separate the compensator."""
-    if layout.n_buckets < 3:
-        raise IdentifiabilityError(
-            f"need at least 3 distinct joint-2 angles to separate the "
-            f"compensator, got {layout.n_buckets}")
-    C = separation_matrix(geometry, layout.bucket_q2_rad)
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise IdentifiabilityError(
-            "joint-2 angle buckets do not vary the spring geometry enough to "
-            "separate the compensator constants", null_directions=Vt[-1:].T)
-    return C, U, s, Vt
-
-
-def _separate(factors, K2: np.ndarray):
+def _separate(lsq: LeastSquares, K2: np.ndarray):
     """Least-squares ``x = [K0, Kc, Kc*s0]`` (..., 3) of bucket stiffnesses
-    ``K2`` (..., n_buckets), and whether each spring rate is distinguishable
-    from zero.  A stack applies the same products to each of its rows."""
-    _, U, s, Vt = factors
-    x = (Vt.T @ ((U.T @ K2[..., None])[..., 0] / s)[..., None])[..., 0]
+    ``K2`` (..., n_buckets), and whether each spring rate is nonzero."""
+    x = lsq.solve(K2)
     return x, ~(np.abs(x[..., 1]) < 1e-12 * np.maximum(np.abs(x[..., 0]), 1.0))
 
 
@@ -333,26 +335,31 @@ def separate_compensator(layout: ParameterLayout, K2_Nmm_per_rad: np.ndarray,
     K2 = np.asarray(K2_Nmm_per_rad, dtype=float).reshape(-1)
     if K2.shape[0] != layout.n_buckets:
         raise ValueError("one joint-2 stiffness per bucket required")
-    factors = _separation_factors(layout, geometry)
-    x, ok = _separate(factors, K2)
+    if layout.n_buckets < 3:
+        raise IdentifiabilityError(
+            f"need at least 3 distinct joint-2 angles to separate the "
+            f"compensator, got {layout.n_buckets}")
+    lsq = LeastSquares(separation_matrix(geometry, layout.bucket_q2_rad))
+    if lsq.s[-1] <= 1e-12 * lsq.s[0]:
+        raise IdentifiabilityError(
+            "joint-2 angle buckets do not vary the spring geometry enough to "
+            "separate the compensator constants", null_directions=lsq.Vt[-1:].T)
+    x, ok = _separate(lsq, K2)
     if not ok:
         raise IdentifiabilityError(
             "compensator spring rate indistinguishable from zero; free length "
             "is undefined")
-    K0, Kc = float(x[0]), float(x[1])
-    s0 = float(x[2] / x[1])
+    K0, Kc, s0 = float(x[0]), float(x[1]), float(x[2] / x[1])
     if Kc <= 0 or K0 <= 0 or s0 <= 0:
         warnings.warn(
             f"separated constants have non-physical signs (K0={K0:.3e}, "
             f"Kc={Kc:.3e}, s0={s0:.3e})", RuntimeWarning, stacklevel=2)
-    C, _, s, _ = factors
-    fit = C @ x
+    fit = lsq.A @ x
     nrm = float(np.linalg.norm(K2))
     return CompensatorSeparation(
         K0_Nmm_per_rad=K0, Kc_N_per_mm=Kc, s0_mm=s0,
-        condition=float(s[0] / s[-1]),
         residual_rel=float(np.linalg.norm(fit - K2)) / nrm if nrm > 0 else 0.0,
-        K2_fit_Nmm_per_rad=fit, factors=factors)
+        K2_fit_Nmm_per_rad=fit, lsq=lsq)
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +421,30 @@ def confidence_intervals_elasto(estimate: ElastostaticEstimate,
     the fitted model predictions, refits the linear stage and reruns the
     separation, so the reported spread includes the nonlinear s0 = x3/x2
     step.  The refit is linear and the regressor has full column rank, so
-    a refit compliance vector has the law of ``k + sigma * root @ w`` with
+    a refit compliance vector has the law of ``k + sigma * root @ w``, with
+    ``root`` that of the estimate's factored regressor ``fit.lsq`` and
     ``w`` standard normal in parameter space: sample ``i`` takes row ``i``
-    of ``default_rng(seed).standard_normal((n_samples, p))``.  Empty
-    residuals (noise-free data) give zero widths.  The resamples reuse the
-    stage-one fit of ``estimate`` and the factorization its separation
-    stored, which does not depend on the sample, so the separation runs on
-    all samples at once.  A resample fails when a joint-2 compliance is not
-    positive or the spring rate is indistinguishable from zero; more than
-    half failing raises.
+    of ``default_rng(seed).standard_normal((n_samples, p))``.  All samples
+    are separated at once through the estimate's factored separation
+    system ``separation.lsq``, so nothing is factored again.  A resample
+    fails when a joint-2 compliance is not positive or the spring rate is
+    indistinguishable from zero; more than half failing raises.  Empty
+    residuals (noise-free data) give zero widths; fewer than two usable
+    resamples of noisy data give NaN widths, as no spread can be taken.
     """
     fit = estimate.fit
     layout = fit.layout
     sigma = fit.sigma_hat_mm
     values = estimate.parameter_values()
-    if sigma == 0.0 or n_samples < 2:
+    if sigma == 0.0:
         zero = np.zeros_like(values)
         return ElastoCI(PARAMETER_LABELS, values, zero, zero, n_samples)
     nb = layout.n_buckets
     w = np.random.default_rng(seed).standard_normal((n_samples, layout.n_params))
-    k_star = fit.values + sigma * (w @ fit.root.T)
+    k_star = fit.values + sigma * (w @ fit.lsq.root.T)
     k2 = k_star[:, :nb]
     ok = ~np.any(k2 <= 0, axis=1)
-    x, separated = _separate(estimate.separation.factors, 1.0 / k2[ok])
+    x, separated = _separate(estimate.separation.lsq, 1.0 / k2[ok])
     ok[ok] = separated
     failed = int(n_samples - ok.sum())
     if failed > n_samples // 2:
@@ -445,7 +453,8 @@ def confidence_intervals_elasto(estimate: ElastostaticEstimate,
             "noise level too high for a meaningful interval")
     K0, Kc, Kc_s0 = x[separated].T
     arr = _physical_parameters(K0, k_star[ok, nb:], Kc, Kc_s0 / Kc)
-    half = 3.0 * np.std(arr, axis=0, ddof=1)
+    half = (3.0 * np.std(arr, axis=0, ddof=1) if len(arr) > 1
+            else np.full_like(values, np.nan))
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.where(values != 0, 100.0 * half / np.abs(values), np.inf)
     return ElastoCI(PARAMETER_LABELS, values, half, pct, n_samples, failed)

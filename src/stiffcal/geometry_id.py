@@ -222,12 +222,14 @@ def confidence_intervals_geometry(dataset: MarkerDataset,
     one stack.  Sample ``i``'s noise is row ``i`` of one
     ``default_rng(seed).standard_normal((n_samples, m))`` draw: its ``m``
     values are the crank track's then each satellite track's, in row-major
-    order, scaled by ``sigma_crank`` and ``sigma_satellite``.  Zero
-    residuals yield zero-width intervals.
+    order, scaled by ``sigma_crank`` and ``sigma_satellite``.  Zero residuals
+    yield zero widths; otherwise fewer than two samples yield NaN widths.
     """
     s_crank, s_sat = residual_noise_sigma(estimate)
-    if (s_crank == 0.0 and s_sat == 0.0) or n_samples < 2:
+    if s_crank == 0.0 and s_sat == 0.0:
         return GeometryCI(0.0, 0.0, 0.0, s_crank, s_sat, n_samples)
+    if n_samples < 2:
+        return GeometryCI(np.nan, np.nan, np.nan, s_crank, s_sat, n_samples)
     crank_clean, sats_clean = _clean_tracks(dataset, estimate)
     n_crank = crank_clean.size
     z = np.random.default_rng(seed).standard_normal(

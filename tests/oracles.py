@@ -433,7 +433,7 @@ def confidence_intervals_elasto_loop(model, estimate, n_samples=200, seed=0):
     rng = np.random.default_rng(seed)
     for i in range(n_samples):
         w = rng.standard_normal(layout.n_params)
-        k_star = fit.values + fit.sigma_hat_mm * (fit.root @ w)
+        k_star = fit.values + fit.sigma_hat_mm * (fit.lsq.root @ w)
         k2 = k_star[:nb]
         try:
             if np.any(k2 <= 0):

@@ -528,6 +528,36 @@ class TestUsageParsing:
         assert main(["eta-curve", "--model", str(model_path), "--s0=458",
                      "--q2=-140:0:10000", "--out", str(tmp_path / "e")]) == 0
 
+    def test_elasto_ident_one_resample_writes_null_widths(self, tmp_path, model_path,
+                                                          capsys):
+        """One resample of noisy records has no spread: every ``ci3`` and
+        ``ci3_percent`` is null, and no line prints a zero-width interval."""
+        save_plan_csv(tmp_path / "plan.csv", spread_plan())
+        assert main(["simulate", "deflections", "--model", str(model_path),
+                     "--plan", str(tmp_path / "plan.csv"), "--noise=0.02",
+                     "--out", str(tmp_path / "rec")]) == 0
+        capsys.readouterr()
+        assert main(["elasto-ident", "--model", str(model_path), "--records",
+                     str(tmp_path / "rec" / "records.csv"), "--ci-samples=1",
+                     "--out", str(tmp_path / "el")]) == 0
+        params = _load_json(tmp_path / "el" / "elasto.json")["parameters"]
+        assert [(p["ci3"], p["ci3_percent"]) for p in params] == [(None, None)] * 7
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 7 and all(line.endswith(cli._NO_CI) for line in out)
+        assert "+/-" not in "".join(out) and "nan" not in "".join(out)
+
+    def test_geom_ident_no_resamples_writes_null_widths(self, tmp_path, table1_path,
+                                                        capsys):
+        assert main(["geom-ident", "--markers", str(table1_path), "--ci-samples=0",
+                     "--out", str(tmp_path / "g")]) == 0
+        payload = _load_json(tmp_path / "g" / "geometry.json")
+        assert payload["ci3"] == {"L_mm": None, "ax_mm": None, "ay_mm": None}
+        assert payload["noise_sigma_mm"]["crank"] > 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in out] == ["L  ", "ax ", "ay "]
+        assert all(line.endswith(f" mm {cli._NO_CI}") for line in out)
+        assert "+/-" not in "".join(out) and "nan" not in "".join(out)
+
     def test_non_finite_model_number_is_2_without_traceback(self, tmp_path, model_path):
         """A model file with an infinite link length fails as bad data naming
         the field, with no numpy warning or traceback on the way."""

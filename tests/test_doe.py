@@ -19,7 +19,6 @@ from stiffcal.doe import (
     TestPose,
     load_plan_csv,
     optimize_plan,
-    parameter_covariance,
     save_plan_csv,
     sensitivity_rows,
     _bucket_variance,
@@ -30,7 +29,7 @@ from stiffcal.doe import (
     _random_config,
 )
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
-from stiffcal.elasto_id import ParameterLayout, build_regressor, identify_compliances
+from stiffcal.elasto_id import ParameterLayout, build_regressor, factor_regressor
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
 from stiffcal.robot import FrameSpec, chain_state, marker_positions
 from stiffcal.sim import simulate_deflection_records
@@ -347,16 +346,28 @@ class TestAccuracyMetric:
         assert mc == pytest.approx(acc.rho0_sq_mm2, rel=0.2)
 
 
-class TestParameterCovariance:
-    def test_duplicating_plan_halves_covariance(self, model, plan):
-        c1 = parameter_covariance(model, plan, NOISE)
-        c2 = parameter_covariance(model, replicated(plan, 2), NOISE)
-        assert np.allclose(c2, c1 / 2.0, rtol=1e-9, atol=0.0)
+def _plan_lsq(model, plan: CalibrationPlan):
+    """The stage-one regressor of the plan's noise-free linear records,
+    factored and rank-checked as the identification does."""
+    records = simulate_deflection_records(model, plan, response="linear")
+    return factor_regressor(build_regressor(model, records, plan.layout())[0],
+                            plan.layout())
 
-    def test_scales_with_sigma_squared(self, model, plan):
-        c1 = parameter_covariance(model, plan, NoiseModel(0.05))
-        c2 = parameter_covariance(model, plan, NoiseModel(0.10))
-        assert np.allclose(c2, 4.0 * c1, rtol=1e-12, atol=0.0)
+
+def _plan_covariance(model, plan: CalibrationPlan) -> np.ndarray:
+    """sigma^2 root root^T of the plan's factored stage-one regressor."""
+    root = _plan_lsq(model, plan).root
+    return NOISE.sigma_mm**2 * root @ root.T
+
+
+class TestParameterCovariance:
+    """The compliance covariance a plan implies, read off the factored
+    stage-one regressor of its records."""
+
+    def test_duplicating_plan_halves_covariance(self, model, plan):
+        c1 = _plan_covariance(model, plan)
+        c2 = _plan_covariance(model, replicated(plan, 2))
+        assert np.allclose(c2, c1 / 2.0, rtol=1e-9, atol=0.0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -368,7 +379,7 @@ class TestParameterCovariance:
             NoiseModel(sigma_mm=sigma)
 
     def test_matches_dense_regressor(self, model, plan):
-        cov = parameter_covariance(model, plan, NOISE)
+        cov = _plan_covariance(model, plan)
         # oracle: sigma^2 (B^T B)^-1 of the dense regressor of one dummy
         # record per marker and repeat
         records = table((e.q, e.w, m, np.zeros(3), r)
@@ -382,11 +393,11 @@ class TestParameterCovariance:
         dead = CalibrationPlan((PlanEntry(
             tuple(np.radians([0, -70, 0, 0, 0, 0])), (0.0,) * 6),))
         with pytest.raises(IdentifiabilityError, match="unobservable"):
-            parameter_covariance(model, dead, NOISE)
+            _plan_lsq(model, dead)
 
     def test_matches_fit_pseudo_inverse(self, model, plan):
         ref = _fit_covariance(model, plan)
-        cov = parameter_covariance(model, plan, NOISE)
+        cov = _plan_covariance(model, plan)
         assert np.linalg.norm(cov - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
@@ -411,25 +422,21 @@ def _weak_bucket_plan(scale: float) -> CalibrationPlan:
 
 
 class TestOneRankRule:
-    """The plan covariance and the identification accept and reject the
-    same plans: both factor the stage-one regressor under ``RANK_TOL``."""
+    """The stage-one rank cut ``RANK_TOL`` keeps a weak bucket and rejects
+    a rank-deficient one, naming its null direction."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-7])
-    def test_weak_bucket_accepted_by_both(self, model, scale):
+    def test_weak_bucket_accepted(self, model, scale):
         plan = _weak_bucket_plan(scale)
         ref = _fit_covariance(model, plan)
-        cov = parameter_covariance(model, plan, NOISE)
+        cov = _plan_covariance(model, plan)
         assert np.linalg.norm(cov - ref) <= 1e-6 * np.linalg.norm(ref)
 
-    def test_rank_deficient_bucket_rejected_by_both(self, model):
+    def test_rank_deficient_bucket_rejected(self, model):
         plan = _weak_bucket_plan(1e-11)
-        records = simulate_deflection_records(model, plan, response="linear")
-        with pytest.raises(IdentifiabilityError, match="unobservable") as design:
-            parameter_covariance(model, plan, NOISE)
-        with pytest.raises(IdentifiabilityError, match="unobservable") as fit:
-            identify_compliances(model, records)
-        assert (design.value.null_directions.shape
-                == fit.value.null_directions.shape == (plan.layout().n_params, 1))
+        with pytest.raises(IdentifiabilityError, match="unobservable") as err:
+            _plan_lsq(model, plan)
+        assert err.value.null_directions.shape == (plan.layout().n_params, 1)
 
 
 class TestPlanCsv:

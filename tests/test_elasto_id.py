@@ -15,6 +15,7 @@ from stiffcal.elasto_id import (
     DEFLECTION_CSV_HEADER,
     PARAMETER_LABELS,
     RANK_TOL,
+    LeastSquares,
     ParameterLayout,
     build_regressor,
     confidence_intervals_elasto,
@@ -288,8 +289,8 @@ class TestStageOne:
             assert fit.values[i] == pytest.approx(1.0 / K2, rel=1e-9)
         assert np.allclose(fit.values[5:], model.compliances[2:], rtol=1e-9)
         B, _ = build_regressor(model, clean_records, fit.layout)
-        assert fit.condition == pytest.approx(np.linalg.cond(B), rel=1e-9)
-        assert fit.condition < 1.0 / RANK_TOL
+        assert fit.lsq.condition == pytest.approx(np.linalg.cond(B), rel=1e-9)
+        assert fit.lsq.condition < 1.0 / RANK_TOL
         assert fit.sigma_hat_mm < 1e-12
 
     def test_rank_deficiency_reported(self, model, clean_records):
@@ -382,6 +383,64 @@ class TestSeparation:
         K2 = C @ np.array([1.0e5, -3.0, -3.0 * 458.0])  # negative spring rate
         with pytest.warns(RuntimeWarning, match="non-physical signs"):
             separate_compensator(lay, K2, comp.geometry)
+
+
+class TestLeastSquares:
+    """Both stages solve through one factored least-squares, with the bits
+    of the formulas each stage spelled out on its own SVD before."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stages_match_their_svd_formulas_bit_for_bit(self, model, seed):
+        records = simulate_deflection_records(model, spread_plan(), noise_mm=0.02,
+                                              seed=seed)
+        est = identify_elastostatics(model, records)
+        fit, sep = est.fit, est.separation
+        B, y = build_regressor(model, records, fit.layout)
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        k = Vt.T @ ((U.T @ y) / s)
+        resid = y - B @ k
+        sigma = math.sqrt(float(resid @ resid) / (len(y) - fit.layout.n_params))
+        assert fit.values.tobytes() == k.tobytes()
+        assert fit.sigma_hat_mm == sigma
+        assert fit.lsq.condition == float(s[0] / s[-1])
+        assert fit.lsq.root.tobytes() == (Vt.T / s).tobytes()
+        C = separation_matrix(model.compensator.geometry, fit.layout.bucket_q2_rad)
+        U, s, Vt = np.linalg.svd(C, full_matrices=False)
+        K2 = 1.0 / k[:fit.layout.n_buckets]
+        x = (Vt.T @ ((U.T @ K2[..., None])[..., 0] / s)[..., None])[..., 0]
+        assert sep.lsq.solve(K2).tobytes() == x.tobytes()
+        assert [sep.K0_Nmm_per_rad, sep.Kc_N_per_mm, sep.s0_mm] == [x[0], x[1], x[2] / x[1]]
+        assert sep.lsq.condition == float(s[0] / s[-1])
+
+    def test_stacked_solve_equals_each_row_alone(self, model, clean_records):
+        est = identify_elastostatics(model, clean_records)
+        rng = np.random.default_rng(3)
+        for lsq in (est.fit.lsq, est.separation.lsq):
+            Y = rng.standard_normal((7, len(lsq.A)))
+            X = lsq.solve(Y)
+            assert X.shape == (7, lsq.A.shape[1])
+            for x, y in zip(X, Y):
+                assert x.tobytes() == lsq.solve(y).tobytes()
+            assert lsq.solve(Y.reshape(7, 1, -1))[:, 0].tobytes() == X.tobytes()
+
+    def test_refit_on_new_deflections_takes_no_svd(self, model, plan, monkeypatch):
+        """``fit.lsq.solve`` on other deflections of the same records is the
+        fit of those records, without factoring the regressor again."""
+        first, second = (simulate_deflection_records(model, plan, noise_mm=0.02,
+                                                     seed=seed, response="linear")
+                         for seed in (1, 2))
+        fit = identify_compliances(model, first)
+        calls, real = [], np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        refit = fit.lsq.solve(second.deflection_mm.reshape(-1))
+        assert calls == []
+        assert refit.tobytes() == identify_compliances(model, second).values.tobytes()
+        assert calls == [fit.lsq.A.shape]
 
 
 class TestFullPipeline:
@@ -525,6 +584,36 @@ class TestConfidence:
         ci = confidence_intervals_elasto(est, n_samples=8)
         assert np.all(ci.halfwidth3 <= 1e-9 * np.abs(ci.values))
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_give_no_width(self, model, plan, n_samples):
+        """Noisy records with fewer than two resamples have no spread to
+        report: NaN widths, not zeros; exact zero residuals keep zeros."""
+        records = simulate_deflection_records(model, plan, noise_mm=0.02, seed=5)
+        est = identify_elastostatics(model, records)
+        ci = confidence_intervals_elasto(est, n_samples=n_samples, seed=0)
+        assert np.isnan(ci.halfwidth3).all() and np.isnan(ci.percent).all()
+        assert ci.n_samples == n_samples and ci.n_failed == 0
+        exact = dataclasses.replace(est, fit=dataclasses.replace(est.fit, sigma_hat_mm=0.0))
+        ci = confidence_intervals_elasto(exact, n_samples=n_samples, seed=0)
+        assert ci.halfwidth3.tolist() == [0.0] * len(ci.values)
+
+    def test_one_usable_resample_gives_no_width(self, model, plan, monkeypatch):
+        """Two resamples with one failing leave one row: NaN widths, with no
+        numpy degrees-of-freedom warning on the way."""
+        from stiffcal import elasto_id
+        records = simulate_deflection_records(model, plan, noise_mm=0.02, seed=5)
+        est = identify_elastostatics(model, records)
+        real = elasto_id._separate
+
+        def first_unseparable(lsq, K2):
+            x, ok = real(lsq, K2)
+            ok[0] = False
+            return x, ok
+
+        monkeypatch.setattr(elasto_id, "_separate", first_unseparable)
+        ci = confidence_intervals_elasto(est, n_samples=2, seed=0)
+        assert ci.n_failed == 1 and np.isnan(ci.halfwidth3).all()
+
     def test_reproducible(self, model, plan):
         records = simulate_deflection_records(model, plan, noise_mm=0.05,
                                               seed=5, response="linear")
@@ -593,18 +682,17 @@ class TestStackedResampler:
         np.testing.assert_allclose(ci.halfwidth3, ref, rtol=0.03, atol=0.0)
 
     def test_reuses_the_estimate_separation(self, model, monkeypatch):
-        """The resampler separates with the factors the estimate stored and
-        never factors the separation system again."""
-        from stiffcal import elasto_id
+        """The resampler reads both factored systems off the estimate and
+        never takes an SVD."""
         records = simulate_deflection_records(model, spread_plan(), noise_mm=0.05,
                                               seed=5, response="linear")
         est = identify_elastostatics(model, records)
         base = confidence_intervals_elasto(est, n_samples=200, seed=4)
 
-        def refactor(*args):
-            raise AssertionError("separation factored again")
+        def refactor(*args, **kwargs):
+            raise AssertionError("factored again")
 
-        monkeypatch.setattr(elasto_id, "_separation_factors", refactor)
+        monkeypatch.setattr(np.linalg, "svd", refactor)
         ci = confidence_intervals_elasto(est, n_samples=200, seed=4)
         assert ci.halfwidth3.tobytes() == base.halfwidth3.tobytes()
         assert ci.n_failed == base.n_failed
@@ -637,8 +725,8 @@ class TestStackedResampler:
         base = confidence_intervals_elasto(est, n_samples=200, seed=0)
         real = elasto_id._separate
 
-        def every_fourth_unseparable(factors, K2):
-            x, ok = real(factors, K2)
+        def every_fourth_unseparable(lsq, K2):
+            x, ok = real(lsq, K2)
             ok[::4] = False
             return x, ok
 
@@ -648,13 +736,13 @@ class TestStackedResampler:
         assert ci.n_failed == base.n_failed + len(range(0, reached, 4))
 
     def test_stacked_separation_flags_zero_spring_rate(self, model):
-        from stiffcal.elasto_id import _separate, _separation_factors
+        from stiffcal.elasto_id import _separate
         comp = model.compensator
         lay = ParameterLayout(tuple(np.radians([-1.0, -40.0, -80.0, -120.0])))
         C = separation_matrix(comp.geometry, lay.bucket_q2_rad)
         K2 = np.stack([C @ [3.3e9, 6000.0, 6000.0 * 458.0], C @ [3.3e9, 0.0, 0.0],
                        C @ [3.0e9, 5000.0, 5000.0 * 400.0]])
-        x, ok = _separate(_separation_factors(lay, comp.geometry), K2)
+        x, ok = _separate(LeastSquares(C), K2)
         assert ok.tolist() == [True, False, True]
         with pytest.raises(IdentifiabilityError, match="indistinguishable from zero"):
             separate_compensator(lay, K2[1], comp.geometry)

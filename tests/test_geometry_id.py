@@ -198,6 +198,20 @@ class TestConfidence:
         assert ci.halfwidth3_ax_mm < 1e-9
         assert ci.sigma_crank_mm < 1e-9
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_fewer_than_two_samples_give_no_width(self, monkeypatch, n_samples):
+        """Noisy tracks with fewer than two resamples have no spread to
+        report: NaN widths, not zeros; exact zero residuals keep zeros."""
+        from stiffcal import geometry_id
+        ds = simulate_geometry_dataset(GEOM, SWEEP, noise_mm=0.05, seed=4)
+        est = identify_compensator_geometry(ds)
+        ci = confidence_intervals_geometry(ds, est, n_samples=n_samples, seed=0)
+        widths = (ci.halfwidth3_L_mm, ci.halfwidth3_ax_mm, ci.halfwidth3_ay_mm)
+        assert np.isnan(widths).all() and ci.sigma_crank_mm > 0
+        monkeypatch.setattr(geometry_id, "residual_noise_sigma", lambda e: (0.0, 0.0))
+        ci = confidence_intervals_geometry(ds, est, n_samples=n_samples, seed=0)
+        assert (ci.halfwidth3_L_mm, ci.halfwidth3_ax_mm, ci.halfwidth3_ay_mm) == (0, 0, 0)
+
     def test_sigma_estimates_track_injected_noise(self):
         ds = simulate_geometry_dataset(GEOM, np.radians(np.linspace(-140, 0, 40)),
                                        noise_mm=0.05, seed=2)
