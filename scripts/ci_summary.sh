@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# Print, as Markdown lines, the numbers ROADMAP.md tracks for this checkout:
+# the src/stiffcal line count, the size of stiffcal.__all__, the tier-1 test
+# count and the deterministic work counters of the benchmark workloads.
+#
+# Given BASE, a commit, it checks BASE out once as a temporary git worktree
+# and adds the src/stiffcal shortstat against it, the stiffcal.__all__ names
+# added and removed, and the README's command-line block run twice, each in
+# a fresh directory with this checkout's configs/ and data/, under
+# PYTHONHASHSEED 0: once through a `stiffcal` importing this checkout's src/
+# and once through one importing the base's.  It lists the output files that
+# differ between the two runs, manifest.json aside (manifests hold absolute
+# paths), and whether the two runs printed the same lines.
+#
+# The report never fails: a change may alter a payload on purpose, and a
+# base that cannot be checked out, imported or run is reported as such.
+# scripts/readme_block.sh holds the README checks that do fail.
+#
+#   bash scripts/ci_summary.sh [BASE] >> "$GITHUB_STEP_SUMMARY"
+set -uo pipefail
+
+base="${1:-}"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+tmp="$(mktemp -d)"
+trap 'git -C "$root" worktree remove --force "$tmp/base-src" 2>/dev/null; rm -rf "$tmp"' EXIT
+cd "$root" || exit 0
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+api_names() {  # api_names SRC: stiffcal.__all__ imported from SRC, one name a line, sorted
+    PYTHONPATH="$1" python -c 'import stiffcal; print(*sorted(stiffcal.__all__), sep="\n")'
+}
+
+n_api="$(python -c 'import stiffcal; print(len(stiffcal.__all__))')"
+echo "src/stiffcal lines: $(cat src/stiffcal/*.py | wc -l); public API: $n_api names in stiffcal.__all__"
+if [ -n "$base" ] &&
+        ! git worktree add --detach --quiet "$tmp/base-src" "$base" 2>"$tmp/err"; then
+    echo "Not compared against $base: it could not be checked out ($(tr '\n' ' ' <"$tmp/err"))."
+    base=""
+fi
+if [ -n "$base" ]; then
+    change="$(git diff --shortstat "$base" -- src/stiffcal)"
+    echo "src/stiffcal change since $base: ${change:-none}"
+    if api_names "$tmp/base-src/src" >"$tmp/api-base.txt"; then
+        api_names src >"$tmp/api-head.txt"
+        added="$(LC_ALL=C comm -13 "$tmp/api-base.txt" "$tmp/api-head.txt" | paste -sd ' ' -)"
+        removed="$(LC_ALL=C comm -23 "$tmp/api-base.txt" "$tmp/api-head.txt" | paste -sd ' ' -)"
+        echo "stiffcal.__all__ since $base: added ${added:-none}; removed ${removed:-none}"
+    else
+        echo "stiffcal.__all__ not compared: the base could not be imported"
+    fi
+fi
+echo "tier-1 tests: $(python -m pytest --collect-only -q --continue-on-collection-errors | tail -n 1)"
+
+echo "work counters per operation (bench/run.py --seed 1 --size tiny --trace 1):"
+for workload in design calibrate predict_map; do
+    python bench/run.py --workload "$workload" --seed 1 --size tiny --trace 1 --seconds 0.5 \
+        | tail -n 1 | WORKLOAD="$workload" python -c '
+import json, os, sys
+for name, metric in sorted(json.load(sys.stdin)["metrics"].items()):
+    if name.endswith((".calls", ".iterations")) or name == "doe.n_evaluations":
+        print(os.environ["WORKLOAD"], name, format(metric["value"], ".6g"))
+' || echo "$workload: no counters (bench/run.py failed)"
+done
+[ -n "$base" ] || exit 0
+
+echo "### README block: this checkout against $base"
+python - README.md "$tmp/block.sh" <<'EOF'
+import re, sys
+text = open(sys.argv[1]).read()
+block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+open(sys.argv[2], "w").write(block)
+EOF
+
+for side in head base; do  # the block in $tmp/SIDE through a `stiffcal` importing SIDE's src/
+    src="$root/src"
+    [ "$side" = base ] && src="$tmp/base-src/src"
+    mkdir -p "$tmp/$side/bin"
+    printf '#!/bin/sh\nPYTHONPATH="%s" exec python -m stiffcal.cli "$@"\n' "$src" >"$tmp/$side/bin/stiffcal"
+    chmod +x "$tmp/$side/bin/stiffcal"
+    cp -r configs data "$tmp/$side"
+    if ! (cd "$tmp/$side" && PATH="$tmp/$side/bin:$PATH" PYTHONHASHSEED=0 bash -e "$tmp/block.sh") \
+            >"$tmp/$side.log" 2>&1; then
+        echo "Not compared: the block failed with the $side's src/. Its last lines:"
+        printf '```\n%s\n```\n' "$(tail -n 5 "$tmp/$side.log")"
+        exit 0
+    fi
+done
+
+changed="$(cd "$tmp" && diff -rq -x manifest.json head/out base/out)"
+if [ -z "$changed" ]; then
+    echo "Every output file is byte-identical, manifest.json aside."
+else
+    printf 'Output files that differ, manifest.json aside:\n```\n%s\n```\n' "$changed"
+fi
+if cmp -s "$tmp/base.log" "$tmp/head.log"; then
+    echo "The block printed identical lines."
+else
+    echo "The block printed different lines (diff from the base's to this checkout's):"
+    printf '```\n%s\n```\n' "$(diff "$tmp/base.log" "$tmp/head.log")"
+fi

@@ -11,6 +11,8 @@ validation.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .compensator import (CompensatorElastics, CompensatorGeometry,
                           CompensatorParams, compensator_torque,
                           equivalent_joint_stiffness, eta, eta_curve,
@@ -21,7 +23,7 @@ from .errors import (AngleDirectionError, CalibrationError, ConvergenceError,
                      SingularConfigurationError, UsageError)
 from .robot import (ChainState, FrameSpec, JointSpec, ManipulatorModel,
                     NodeLoading, Pose, chain_state, fk, gravity_loading,
-                    hessian_theta, marker_positions)
+                    hessian_theta)
 from .circle_fit import (CircleFit, ConcentricFit, fit_circle_procrustes,
                          fit_concentric_arcs)
 from .geometry_id import (CompensatorGeometryEstimate, GeometryCI,
@@ -46,4 +48,6 @@ from .sim import (GroundTruth, simulate_deflection_records,
                   simulate_geometry_dataset)
 from .modelfile import load_model
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules their imports bind on the package
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -384,34 +384,34 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", metavar="COMMAND")
 
-    g = sub.add_parser("geom-ident", help="identify compensator linkage geometry "
-                                          "from marker tracks")
+    def flag(*args, **kwargs):  # a parent parser holding one shared flag
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+    out = flag("--out", required=True, help="output directory")
+    model = flag("--model", required=True, help="robot model YAML")
+    seed = flag("--seed", type=_seed, default=0)
+    ci = flag("--ci-samples", type=_ci_samples, default=200)
+
+    g = sub.add_parser("geom-ident", parents=[out, ci, seed],
+                       help="identify compensator linkage geometry from marker tracks")
     g.add_argument("--markers", required=True, help="marker track CSV")
-    g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--angle-sign", choices=["auto", "+1", "-1"],
                    default="auto", help="crank rotation direction vs q2")
-    g.add_argument("--ci-samples", type=_ci_samples, default=200)
-    g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=_cmd_geom_ident)
 
-    e = sub.add_parser("elasto-ident",
+    e = sub.add_parser("elasto-ident", parents=[model, out, ci, seed],
                        help="identify joint compliances and compensator "
                             "constants from deflection records")
-    e.add_argument("--model", required=True, help="robot model YAML")
     e.add_argument("--records", required=True, help="deflection record CSV")
-    e.add_argument("--out", required=True)
-    e.add_argument("--ci-samples", type=_ci_samples, default=200)
-    e.add_argument("--seed", type=_seed, default=0)
     e.set_defaults(func=_cmd_elasto_ident)
 
-    d = sub.add_parser("doe", help="optimize a measurement plan for a "
-                                   "reference test pose")
-    d.add_argument("--model", required=True)
+    d = sub.add_parser("doe", parents=[model, out, seed],
+                       help="optimize a measurement plan for a reference test pose")
     d.add_argument("--test-q", required=True,
                    help="test pose joint angles, deg, comma separated")
     d.add_argument("--buckets", required=True,
                    help="joint-2 angles: list or start:stop:count (deg)")
-    d.add_argument("--out", required=True)
     d.add_argument("--limits", default=_DEFAULT_LIMITS_DEG,
                    help="six lo:hi joint ranges, deg")
     d.add_argument("--q1-windows", default=None,
@@ -423,46 +423,37 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--configs-per-bucket", type=_count, default=3)
     d.add_argument("--repeats", type=_repeats, default=3)
     d.add_argument("--starts", type=_count, default=20)
-    d.add_argument("--seed", type=_seed, default=0)
     d.set_defaults(func=_cmd_doe)
 
     s = sub.add_parser("simulate", help="generate synthetic datasets")
     ssub = s.add_subparsers(dest="sim_kind", metavar="KIND")
-    sg = ssub.add_parser("geometry", help="marker tracks of a joint-2 sweep")
-    sg.add_argument("--model", required=True)
+    sg = ssub.add_parser("geometry", parents=[model, out, seed],
+                         help="marker tracks of a joint-2 sweep")
     sg.add_argument("--q2", required=True,
                     help="sweep angles: list or start:stop:count (deg)")
-    sg.add_argument("--out", required=True)
     sg.add_argument("--noise", type=_sigma, default=0.0)
-    sg.add_argument("--seed", type=_seed, default=0)
     sg.set_defaults(func=_cmd_simulate_geometry)
-    sd = ssub.add_parser("deflections",
+    sd = ssub.add_parser("deflections", parents=[model, out, seed],
                          help="deflection records for a measurement plan")
-    sd.add_argument("--model", required=True)
     sd.add_argument("--plan", required=True, help="plan CSV")
-    sd.add_argument("--out", required=True)
     sd.add_argument("--noise", type=_sigma, default=0.0)
     sd.add_argument("--response", choices=["nonlinear", "linear"],
                     default="nonlinear")
-    sd.add_argument("--seed", type=_seed, default=0)
     sd.set_defaults(func=_cmd_simulate_deflections)
 
-    pr = sub.add_parser("predict", help="predict deflections under a load")
-    pr.add_argument("--model", required=True)
+    pr = sub.add_parser("predict", parents=[model, out],
+                        help="predict deflections under a load")
     pr.add_argument("--q", required=True, help="joint angles, deg")
     pr.add_argument("--wrench", default="0,0,0,0,0,0",
                     help="tool wrench Fx,Fy,Fz,Mx,My,Mz (N / N*mm)")
-    pr.add_argument("--out", required=True)
     pr.set_defaults(func=_cmd_predict)
 
-    et = sub.add_parser("eta-curve",
+    et = sub.add_parser("eta-curve", parents=[model, out],
                         help="compensator stiffness-contribution curve")
-    et.add_argument("--model", required=True)
     et.add_argument("--s0", required=True,
                     help="free spring lengths, mm, comma separated")
     et.add_argument("--q2", required=True,
                     help="joint-2 grid: list or start:stop:count (deg)")
-    et.add_argument("--out", required=True)
     et.set_defaults(func=_cmd_eta_curve)
     return p
 

@@ -240,15 +240,6 @@ def fk(model: ManipulatorModel, q, theta=None) -> Pose:
     return Pose(st.tool_p, st.tool_R)
 
 
-def marker_positions(model: ManipulatorModel, q, theta=None) -> np.ndarray:
-    """World positions of the tool-mounted markers, shape (..., n_markers, 3)
-    for ``q`` and ``theta`` of shape (..., 6)."""
-    if theta is None:
-        theta = np.zeros(6)
-    st = chain_state(model, q, theta)
-    return _marker_points(model, st.tool_R, st.tool_p)
-
-
 def _marker_points(model: ManipulatorModel, tool_R: np.ndarray,
                    tool_p: np.ndarray) -> np.ndarray:
     """World points of the markers on the tool frames ``tool_R`` (..., 3, 3)

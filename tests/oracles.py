@@ -116,8 +116,8 @@ def point_jacobian_loop(st, point):
 def sensitivity_rows_loop(model, q, wrench, *, include_joint1=False, tool_only=False):
     """:func:`stiffcal.doe.sensitivity_rows` one configuration and one point at
     a time: each point's ``_point_jacobian`` at the configuration's own
-    ``chain_state``, the markers placed by ``marker_positions``."""
-    from stiffcal.robot import _point_jacobian, chain_state, marker_positions
+    ``chain_state``, each marker at ``tool_R @ offset + tool_p``."""
+    from stiffcal.robot import _point_jacobian, chain_state
 
     first = 0 if include_joint1 else 1
     q = np.asarray(q, dtype=float)
@@ -126,7 +126,8 @@ def sensitivity_rows_loop(model, q, wrench, *, include_joint1=False, tool_only=F
     for qi, wi in zip(q.reshape(-1, 6), w.reshape(-1, 6)):
         st = chain_state(model, qi, np.zeros(6))
         tau = _point_jacobian(st, st.tool_p).T @ wi
-        points = [st.tool_p] if tool_only else marker_positions(model, qi)
+        points = ([st.tool_p] if tool_only
+                  else [st.tool_R @ off + st.tool_p for off in model.markers])
         blocks.append(np.concatenate([_point_jacobian(st, p)[:3, first:] * tau[first:]
                                       for p in points]))
     return np.reshape(blocks, q.shape[:-1] + blocks[0].shape)
@@ -363,7 +364,7 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
     import math
 
     from stiffcal.errors import ConvergenceError
-    from stiffcal.robot import marker_positions
+    from stiffcal.robot import chain_state
     from stiffcal.stiffness import predict_marker_deflections, solve_equilibrium
 
     comp = model.compensator
@@ -380,8 +381,10 @@ def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,
                 raise ConvergenceError(
                     f"equilibrium did not converge for plan entry {i} "
                     f"(q2={math.degrees(q[1]):.1f} deg) after {stop.iterations} iterations")
-            defl = (marker_positions(model, q, st1.theta)
-                    - marker_positions(model, q, st0.theta))
+            c1 = chain_state(model, q, st1.theta)
+            c0 = chain_state(model, q, st0.theta)
+            defl = [(c1.tool_R @ off + c1.tool_p) - (c0.tool_R @ off + c0.tool_p)
+                    for off in model.markers]
         rng = np.random.default_rng((seed, i))
         for rep in range(entry.repeats):
             for m in range(len(model.markers)):

@@ -31,7 +31,7 @@ from stiffcal.doe import (
 from stiffcal.doe import test_pose_accuracy as pose_accuracy
 from stiffcal.elasto_id import ParameterLayout, build_regressor, factor_regressor
 from stiffcal.errors import DataLayoutError, IdentifiabilityError
-from stiffcal.robot import FrameSpec, chain_state, marker_positions
+from stiffcal.robot import FrameSpec, _marker_points, chain_state
 from stiffcal.sim import simulate_deflection_records
 
 CONSTRAINTS = PlanConstraints(
@@ -160,7 +160,7 @@ class TestFrames:
         assert np.array_equal(F[..., 0:12:2, :], cs.joint_p)
         assert np.array_equal(F[..., 1:12:2, :], cs.joint_axis)
         assert np.array_equal(F[..., 12, :], cs.tool_p)
-        assert np.array_equal(F[..., 13:, :], marker_positions(model, q))
+        assert np.array_equal(F[..., 13:, :], _marker_points(model, cs.tool_R, cs.tool_p))
 
     def test_information_of_chain_frames_is_from_sensitivity_rows(self, model):
         """The search's information blocks, built from the rows of a frames

@@ -10,8 +10,7 @@ from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_l
                      node_jacobian_loop, planar_2r_force_hessian, point_jacobian_loop)
 from stiffcal.robot import (FrameSpec, JointSpec, ManipulatorModel, NodeLoading,
                             _cross, _loaded_jacobians, _point_jacobian, chain_state, fk,
-                            gravity_loading, hessian_theta, load_torques,
-                            marker_positions)
+                            gravity_loading, hessian_theta, load_torques)
 from stiffcal.transforms import rot_axis, rot_rpy, rotvec_from_matrix
 
 
@@ -118,9 +117,11 @@ def test_node_jacobian_truncates(model, seed, shape):
 def test_marker_jacobian_vs_fd(model):
     q = np.radians([35.0, -70.0, 10.0, 45.0, -80.0, 20.0])
     th0 = np.full(6, 1e-3)
-    for mk in range(len(model.markers)):
-        J = _jacobian(model, q, th0, lambda cs: cs.tool_R @ model.markers[mk] + cs.tool_p)
-        Jfd = fd_jacobian(lambda t: marker_positions(model, q, t)[mk], th0)
+    for offset in model.markers:
+        def marker(cs):
+            return cs.tool_R @ offset + cs.tool_p
+        J = _jacobian(model, q, th0, marker)
+        Jfd = fd_jacobian(lambda t: marker(chain_state(model, q, t)), th0)
         assert np.linalg.norm(J[:3] - Jfd) / np.linalg.norm(Jfd) < 1e-6
 
 

@@ -7,8 +7,8 @@ import oracles
 from stiffcal import stiffness
 from plans import LIMITS_DEG
 from stiffcal.errors import ConvergenceError, SingularConfigurationError
-from stiffcal.robot import (ManipulatorModel, Pose, _point_jacobian, chain_state, fk,
-                            gravity_loading, hessian_theta, marker_positions)
+from stiffcal.robot import (ManipulatorModel, Pose, _marker_points, _point_jacobian,
+                            chain_state, fk, gravity_loading, hessian_theta)
 from stiffcal.stiffness import (
     cartesian_stiffness,
     compensate_target,
@@ -234,8 +234,8 @@ class TestDeflectionPrediction:
     def test_marker_prediction_close_to_nonlinear(self, model, comp):
         st_g = solve_equilibrium(model, comp, TEST_Q)
         st_f = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
-        d_nl = (marker_positions(model, st_f.q, st_f.theta)
-                - marker_positions(model, st_g.q, st_g.theta))
+        d_nl = (_marker_points(model, st_f.pose.R, st_f.pose.p)
+                - _marker_points(model, st_g.pose.R, st_g.pose.p))
         d_lin = predict_marker_deflections(model, comp, TEST_Q, LOAD)
         rel = np.linalg.norm(d_lin - d_nl) / np.linalg.norm(d_nl)
         assert rel < 0.02
@@ -288,8 +288,8 @@ class TestCompensateTarget:
 def test_marker_positions_follow_theta(model):
     q = TEST_Q
     theta = np.full(6, 1e-3)
-    direct = marker_positions(model, q, theta)
     via_state = chain_state(model, q, theta)
+    direct = _marker_points(model, via_state.tool_R, via_state.tool_p)
     offs = np.stack(model.markers)
     expect = (via_state.tool_R @ offs.T).T + via_state.tool_p
     assert np.allclose(direct, expect, atol=1e-12)
