@@ -49,7 +49,8 @@ if [ -n "$base" ]; then
         echo "stiffcal.__all__ not compared: the base could not be imported"
     fi
 fi
-echo "tier-1 tests: $(python -m pytest --collect-only -q --continue-on-collection-errors | tail -n 1)"
+echo "tier-1 tests: $(python -m pytest --collect-only -q --continue-on-collection-errors \
+    | tail -n 1 | sed -E 's/ tests? collected//; s/ in [0-9.]+s$//')"
 
 echo "work counters per operation (bench/run.py --seed 1 --size tiny --trace 1):"
 for workload in design calibrate predict_map; do

@@ -6,7 +6,7 @@ tracker data:
 * a single marker riding a crank, where each point is annotated with the
   joint angle at which it was recorded -- solved by an orthogonal-Procrustes
   alignment of the unit circle onto the data (angle-aware, so short arcs stay
-  well conditioned);
+  well conditioned), whose planar rotation has a closed form;
 * several markers rigidly attached to one rotating body, tracing concentric
   arcs about an unknown shared centre -- solved by a linear least-squares
   system in the centre coordinates, with an eigenvector ambiguity resolution
@@ -42,8 +42,7 @@ class CircleFit:
 
     def predict(self, angles_rad) -> np.ndarray:
         """Fitted circle points at the given angles, shape (m, 2)."""
-        a = self.angle_sign * np.asarray(angles_rad, dtype=float)
-        u = np.column_stack([np.cos(a), np.sin(a)])
+        u = _embed(np.asarray(angles_rad, dtype=float), self.angle_sign)
         return self.radius * (u @ self.R.T) + self.center
 
 
@@ -67,24 +66,23 @@ def _procrustes_once(p: np.ndarray, u: np.ndarray):
     """Best similarity (scale mu > 0, proper rotation R, shift t) of u (m, 2)
     onto p (..., m, 2), for each leading index of ``p``: ``(mu, R, t, F, ok)``
     with F the residual sum of squares and ``ok`` False where the angle
-    embedding is rank deficient (the other outputs are then meaningless)."""
+    embedding is rank deficient (the other outputs are then meaningless).
+    The rotation has the planar closed form: R turns by the angle of
+    (D00 + D11, D01 - D10), of length z = mu * sum |u_i - ubar|^2, and the
+    singular values of D are (z + w)/2 and |z - w|/2."""
     pbar = p.mean(axis=-2)
     ubar = u.mean(axis=0)
     ph = p - pbar[..., None, :]
     uh = u - ubar
     D = uh.T @ ph  # sum of outer products u_i p_i^T
-    U, sv, Vt = np.linalg.svd(D)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ~((sv[..., 0] <= 0.0) | (sv[..., 1] / sv[..., 0] < 1e-12))
-    V = Vt.swapaxes(-1, -2)
-    d = np.sign(np.linalg.det(V @ U.swapaxes(-1, -2)))
-    flip = np.zeros(d.shape + (2, 2))
-    flip[..., 0, 0] = 1.0
-    flip[..., 1, 1] = d
-    R = V @ flip @ U.swapaxes(-1, -2)
-    denom = float((uh * uh).sum())
-    RD = R @ D
-    mu = (RD[..., 0, 0] + RD[..., 1, 1]) / denom
+    x, y = D[..., 0, 0] + D[..., 1, 1], D[..., 0, 1] - D[..., 1, 0]
+    z = np.hypot(x, y)
+    w = np.hypot(D[..., 0, 0] - D[..., 1, 1], D[..., 0, 1] + D[..., 1, 0])
+    ok = (z + w > 0.0) & (np.abs(z - w) >= 1e-12 * (z + w))
+    angle = np.arctan2(y, x)
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    mu = z / float((uh * uh).sum())
     resid = ph - mu[..., None, None] * (uh @ R.swapaxes(-1, -2))
     F = (resid * resid).reshape(resid.shape[:-2] + (-1,)).sum(axis=-1)
     t = pbar - mu[..., None] * (R @ ubar)
@@ -106,13 +104,13 @@ def _fit_signed(p: np.ndarray, a: np.ndarray, sign):
     if sign == "auto":
         sign = 1 if fits[0][3] <= fits[1][3] else -1
     # the fit of the chosen sign, then the mirrored one
-    (mu, R, t, F, ok), (*_, F_mirror, ok_mirror) = fits[::sign]
+    (mu, R, t, F, ok), (*_, F_mirror, _) = fits[::sign]
     if not ok.all():
         raise DegenerateGeometryError(
             "angle embedding is rank deficient (angles span a degenerate arc)")
     # Diagnose an angle-direction mismatch: the mirrored convention
-    # fitting far better than the requested one is not noise.
-    F_mirror = np.where(ok_mirror, F_mirror, np.inf)
+    # fitting far better than the requested one is not noise.  (Mirroring
+    # the angles swaps z and w, so the mirrored fit has the same rank flag.)
     scale = np.maximum(1.0, np.abs(mu))
     if np.any((F > 4.0 * F_mirror) & (np.sqrt(F / a.shape[0]) > 1e-9 * scale)):
         raise AngleDirectionError(

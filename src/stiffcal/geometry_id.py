@@ -97,8 +97,8 @@ class GeometryCI:
 def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     """Read a sweep CSV: ``q2_deg, P1_x, P1_y[, P1_z], P01_x, ...``.
 
-    Any number of satellite groups ``P0k_*`` is accepted, each with its
-    ``_x`` and ``_y`` columns; angles are stored in radians internally.  An
+    Any number of satellite groups ``P0k_*`` is accepted, in the order of k,
+    each with its ``_x`` and ``_y`` columns; angles are stored in radians.  An
     angle too large to count among the distinct angles (above about 1e301
     degrees) is refused, naming its line.
     """
@@ -120,7 +120,8 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
 
     crank = group("P1")
     sat_names = sorted({m.group(1) for h in cols
-                        for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m})
+                        for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m},
+                       key=lambda n: (int(n[2:]), n))
     satellites = tuple(group(n) for n in sat_names)
     q2 = np.deg2rad(cols["q2_deg"])
     big = np.flatnonzero(np.abs(q2) > _MAX_ANGLE_RAD)
@@ -146,7 +147,7 @@ def save_marker_csv(path: str | os.PathLike, dataset: MarkerDataset) -> None:
 def _overflow_names_the_data(fn):
     """Make ``fn(dataset, ...)`` raise :class:`DegenerateGeometryError`
     naming the marker data when the data's scale overflows a fit, in place
-    of numpy's overflow warnings and a failed SVD further on."""
+    of numpy's overflow warnings and a failed decomposition further on."""
     @functools.wraps(fn)
     def guarded(dataset: MarkerDataset, *args, **kwargs):
         try:

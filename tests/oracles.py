@@ -35,6 +35,33 @@ def circumcenter(p1, p2, p3):
     return np.array([ux, uy])
 
 
+def procrustes_svd(p, u):
+    """:func:`stiffcal.circle_fit._procrustes_once` by the general SVD recipe
+    (S. Umeyama, IEEE TPAMI 13(4), 1991): a batched SVD of the
+    cross-covariance, a determinant and a reflection matrix in place of the
+    library's planar closed form."""
+    pbar = p.mean(axis=-2)
+    ubar = u.mean(axis=0)
+    ph = p - pbar[..., None, :]
+    uh = u - ubar
+    D = uh.T @ ph
+    U, sv, Vt = np.linalg.svd(D)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((sv[..., 0] <= 0.0) | (sv[..., 1] / sv[..., 0] < 1e-12))
+    V = Vt.swapaxes(-1, -2)
+    d = np.sign(np.linalg.det(V @ U.swapaxes(-1, -2)))
+    flip = np.zeros(d.shape + (2, 2))
+    flip[..., 0, 0] = 1.0
+    flip[..., 1, 1] = d
+    R = V @ flip @ U.swapaxes(-1, -2)
+    RD = R @ D
+    mu = (RD[..., 0, 0] + RD[..., 1, 1]) / float((uh * uh).sum())
+    resid = ph - mu[..., None, None] * (uh @ R.swapaxes(-1, -2))
+    F = (resid * resid).reshape(resid.shape[:-2] + (-1,)).sum(axis=-1)
+    t = pbar - mu[..., None] * (R @ ubar)
+    return mu, R, t, F, ok
+
+
 def planar_2r_tip(l1, l2, t1, t2):
     """Tip position of a planar 2R arm (closed form)."""
     return np.array([l1 * np.cos(t1) + l2 * np.cos(t1 + t2),

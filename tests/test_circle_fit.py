@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import circumcenter, kasa_fit
+from oracles import circumcenter, kasa_fit, procrustes_svd
 from stiffcal import circle_fit
 from stiffcal.circle_fit import fit_circle_procrustes, fit_concentric_arcs
 from stiffcal.errors import AngleDirectionError, DegenerateGeometryError
@@ -96,6 +96,59 @@ class TestProcrustes:
         fit2 = fit_circle_procrustes(pts + shift, angles)
         assert np.allclose(fit2.center - fit.center, shift, atol=1e-9)
         assert np.isclose(fit2.radius, fit.radius, atol=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(),
+           sign=st.sampled_from([1, -1]), data_sign=st.sampled_from([1, -1]),
+           thin=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_svd_oracle(self, seed, stacked, sign, data_sign, thin):
+        """The planar closed form gives the SVD recipe's similarity and
+        residual to 1e-12 of the data scale, for one point set or a stack,
+        in either angle convention; a ``thin`` embedding (its sine column
+        squashed by 1e-9..1e-3) puts D near the 1e-12 rank threshold, where
+        the rank flags agree unless the singular-value ratio is within 1 %
+        of it."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 13))
+        a = np.sort(rng.uniform(-np.pi, np.pi, m)) * rng.uniform(0.05, 1.0)
+        squash = 10.0 ** rng.uniform(-9, -3) if thin else 1.0
+        u, arc = (circle_fit._embed(a, sg) * [1.0, squash] for sg in (sign, data_sign))
+        k = (4,) if stacked else ()
+        r = 10.0 ** rng.uniform(-2, 3, k)
+        phi = rng.uniform(-np.pi, np.pi, k)
+        c, s = np.cos(phi), np.sin(phi)
+        turn = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+        noise = r * 10.0 ** rng.uniform(-8, -1, k)
+        p = r[..., None, None] * (arc @ turn) + rng.uniform(-1e3, 1e3, k + (1, 2)) \
+            + noise[..., None, None] * rng.standard_normal(k + (m, 2))
+
+        (mu, R, t, F, ok), (mu_o, R_o, t_o, F_o, ok_o) = (
+            fit(p, u) for fit in (circle_fit._procrustes_once, procrustes_svd))
+        scale = np.abs(p).max(axis=(-2, -1))
+        assert np.all(np.abs(mu - mu_o) <= 1e-12 * scale)
+        assert np.all(np.abs(mu[..., None, None] * (R - R_o)).max(axis=(-2, -1))
+                      <= 1e-12 * scale)
+        assert np.all(np.abs(t - t_o).max(axis=-1) <= 1e-12 * scale)
+        assert np.all(np.abs(F - F_o) <= 1e-12 * m * scale**2)
+        D = (u - u.mean(axis=0)).T @ (p - p.mean(axis=-2)[..., None, :])
+        sv = np.linalg.svd(D, compute_uv=False)
+        far = np.abs(np.log(sv[..., 1] / sv[..., 0] / 1e-12)) > 0.01
+        assert np.array_equal(ok[far], ok_o[far])
+
+    @pytest.mark.parametrize("p, rank_ok", [
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], True),   # D = diag(2, -2)
+        ([[3.0, 4.0]] * 4, False),                                     # D = 0
+    ])
+    def test_no_proper_rotation_fits(self, p, rank_ok):
+        """A D with z = 0 (a pure reflection, or no spread at all) gives
+        mu = 0, which ``_fit_signed`` refuses, and a finite R without a numpy
+        warning; D = 0 is also flagged rank deficient."""
+        u = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with np.errstate(all="raise"):
+            mu, R, t, F, ok = circle_fit._procrustes_once(np.array(p), u)
+        assert mu == 0.0
+        assert np.all(np.isfinite(R)) and np.isfinite(F)
+        assert ok == rank_ok
 
     def test_beats_kasa_on_short_noisy_arcs(self):
         # the angle annotations keep short arcs honest; Kasa drifts

@@ -132,6 +132,19 @@ class TestCsv:
                         f"^{re.escape(str(p))}:4: column q2_deg out of range, got ")):
                     load_marker_csv(p)
 
+    def test_eleven_satellite_groups_round_trip(self, tmp_path):
+        """Satellite groups load in the order of their number (P02 before
+        P010), so a written sweep with ten or more of them reads back as it
+        was written."""
+        ds = simulate_geometry_dataset(GEOM, SWEEP)
+        sats = tuple(ds.satellites[0] + 10.0 * j for j in range(11))
+        p = tmp_path / "sweep.csv"
+        save_marker_csv(p, MarkerDataset(q2_rad=ds.q2_rad, crank=ds.crank, satellites=sats))
+        back = load_marker_csv(p)
+        assert len(back.satellites) == len(sats)
+        for got, want in zip(back.satellites, sats):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
     def test_missing_crank_columns(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("q2_deg,P01_x,P01_y\n0,1,2\n-60,2,3\n-120,3,4\n")
