@@ -10,7 +10,10 @@
 # PYTHONHASHSEED 0: once through a `stiffcal` importing this checkout's src/
 # and once through one importing the base's.  It lists the output files that
 # differ between the two runs, manifest.json aside (manifests hold absolute
-# paths), and whether the two runs printed the same lines.
+# paths), and whether the two runs printed the same lines.  It also runs
+# the classes of bench/workloads.py on their tiny inputs, seed 1, once
+# through this checkout's src/ and once through the base's, and says for
+# each workload whether the digests of its payloads are the base's.
 #
 # The report never fails: a change may alter a payload on purpose, and a
 # base that cannot be checked out, imported or run is reported as such.
@@ -28,6 +31,22 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 api_names() {  # api_names SRC: stiffcal.__all__ imported from SRC, one name a line, sorted
     PYTHONPATH="$1" python -c 'import stiffcal; print(*sorted(stiffcal.__all__), sep="\n")'
+}
+
+payload_digests() {  # payload_digests SRC DIR: per bench workload, one digest of the
+    # payloads of one pass over its tiny seed-1 inputs through SRC, working in DIR
+    PYTHONPATH="$1:$root/bench" PYTHONDONTWRITEBYTECODE=1 python - "$2" <<'EOF'
+import hashlib, sys
+from workloads import WORKLOADS
+for name, workload in WORKLOADS.items():
+    wl = workload(1, "tiny", f"{sys.argv[1]}/{name}")
+    wl.warm_up()
+    h = hashlib.sha256()
+    for i in range(wl.unit):
+        out = wl.observe(i, wl.op(i))
+        h.update(f"{out.digest} {sorted(out.problems)}\n".encode())
+    print(name, h.hexdigest())
+EOF
 }
 
 n_api="$(python -c 'import stiffcal; print(len(stiffcal.__all__))')"
@@ -63,6 +82,22 @@ for name, metric in sorted(json.load(sys.stdin)["metrics"].items()):
 ' || echo "$workload: no counters (bench/run.py failed)"
 done
 [ -n "$base" ] || exit 0
+
+echo "### Bench payloads: this checkout against $base"
+if payload_digests src "$tmp/bench-head" >"$tmp/digests-head.txt" 2>"$tmp/err" &&
+        payload_digests "$tmp/base-src/src" "$tmp/bench-base" >"$tmp/digests-base.txt" \
+            2>"$tmp/err"; then
+    while read -r workload digest; do
+        if grep -qxF "$workload $digest" "$tmp/digests-base.txt"; then
+            echo "$workload (tiny, seed 1): payload digests identical to the base's"
+        else
+            echo "$workload (tiny, seed 1): payload digests differ from the base's"
+        fi
+    done <"$tmp/digests-head.txt"
+else
+    echo "Not compared: a workload failed. Its last lines:"
+    printf '```\n%s\n```\n' "$(tail -n 5 "$tmp/err")"
+fi
 
 echo "### README block: this checkout against $base"
 python - README.md "$tmp/block.sh" <<'EOF'

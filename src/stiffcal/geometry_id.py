@@ -59,7 +59,10 @@ class MarkerDataset:
         if not np.isfinite(self.q2_rad).all() or not np.isfinite(self.crank).all() \
                 or any(not np.isfinite(s).all() for s in self.satellites):
             raise ValueError("marker dataset contains non-finite values")
-        if np.unique(np.round(self.q2_rad, _ANGLE_DECIMALS)).size < 3:
+        # distinct angles counted on the sorted values (np.unique would
+        # import numpy.ma); -0.0 equals 0.0 here as there
+        r = np.sort(np.round(self.q2_rad, _ANGLE_DECIMALS))
+        if 1 + np.count_nonzero(r[1:] != r[:-1]) < 3:
             raise ValueError("need at least 3 distinct joint angles")
         if np.ptp(self.q2_rad) < _MIN_SPAN_RAD:
             raise ValueError("joint-angle span below 30 degrees: geometry is ill-conditioned")
@@ -98,7 +101,8 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     """Read a sweep CSV: ``q2_deg, P1_x, P1_y[, P1_z], P01_x, ...``.
 
     Any number of satellite groups ``P0k_*`` is accepted, in the order of k,
-    each with its ``_x`` and ``_y`` columns; angles are stored in radians.  An
+    each with its ``_x`` and ``_y`` columns; two spellings of one k (``P01``
+    and ``P001``) are refused.  Angles are stored in radians.  An
     angle too large to count among the distinct angles (above about 1e301
     degrees) is refused, naming its line.
     """
@@ -122,6 +126,10 @@ def load_marker_csv(path: str | os.PathLike) -> MarkerDataset:
     sat_names = sorted({m.group(1) for h in cols
                         for m in [re.match(r"^(P0\d+)_[xyz]$", h)] if m},
                        key=lambda n: (int(n[2:]), n))
+    for a, b in zip(sat_names, sat_names[1:]):
+        if int(a[2:]) == int(b[2:]):
+            raise DataLayoutError(f"{path}: satellite groups {a} and {b} both "
+                                  f"number satellite {int(a[2:])}")
     satellites = tuple(group(n) for n in sat_names)
     q2 = np.deg2rad(cols["q2_deg"])
     big = np.flatnonzero(np.abs(q2) > _MAX_ANGLE_RAD)

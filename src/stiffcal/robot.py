@@ -162,6 +162,12 @@ class ManipulatorModel:
         self._p_tool = self.tool.translation_mm
         # configuration independent (see gravity_loading), so built once
         self._gravity_loading = gravity_loading(self)
+        # the joint stiffnesses 1/compliance; a zero compliance gives inf,
+        # which stiffness.joint_stiffnesses refuses naming the joints listed here
+        c = self.compliances
+        with np.errstate(divide="ignore"):
+            self._joint_stiffness = 1.0 / c
+        self._rigid_joints = [int(i) + 1 for i in np.flatnonzero(c == 0.0)]
 
     @property
     def compliances(self) -> np.ndarray:

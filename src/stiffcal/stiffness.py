@@ -20,7 +20,8 @@ Hessian, so finite-difference probes of the solver reproduce it.
 
 Terms taken at one chain state share one loaded-Jacobian stack
 (:mod:`stiffcal.robot`): the primal's ``K_th - H`` and its torques at
-theta = 0, and the stiffness's ``H`` and its tool Jacobian ``J``.
+theta = 0, and the stiffness's ``H`` and its tool Jacobian ``J``, which it
+reads from the stack the solve ended on.
 """
 from __future__ import annotations
 
@@ -52,15 +53,15 @@ def joint_stiffnesses(model: ManipulatorModel,
     unsupported in inverse form").
     """
     q = np.asarray(q, dtype=float)
-    k = model.compliances
-    if np.any(k == 0.0):
-        bad = [i + 1 for i in np.flatnonzero(k == 0.0)]
+    if model._rigid_joints:
         raise SingularConfigurationError(
-            f"zero compliance at joint(s) {bad}: infinite stiffness unsupported "
-            "in inverse form")
-    K = np.broadcast_to(1.0 / k, q.shape).copy()
+            f"zero compliance at joint(s) {model._rigid_joints}: infinite stiffness "
+            "unsupported in inverse form")
+    K = np.empty(q.shape)
+    K[...] = model._joint_stiffness
     if compensator is not None:
-        K[..., 1] = equivalent_joint_stiffness(compensator, 1.0 / k[1], q[..., 1])
+        K[..., 1] = equivalent_joint_stiffness(compensator, model._joint_stiffness[1],
+                                               q[..., 1])
     return K
 
 
@@ -72,6 +73,15 @@ class EquilibriumState:
     pose (``converged``, ``iterations`` and the residuals as arrays (N,));
     :func:`solve_equilibrium` gives one pose with scalar fields.  Primal mode
     has no target pose, so its ``residual_position_mm`` is nan.
+
+    A state a solver returns also keeps ``_loaded``: the model it was solved
+    on and the loaded-Jacobian stack ``(J, W)`` of its final chain state
+    (:func:`stiffcal.robot._loaded_jacobians` with its tool wrench), which
+    :func:`cartesian_stiffness` reads instead of building it again.  It is a
+    class attribute, not a field, so a state built by the caller or copied by
+    ``dataclasses.replace`` has ``_loaded = None``, and fields, equality and
+    repr never see it.  Do not change a solver's state in place: its stack
+    would no longer match it.
     """
 
     q: np.ndarray
@@ -82,6 +92,13 @@ class EquilibriumState:
     iterations: int
     residual_position_mm: float
     residual_wrench_rel: float
+
+    _loaded = None   # (model, J, W) of the solve that returned the state
+
+    def _ended_on(self, model: ManipulatorModel, J, W) -> "EquilibriumState":
+        """This state, keeping the stack its solve on ``model`` ended on."""
+        self._loaded = (model, J, W)
+        return self
 
 
 @dataclass
@@ -136,11 +153,13 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
 
 def _one(st: EquilibriumState, i: int) -> EquilibriumState:
     """Pose ``i`` of a stacked primal state, with scalar fields."""
+    model, J, W = st._loaded
     return EquilibriumState(q=st.q[i], theta=st.theta[i], tool_wrench=st.tool_wrench[i],
                             pose=Pose(st.pose.p[i], st.pose.R[i]),
                             converged=bool(st.converged[i]),
-                            iterations=int(st.iterations[i]), residual_position_mm=np.nan,
-                            residual_wrench_rel=float(st.residual_wrench_rel[i]))
+                            iterations=int(st.iterations[i]),
+                            residual_wrench_rel=float(st.residual_wrench_rel[i]),
+                            residual_position_mm=np.nan)._ended_on(model, J[:, i], W[:, i])
 
 
 def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -182,7 +201,9 @@ def _solve_primal(model, q, K, F) -> EquilibriumState:
         step = (T @ (tau - K * theta)[..., None])[..., 0]
         cand = np.where(live[:, None], theta + step, theta)
         st = chain_state(model, q, cand)
-        tau_c = load_torques(st, loading, F)
+        # the last stack, at the returned theta, is kept for the stiffness
+        J, W = _loaded_jacobians(st, loading, F)
+        tau_c = _torques(J, W)
         res_c = _wrench_residual_rel(K, cand, tau_c)
         done = live & ((_norms(cand - theta) < _THETA_TOL_RAD) | (res_c < 1e-12))
         # a live pose whose balance residual does not fall has diverged
@@ -196,7 +217,7 @@ def _solve_primal(model, q, K, F) -> EquilibriumState:
     return EquilibriumState(q=q, theta=theta, tool_wrench=F,
                             pose=Pose(st.tool_p, st.tool_R), converged=converged,
                             iterations=iterations, residual_position_mm=np.full(n, np.nan),
-                            residual_wrench_rel=res)
+                            residual_wrench_rel=res)._ended_on(model, J, W)
 
 
 def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
@@ -224,11 +245,12 @@ def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
         if step < _THETA_TOL_RAD or pos_res < _POSITION_TOL_MM:
             converged = True
             break
-    tau = load_torques(st, loading, F)
-    res = float(_wrench_residual_rel(K, theta, tau))
+    J, W = _loaded_jacobians(st, loading, F)
+    res = float(_wrench_residual_rel(K, theta, _torques(J, W)))
     return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
                             converged=converged, iterations=iterations,
-                            residual_position_mm=pos_res, residual_wrench_rel=res)
+                            residual_position_mm=pos_res,
+                            residual_wrench_rel=res)._ended_on(model, J, W)
 
 
 def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -238,15 +260,20 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     ``H`` collects the gravity and tool-wrench load Hessians at the
     equilibrium deflections, so the result is the exact local derivative of
     sustaining wrench w.r.t. prescribed tool pose.  The gravity is the
-    model's, as in the solve that gave ``state``.
+    model's, as in the solve that gave ``state``.  H and J are read from the
+    stack the solve ended on when it ran on this very ``model`` object
+    (``EquilibriumState._loaded``), else built here, with the same bits.
     """
-    q, theta = state.q, state.theta
-    K = joint_stiffnesses(model, compensator, q)
-    st = chain_state(model, q, theta)
-    # H's stack ends with the tool, whose Jacobian is J; a state without a
-    # tool wrench takes a zero one, which adds nothing to H
-    F = np.zeros(6) if state.tool_wrench is None else state.tool_wrench
-    Js, W = _loaded_jacobians(st, model._gravity_loading, F)
+    K = joint_stiffnesses(model, compensator, state.q)
+    loaded = state._loaded
+    if loaded is not None and loaded[0] is model:
+        Js, W = loaded[1:]
+    else:
+        st = chain_state(model, state.q, state.theta)
+        # a state without a tool wrench takes a zero one, which adds nothing to H
+        F = np.zeros(6) if state.tool_wrench is None else state.tool_wrench
+        Js, W = _loaded_jacobians(st, model._gravity_loading, F)
+    # H's stack ends with the tool, whose Jacobian is J
     Keff = K[..., None] * np.eye(6) - _hessian(Js, W)
     w = np.linalg.eigvalsh(0.5 * (Keff + Keff.T))
     if w[0] < 1e-12 * np.max(np.abs(w)):

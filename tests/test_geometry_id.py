@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -8,6 +12,7 @@ import pytest
 import oracles
 from stiffcal.circle_fit import (_arc_centre, _fit_signed, fit_circle_procrustes,
                                  fit_concentric_arcs)
+from stiffcal.cli import main
 from stiffcal.compensator import CompensatorGeometry
 from stiffcal.errors import (AngleDirectionError, DataLayoutError,
                              DegenerateGeometryError)
@@ -24,6 +29,7 @@ from stiffcal.sim import simulate_geometry_dataset
 GEOM = CompensatorGeometry(L_mm=185.0, ax_mm=25.0, ay_mm=695.0)
 MIRRORED = replace(GEOM, q2_sign=-1.0)
 SWEEP = np.radians(np.linspace(-140.0, -0.01, 8))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_noiseless_round_trip():
@@ -65,10 +71,37 @@ def test_needs_two_satellites():
 
 class TestDatasetValidation:
     def test_three_distinct_angles_required(self):
+        """Angles equal after rounding to 1e-9 rad, and -0.0 and 0.0, count
+        once, as ``np.unique`` of the rounded angles counts them."""
         q = np.radians([0.0, 0.0, -60.0])
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError, match="3 distinct joint angles"):
             MarkerDataset(q2_rad=q, crank=pts, satellites=(pts,))
+        pts = np.zeros((4, 2))
+        same = np.array([0.0, -0.0, 4e-10, -1.0])
+        assert np.unique(np.round(same, 9)).size == 2
+        with pytest.raises(ValueError, match="3 distinct joint angles"):
+            MarkerDataset(q2_rad=same, crank=pts, satellites=(pts,))
+        apart = np.array([0.0, -0.0, 2e-9, -1.0])
+        assert np.unique(np.round(apart, 9)).size == 3
+        MarkerDataset(q2_rad=apart, crank=pts, satellites=(pts,))
+
+    def test_building_a_dataset_imports_no_masked_arrays(self):
+        """Building a dataset leaves ``numpy.ma`` unimported in a fresh
+        process (``np.unique`` would import it on numpy 2)."""
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from stiffcal.geometry_id import MarkerDataset\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "MarkerDataset(q2_rad=np.radians([0.0, -60.0, -120.0]),\n"
+                "              crank=np.zeros((3, 2)), satellites=())\n"
+                "print(before, 'numpy.ma' in sys.modules)\n")
+        src = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        before, after = run.stdout.split()
+        assert after == before
 
     def test_span_guard(self):
         q = np.radians([0.0, -5.0, -10.0, -20.0])
@@ -144,6 +177,23 @@ class TestCsv:
         assert len(back.satellites) == len(sats)
         for got, want in zip(back.satellites, sats):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_two_spellings_of_one_satellite_refused(self, tmp_path):
+        """``P01`` and ``P001`` both number satellite 1: the header is
+        refused naming both groups, and ``geom-ident`` exits 2."""
+        ds = simulate_geometry_dataset(GEOM, SWEEP)
+        p = tmp_path / "sweep.csv"
+        save_marker_csv(p, ds)
+        rows = p.read_text().splitlines()
+        extra = [",".join(r.split(",")[3:5]) for r in rows[1:]]
+        p.write_text("\n".join([rows[0] + ",P001_x,P001_y"]
+                               + [r + "," + e for r, e in zip(rows[1:], extra)]) + "\n")
+        with pytest.raises(DataLayoutError, match=(
+                f"^{re.escape(str(p))}: satellite groups P001 and P01 both number "
+                "satellite 1$")):
+            load_marker_csv(p)
+        assert main(["geom-ident", "--markers", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_crank_columns(self, tmp_path):
         p = tmp_path / "bad.csv"

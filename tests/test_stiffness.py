@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stiffcal import stiffness
+from stiffcal import load_model, stiffness
 from plans import LIMITS_DEG
 from stiffcal.errors import ConvergenceError, SingularConfigurationError
 from stiffcal.robot import (ManipulatorModel, Pose, _marker_points, _point_jacobian,
@@ -46,12 +46,24 @@ class TestJointStiffness:
         d[1] = 0.0
         assert np.allclose(d, 0.0)
 
-    def test_zero_compliance_rejected(self, model):
-        j0 = dataclasses.replace(model.joints[0], compliance_rad_per_Nmm=0.0)
-        broken = ManipulatorModel(joints=[j0] + list(model.joints[1:]),
-                                  base=model.base, tool=model.tool)
+    def test_zero_compliance_rejected(self, model, comp):
+        """A model with zero compliances builds without a warning and is
+        refused, naming those joints as plain numbers, on every call, with
+        or without a compensator; the other models keep their stiffnesses."""
+        joints = list(model.joints)
+        for i in (0, 2):
+            joints[i] = dataclasses.replace(joints[i], compliance_rad_per_Nmm=0.0)
+        broken = ManipulatorModel(joints=joints, base=model.base, tool=model.tool)
+        for _ in range(2):
+            for c in (None, comp):
+                with pytest.raises(SingularConfigurationError, match=(
+                        r"^zero compliance at joint\(s\) \[1, 3\]: "
+                        "infinite stiffness unsupported in inverse form$")):
+                    joint_stiffnesses(broken, c, TEST_Q)
         with pytest.raises(SingularConfigurationError, match="infinite stiffness"):
-            joint_stiffnesses(broken, None, TEST_Q)
+            solve_equilibrium(broken, comp, TEST_Q)
+        assert joint_stiffnesses(model, None, TEST_Q).tobytes() == (
+            1.0 / model.compliances).tobytes()
 
 
 class TestEquilibrium:
@@ -185,18 +197,26 @@ class TestCartesianStiffness:
                                rtol=2e-3, atol=2e-3 * np.linalg.norm(Kc[:, axis]))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_is_the_formula_of_the_tool_jacobian_bit_for_bit(self, model, comp, seed):
-        """At a primal and a dual equilibrium the stiffness is, byte for
-        byte, ``(J (K - H)^-1 J^T)^-1`` built from ``hessian_theta`` and the
-        tool point's own ``_point_jacobian``."""
+    def test_is_the_formula_of_the_tool_jacobian_bit_for_bit(self, model, comp, seed,
+                                                             monkeypatch):
+        """At a primal, a dual and a ``loaded_equilibrium`` state the
+        stiffness is, byte for byte, ``(J (K - H)^-1 J^T)^-1`` built from
+        ``hessian_theta`` and the tool point's own ``_point_jacobian``, and
+        it builds no chain state: it reads the stack the solve ended on."""
         rng = np.random.default_rng(seed)
         lim = np.radians(LIMITS_DEG)
         q = rng.uniform(lim[:, 0], lim[:, 1])
         wrench = np.concatenate([rng.normal(0.0, 1500.0, 3), rng.normal(0.0, 1e5, 3)])
-        for st in (solve_equilibrium(model, comp, q, tool_wrench=wrench),
-                   solve_equilibrium(model, comp, q, target=fk(model, q))):
-            ref = _stiffness_formula(model, comp, st, st.tool_wrench)
+        states = [solve_equilibrium(model, comp, q, tool_wrench=wrench),
+                  solve_equilibrium(model, comp, q, target=fk(model, q)),
+                  loaded_equilibrium(model, comp, q, wrench)[0]]
+        refs = [_stiffness_formula(model, comp, st, st.tool_wrench) for st in states]
+        calls = []
+        monkeypatch.setattr(stiffness, "chain_state",
+                            lambda *a: calls.append(a) or chain_state(*a))
+        for st, ref in zip(states, refs):
             assert cartesian_stiffness(model, comp, st).matrix.tobytes() == ref.tobytes()
+        assert calls == []
 
     @pytest.mark.parametrize("which", ["model", "weightless"])
     def test_a_state_without_tool_wrench_is_gravity_only(self, which, comp, request):
@@ -206,6 +226,23 @@ class TestCartesianStiffness:
         st = dataclasses.replace(solve_equilibrium(m, comp, TEST_Q), tool_wrench=None)
         ref = _stiffness_formula(m, comp, st, None)
         assert cartesian_stiffness(m, comp, st).matrix.tobytes() == ref.tobytes()
+
+    def test_a_copied_state_or_another_model_rebuilds_the_stack(self, model, comp,
+                                                                model_path, monkeypatch):
+        """A state copied by ``dataclasses.replace``, or a second load of the
+        model file, carries no stack the stiffness may read: it builds one,
+        with the same bytes."""
+        st, _ = loaded_equilibrium(model, comp, TEST_Q, LOAD)
+        want = cartesian_stiffness(model, comp, st).matrix.tobytes()
+        again = load_model(model_path)
+        calls = []
+        monkeypatch.setattr(stiffness, "chain_state",
+                            lambda *a: calls.append(a) or chain_state(*a))
+        copy = dataclasses.replace(st)
+        assert copy == st and copy._loaded is None and st._loaded is not None
+        assert cartesian_stiffness(model, comp, copy).matrix.tobytes() == want
+        assert cartesian_stiffness(again, again.compensator, st).matrix.tobytes() == want
+        assert len(calls) == 2
 
     def test_positive_definite_translational_block(self, model, comp):
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
