@@ -10,7 +10,10 @@
 # PYTHONHASHSEED 0: once through a `stiffcal` importing this checkout's src/
 # and once through one importing the base's.  It lists the output files that
 # differ between the two runs, manifest.json aside (manifests hold absolute
-# paths), and whether the two runs printed the same lines.  It also runs
+# paths), and for each differing JSON or CSV output the largest relative
+# change among its numbers, with its JSON path or CSV line and column, so a
+# move in the trailing digits shows its size.  It says whether the two runs
+# printed the same lines.  It also runs
 # the classes of bench/workloads.py on their tiny inputs, seed 1, once
 # through this checkout's src/ and once through the base's, and says for
 # each workload whether the digests of its payloads are the base's.
@@ -127,6 +130,64 @@ if [ -z "$changed" ]; then
     echo "Every output file is byte-identical, manifest.json aside."
 else
     printf 'Output files that differ, manifest.json aside:\n```\n%s\n```\n' "$changed"
+    echo "Largest relative change |this - base| / |base| among the numbers of each differing JSON or CSV output:"
+    (cd "$tmp" && python - <<'PY'
+import csv, filecmp, json, math, os
+
+def leaves(x, where=""):  # (JSON path, value) of every leaf of a parsed JSON document
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from leaves(v, f"{where}.{k}" if where else k)
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from leaves(v, f"{where}[{i}]")
+    else:
+        yield where, x
+
+def read(path):  # {where: value} of a JSON document's leaves or a CSV file's cells
+    with open(path, newline="") as f:
+        if path.endswith(".json"):
+            return dict(leaves(json.load(f)))
+        rows = list(csv.reader(f))
+    return {f"line {n}, column {rows[0][c] if c < len(rows[0]) else c + 1}": x
+            for n, row in enumerate(rows, start=1) for c, x in enumerate(row)}
+
+def number(x):
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+for dirpath, _, names in sorted(os.walk("head/out")):
+    for name in sorted(names):
+        head = os.path.join(dirpath, name)
+        base = "base" + head[len("head"):]
+        if (name == "manifest.json" or not name.endswith((".json", ".csv"))
+                or not os.path.isfile(base)
+                or filecmp.cmp(head, base, shallow=False)):
+            continue
+        this, was = read(head), read(base)
+        worst, other = None, None
+        for where in list(was) + [w for w in this if w not in was]:
+            x, y = this.get(where), was.get(where)
+            u, v = number(x), number(y)
+            if u is None or v is None or math.isnan(u) or math.isnan(v):
+                if repr(x) != repr(y) and other is None:
+                    other = f"{where} (base {y!r}, this {x!r})"
+            elif u != v:
+                rel = abs(u - v) / abs(v) if v else math.inf
+                if worst is None or rel > worst[0]:
+                    worst = (rel, where, y, x)
+        line = f"- {head[len('head/out/'):]}:"
+        if worst:
+            line += f" {worst[0]:.3g} at {worst[1]} (base {worst[2]}, this {worst[3]})"
+        if other:
+            line += f"; the first non-numeric or missing value that differs is at {other}"
+        print(line if worst or other else line + " no value differs (the formatting does)")
+PY
+    ) || echo "(the relative changes could not be computed)"
 fi
 if cmp -s "$tmp/base.log" "$tmp/head.log"; then
     echo "The block printed identical lines."

@@ -283,7 +283,8 @@ class NodeLoading:
     """Wrenches applied at the chain nodes.
 
     ``wrenches`` has shape (7, 6): row ``j`` acts at node ``j`` (row 0 at the
-    inert joint-1 centre).
+    inert joint-1 centre).  Treat instances as immutable after
+    construction: the loaded nodes and their wrench rows are taken once.
     """
 
     wrenches: np.ndarray
@@ -295,6 +296,9 @@ class NodeLoading:
             raise ValueError(f"wrenches must have shape (7, 6), got {w.shape}")
         self.wrenches = w
         self.loaded_nodes = tuple(j for j in range(1, 7) if w[j].any())
+        # gathered by _loaded_jacobians at every chain state
+        self._nodes = np.array(self.loaded_nodes, dtype=int)
+        self._node_wrenches = w[self._nodes]
 
 
 def gravity_loading(model: ManipulatorModel) -> NodeLoading:
@@ -331,18 +335,22 @@ def _loaded_jacobians(st: ChainState, loading: Optional[NodeLoading], tool_wrenc
     the node wrenches do not (:func:`gravity_loading`).  Nothing loaded gives
     empty stacks."""
     batch = st.tool_p.shape[:-1]
-    loaded = [] if loading is None else [(j, st.node_p[..., j, :], loading.wrenches[j])
-                                         for j in loading.loaded_nodes]
-    if tool_wrench is not None:
-        loaded.append((6, st.tool_p, tool_wrench))
-    points = np.empty((len(loaded),) + batch + (3,))
-    W = np.empty((len(loaded),) + batch + (6,))
-    if not loaded:
+    nodes = () if loading is None else loading.loaded_nodes
+    m = len(nodes)
+    n_points = m + (tool_wrench is not None)
+    points = np.empty((n_points,) + batch + (3,))
+    W = np.empty((n_points,) + batch + (6,))
+    if not n_points:
         return np.empty((0,) + batch + (6, 6)), W
-    for i, (_, p, w) in enumerate(loaded):
-        points[i], W[i] = p, w
+    if m:
+        k = len(batch)
+        # the gathered node axis moves from after the batch axes to the front
+        points[:m] = st.node_p[..., loading._nodes, :].transpose((k, *range(k), k + 1))
+        W[:m] = loading._node_wrenches.reshape((m,) + (1,) * k + (6,))
+    if tool_wrench is not None:
+        points[m], W[m] = st.tool_p, tool_wrench
     J = _point_jacobian(st, points)
-    for i, (n, _, _) in enumerate(loaded):
+    for i, n in enumerate(nodes):
         J[i, ..., n:] = 0.0
     return J, W
 

@@ -10,7 +10,10 @@ gravity wrenches and ``F`` the external tool wrench.  Two solver modes:
 
 * primal -- F is known, step theta through the inverse of each pose's own
   ``K_th - H`` at theta = 0, every pose of a stack stepping together
-  (:func:`solve_equilibria`);
+  (:func:`solve_equilibria`); the update criterion is tested on the update
+  a pose would take next, formed from the state it has, and a negligible
+  update is not taken, so a pose's ``iterations`` counts the updates it
+  took;
 * dual -- the loaded tool pose is prescribed and the wrench F sustaining it
   is the unknown, solved by the alternating update that also yields theta.
 
@@ -21,7 +24,8 @@ Hessian, so finite-difference probes of the solver reproduce it.
 Terms taken at one chain state share one loaded-Jacobian stack
 (:mod:`stiffcal.robot`): the primal's ``K_th - H`` and its torques at
 theta = 0, and the stiffness's ``H`` and its tool Jacobian ``J``, which it
-reads from the stack the solve ended on.
+reads from the stack the solve ended on, with the joint stiffnesses the
+solve used.
 """
 from __future__ import annotations
 
@@ -72,12 +76,16 @@ class EquilibriumState:
     :func:`solve_equilibria` fills every field with a stack, one entry per
     pose (``converged``, ``iterations`` and the residuals as arrays (N,));
     :func:`solve_equilibrium` gives one pose with scalar fields.  Primal mode
-    has no target pose, so its ``residual_position_mm`` is nan.
+    has no target pose, so its ``residual_position_mm`` is nan.  In primal
+    mode ``iterations`` counts the updates taken: a pose that stops on a
+    negligible next update does not take it, and its fields are those of
+    the state it stopped at.
 
-    A state a solver returns also keeps ``_loaded``: the model it was solved
-    on and the loaded-Jacobian stack ``(J, W)`` of its final chain state
+    A state a solver returns also keeps ``_loaded``: the model and the
+    compensator it was solved with, its joint stiffnesses ``K`` and the
+    loaded-Jacobian stack ``(J, W)`` of its final chain state
     (:func:`stiffcal.robot._loaded_jacobians` with its tool wrench), which
-    :func:`cartesian_stiffness` reads instead of building it again.  It is a
+    :func:`cartesian_stiffness` reads instead of building them again.  It is a
     class attribute, not a field, so a state built by the caller or copied by
     ``dataclasses.replace`` has ``_loaded = None``, and fields, equality and
     repr never see it.  Do not change a solver's state in place: its stack
@@ -93,11 +101,13 @@ class EquilibriumState:
     residual_position_mm: float
     residual_wrench_rel: float
 
-    _loaded = None   # (model, J, W) of the solve that returned the state
+    _loaded = None   # (model, compensator, K, J, W) of the solve that returned the state
 
-    def _ended_on(self, model: ManipulatorModel, J, W) -> "EquilibriumState":
-        """This state, keeping the stack its solve on ``model`` ended on."""
-        self._loaded = (model, J, W)
+    def _ended_on(self, model: ManipulatorModel, compensator: Optional[CompensatorParams],
+                  K, J, W) -> "EquilibriumState":
+        """This state, keeping the joint stiffnesses ``K`` its solve on
+        ``model`` and ``compensator`` used and the stack it ended on."""
+        self._loaded = (model, compensator, K, J, W)
         return self
 
 
@@ -138,28 +148,31 @@ def solve_equilibrium(model: ManipulatorModel, compensator: Optional[Compensator
     update below 1e-12 rad, or relative balance residual below 1e-12
     (primal) or position residual below 1e-9 mm (dual), capped at
     ``_MAX_ITER`` iterations (the state is then flagged, not raised).  The
-    primal mode is the stacked solver of :func:`solve_equilibria` on a stack
-    of one.
+    primal mode tests the update it would take next, on the state it has,
+    and stops there without taking a negligible one, so ``iterations``
+    counts the updates taken; it is the stacked solver of
+    :func:`solve_equilibria` on a stack of one.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
     if target is not None and tool_wrench is not None:
         raise ValueError("pass either tool_wrench (primal) or target (dual), not both")
     if target is not None:
-        return _solve_dual(model, q, K, target)
+        return _solve_dual(model, compensator, q, K, target)
     F = np.zeros(6) if tool_wrench is None else np.asarray(tool_wrench, dtype=float)
-    return _one(_solve_primal(model, q[None], K[None], F[None]), 0)
+    return _one(_solve_primal(model, compensator, q[None], K[None], F[None]), 0)
 
 
 def _one(st: EquilibriumState, i: int) -> EquilibriumState:
     """Pose ``i`` of a stacked primal state, with scalar fields."""
-    model, J, W = st._loaded
+    model, compensator, K, J, W = st._loaded
     return EquilibriumState(q=st.q[i], theta=st.theta[i], tool_wrench=st.tool_wrench[i],
                             pose=Pose(st.pose.p[i], st.pose.R[i]),
                             converged=bool(st.converged[i]),
                             iterations=int(st.iterations[i]),
                             residual_wrench_rel=float(st.residual_wrench_rel[i]),
-                            residual_position_mm=np.nan)._ended_on(model, J[:, i], W[:, i])
+                            residual_position_mm=np.nan)._ended_on(model, compensator, K[i],
+                                                                   J[:, i], W[:, i])
 
 
 def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -169,18 +182,21 @@ def solve_equilibria(model: ManipulatorModel, compensator: Optional[CompensatorP
 
     Every pose steps by ``(K_th - H_0)^-1 (tau - K_th theta)``, with its own
     ``K_th - H`` formed once at theta = 0, and keeps its own convergence test
-    and iteration count.  A pose whose balance residual does not fall stops
-    at once, flagged unconverged at that iteration.  A pose that has stopped
-    keeps its bits, so each result in the stacked state is the one its pose
-    gets solved alone.
+    and iteration count.  Before each step a pose whose update would be
+    below 1e-12 rad stops converged without taking it; after each step a
+    pose whose relative balance residual is below 1e-12 stops converged,
+    and one whose residual does not fall stops at once, flagged
+    unconverged.  ``iterations`` counts the updates each pose took, up to
+    ``_MAX_ITER``.  A pose that has stopped keeps its bits, so each result
+    in the stacked state is the one its pose gets solved alone.
     """
     q = np.asarray(q, dtype=float)
     K = joint_stiffnesses(model, compensator, q)
     F = np.asarray(tool_wrench, dtype=float)
-    return _solve_primal(model, q, K, F)
+    return _solve_primal(model, compensator, q, K, F)
 
 
-def _solve_primal(model, q, K, F) -> EquilibriumState:
+def _solve_primal(model, compensator, q, K, F) -> EquilibriumState:
     loading = model._gravity_loading
     n = q.shape[0]
     theta = np.zeros((n, 6))
@@ -193,34 +209,39 @@ def _solve_primal(model, q, K, F) -> EquilibriumState:
     T = np.linalg.inv(K[..., None] * np.eye(6) - _hessian(J, W))
     tau = _torques(J, W)
     res = _wrench_residual_rel(K, theta, tau)
-    iterations = np.full(n, _MAX_ITER)
+    iterations = np.zeros(n, dtype=int)
     live = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
-    for it in range(1, _MAX_ITER + 1):
-        # a pose that has stopped keeps its theta: its state recomputes bit for bit
+    for _ in range(_MAX_ITER):
         step = (T @ (tau - K * theta)[..., None])[..., 0]
+        # a pose whose next update is negligible stops at the state it has,
+        # without taking it
+        small = live & (_norms(step) < _THETA_TOL_RAD)
+        converged |= small
+        live &= ~small
+        if not live.any():
+            break
+        # a pose that has stopped keeps its theta: its state recomputes bit for bit
         cand = np.where(live[:, None], theta + step, theta)
         st = chain_state(model, q, cand)
         # the last stack, at the returned theta, is kept for the stiffness
         J, W = _loaded_jacobians(st, loading, F)
         tau_c = _torques(J, W)
         res_c = _wrench_residual_rel(K, cand, tau_c)
-        done = live & ((_norms(cand - theta) < _THETA_TOL_RAD) | (res_c < 1e-12))
+        iterations += live
+        done = live & (res_c < 1e-12)
         # a live pose whose balance residual does not fall has diverged
         stop = done | (live & ~(res_c < res))
         theta, tau, res = cand, tau_c, res_c
         converged |= done
-        iterations[stop] = it
         live &= ~stop
-        if not live.any():
-            break
     return EquilibriumState(q=q, theta=theta, tool_wrench=F,
                             pose=Pose(st.tool_p, st.tool_R), converged=converged,
                             iterations=iterations, residual_position_mm=np.full(n, np.nan),
-                            residual_wrench_rel=res)._ended_on(model, J, W)
+                            residual_wrench_rel=res)._ended_on(model, compensator, K, J, W)
 
 
-def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
+def _solve_dual(model, compensator, q, K, target: Pose) -> EquilibriumState:
     loading = model._gravity_loading
     theta = np.zeros(6)
     F = np.zeros(6)
@@ -250,7 +271,7 @@ def _solve_dual(model, q, K, target: Pose) -> EquilibriumState:
     return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
                             converged=converged, iterations=iterations,
                             residual_position_mm=pos_res,
-                            residual_wrench_rel=res)._ended_on(model, J, W)
+                            residual_wrench_rel=res)._ended_on(model, compensator, K, J, W)
 
 
 def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[CompensatorParams],
@@ -262,13 +283,14 @@ def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[Compensat
     sustaining wrench w.r.t. prescribed tool pose.  The gravity is the
     model's, as in the solve that gave ``state``.  H and J are read from the
     stack the solve ended on when it ran on this very ``model`` object
-    (``EquilibriumState._loaded``), else built here, with the same bits.
+    (``EquilibriumState._loaded``), and the joint stiffnesses too when it
+    also ran with this very ``compensator`` object; else they are built
+    here, with the same bits.
     """
-    K = joint_stiffnesses(model, compensator, state.q)
-    loaded = state._loaded
-    if loaded is not None and loaded[0] is model:
-        Js, W = loaded[1:]
-    else:
+    solved_on, solved_with, K, Js, W = state._loaded or (None,) * 5
+    if solved_on is not model or solved_with is not compensator:
+        K = joint_stiffnesses(model, compensator, state.q)
+    if solved_on is not model:
         st = chain_state(model, state.q, state.theta)
         # a state without a tool wrench takes a zero one, which adds nothing to H
         F = np.zeros(6) if state.tool_wrench is None else state.tool_wrench

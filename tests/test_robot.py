@@ -90,22 +90,26 @@ def test_tool_jacobian_vs_fd(model, random_states):
         assert np.linalg.norm(J - Jfd) / np.linalg.norm(J) < 1e-6
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (4,), (2, 3)]),
+       st.sampled_from([(1, 2, 3, 4, 5, 6), (2, 5), ()]))
 @settings(max_examples=30, deadline=None)
-def test_node_jacobian_truncates(model, seed, shape):
-    """The loaded-point stack holds nodes 1..6 and then the tool: node j's
-    columns from j on are zero, the rest are the cross loop's bits, and each
-    point carries its own wrench."""
+def test_node_jacobian_truncates(model, seed, shape, nodes):
+    """The loaded-point stack holds the loaded nodes among 1..6 and then the
+    tool: node j's columns from j on are zero, the rest are the cross loop's
+    bits, and each point carries its own wrench."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(-np.pi, np.pi, shape + (6,))
     th = rng.normal(scale=2e-3, size=shape + (6,))
-    loading = NodeLoading(rng.normal(scale=1e3, size=(7, 6)))
+    wrenches = np.zeros((7, 6))
+    wrenches[(0,) + nodes, :] = rng.normal(scale=1e3, size=(1 + len(nodes), 6))
+    loading = NodeLoading(wrenches)
     tool = rng.normal(scale=1e3, size=shape + (6,))
     J, W = _loaded_jacobians(chain_state(model, q, th), loading, tool)
-    assert J.shape == (7,) + shape + (6, 6) and W.shape == (7,) + shape + (6,)
+    n = len(nodes) + 1
+    assert J.shape == (n,) + shape + (6, 6) and W.shape == (n,) + shape + (6,)
     for idx in np.ndindex(*shape):
         one = chain_state(model, q[idx], th[idx])
-        points = [(one.node_p[j], j, loading.wrenches[j]) for j in range(1, 7)]
+        points = [(one.node_p[j], j, loading.wrenches[j]) for j in nodes]
         for i, (p, node, w) in enumerate(points + [(one.tool_p, 6, tool[idx])]):
             Ji = J[(i,) + idx]
             assert not Ji[:, node:].any()

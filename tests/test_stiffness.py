@@ -244,6 +244,26 @@ class TestCartesianStiffness:
         assert cartesian_stiffness(again, again.compensator, st).matrix.tobytes() == want
         assert len(calls) == 2
 
+    def test_the_joint_stiffnesses_are_the_compensator_passed(self, model, comp,
+                                                              monkeypatch):
+        """The stiffness reads the joint stiffnesses a state was solved with
+        only when it is given the same compensator object: a state solved
+        with one compensator, or with none, and passed with another gets the
+        joint stiffnesses of the one passed."""
+        stiffer = dataclasses.replace(comp, elastics=dataclasses.replace(
+            comp.elastics, Kc_N_per_mm=2.0 * comp.elastics.Kc_N_per_mm))
+        calls = []
+        real = stiffness.equivalent_joint_stiffness
+        monkeypatch.setattr(stiffness, "equivalent_joint_stiffness",
+                            lambda *a: calls.append(a) or real(*a))
+        for solved_with in (comp, None):
+            st = solve_equilibrium(model, solved_with, TEST_Q, tool_wrench=LOAD)
+            for passed in (comp, stiffer, None):
+                want = _stiffness_formula(model, passed, st, LOAD).tobytes()
+                del calls[:]
+                assert cartesian_stiffness(model, passed, st).matrix.tobytes() == want
+                assert len(calls) == (0 if passed is solved_with or passed is None else 1)
+
     def test_positive_definite_translational_block(self, model, comp):
         st = solve_equilibrium(model, comp, TEST_Q, tool_wrench=LOAD)
         Kc = cartesian_stiffness(model, comp, st).matrix
@@ -357,13 +377,32 @@ class TestStackedPrimal:
         assert [r[2] for r in refs] == [True, True, True, False, True]
         assert refs[2][4] > 0
         # stepping through K - H reaches the same equilibria in fewer steps;
-        # the 641,773 N pose stops unconverged as soon as its residual grows
-        assert st.iterations.tolist() == [4, 6, 45, 2, 3]
+        # the 48,802 N pose and TEST_Q stop on a negligible next update,
+        # which they do not take, and the 641,773 N pose stops unconverged
+        # as soon as its residual grows
+        assert st.iterations.tolist() == [4, 5, 45, 2, 2]
         assert st.converged.tolist() == [True, True, True, False, True]
         for i in (0, 1, 2, 4):
             assert np.abs(st.theta[i] - refs[i][0]).max() <= 1e-11, i
         # the loaded pose of every entry is its chain state at its theta
         assert np.array_equal(st.pose.p, chain_state(model, q, st.theta).tool_p)
+
+    def test_a_negligible_update_is_not_taken(self, model, comp, monkeypatch):
+        """The 48,802 N pose stops on the update criterion: its last update
+        taken is not negligible, and the next one is tested on the state
+        already built, so the solve builds one chain state per update taken
+        and one at theta = 0."""
+        q, w = self.POSES[1], np.array([0.0, 0.0, -self.LOADS_N[1], 0.0, 0.0, 0.0])
+        calls = []
+        monkeypatch.setattr(stiffness, "chain_state",
+                            lambda *a: calls.append(a) or chain_state(*a))
+        st = solve_equilibrium(model, comp, q, tool_wrench=w)
+        assert st.converged and st.residual_wrench_rel >= 1e-12
+        assert len(calls) == st.iterations + 1
+        monkeypatch.setattr(stiffness, "_MAX_ITER", st.iterations - 1)
+        short = solve_equilibrium(model, comp, q, tool_wrench=w)
+        assert short.iterations == st.iterations - 1
+        assert np.linalg.norm(st.theta - short.theta) >= stiffness._THETA_TOL_RAD
 
     def test_divergence_stops_at_once(self, model, comp):
         # a 1e9 N load and the 641,773 N pose above: the fixed point runs both
