@@ -10,10 +10,12 @@
 # PYTHONHASHSEED 0: once through a `stiffcal` importing this checkout's src/
 # and once through one importing the base's.  It lists the output files that
 # differ between the two runs, manifest.json aside (manifests hold absolute
-# paths), and for each differing JSON or CSV output the largest relative
-# change among its numbers, with its JSON path or CSV line and column, so a
-# move in the trailing digits shows its size.  It says whether the two runs
-# printed the same lines.  It also runs
+# paths), and for each differing JSON or CSV output the largest change among
+# its numbers relative to the largest base magnitude under the same JSON key
+# (list indices dropped) or in the same CSV column, with its JSON path or CSV
+# line and column, so a move in the trailing digits shows its size against
+# the largest value of its kind.  It says whether the two runs printed the
+# same lines.  It also runs
 # the classes of bench/workloads.py on their tiny inputs, seed 1, once
 # through this checkout's src/ and once through the base's, and says for
 # each workload whether the digests of its payloads are the base's.
@@ -130,9 +132,9 @@ if [ -z "$changed" ]; then
     echo "Every output file is byte-identical, manifest.json aside."
 else
     printf 'Output files that differ, manifest.json aside:\n```\n%s\n```\n' "$changed"
-    echo "Largest relative change |this - base| / |base| among the numbers of each differing JSON or CSV output:"
+    echo "Largest change |this - base| / max |base| among the numbers of each differing JSON or CSV output, the max taken under the same JSON key (list indices dropped) or CSV column:"
     (cd "$tmp" && python - <<'PY'
-import csv, filecmp, json, math, os
+import csv, filecmp, json, math, os, re
 
 def leaves(x, where=""):  # (JSON path, value) of every leaf of a parsed JSON document
     if isinstance(x, dict):
@@ -144,13 +146,19 @@ def leaves(x, where=""):  # (JSON path, value) of every leaf of a parsed JSON do
     else:
         yield where, x
 
-def read(path):  # {where: value} of a JSON document's leaves or a CSV file's cells
+def read(path):  # {where: (group, value)} of a JSON document's leaves or a
+    # CSV file's cells; a leaf's group is its path without list indices, a
+    # cell's its column
     with open(path, newline="") as f:
         if path.endswith(".json"):
-            return dict(leaves(json.load(f)))
+            return {w: (re.sub(r"\[\d+\]", "", w), x) for w, x in leaves(json.load(f))}
         rows = list(csv.reader(f))
-    return {f"line {n}, column {rows[0][c] if c < len(rows[0]) else c + 1}": x
-            for n, row in enumerate(rows, start=1) for c, x in enumerate(row)}
+    out = {}
+    for n, row in enumerate(rows, start=1):
+        for c, x in enumerate(row):
+            column = rows[0][c] if c < len(rows[0]) else c + 1
+            out[f"line {n}, column {column}"] = (f"column {column}", x)
+    return out
 
 def number(x):
     if isinstance(x, bool):
@@ -169,15 +177,20 @@ for dirpath, _, names in sorted(os.walk("head/out")):
                 or filecmp.cmp(head, base, shallow=False)):
             continue
         this, was = read(head), read(base)
+        scale = {}  # the largest finite base magnitude in each group
+        for group, y in was.values():
+            v = number(y)
+            if v is not None and math.isfinite(v):
+                scale[group] = max(scale.get(group, 0.0), abs(v))
         worst, other = None, None
         for where in list(was) + [w for w in this if w not in was]:
-            x, y = this.get(where), was.get(where)
+            (group, x), (_, y) = this.get(where, (None, None)), was.get(where, (None, None))
             u, v = number(x), number(y)
             if u is None or v is None or math.isnan(u) or math.isnan(v):
                 if repr(x) != repr(y) and other is None:
                     other = f"{where} (base {y!r}, this {x!r})"
             elif u != v:
-                rel = abs(u - v) / abs(v) if v else math.inf
+                rel = abs(u - v) / scale[group] if scale.get(group) else math.inf
                 if worst is None or rel > worst[0]:
                     worst = (rel, where, y, x)
         line = f"- {head[len('head/out/'):]}:"

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import ParameterLayout
+from .elasto_id import RANK_TOL, ParameterLayout
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _cross, _marker_points, _point_jacobian
 from .tables import read_table, write_table
@@ -317,8 +317,11 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     where M_j is the information each bucket accumulates about its reduced
     parameter vector and A0 maps that vector to the tool deflection at the
     test pose.  Duplicating the plan doubles every M_j and halves rho0^2.
-    A bucket whose M_j is singular, or so near singular that its trace comes
-    out negative, raises ``IdentifiabilityError``.
+    A bucket fails the identification's rank rule when the singular values
+    of its stacked sensitivity rows, each scaled by sqrt(repeats), are not
+    all above ``RANK_TOL`` of the largest; the first such bucket, or one
+    whose M_j is singular or whose trace comes out negative, raises
+    ``IdentifiabilityError``.
     """
     layout = plan.layout()
     if layout.n_buckets < 3:
@@ -328,10 +331,19 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
             stacklevel=2)
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
     q = np.array([e.q_rad for e in plan.entries])
-    Ms = np.zeros((layout.n_buckets, 5, 5))
     repeats = np.array([e.repeats for e in plan.entries])[:, None, None]
-    np.add.at(Ms, layout.bucket_of(q[:, 1]),
-              _information(_frames(model, q), [e.wrench for e in plan.entries], repeats))
+    bucket = layout.bucket_of(q[:, 1])
+    A = _rows(_frames(model, q), [e.wrench for e in plan.entries])
+    X = np.sqrt(repeats) * A
+    for b, q2 in enumerate(layout.bucket_q2_rad):   # factor_regressor's rank rule
+        s = np.linalg.svd(X[bucket == b].reshape(-1, 5), compute_uv=False)
+        if not (s.size == 5 and (s > RANK_TOL * s[0]).all()):
+            raise IdentifiabilityError(
+                f"rank-deficient information for joint-2 bucket at {math.degrees(q2):.2f} "
+                f"deg: a singular value of its sensitivity rows is below {RANK_TOL:g} of "
+                "the largest, so the plan does not excite every compliance there")
+    Ms = np.zeros((layout.n_buckets, 5, 5))
+    np.add.at(Ms, bucket, repeats * (A.swapaxes(-1, -2) @ A))   # as _information
     t = _bucket_variance(Ms, A0)
     singular = np.flatnonzero(t == math.inf)
     if singular.size:

@@ -43,7 +43,8 @@ def _vec3(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 3-vector of numbers") from None
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    a, b, c = v.tolist()
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -87,7 +88,7 @@ class JointSpec:
             rpy if rpy is not None else np.zeros(3), "link_rotation_rpy_rad"))
         com = self.com_mm if self.com_mm is not None else 0.5 * self.link_translation_mm
         object.__setattr__(self, "com_mm", _vec3(com, "com_mm"))
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
+        if abs(math.sqrt(self.axis @ self.axis) - 1.0) > 1e-12:
             raise ValueError("axis must have unit norm")
         _finite_floats(self, "compliance_rad_per_Nmm", "mass_kg")
         if self.compliance_rad_per_Nmm < 0.0:
@@ -145,16 +146,19 @@ class ManipulatorModel:
         self.gravity = _vec3(g, "gravity")
         self.markers = tuple(_vec3(m, f"markers[{i}]") for i, m in enumerate(self.markers))
         # Pre-build the fixed transforms: six links, then base and tool.
-        fixed_R = rot_rpy(np.stack([j.link_rotation_rpy_rad for j in self.joints]
+        fixed_R = rot_rpy(np.array([j.link_rotation_rpy_rad for j in self.joints]
                                    + [self.base.rotation_rpy_rad, self.tool.rotation_rpy_rad]))
         self._link_R = fixed_R[:6]
         # a link rotation that is exactly the identity is not multiplied in
-        self._link_turns = tuple(not (R == _EYE3).all() for R in self._link_R)
-        self._link_p = np.stack([j.link_translation_mm for j in self.joints])
-        self._axes = np.stack([j.axis for j in self.joints])
-        # Constant Rodrigues terms of each axis k (see transforms.rot_axis).
-        self._axis_K = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
-                                 for x, y, z in self._axes])
+        self._link_turns = tuple((self._link_R != _EYE3).any(axis=(1, 2)).tolist())
+        self._link_p = np.array([j.link_translation_mm for j in self.joints])
+        self._axes = np.array([j.axis for j in self.joints])
+        # Constant Rodrigues terms of each axis k (see transforms.rot_axis):
+        # K = [[0, -z, y], [z, 0, -x], [-y, x, 0]]
+        zxy = self._axes[:, [2, 0, 1]]
+        self._axis_K = np.zeros((6, 3, 3))
+        self._axis_K[:, [1, 2, 0], [0, 1, 2]] = zxy
+        self._axis_K[:, [0, 1, 2], [1, 2, 0]] = -zxy
         self._axis_kk = self._axes[:, :, None] * self._axes[:, None, :]
         self._R_base = fixed_R[6]
         self._p_base = self.base.translation_mm
@@ -295,9 +299,9 @@ class NodeLoading:
         if w.shape != (7, 6):
             raise ValueError(f"wrenches must have shape (7, 6), got {w.shape}")
         self.wrenches = w
-        self.loaded_nodes = tuple(j for j in range(1, 7) if w[j].any())
         # gathered by _loaded_jacobians at every chain state
-        self._nodes = np.array(self.loaded_nodes, dtype=int)
+        self._nodes = np.flatnonzero(w[1:].any(axis=1)) + 1
+        self.loaded_nodes = tuple(self._nodes.tolist())
         self._node_wrenches = w[self._nodes]
 
 
@@ -312,17 +316,18 @@ def gravity_loading(model: ManipulatorModel) -> NodeLoading:
     and gravity is constant in the base frame -- so no pose is taken; the
     application points do move, and that is captured by the node Jacobians.
     """
+    m = np.array([j.mass_kg for j in model.joints])
+    p = model._link_p[:, :, None]
+    # the stacked dot products take the same (BLAS) path as one link's p @ p
+    L2 = (p.swapaxes(-1, -2) @ p)[:, 0, 0]
+    com_p = (np.array([j.com_mm for j in model.joints])[:, None, :] @ p)[:, 0, 0]
+    # a zero-length link splits evenly, and so does a massless one: its zero
+    # weight then adds +-0 to sums that are never -0, which changes no bit
+    t = np.divide(com_p, L2, out=np.full(6, 0.5), where=(L2 > 0.0) & (m != 0.0))[:, None]
+    w = m[:, None] * model.gravity
     W = np.zeros((7, 6))
-    g = model.gravity
-    for i, joint in enumerate(model.joints):
-        if joint.mass_kg == 0.0:
-            continue
-        w = joint.mass_kg * g
-        p_link = joint.link_translation_mm
-        L2 = float(p_link @ p_link)
-        t = float(joint.com_mm @ p_link) / L2 if L2 > 0.0 else 0.5
-        W[i + 1, :3] += t * w          # distal node i+1 (node index i+1)
-        W[i, :3] += (1.0 - t) * w      # proximal node i
+    W[1:, :3] += t * w             # distal node i+1 of link i
+    W[:6, :3] += (1.0 - t) * w     # proximal node i
     return NodeLoading(W)
 
 

@@ -597,3 +597,21 @@ def load_marker_csv_loop(path):
 
     with mock.patch.object(geometry_id, "read_table", columns):
         return geometry_id.load_marker_csv(path)
+
+
+def gravity_loading_loop(model):
+    """:func:`stiffcal.robot.gravity_loading`'s node wrenches (7, 6), one
+    link at a time: each link's weight split between its end nodes by the
+    lever rule, a massless link skipped, a zero-length link split evenly."""
+    W = np.zeros((7, 6))
+    g = model.gravity
+    for i, joint in enumerate(model.joints):
+        if joint.mass_kg == 0.0:
+            continue
+        w = joint.mass_kg * g
+        p_link = joint.link_translation_mm
+        L2 = float(p_link @ p_link)
+        t = float(joint.com_mm @ p_link) / L2 if L2 > 0.0 else 0.5
+        W[i + 1, :3] += t * w
+        W[i, :3] += (1.0 - t) * w
+    return W

@@ -306,6 +306,40 @@ class TestAccuracyMetric:
         with pytest.raises(IdentifiabilityError, match=r"bucket at -0\.01 deg"):
             pose_accuracy(model, plan, test_pose, NOISE)
 
+    def test_rank_deficient_bucket_raises(self, model, test_pose):
+        """Three single-configuration buckets with the wrist all but straight:
+        every block's sigma_min / sigma_max is about 1e-12, below the
+        identification's RANK_TOL, so the first bucket is named, although
+        each trace comes out positive (rho0 read 2.6e8 mm before the rule)."""
+        plan = CalibrationPlan(tuple(
+            PlanEntry((0.3, math.radians(b), 0.2, 0.5, 1e-9, 0.1), test_pose.wrench, 3)
+            for b in (-25.24, -56.9, -99.85)))
+        q = np.array([e.q_rad for e in plan.entries])
+        for block in np.sqrt(3.0) * sensitivity_rows(model, q, test_pose.w):
+            s = np.linalg.svd(block, compute_uv=False)
+            assert s[-1] <= 1e-10 * s[0]
+        A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
+        info = _information(_frames(model, q), test_pose.w, 3)
+        assert (_bucket_variance(info, A0) > 0).all()
+        with pytest.raises(IdentifiabilityError,
+                           match=r"rank-deficient information for joint-2 bucket at -25\.24 deg"):
+            pose_accuracy(model, plan, test_pose, NOISE)
+
+    def test_rank_rule_stacks_each_bucket_rows(self, model, test_pose):
+        """A bucket passes when its configurations' rows together have full
+        rank, though the first alone has not: the rule reads the stacked
+        rows of the bucket, not its entries one by one."""
+        wrist = [(0.3, 0.2, 0.5, 1e-9, 0.1), (1.2, -0.7, 1.9, 1.1, -2.0),
+                 (-0.9, 0.6, -1.3, 0.7, 2.4)]
+        plan = CalibrationPlan(tuple(
+            PlanEntry((q1, math.radians(b), q3, q4, q5, q6), test_pose.wrench, 3)
+            for b in (-0.01, -56.9, -140.0) for q1, q3, q4, q5, q6 in wrist))
+        acc = pose_accuracy(model, plan, test_pose, NOISE)
+        assert math.isfinite(acc.rho0_mm)
+        single = CalibrationPlan(plan.entries[:1] + plan.entries[4:])
+        with pytest.raises(IdentifiabilityError, match=r"bucket at -0\.01 deg"):
+            pose_accuracy(model, single, test_pose, NOISE)
+
     def test_monte_carlo_agreement_small(self, model, test_pose):
         """rho0^2 equals the simulated estimator error within MC tolerance.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pathlib
 import re
 import textwrap
@@ -6,9 +7,14 @@ import textwrap
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stiffcal.cli import main
+from stiffcal.compensator import CompensatorElastics, CompensatorGeometry, CompensatorParams
 from stiffcal.errors import ModelFileError
-from stiffcal.modelfile import load_model
+from stiffcal.modelfile import _read, load_model
+from stiffcal.robot import FrameSpec, JointSpec, ManipulatorModel
 
 MINIMAL = textwrap.dedent("""\
     joints:
@@ -154,6 +160,164 @@ def test_pure_python_loader_gives_the_same_model(model_path, monkeypatch):
     assert np.array_equal(fast.gravity, slow.gravity)
     assert np.array_equal(fast.tool.translation_mm, slow.tool.translation_mm)
     assert fast.compensator == slow.compensator
+
+
+def _parsed_values(model) -> dict:
+    """The model's values as read from its file, each as bytes: every joint
+    field, the markers, gravity, base, tool and the compensator's fields."""
+    out = {}
+    for i, j in enumerate(model.joints):
+        for f in dataclasses.fields(j):
+            out[f"joints[{i}].{f.name}"] = np.asarray(getattr(j, f.name)).tobytes()
+    out["markers"] = np.array(model.markers).tobytes()
+    out["gravity"] = model.gravity.tobytes()
+    for frame in ("base", "tool"):
+        for f in dataclasses.fields(FrameSpec):
+            out[f"{frame}.{f.name}"] = getattr(getattr(model, frame), f.name).tobytes()
+    comp = model.compensator
+    for part in () if comp is None else (comp.geometry, comp.elastics):
+        for f in dataclasses.fields(part):
+            out[f"compensator.{f.name}"] = np.float64(getattr(part, f.name)).tobytes()
+    return out
+
+
+def _same_model(a, b) -> None:
+    """``a`` and ``b`` hold the same values and derived arrays, bit for bit."""
+    assert _parsed_values(a) == _parsed_values(b)
+    assert a.compensator == b.compensator
+    for name in ("_link_R", "_link_p", "_axes", "_axis_K", "_axis_kk", "_R_base", "_R_tool",
+                 "_joint_stiffness"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a._link_turns == b._link_turns
+    assert a._gravity_loading.wrenches.tobytes() == b._gravity_loading.wrenches.tobytes()
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """The loader class ``load_model`` composes with: libyaml's, or, with
+    ``yaml.CSafeLoader`` removed, PyYAML's pure-Python safe loader."""
+    if request.param == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML without libyaml")
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def test_reference_model_is_the_safe_load_build(model_path, yaml_loader):
+    """The walked document builds the model that ``yaml.safe_load``'s
+    document builds through the model types, bit for bit; its parsed values
+    are the ones the model file has always given (a pinned digest)."""
+    doc = yaml.safe_load(model_path.read_text())
+    comp = doc["compensator"]
+    want = ManipulatorModel(
+        joints=[JointSpec(**j) for j in doc["joints"]], tool=FrameSpec(**doc["tool"]),
+        markers=doc["markers"], gravity=doc["gravity"],
+        compensator=CompensatorParams(
+            CompensatorGeometry(**{k: comp[k] for k in ("L_mm", "ax_mm", "ay_mm")}),
+            CompensatorElastics(**{k: comp[k] for k in ("Kc_N_per_mm", "s0_mm")})))
+    got = load_model(model_path)
+    _same_model(got, want)
+    values = _parsed_values(got)
+    digest = hashlib.sha256(b"".join(k.encode() + v for k, v in sorted(values.items())))
+    assert digest.hexdigest() == (
+        "801b0e16966976a1b9ca99e3a7d0e57c50e1746ccde9c2ecd3d285b2f38680d8")
+
+
+def test_merge_key_and_aliased_list_give_the_written_out_model(tmp_path, yaml_loader):
+    aliased = MINIMAL.replace(
+        "- {axis: [0, 1, 0], link_translation_mm: [1150, 0, 0], compliance_rad_per_Nmm: 3.0e-10}",
+        "- &j2 {axis: &y [0, 1, 0], link_translation_mm: [1150, 0, 0], "
+        "compliance_rad_per_Nmm: 3.0e-10}").replace(
+        "- {axis: [0, 1, 0], link_translation_mm: [1000, 0, 41], compliance_rad_per_Nmm: 4.0e-10}",
+        "- {<<: *j2, link_translation_mm: [1000, 0, 41], compliance_rad_per_Nmm: 4.0e-10}"
+    ).replace("- {axis: [0, 1, 0], link_translation_mm: [0, 0, 0]",
+              "- {axis: *y, link_translation_mm: [0, 0, 0]")
+    assert aliased.count("*") == 2 and "<<" in aliased
+    _same_model(load_model(_write(tmp_path, aliased, "aliased.yaml")),
+                load_model(_write(tmp_path, MINIMAL)))
+
+
+def test_recursive_alias_is_refused_naming_its_line(tmp_path, yaml_loader, capsys):
+    path = _write(tmp_path, MINIMAL + "markers: [&r [120.0, 0.0, *r]]\n")
+    with pytest.raises(ModelFileError, match=r"(?s)recursive alias.*line 8, column 11"):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--q=0,-45,0,0,0,0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "recursive alias" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_is_refused(tmp_path, yaml_loader):
+    path = _write(tmp_path, MINIMAL + "markers: " + "[" * 5000 + "1" + "]" * 5000 + "\n")
+    with pytest.raises(ModelFileError, match=r"YAML parse error"):
+        load_model(path)
+
+
+def test_unhashable_key_is_a_parse_error(tmp_path, yaml_loader):
+    with pytest.raises(ModelFileError, match=r"(?s)YAML parse error.*unhashable key"):
+        load_model(_write(tmp_path, MINIMAL + "? [1, 2] : 3\n"))
+
+
+@pytest.mark.parametrize("value", ["2001-12-14", "!!binary aGVsbG8="])
+def test_tagged_mass_is_not_a_number(tmp_path, yaml_loader, value):
+    text = MINIMAL.replace("compliance_rad_per_Nmm: 2.5e-10}",
+                           f"compliance_rad_per_Nmm: 2.5e-10, mass_kg: {value}}}")
+    with pytest.raises(ModelFileError, match=r"joints\[0\]: mass_kg must be a number"):
+        load_model(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["!!bool maybe", "!!float abc", "!!int 0x"])
+def test_tagged_value_pyyaml_cannot_read_is_a_parse_error(tmp_path, yaml_loader, value):
+    text = MINIMAL.replace("compliance_rad_per_Nmm: 2.5e-10}",
+                           f"compliance_rad_per_Nmm: 2.5e-10, mass_kg: {value}}}")
+    with pytest.raises(ModelFileError, match=r"YAML parse error"):
+        load_model(_write(tmp_path, text))
+
+
+def test_yaml_1_1_numbers_read_as_pyyaml_reads_them(tmp_path, yaml_loader):
+    """Octal ints, underscores and sexagesimal floats take PyYAML's reading."""
+    text = MINIMAL.replace(
+        "compliance_rad_per_Nmm: 2.5e-10}", "compliance_rad_per_Nmm: 2.5e-10, mass_kg: 1_000.5}"
+    ).replace(
+        "compliance_rad_per_Nmm: 3.0e-10}", "compliance_rad_per_Nmm: 3.0e-10, mass_kg: 010}"
+    ) + textwrap.dedent("""\
+        compensator: {L_mm: 3:05.0, ax_mm: 2_5.0, ay_mm: 695.0, Kc_N_per_mm: 6e3,
+                      s0_mm: 7:38.0, q2_sign: 01}
+        """)
+    doc = yaml.safe_load(text)
+    model = load_model(_write(tmp_path, text))
+    masses = [j["mass_kg"] for j in doc["joints"][:2]]
+    assert [j.mass_kg for j in model.joints[:2]] == masses == [1000.5, 8]
+    comp = doc["compensator"]
+    geo, el = model.compensator.geometry, model.compensator.elastics
+    assert (geo.L_mm, geo.ax_mm, el.s0_mm) == (comp["L_mm"], comp["ax_mm"], comp["s0_mm"])
+    assert (geo.L_mm, geo.ax_mm, el.s0_mm) == (185.0, 25.0, 458.0)
+    assert comp["q2_sign"] == geo.q2_sign == 1
+
+
+_DOCS = st.recursive(
+    st.floats(allow_nan=False) | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=8) | st.integers(), inner, max_size=4),
+    max_leaves=30)
+
+
+@pytest.mark.parametrize("yaml_loader", [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=pytest.mark.skipif(
+        not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")),
+    pytest.param(yaml.SafeLoader, id="pure-python")])
+@given(doc=_DOCS)
+@settings(max_examples=150, deadline=None)
+def test_walked_document_is_the_safe_load_document(yaml_loader, doc):
+    """Documents of nested maps, lists, floats, ints and strings, written by
+    ``yaml.safe_dump``, walk into what the safe loaders construct: equal
+    values of equal types, signed zeros and infinities included."""
+    text = yaml.safe_dump(doc)
+    loader = yaml_loader(text)
+    try:
+        walked = _read(loader)
+    finally:
+        loader.dispose()
+    assert repr(walked) == repr(yaml.safe_load(text)) == repr(yaml.load(text, yaml_loader))
 
 
 @pytest.mark.parametrize("libyaml", [True, False])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (fd_hessian, fd_jacobian, hessian_theta_loop, load_torques_loop,
-                     node_jacobian_loop, planar_2r_force_hessian, point_jacobian_loop)
+from oracles import (fd_hessian, fd_jacobian, gravity_loading_loop, hessian_theta_loop,
+                     load_torques_loop, node_jacobian_loop, planar_2r_force_hessian,
+                     point_jacobian_loop)
 from stiffcal.robot import (FrameSpec, JointSpec, ManipulatorModel, NodeLoading,
                             _cross, _loaded_jacobians, _point_jacobian, chain_state, fk,
                             gravity_loading, hessian_theta, load_torques)
@@ -133,6 +134,42 @@ def test_gravity_loading_conserves_weight(model):
     load = gravity_loading(model)
     total = sum(j.mass_kg for j in model.joints) * np.asarray(model.gravity)
     assert np.allclose(load.wrenches[:, :3].sum(axis=0), total, rtol=1e-12)
+
+
+def test_model_terms_match_per_joint_loops_bit_for_bit():
+    """On 200 seeded random models, with massless links, zero-length links
+    (t = 0.5), massless links whose split fraction would overflow, default
+    centres of mass and a random half of the link rotations zero, the
+    stacked build gives the per-joint loops' node wrenches, loaded nodes,
+    Rodrigues cross-product terms and turned links, bit for bit."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        links = rng.uniform(-500.0, 500.0, (6, 3)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+        links[rng.random(6) < 0.25] = 0.0
+        links[seed % 6] = 0.0                   # a zero-length link ...
+        mass = rng.uniform(0.0, 400.0, 6)
+        mass[rng.random(6) < 0.25] = 0.0
+        mass[seed % 6] = 10.0                   # ... that carries a weight
+        mass[(seed + 1) % 6] = 0.0
+        coms = list(rng.uniform(-300.0, 300.0, (6, 3)))
+        for i in np.flatnonzero(rng.random(6) < 0.3):
+            coms[i] = None                      # mid-link
+        if seed % 10 == 0:                      # com . p / |p|^2 = 1e310 on a massless link
+            links[(seed + 1) % 6], coms[(seed + 1) % 6] = [1e-150, 0.0, 0.0], [1e160, 0.0, 0.0]
+        axes = rng.normal(size=(6, 3))
+        axes[rng.random(6) < 0.3] = np.eye(3)[rng.integers(0, 3)]
+        joints = [JointSpec(axis=a / np.linalg.norm(a), link_translation_mm=p,
+                            link_rotation_rpy_rad=rng.uniform(-3.0, 3.0, 3) * (rng.random() < 0.5),
+                            compliance_rad_per_Nmm=1e-9, mass_kg=mk, com_mm=c)
+                  for a, p, mk, c in zip(axes, links, mass, coms)]
+        m = ManipulatorModel(joints=joints, gravity=rng.normal(0.0, 10.0, 3))
+        W = gravity_loading_loop(m)
+        load = gravity_loading(m)
+        assert load.wrenches.tobytes() == W.tobytes()
+        assert load.loaded_nodes == tuple(j for j in range(1, 7) if W[j].any())
+        assert m._axis_K.tobytes() == np.array(
+            [[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in m._axes]).tobytes()
+        assert m._link_turns == tuple(not (R == np.eye(3)).all() for R in m._link_R)
 
 
 def test_gravity_torques_vs_potential_gradient(model):
