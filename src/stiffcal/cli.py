@@ -232,10 +232,11 @@ def _cmd_elasto_ident(args) -> Result:
     params = [{"name": lab, "value": val, "ci3": _or_null(half), "ci3_percent": _or_null(pct)}
               for lab, val, half, pct in zip(ci.labels, ci.values, ci.halfwidth3, ci.percent)]
     lay = est.fit.layout
+    K2 = est.fit.joint2_stiffnesses()
     payload = {
         "parameters": params,
         "joint2_buckets_deg": [math.degrees(b) for b in lay.bucket_q2_rad],
-        "joint2_stiffness_Nmm_per_rad": list(est.fit.joint2_stiffnesses()),
+        "joint2_stiffness_Nmm_per_rad": list(K2),
         "stage1_sigma_mm": est.fit.sigma_hat_mm,
         "stage1_condition": est.fit.lsq.condition,
         "stage1_labels": list(est.fit.labels),
@@ -245,7 +246,6 @@ def _cmd_elasto_ident(args) -> Result:
         "ci_samples": ci.n_samples,
         "ci_failed": ci.n_failed,
     }
-    K2 = est.fit.joint2_stiffnesses()
     rows = []
     for b, q2 in enumerate(lay.bucket_q2_rad):
         rows.append((math.degrees(q2), "K2_measured", K2[b]))

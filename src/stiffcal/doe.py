@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elasto_id import RANK_TOL, ParameterLayout
+from .elasto_id import RANK_TOL, LeastSquares, ParameterLayout
 from .errors import DataLayoutError, IdentifiabilityError
 from .robot import ManipulatorModel, chain_state, _cross, _marker_points, _point_jacobian
 from .tables import read_table, write_table
@@ -314,14 +314,14 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
     """Predicted-deflection variance at ``test`` implied by the plan.
 
     rho0^2 = sigma^2 * sum_j trace(A0 M_j^-1 A0^T) over joint-2 buckets,
-    where M_j is the information each bucket accumulates about its reduced
-    parameter vector and A0 maps that vector to the tool deflection at the
+    where M_j = X_j^T X_j is the information of bucket j's stacked
+    sensitivity rows X_j, each scaled by sqrt(repeats), about its reduced
+    parameter vector, and A0 maps that vector to the tool deflection at the
     test pose.  Duplicating the plan doubles every M_j and halves rho0^2.
-    A bucket fails the identification's rank rule when the singular values
-    of its stacked sensitivity rows, each scaled by sqrt(repeats), are not
-    all above ``RANK_TOL`` of the largest; the first such bucket, or one
-    whose M_j is singular or whose trace comes out negative, raises
-    ``IdentifiabilityError``.
+    Each X_j is factored once (:class:`stiffcal.elasto_id.LeastSquares`).
+    The first bucket whose ``rank`` is below 5 (the identification's rule)
+    raises ``IdentifiabilityError``; any other's term is sigma^2 ||A0 root||^2,
+    read from the same SVD (M_j^-1 = root root^T).
     """
     layout = plan.layout()
     if layout.n_buckets < 3:
@@ -331,27 +331,19 @@ def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
             stacklevel=2)
     A0 = sensitivity_rows(model, test.q, test.w, tool_only=True)
     q = np.array([e.q_rad for e in plan.entries])
-    repeats = np.array([e.repeats for e in plan.entries])[:, None, None]
+    weight = np.sqrt([e.repeats for e in plan.entries])[:, None, None]
     bucket = layout.bucket_of(q[:, 1])
-    A = _rows(_frames(model, q), [e.wrench for e in plan.entries])
-    X = np.sqrt(repeats) * A
-    for b, q2 in enumerate(layout.bucket_q2_rad):   # factor_regressor's rank rule
-        s = np.linalg.svd(X[bucket == b].reshape(-1, 5), compute_uv=False)
-        if not (s.size == 5 and (s > RANK_TOL * s[0]).all()):
+    X = weight * _rows(_frames(model, q), [e.wrench for e in plan.entries])
+    per_bucket = []
+    for b, q2 in enumerate(layout.bucket_q2_rad):
+        lsq = LeastSquares(X[bucket == b].reshape(-1, 5))
+        if lsq.rank < 5:   # factor_regressor's rank rule
             raise IdentifiabilityError(
                 f"rank-deficient information for joint-2 bucket at {math.degrees(q2):.2f} "
                 f"deg: a singular value of its sensitivity rows is below {RANK_TOL:g} of "
                 "the largest, so the plan does not excite every compliance there")
-    Ms = np.zeros((layout.n_buckets, 5, 5))
-    np.add.at(Ms, bucket, repeats * (A.swapaxes(-1, -2) @ A))   # as _information
-    t = _bucket_variance(Ms, A0)
-    singular = np.flatnonzero(t == math.inf)
-    if singular.size:
-        raise IdentifiabilityError(
-            f"singular information matrix for joint-2 bucket at "
-            f"{math.degrees(layout.bucket_q2_rad[singular[0]]):.2f} deg: the plan "
-            "does not excite every compliance there")
-    per_bucket = (noise.sigma_mm**2 * t).tolist()
+        Y = A0 @ lsq.root
+        per_bucket.append(noise.sigma_mm**2 * float(np.sum(Y * Y)))
     rho_sq = sum(per_bucket)
     return TestPoseAccuracy(rho0_sq_mm2=rho_sq, rho0_mm=math.sqrt(rho_sq),
                             per_bucket_mm2=tuple(per_bucket),

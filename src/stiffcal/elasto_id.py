@@ -234,6 +234,11 @@ class LeastSquares:
         return float(self.s[0] / self.s[-1])
 
     @property
+    def rank(self) -> int:
+        """Singular values above ``RANK_TOL`` of the largest (0 without rows)."""
+        return int(np.sum(self.s > RANK_TOL * self.s.max(initial=0.0)))
+
+    @property
     def root(self) -> np.ndarray:
         """``V / s`` (p, p): the solution's covariance is sigma^2 root root^T."""
         return self.Vt.T / self.s
@@ -249,7 +254,7 @@ def factor_regressor(B: np.ndarray, layout: ParameterLayout) -> LeastSquares:
     above ``RANK_TOL`` of the largest.  ``B`` itself is factored: the same
     cut on ``B^T B`` would sit at 1e-20, below double rounding."""
     lsq = LeastSquares(B)
-    rank = int(np.sum(lsq.s > RANK_TOL * lsq.s[0]))
+    rank = lsq.rank
     p = layout.n_params
     if rank < p:
         null = np.linalg.svd(B)[2][rank:].T   # all of V: B may have < p rows

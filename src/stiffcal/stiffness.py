@@ -23,9 +23,9 @@ Hessian, so finite-difference probes of the solver reproduce it.
 
 Terms taken at one chain state share one loaded-Jacobian stack
 (:mod:`stiffcal.robot`): the primal's ``K_th - H`` and its torques at
-theta = 0, and the stiffness's ``H`` and its tool Jacobian ``J``, which it
-reads from the stack the solve ended on, with the joint stiffnesses the
-solve used.
+theta = 0, the dual's tool Jacobian and gravity torques at each state, and
+the stiffness's ``H`` and ``J``, read from the stack either solve ended on,
+with the joint stiffnesses the solve used.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ import numpy as np
 from .compensator import CompensatorParams, equivalent_joint_stiffness
 from .doe import sensitivity_rows
 from .errors import ConvergenceError, SingularConfigurationError
-from .robot import (ManipulatorModel, Pose, chain_state, load_torques, _hessian,
-                    _loaded_jacobians, _point_jacobian, _torques)
+from .robot import (ManipulatorModel, Pose, chain_state, _hessian, _loaded_jacobians,
+                    _point_jacobian, _torques)
 from .transforms import dot_rows, pose_difference, rot_from_rotvec
 
 _POSITION_TOL_MM = 1e-9
@@ -249,10 +249,13 @@ def _solve_dual(model, compensator, q, K, target: Pose) -> EquilibriumState:
     iterations = 0
     pos_res = np.inf
     st = chain_state(model, q, theta)
+    # one stack per chain state: its last entry is the tool Jacobian, its
+    # node entries give the gravity torques; the last one is kept
+    Js, W = _loaded_jacobians(st, loading, F)
     for iterations in range(1, _MAX_ITER + 1):
-        J = _point_jacobian(st, st.tool_p)
+        J = Js[-1]
         _check_jacobian(J)
-        tau_G = load_torques(st, loading, None)
+        tau_G = _torques(Js[:-1], W[:-1])
         # J^T scaled by 1/K: the bits of OpenBLAS's solve against np.diag(K)
         A = J @ (J.T * (1.0 / K)[:, None])
         twist = pose_difference(target.p, target.R, st.tool_p, st.tool_R)
@@ -262,16 +265,16 @@ def _solve_dual(model, compensator, q, K, target: Pose) -> EquilibriumState:
         step = float(np.linalg.norm(theta_next - theta))
         theta = theta_next
         st = chain_state(model, q, theta)
+        Js, W = _loaded_jacobians(st, loading, F)
         pos_res = float(np.linalg.norm(target.p - st.tool_p))
         if step < _THETA_TOL_RAD or pos_res < _POSITION_TOL_MM:
             converged = True
             break
-    J, W = _loaded_jacobians(st, loading, F)
-    res = float(_wrench_residual_rel(K, theta, _torques(J, W)))
+    res = float(_wrench_residual_rel(K, theta, _torques(Js, W)))
     return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
                             converged=converged, iterations=iterations,
                             residual_position_mm=pos_res,
-                            residual_wrench_rel=res)._ended_on(model, compensator, K, J, W)
+                            residual_wrench_rel=res)._ended_on(model, compensator, K, Js, W)
 
 
 def cartesian_stiffness(model: ManipulatorModel, compensator: Optional[CompensatorParams],

@@ -342,6 +342,14 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
     return plan, acc.rho0_sq_mm2, tuple(start_values), n_eval
 
 
+def bucket_variance_qr(X, A0):
+    """trace(A0 (X^T X)^-1 A0^T) as ||A0 R^-1||^2, with R the triangular QR
+    factor of the rows ``X``: no SVD and no information matrix."""
+    R = np.linalg.qr(X, mode="r")
+    Y = np.linalg.solve(R.T, A0.T)
+    return float(np.sum(Y * Y))
+
+
 def solve_primal_loop(model, compensator, q, tool_wrench=None):
     """One pose's damped fixed point, as the solver ran before it took stacks,
     under the model's gravity and the solver's iteration cap:
@@ -379,6 +387,50 @@ def solve_primal_loop(model, compensator, q, tool_wrench=None):
             converged = True
             break
     return theta, iterations, converged, res, halvings
+
+
+def solve_dual_loop(model, compensator, q, K, target):
+    """The dual solve as it ran before it read each chain state's one
+    loaded-Jacobian stack: the tool Jacobian and the gravity torques of each
+    iteration from their own calls, and the stack of the returned state
+    built again after the loop.  Takes and gives what
+    :func:`stiffcal.stiffness._solve_dual` does."""
+    from stiffcal.robot import (Pose, chain_state, load_torques, _loaded_jacobians,
+                                _point_jacobian, _torques)
+    from stiffcal.stiffness import (EquilibriumState, _MAX_ITER, _POSITION_TOL_MM,
+                                    _THETA_TOL_RAD, _check_jacobian, _wrench_residual_rel)
+    from stiffcal.transforms import pose_difference
+
+    loading = model._gravity_loading
+    theta = np.zeros(6)
+    F = np.zeros(6)
+    converged = False
+    iterations = 0
+    pos_res = np.inf
+    st = chain_state(model, q, theta)
+    for iterations in range(1, _MAX_ITER + 1):
+        J = _point_jacobian(st, st.tool_p)
+        _check_jacobian(J)
+        tau_G = load_torques(st, loading, None)
+        # J^T scaled by 1/K: the bits of OpenBLAS's solve against np.diag(K)
+        A = J @ (J.T * (1.0 / K)[:, None])
+        twist = pose_difference(target.p, target.R, st.tool_p, st.tool_R)
+        rhs = twist + J @ theta - J @ (tau_G / K)
+        F = np.linalg.solve(A, rhs)
+        theta_next = (tau_G + J.T @ F) / K
+        step = float(np.linalg.norm(theta_next - theta))
+        theta = theta_next
+        st = chain_state(model, q, theta)
+        pos_res = float(np.linalg.norm(target.p - st.tool_p))
+        if step < _THETA_TOL_RAD or pos_res < _POSITION_TOL_MM:
+            converged = True
+            break
+    J, W = _loaded_jacobians(st, loading, F)
+    res = float(_wrench_residual_rel(K, theta, _torques(J, W)))
+    return EquilibriumState(q=q, theta=theta, tool_wrench=F, pose=Pose(st.tool_p, st.tool_R),
+                            converged=converged, iterations=iterations,
+                            residual_position_mm=pos_res,
+                            residual_wrench_rel=res)._ended_on(model, compensator, K, J, W)
 
 
 def simulate_deflection_records_loop(model, plan, *, noise_mm=0.0, seed=0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import optimize_plan_sequential, sensitivity_rows_loop
+from oracles import bucket_variance_qr, optimize_plan_sequential, sensitivity_rows_loop
 from plans import BUCKETS_DEG, LIMITS_DEG, TEST_Q_DEG, replicated, spread_plan
 from record_tables import table
 from stiffcal import doe
@@ -247,22 +247,52 @@ class TestAccuracyMetric:
         assert np.array_equal(_bucket_variance(Ms, A0), expected)
 
     def test_information_matches_per_entry_rows(self, model, plan, test_pose):
-        """The plan-wide row stack accumulates each entry's own rows, wrench
-        and repeats, bucket by bucket in entry order."""
+        """Each bucket's term is read from the SVD of its entries' own rows,
+        each scaled by the square root of its repeats under its own wrench,
+        stacked in entry order."""
         rng = np.random.default_rng(2)
         mixed = CalibrationPlan(tuple(
             PlanEntry(e.q_rad, tuple(rng.normal(0.0, 1e3, 6)), e.repeats + i % 2)
             for i, e in enumerate(plan.entries)))
         lay = mixed.layout()
-        ref = [np.zeros((5, 5)) for _ in range(lay.n_buckets)]
+        rows = [[] for _ in range(lay.n_buckets)]
         for e in mixed.entries:
-            A = sensitivity_rows(model, e.q, e.w)
-            ref[lay.bucket_of(e.q_rad[1])] += e.repeats * (A.T @ A)
+            rows[lay.bucket_of(e.q_rad[1])].append(
+                math.sqrt(e.repeats) * sensitivity_rows(model, e.q, e.w))
         A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
-        want = NOISE.sigma_mm**2 * _bucket_variance(np.array(ref), A0)
+        want = []
+        for block in rows:
+            _, s, Vt = np.linalg.svd(np.vstack(block), full_matrices=False)
+            Y = A0 @ (Vt.T / s)
+            want.append(NOISE.sigma_mm**2 * float(np.sum(Y * Y)))
         acc = pose_accuracy(model, mixed, test_pose, NOISE)
         assert np.isfinite(want).all()
-        assert np.array(acc.per_bucket_mm2).tobytes() == want.tobytes()
+        assert np.array(acc.per_bucket_mm2).tobytes() == np.array(want).tobytes()
+
+    def test_ill_conditioned_buckets_match_a_qr_oracle(self, model, test_pose):
+        """Single-configuration buckets with the wrist nearly straight
+        (q5 = 1e-6 rad, each block's sigma_min / sigma_max 2.6e-10 to 1.2e-9)
+        pass the rank rule, and each term matches sigma^2 ||A0 R^-1||^2 of
+        the QR factor R of its rows to 1e-9: a solve against A^T A had
+        missed it by up to 6e-4."""
+        plan = CalibrationPlan(tuple(
+            PlanEntry((0.3, math.radians(b), 0.2, 0.5, 1e-6, 0.1), test_pose.wrench, 3)
+            for b in (-25.24, -56.9, -99.85)))
+        A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
+        acc = pose_accuracy(model, plan, test_pose, NOISE)
+        for e, got in zip(plan.entries, acc.per_bucket_mm2):
+            X = math.sqrt(e.repeats) * sensitivity_rows(model, e.q, e.w)
+            s = np.linalg.svd(X, compute_uv=False)
+            assert 1e-10 < s[-1] / s[0] < 2e-9
+            want = NOISE.sigma_mm**2 * bucket_variance_qr(X, A0)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_model_without_markers_is_refused(self, model, plan, test_pose):
+        """A model with no markers gives each bucket no rows: the rank rule
+        refuses the first bucket."""
+        bare = dataclasses.replace(model, markers=())
+        with pytest.raises(IdentifiabilityError, match="rank-deficient information"):
+            pose_accuracy(bare, plan, test_pose, NOISE)
 
     def test_replication_halves_exactly(self, model, plan, test_pose):
         acc1 = pose_accuracy(model, plan, test_pose, NOISE)
@@ -298,8 +328,8 @@ class TestAccuracyMetric:
 
     def test_near_singular_bucket_raises(self, model, test_pose):
         """One configuration per bucket with the wrist all but straight
-        (q5 = 1e-9 rad): the solve goes through, but the -0.01 deg bucket's
-        trace comes out negative, which must not pass for a tiny variance."""
+        (q5 = 1e-9 rad): the rank rule refuses the plan at the -0.01 deg
+        bucket, which must not pass for a tiny variance."""
         plan = CalibrationPlan(tuple(
             PlanEntry((0.3, math.radians(b), 0.2, 0.5, 1e-9, 0.1), test_pose.wrench)
             for b in (-0.01, -25.24, -140.0)))

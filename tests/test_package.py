@@ -1,4 +1,7 @@
-"""The package's exported names and the repository's CI workflow."""
+"""The package's exported names, the repository's CI workflow and the
+functions its benchmark times."""
+import importlib
+import json
 import os
 import re
 import types
@@ -31,4 +34,23 @@ def test_every_script_the_workflow_runs_exists():
              for path in re.findall(r"(?<![\w/.-])(?:scripts|bench)/[\w./-]+", run)}
     assert {"scripts/ci_summary.sh", "scripts/readme_block.sh"} <= paths
     missing = sorted(p for p in paths if not os.path.isfile(os.path.join(ROOT, p)))
+    assert missing == []
+
+
+def test_bench_layer_functions_exist():
+    """Each per-layer metric of ``BENCHMARK.json`` that times a function
+    (``<module>.<function>.calls``, ``.total_s`` or ``.self_s``) names a
+    function of ``stiffcal``: the traced bench run looks each one up by name,
+    so a function that is gone would stop it."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        layers = [m["name"] for m in json.load(fh)["per_layer"]]
+    timed = sorted({name.rpartition(".")[0] for name in layers
+                    if name.rpartition(".")[2] in ("calls", "total_s", "self_s")})
+    assert timed
+    missing = []
+    for name in timed:
+        module, _, function = name.rpartition(".")
+        fn = getattr(importlib.import_module(f"stiffcal.{module}"), function, None)
+        if not isinstance(fn, types.FunctionType):
+            missing.append(name)
     assert missing == []

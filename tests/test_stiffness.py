@@ -134,6 +134,55 @@ class TestEquilibrium:
         assert 0.0 <= dual.residual_position_mm < 1e-6
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except SingularConfigurationError as exc:
+        return type(exc), str(exc)
+
+
+class TestDualOneStackPerChainState:
+    @pytest.mark.parametrize("seed", [1, 7, 20131127])
+    def test_matches_the_loop_that_built_each_term_apart(self, model, comp, seed):
+        """On 64 seeded poses, each at its rigid pose and at that pose moved
+        by N(0, 0.5 mm), the dual reading one loaded-Jacobian stack per chain
+        state gives the bits of the solver that built the tool Jacobian, the
+        gravity torques and the final stack by their own calls: the state,
+        the stack it keeps, and the Cartesian stiffness read from that stack
+        and built again for a copy without it."""
+        rng = np.random.default_rng(seed)
+        lim = np.radians(LIMITS_DEG)
+        poses = rng.uniform(lim[:, 0], lim[:, 1], size=(64, 6))
+        shifts = rng.normal(0.0, 0.5, size=(64, 3))
+        for q, shift in zip(poses, shifts):
+            K = joint_stiffnesses(model, comp, q)
+            rigid = fk(model, q)
+            for target in (rigid, Pose(rigid.p + shift, rigid.R)):
+                got = _outcome(stiffness._solve_dual, model, comp, q, K, target)
+                want = _outcome(oracles.solve_dual_loop, model, comp, q, K, target)
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                for name in ("theta", "tool_wrench"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.pose.p.tobytes() == want.pose.p.tobytes()
+                assert got.pose.R.tobytes() == want.pose.R.tobytes()
+                for name in ("residual_position_mm", "residual_wrench_rel",
+                             "iterations", "converged"):
+                    assert getattr(got, name) == getattr(want, name), name
+                assert got._loaded[:2] == (model, comp)
+                for a, b in zip(got._loaded[2:], want._loaded[2:]):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                kc = _outcome(cartesian_stiffness, model, comp, got)
+                again = _outcome(cartesian_stiffness, model, comp,
+                                 dataclasses.replace(got))
+                if isinstance(again, tuple):
+                    assert kc == again
+                else:
+                    assert kc.matrix.tobytes() == again.matrix.tobytes()
+
+
 def _stiffness_formula(model, comp, st, tool_wrench):
     """``(J (K - H)^-1 J^T)^-1`` at ``st`` from ``hessian_theta`` and the tool
     point's own ``_point_jacobian``, symmetrized as ``cartesian_stiffness`` does."""
