@@ -14,8 +14,10 @@
 # its numbers relative to the largest base magnitude under the same JSON key
 # (list indices dropped) or in the same CSV column, with its JSON path or CSV
 # line and column, so a move in the trailing digits shows its size against
-# the largest value of its kind.  It says whether the two runs printed the
-# same lines.  It also runs
+# the largest value of its kind.  Numbers whose base and new magnitudes are
+# both below 1e-12 of the file's largest base magnitude are round-off; they
+# are left out of that ranking and counted.  It says whether the two runs
+# printed the same lines.  It also runs
 # the classes of bench/workloads.py on their tiny inputs, seed 1, once
 # through this checkout's src/ and once through the base's, and says for
 # each workload whether the digests of its payloads are the base's.
@@ -132,7 +134,7 @@ if [ -z "$changed" ]; then
     echo "Every output file is byte-identical, manifest.json aside."
 else
     printf 'Output files that differ, manifest.json aside:\n```\n%s\n```\n' "$changed"
-    echo "Largest change |this - base| / max |base| among the numbers of each differing JSON or CSV output, the max taken under the same JSON key (list indices dropped) or CSV column:"
+    echo "Largest change |this - base| / max |base| among the numbers of each differing JSON or CSV output, the max taken under the same JSON key (list indices dropped) or CSV column, numbers below 1e-12 of the file's largest |base| left out:"
     (cd "$tmp" && python - <<'PY'
 import csv, filecmp, json, math, os, re
 
@@ -182,13 +184,17 @@ for dirpath, _, names in sorted(os.walk("head/out")):
             v = number(y)
             if v is not None and math.isfinite(v):
                 scale[group] = max(scale.get(group, 0.0), abs(v))
-        worst, other = None, None
+        # numbers this far below the file's largest are round-off: not ranked
+        floor = 1e-12 * max(scale.values(), default=0.0)
+        worst, other, tiny = None, None, 0
         for where in list(was) + [w for w in this if w not in was]:
             (group, x), (_, y) = this.get(where, (None, None)), was.get(where, (None, None))
             u, v = number(x), number(y)
             if u is None or v is None or math.isnan(u) or math.isnan(v):
                 if repr(x) != repr(y) and other is None:
                     other = f"{where} (base {y!r}, this {x!r})"
+            elif u != v and abs(u) < floor and abs(v) < floor:
+                tiny += 1
             elif u != v:
                 rel = abs(u - v) / scale[group] if scale.get(group) else math.inf
                 if worst is None or rel > worst[0]:
@@ -198,7 +204,10 @@ for dirpath, _, names in sorted(os.walk("head/out")):
             line += f" {worst[0]:.3g} at {worst[1]} (base {worst[2]}, this {worst[3]})"
         if other:
             line += f"; the first non-numeric or missing value that differs is at {other}"
-        print(line if worst or other else line + " no value differs (the formatting does)")
+        if tiny:
+            line += (f"; {tiny} differing number(s) below 1e-12 of the file's largest"
+                     " |base| left out")
+        print(line if worst or other or tiny else line + " no value differs (the formatting does)")
 PY
     ) || echo "(the relative changes could not be computed)"
 fi

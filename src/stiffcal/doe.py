@@ -18,6 +18,15 @@ that joint's axis for every candidate angle, instead of rebuilding the
 whole chain.  One row builder reads a frames array, built from the chain or
 turned, for every sensitivity row: :func:`sensitivity_rows`, the search and
 the final plan's score.
+
+The search scores a stack of candidate buckets with one Cholesky call: each
+bucket's information M, bordered by the test pose's tool rows A0, factors as
+``[[L11, 0], [A0 L11^-T, L22]]``, and its term is the sum of squares of the
+border rows, never negative.  A bucket scores inf when its M is not positive
+definite, or when a pivot has ``L_ii^2 <= 1e-12 M_ii``.  A candidate is taken
+only when it lowers its bucket's term by more than 1e-12 relative.  The final
+plan's score reads each bucket from the SVD of its rows instead
+(:func:`test_pose_accuracy`).
 """
 
 from __future__ import annotations
@@ -294,19 +303,49 @@ def _information(F: np.ndarray, wrench, repeats) -> np.ndarray:
     return repeats * (A.swapaxes(-1, -2) @ A)
 
 
+# The border block's diagonal, far above any score the search keeps, and the
+# smallest pivot of a scored information, relative to its diagonal entry.
+_BORDER = 1e300
+_PIVOT_TOL = 1e-12
+
+
 def _bucket_variance(M: np.ndarray, A0: np.ndarray):
-    """trace(A0 M^-1 A0^T) of each bucket in the stack ``M`` (..., w, w); inf
-    where ``M`` is singular or so near singular that the trace comes out
-    negative or NaN."""
+    """trace(A0 M^-1 A0^T) of each bucket in the stack ``M`` (..., w, w).
+
+    One Cholesky factorization of the stack of bordered matrices
+    ``[[M, A0^T], [A0, beta I]]`` (``beta`` = ``_BORDER``) gives each
+    ``L = [[L11, 0], [A0 L11^-T, L22]]``; the score is the sum of squares of
+    the border rows ``A0 L11^-T``, so it is never negative.  A member scores
+    inf when it is not positive definite, or when a pivot of its ``M`` block
+    has ``L_ii^2 <= _PIVOT_TOL * M_ii``: near singular, so that the rounding
+    of ``M`` alone can move the trace by 1e-4 relative or more."""
+    w, k = M.shape[-1], A0.shape[0]
+    m = w + k
+    Z = np.zeros((M.size // (w * w), m, m))
+    Z[:, :w, :w] = M.reshape((-1, w, w))
+    Z[:, w:, :w] = A0
+    Z[:, :w, w:] = A0.T
+    diag = Z.reshape(-1, m * m)[:, ::m + 1]   # views of the diagonals
+    diag[:, w:] = _BORDER
+    L = _cholesky(Z)
+    pivot = L.reshape(-1, m * m)[:, :w * (m + 1):m + 1]
+    ok = (pivot * pivot > _PIVOT_TOL * diag[:, :w]).all(axis=-1)
+    B = L[:, w:, :w]
+    t = np.where(ok, np.einsum("nij,nij->n", B, B), math.inf)
+    return t.reshape(M.shape[:-2]) if M.ndim > 2 else t[0]
+
+
+def _cholesky(Z: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of the stack ``Z`` (n, m, m), NaN for each
+    member that is not positive definite: one call, or, when it refuses the
+    stack, one for each half in turn, down to the refused members alone."""
     try:
-        X = np.linalg.solve(M, np.broadcast_to(A0.T, M.shape[:-1] + A0.shape[:1]))
+        return np.linalg.cholesky(Z)
     except np.linalg.LinAlgError:
-        if M.ndim == 2:
-            return math.inf
-        flat = [_bucket_variance(m, A0) for m in M.reshape((-1,) + M.shape[-2:])]
-        return np.reshape(flat, M.shape[:-2])
-    t = np.sum(A0 * X.swapaxes(-1, -2), axis=(-2, -1))
-    return np.where(t >= 0, t, math.inf)
+        if len(Z) == 1:
+            return np.full_like(Z, math.nan)
+        h = len(Z) // 2
+        return np.concatenate((_cholesky(Z[:h]), _cholesky(Z[h:])))
 
 
 def test_pose_accuracy(model: ManipulatorModel, plan: CalibrationPlan,
@@ -433,9 +472,11 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
     refinement levels; joint 2 is pinned to its bucket angle, joint 1 keeps
     its random draw under a load along its axis, and the applied load is the
     gravity-direction wrench from ``constraints``.  Each (start, bucket)
-    descends on its own, taking a candidate that lowers its own term, and
-    stops at a level when a pass leaves it unchanged; each step (config,
-    joint) scores the grids of every one still descending as one stack.
+    descends on its own, taking the first lowest candidate when it lowers
+    its own term by more than 1e-12 relative, and stops at a level when a
+    pass leaves it unchanged; each step (config, joint) scores the grids of
+    every one still descending as one stack (:func:`_bucket_variance`: one
+    Cholesky factor per candidate, inf for a near-singular bucket).
     Deterministic for a fixed seed.  A bucket outside joint 2's limits,
     ``n_grid`` below 2, ``n_levels`` below 0 or another count below 1 raises
     ``ValueError``.
@@ -488,14 +529,14 @@ def optimize_plan(model: ManipulatorModel, test: TestPose,
                     M_try = np.repeat(Ms[active] - G[active, c], counts, axis=0) + G_try
                     t_try = _bucket_variance(M_try, A0)
                     # the first lowest candidate of each chain, taken when it
-                    # lowers the chain's own term
+                    # lowers the chain's own term by more than 1e-12 relative
                     chain = np.repeat(np.arange(active.size), counts)
                     low = np.full(active.size, math.inf)
                     np.minimum.at(low, chain, t_try)
                     first = np.full(active.size, t_try.size)
                     hit = np.flatnonzero(t_try == low[chain])
                     np.minimum.at(first, chain[hit], hit)
-                    moved = low < terms[active] * (1.0 - 1e-15)
+                    moved = low < terms[active] * (1.0 - 1e-12)
                     to, best = active[moved], first[moved]
                     configs[to, c], frames[to, c] = q_try[best], F_try[best]
                     G[to, c], Ms[to], terms[to] = G_try[best], M_try[best], t_try[best]

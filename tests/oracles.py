@@ -262,7 +262,8 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                              n_grid=7, n_levels=3, seed=0):
     """The plan search one start, one bucket, one config and one joint at a
     time, each bucket descending until a pass leaves it unchanged, q1
-    included whatever the load; returns ``(plan, rho0^2, start_values_mm2,
+    included whatever the load, a move taken when it lowers its bucket's
+    term by more than 1e-12 relative; returns ``(plan, rho0^2, start_values_mm2,
     n_evaluations)``."""
     import math
 
@@ -319,7 +320,7 @@ def optimize_plan_sequential(model, test, bucket_q2_rad, constraints, noise, *,
                             M_try = base_M + repeats * (A_try.swapaxes(1, 2) @ A_try)
                             t_try = _bucket_variance(M_try, A0)
                             best = int(np.argmin(t_try))
-                            if t_try[best] < terms[b] * (1.0 - 1e-15):
+                            if t_try[best] < terms[b] * (1.0 - 1e-12):
                                 configs[b][c] = q_try[best]
                                 rows[b][c] = A_try[best]
                                 Ms[b] = M_try[best]

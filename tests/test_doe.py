@@ -111,8 +111,8 @@ class TestSensitivityRows:
     def test_stack_matches_single_calls(self, model, include_joint1, tool_only):
         """A (2, 4) stack of poses, each with its own wrench (lateral forces
         and moments) or one shared wrench, gives each pose's rows bit for bit.
-        Every block is C-contiguous: ``_bucket_variance`` reduces in memory
-        order, so another layout can move rho0^2 in its last bits."""
+        Every block is C-contiguous: the information products read it in
+        memory order, so another layout can move rho0^2 in its last bits."""
         rng = np.random.default_rng(5)
         q = rng.uniform(-np.pi, np.pi, (2, 4, 6))
         w = np.concatenate([rng.normal(0.0, 800.0, (2, 4, 3)),
@@ -227,10 +227,104 @@ def test_candidate_grids_match_linspace(seed, n_grid, case, span_scale):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+def _rows_at_cond(rng, cond, n_rows=27):
+    """Random 5-column rows whose singular values run from 1 down to 1/cond."""
+    U = np.linalg.qr(rng.normal(size=(n_rows, 5)))[0]
+    V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    return (U * np.logspace(0.0, -math.log10(cond), 5)) @ V.T
+
+
+class TestBucketVariance:
+    """The search's stacked scorer, trace(A0 M^-1 A0^T) from one Cholesky
+    factor of each M bordered by the test-pose rows A0."""
+
+    A0 = np.random.default_rng(7).normal(size=(3, 5))
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
+    def test_matches_a_qr_oracle(self, cond):
+        """On rows at cond <= 100 (information at cond <= 1e4) every score is
+        within 1e-9 of ||A0 R^-1||^2 from the rows' QR factor R, stacked and
+        alone, and a stack scores each member as alone, bit for bit."""
+        rng = np.random.default_rng(int(cond))
+        X = np.array([_rows_at_cond(rng, cond) for _ in range(40)])
+        M = X.swapaxes(-1, -2) @ X
+        want = [bucket_variance_qr(x, self.A0) for x in X]
+        single = np.array([_bucket_variance(m, self.A0) for m in M])
+        np.testing.assert_allclose(single, want, rtol=1e-9, atol=0.0)
+        stacked = _bucket_variance(M.reshape(4, 10, 5, 5), self.A0)
+        assert stacked.shape == (4, 10)
+        assert stacked.reshape(-1).tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8, 1e9, 1e10])
+    def test_ill_conditioned_scores_are_never_negative(self, cond):
+        """Near-singular information gives a finite, non-negative score or
+        inf, never a negative score or NaN, and nothing raises."""
+        rng = np.random.default_rng(int(math.log10(cond)))
+        X = np.array([_rows_at_cond(rng, cond) for _ in range(100)])
+        t = _bucket_variance(X.swapaxes(-1, -2) @ X, self.A0)
+        assert not np.isnan(t).any()
+        assert (t >= 0.0).all()
+        if cond >= 1e8:
+            assert np.isinf(t).any()
+
+    def test_pivot_rule(self):
+        """A positive-definite member scores inf once a pivot falls to
+        1e-12 of its diagonal entry, and is scored just above: the last
+        pivot of a unit 2x2 block with off-diagonal c is 1 - c^2."""
+        M = np.stack([np.diag([1.0, 2.0, 3.0, 1.0, 1.0]) for _ in range(2)])
+        for m, r in zip(M, (1e-11, 1e-13)):
+            m[3, 4] = m[4, 3] = math.sqrt(1.0 - r)
+        t = _bucket_variance(M, self.A0)
+        want = np.trace(self.A0 @ np.linalg.solve(M[0], self.A0.T))
+        assert t[0] == pytest.approx(want, rel=1e-4)
+        assert t[1] == math.inf
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-150, 1e-4, 1.0, 1e4, 1e150]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_symmetric_stack_scores_non_negative_or_inf(self, seed, scale):
+        """Symmetric members of any sign and scale (entries up to 1e+-300),
+        some of them indefinite, singular or NaN: every score is >= 0 or
+        inf, never NaN."""
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(12, 5, 5)) * scale
+        M = S @ S.swapaxes(-1, -2)
+        M[::3] = S[::3] + S[::3].swapaxes(-1, -2)          # indefinite
+        M[1, :, 2] = M[1, 2, :] = 0.0                       # singular
+        M[4, 0, 0] = math.nan
+        t = _bucket_variance(M, self.A0 * rng.uniform(1e-3, 1e3))
+        assert not np.isnan(t).any()
+        assert (t >= 0.0).all()
+        assert np.isinf(t[[1, 4]]).all()
+
+    @pytest.mark.parametrize("bad", [0, 37, 63])
+    def test_refused_stack_is_halved(self, monkeypatch, bad):
+        """One member of 64 that is not positive definite scores inf and
+        every other member its own single call's bits, with the stack halved
+        down to the refused member: 1 + 2 log2(64) Cholesky calls, not one
+        per member."""
+        rng = np.random.default_rng(bad)
+        X = np.array([_rows_at_cond(rng, 10.0) for _ in range(64)])
+        M = X.swapaxes(-1, -2) @ X
+        M[bad] *= -1.0
+        single = np.array([_bucket_variance(m, self.A0) for m in M])
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        t = _bucket_variance(M, self.A0)
+        assert t.tobytes() == single.tobytes()
+        assert np.isinf(t[bad]) and np.isfinite(np.delete(t, bad)).all()
+        assert sorted(calls, reverse=True) == [64, 32, 32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
+
+
 class TestAccuracyMetric:
     def test_bucket_variance_stack_with_singular_member(self, model, plan, test_pose):
-        """A stack scores each member as alone; a singular one, or one whose
-        trace comes out negative, scores inf."""
+        """A stack scores each member as alone; a member that is not
+        positive definite (zero, or negated) scores inf."""
         A0 = sensitivity_rows(model, test_pose.q, test_pose.w, tool_only=True)
         rows = sensitivity_rows(model, np.array([e.q_rad for e in plan.entries[:6]]),
                                 test_pose.w)
